@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation/selftest failure, 2 usage error (bad
-arguments, unreadable or malformed files), 3 size guard exceeded.  Guard
-defaults can be overridden with the environment variables NETCON_LEAF_BOUND,
-NETCON_MAX_PAIRS, and NETCON_ORACLE_MAX_EDGES.
+arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
+inconsistency (a solver contradicted its own checks).  Guard defaults can be
+overridden with the environment variables NETCON_LEAF_BOUND, NETCON_MAX_PAIRS,
+and NETCON_ORACLE_MAX_EDGES; the pair bound defaults to the depot bound under
+``solve --depot``.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -29,7 +31,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .evaluator import ConnectionReport, format_report, validate_sequence
-from .metric_solver import PAIR_BOUND, solve_fixed_r
+from .metric_solver import PAIR_BOUND, PAIR_BOUND_DEPOT, solve_fixed_r
 from .model import (
     Instance,
     Objective,
@@ -138,7 +140,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "NETCON_LEAF_BOUND", LEAF_BOUND
     )
     max_pairs = args.max_pairs if args.max_pairs is not None else _env_int(
-        "NETCON_MAX_PAIRS", PAIR_BOUND
+        "NETCON_MAX_PAIRS", PAIR_BOUND_DEPOT if args.depot else PAIR_BOUND
     )
     backend = _pick_backend(instance, args.backend, leaf_bound)
     if backend == "tree":
@@ -269,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--backend", choices=("auto", "tree", "fixed-r"), default="auto")
     solve.add_argument("--depot", action="store_true", help="all pairs share a vertex")
-    solve.add_argument("--threads", type=int, default=1, help="1 forces serial execution")
     solve.add_argument("--leaf-bound", type=int, default=None)
     solve.add_argument("--max-pairs", type=int, default=None)
     solve.add_argument("--force", action="store_true", help="override size guards")
@@ -336,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NetconError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        return 4
 
 
 if __name__ == "__main__":

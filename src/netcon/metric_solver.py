@@ -12,6 +12,14 @@ junction could be contracted away).  At most 2r - 2 junctions are needed in
 general and r - 1 when all pairs share a vertex, so candidates are found by
 choosing the junction set, splitting pairs into components, and enumerating
 the labeled trees of each component with the junction-degree constraint.
+
+Junctions are drawn only from non-terminals whose degree is still at least 3
+after pendant non-terminals are pruned repeatedly (``Network.kernel_degrees``).
+A minimal optimal forest of the network lies inside that kernel, so each of
+its junctions has kernel degree at least 3 and its contraction is still a
+candidate.  A component's labeled trees depend only on how its pairs share
+endpoints and on its junction count, so each such template is built once per
+solve and mapped onto every junction set.
 """
 
 from __future__ import annotations
@@ -34,8 +42,6 @@ from .unionfind import UnionFind
 PAIR_BOUND = 4
 PAIR_BOUND_DEPOT = 6
 
-_INF = 1 << 60
-
 Edge = tuple[int, int]
 
 
@@ -51,7 +57,9 @@ class MetricClosure:
 def build_metric_closure(network: Network) -> MetricClosure:
     """Floyd-Warshall over the network; O(n^3), exact integer distances."""
     n = network.vertex_count
-    dist = [[_INF] * n for _ in range(n)]
+    # longer than any simple path, so it can only mean "no path found yet"
+    unreachable = network.total_length + 1
+    dist = [[unreachable] * n for _ in range(n)]
     nxt = [[-1] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
@@ -66,7 +74,7 @@ def build_metric_closure(network: Network) -> MetricClosure:
         for i in range(n):
             dist_i = dist[i]
             d_ik = dist_i[k]
-            if d_ik == _INF:
+            if d_ik == unreachable:
                 continue
             nxt_i = nxt[i]
             n_ik = nxt_i[k]
@@ -214,8 +222,8 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
         built: set[Edge] = set()
         order: list[Edge] = []
         elapsed = 0
-        value = 0 if weighted else -_INF
-        for idx in perm:
+        value = 0
+        for step, idx in enumerate(perm):
             for edge in forest.pair_paths[idx]:
                 if edge not in built:
                     built.add(edge)
@@ -223,6 +231,8 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
                     elapsed += length_of[edge]
             if weighted:
                 value += pairs[idx].weight * elapsed
+            elif step == 0:
+                value = elapsed - pairs[idx].due
             else:
                 value = max(value, elapsed - pairs[idx].due)
         if best is None or value < best.value:
@@ -307,40 +317,53 @@ def _decode_tree(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _labeled_trees(
+    min_count: Sequence[int], local_pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[list[tuple[int, int]], list[list[int]]]]:
+    """Labeled trees on 0..k-1 (k = len(min_count)) where label x has degree
+    at least min_count[x] + 1 and the paths between ``local_pairs`` cover
+    every edge; yields (edges, each pair's path as edge ids from u to v)."""
+    k = len(min_count)
+    if k - 2 < sum(min_count):
+        return  # not enough total degree for the minimum counts
+    full = (1 << (k - 1)) - 1
+    for seq in _constrained_sequences(k, min_count):
+        edges = _decode_tree(seq, k)
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        for eid, (a, b) in enumerate(edges):
+            adjacency[a].append((b, eid))
+            adjacency[b].append((a, eid))
+        covered = 0
+        paths = []
+        for u, v in local_pairs:
+            path_ids = _tree_path_ids(adjacency, u, v, k)
+            for eid in path_ids:
+                covered |= 1 << eid
+            paths.append(path_ids)
+        if covered == full:
+            yield edges, paths
+
+
 def _component_trees(
     vertices: tuple[int, ...],
     junctions: frozenset[int],
     component_pairs: Sequence[tuple[int, RelevantPair]],
 ) -> Iterator[tuple[list[Edge], dict[int, tuple[Edge, ...]]]]:
     """Labeled trees on ``vertices`` where junction degrees are >= 3 and the
-    pair paths cover every edge; yields (edges, paths by pair index)."""
-    k = len(vertices)
-    if k - 2 < 2 * len(junctions):
-        return  # not enough total degree to give each junction degree >= 3
+    pair paths cover every edge; yields (edges, paths by pair index).
+
+    This is one component's enumeration labelled by vertex; the solver maps
+    slot templates (``_template``) instead, and tests check the two agree.
+    """
     index = {v: i for i, v in enumerate(vertices)}
     minimum = [2 if v in junctions else 0 for v in vertices]
-    for seq in _constrained_sequences(k, minimum):
-        local_edges = _decode_tree(seq, k)
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        for eid, (a, b) in enumerate(local_edges):
-            adjacency[a].append((b, eid))
-            adjacency[b].append((a, eid))
-        covered = 0
-        paths: dict[int, tuple[Edge, ...]] = {}
-        ok = True
-        for pair_idx, pair in component_pairs:
-            path_ids = _tree_path_ids(adjacency, index[pair.u], index[pair.v], k)
-            if path_ids is None:
-                ok = False
-                break
-            for eid in path_ids:
-                covered |= 1 << eid
-            paths[pair_idx] = tuple(
-                _global_edge(local_edges[eid], vertices) for eid in path_ids
-            )
-        if not ok or covered != (1 << (k - 1)) - 1:
-            continue
-        yield [_global_edge(e, vertices) for e in local_edges], paths
+    local_pairs = [(index[p.u], index[p.v]) for _, p in component_pairs]
+    for local_edges, path_ids in _labeled_trees(minimum, local_pairs):
+        edges = [_global_edge(e, vertices) for e in local_edges]
+        yield edges, {
+            i: tuple(edges[eid] for eid in ids)
+            for (i, _), ids in zip(component_pairs, path_ids)
+        }
 
 
 def _global_edge(local: tuple[int, int], vertices: tuple[int, ...]) -> Edge:
@@ -350,7 +373,7 @@ def _global_edge(local: tuple[int, int], vertices: tuple[int, ...]) -> Edge:
 
 def _tree_path_ids(
     adjacency: list[list[tuple[int, int]]], source: int, target: int, k: int
-) -> list[int] | None:
+) -> list[int]:
     parent: list[tuple[int, int] | None] = [None] * k
     seen = [False] * k
     seen[source] = True
@@ -364,8 +387,6 @@ def _tree_path_ids(
                 seen[y] = True
                 parent[y] = (x, eid)
                 stack.append(y)
-    if not seen[target]:
-        return None
     ids = []
     at = target
     while parent[at] is not None:
@@ -373,6 +394,27 @@ def _tree_path_ids(
         ids.append(eid)
     ids.reverse()
     return ids
+
+
+# One tree of a template: its edges as slot pairs flattened into bytes, and
+# per pair (in group order) the bytes of its path's local edge ids, u to v.
+_TemplateTree = tuple[bytes, tuple[bytes, ...]]
+
+
+def _template(
+    pair_slots: tuple[tuple[int, int], ...], ends: int, junctions: int
+) -> list[_TemplateTree]:
+    """Every tree shape of a component whose pairs join ``pair_slots``.
+
+    Slots 0..ends-1 are the pair endpoints and the next ``junctions`` slots
+    are junctions.  The shapes depend only on this slot structure, so one
+    template serves every junction set a solve tries.
+    """
+    minimum = [0] * ends + [2] * junctions
+    return [
+        (bytes(itertools.chain.from_iterable(edges)), tuple(map(bytes, paths)))
+        for edges, paths in _labeled_trees(minimum, pair_slots)
+    ]
 
 
 def enumerate_candidate_forests(
@@ -385,8 +427,12 @@ def enumerate_candidate_forests(
 ) -> Iterator[RForest]:
     """Stream every candidate closure forest exactly once, in a fixed order.
 
-    Candidates are scanned by junction-set size, then lexicographically by
-    junction set, pair partition, junction assignment, and tree shape.
+    Junctions are the non-terminals of kernel degree >= 3.  Candidates are
+    scanned by junction-set size.  Within a size, each junction set is taken
+    in lexicographic order and crossed with every layout (pair partition and
+    junction assignment, lexicographically), and each layout streams the
+    product of its components' templates in template order.  The solver
+    picks its winner by (value, edges), so the order never changes a result.
     """
     pairs = instance.pairs
     r = len(pairs)
@@ -400,56 +446,75 @@ def enumerate_candidate_forests(
         raise UnsupportedInstanceError("depot mode needs a vertex common to all pairs")
 
     dist = closure.dist
-    n = instance.network.vertex_count
     terminals = set(instance.terminals)
-    non_terminals = [v for v in range(n) if v not in terminals]
+    degree = instance.network.kernel_degrees(terminals)
+    junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
     max_junctions = (r - 1) if depot_mode else (2 * r - 2)
 
     atoms = _pair_atoms(pairs)
-    partitions: list[list[list[tuple[int, ...]]]] = list(_set_partitions(atoms))
     # each partition is a list of groups; flatten atoms to pair index tuples
-    flat_partitions: list[list[tuple[int, ...]]] = []
-    for partition in partitions:
-        groups = sorted(tuple(sorted(i for atom in group for i in atom)) for group in partition)
-        flat_partitions.append(groups)
-    flat_partitions.sort()
+    flat_partitions = sorted(
+        sorted(tuple(sorted(i for atom in group for i in atom)) for group in partition)
+        for partition in _set_partitions(atoms)
+    )
+    # per partition, per group: endpoints in slot order (first appearance in
+    # the group's pairs), the pairs as slot pairs, and the pair indices
+    layouts = []
+    for groups in flat_partitions:
+        layout = []
+        for group in groups:
+            slot: dict[int, int] = {}
+            for i in group:
+                for x in pairs[i].key:
+                    slot.setdefault(x, len(slot))
+            pair_slots = tuple((slot[pairs[i].u], slot[pairs[i].v]) for i in group)
+            layout.append((tuple(slot), pair_slots, group))
+        layouts.append(layout)
 
-    for size in range(min(max_junctions, len(non_terminals)) + 1):
-        for junction_set in itertools.combinations(non_terminals, size):
-            for groups in flat_partitions:
-                for assignment in itertools.product(range(len(groups)), repeat=size):
-                    per_group_junctions: list[set[int]] = [set() for _ in groups]
-                    for vertex, g in zip(junction_set, assignment):
-                        per_group_junctions[g].add(vertex)
-                    options = []
-                    feasible = True
-                    for group, extra in zip(groups, per_group_junctions):
-                        group_pairs = [(i, pairs[i]) for i in group]
-                        vertices = tuple(
-                            sorted({x for _, p in group_pairs for x in p.key} | extra)
-                        )
-                        trees = list(
-                            _component_trees(vertices, frozenset(extra), group_pairs)
-                        )
-                        if not trees:
-                            feasible = False
-                            break
-                        options.append(trees)
-                    if not feasible:
-                        continue
-                    for combo in itertools.product(*options):
-                        edges: list[Edge] = []
-                        paths: dict[int, tuple[Edge, ...]] = {}
-                        for tree_edges, tree_paths in combo:
-                            edges.extend(tree_edges)
-                            paths.update(tree_paths)
-                        edges.sort()
-                        yield RForest(
-                            host="metric_closure",
-                            edges=tuple(edges),
-                            lengths=tuple(dist[u][v] for u, v in edges),
-                            pair_paths=tuple(paths[i] for i in range(r)),
-                        )
+    templates: dict[tuple[tuple[tuple[int, int], ...], int], list[_TemplateTree]] = {}
+    for size in range(min(max_junctions, len(junctions)) + 1):
+        # (endpoints, junction positions, pair indices, template) per group
+        plans = []
+        for layout in layouts:
+            for assignment in itertools.product(range(len(layout)), repeat=size):
+                plan = []
+                for g, (ends, pair_slots, group) in enumerate(layout):
+                    positions = tuple(p for p, owner in enumerate(assignment) if owner == g)
+                    key = (pair_slots, len(positions))
+                    trees = templates.get(key)
+                    if trees is None:
+                        trees = templates[key] = _template(pair_slots, len(ends), len(positions))
+                    if not trees:
+                        break
+                    plan.append((ends, positions, group, trees))
+                else:
+                    plans.append(plan)
+        for junction_set in itertools.combinations(junctions, size):
+            for plan in plans:
+                slot_vertices = [
+                    ends + tuple(junction_set[p] for p in positions)
+                    for ends, positions, _, _ in plan
+                ]
+                for combo in itertools.product(*(trees for _, _, _, trees in plan)):
+                    edges: list[Edge] = []
+                    paths: list[tuple[Edge, ...]] = [()] * r
+                    for vertices, (_, _, group, _), (tree_edges, tree_paths) in zip(
+                        slot_vertices, plan, combo
+                    ):
+                        base = len(edges)
+                        slots = iter(tree_edges)
+                        for a, b in zip(slots, slots):
+                            x, y = vertices[a], vertices[b]
+                            edges.append((x, y) if x < y else (y, x))
+                        for i, ids in zip(group, tree_paths):
+                            paths[i] = tuple(edges[base + eid] for eid in ids)
+                    edges.sort()
+                    yield RForest(
+                        host="metric_closure",
+                        edges=tuple(edges),
+                        lengths=tuple(dist[u][v] for u, v in edges),
+                        pair_paths=tuple(paths),
+                    )
 
 
 # --- projection and the full solve -------------------------------------------

@@ -146,6 +146,26 @@ class Network:
     def total_length(self) -> int:
         return sum(c for _, _, c in self.edges)
 
+    def kernel_degrees(self, keep: Iterable[int]) -> list[int]:
+        """Degrees after repeatedly deleting degree-1 vertices not in ``keep``.
+
+        Deleted vertices read 0.  No path between two kept vertices passes
+        through a deleted one, so every forest joining kept vertices lies in
+        what remains.
+        """
+        keep = set(keep)
+        degree = list(self.degrees)
+        pendant = [v for v, d in enumerate(degree) if d == 1 and v not in keep]
+        while pendant:
+            v = pendant.pop()
+            degree[v] = 0
+            for y, _ in self.adjacency[v]:
+                if degree[y]:
+                    degree[y] -= 1
+                    if degree[y] == 1 and y not in keep:
+                        pendant.append(y)
+        return degree
+
 
 @dataclass(frozen=True)
 class RelevantPair:

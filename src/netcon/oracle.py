@@ -22,8 +22,6 @@ SUBSET_EDGE_LIMIT = 22
 PERMUTATION_EDGE_LIMIT = 8
 INTERLEAVING_JOB_LIMIT = 14
 
-_NEG = -(1 << 62)
-
 
 def subset_dp(
     instance: Instance, *, max_edges: int = SUBSET_EDGE_LIMIT, force: bool = False
@@ -71,8 +69,8 @@ def subset_dp(
         low = mask & -mask
         length[mask] = length[mask ^ low] + edges[low.bit_length() - 1][2]
 
-    empty = 0 if maximize_sum else _NEG
-    value = [empty] * (1 << m)
+    # under maxlat a subset that connects no pair has no value yet (None)
+    value: list[int | None] = [0 if maximize_sum else None] * (1 << m)
     choice = [-1] * (1 << m)
     best_mask = -1
     best_value = None
@@ -96,7 +94,7 @@ def subset_dp(
                     nlow = npm & -npm
                     npm ^= nlow
                     late = t - pairs[nlow.bit_length() - 1].due
-                    if late > cand:
+                    if cand is None or late > cand:
                         cand = late
             if best is None or cand < best:
                 best = cand

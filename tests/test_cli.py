@@ -2,7 +2,16 @@ import pathlib
 
 import pytest
 
-from netcon import cli, parse_instance
+from netcon import (
+    Instance,
+    NetconError,
+    Network,
+    RelevantPair,
+    cli,
+    parse_instance,
+    solve_fixed_r,
+    write_instance,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -77,10 +86,10 @@ def test_backends_agree_on_tree_fixtures(capsys):
         assert tree_obj == fixed_obj
 
 
-def test_solve_is_deterministic_across_runs_and_threads(capsys):
+def test_solve_is_deterministic_across_runs(capsys):
     outputs = set()
-    for threads in ("1", "1", "3"):
-        _, out, _ = run(capsys, "solve", "--threads", threads, str(FIXTURES / "graph7.ncn"))
+    for _ in range(3):
+        _, out, _ = run(capsys, "solve", str(FIXTURES / "graph7.ncn"))
         outputs.add(out)
     assert len(outputs) == 1
 
@@ -141,6 +150,36 @@ def test_guard_exceeded_exits_3(capsys, tmp_path):
     run(capsys, "gen", "--kind", "star", "--n", "9", "--pairs", "3", "-o", str(big))
     assert run(capsys, "solve", "--backend", "tree", str(big))[0] == 3
     assert run(capsys, "solve", "--backend", "tree", "--force", str(big))[0] == 0
+
+
+def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path, monkeypatch):
+    # five pairs from hub 0; consecutive leaves also meet at a non-terminal
+    edges = [(0, v, v) for v in range(1, 6)]
+    edges += [(v, 5 + v, 2) for v in range(1, 5)] + [(v + 1, 5 + v, 3) for v in range(1, 5)]
+    pairs = tuple(RelevantPair(0, v, v) for v in range(1, 6))
+    instance = Instance(Network(10, tuple(edges)), pairs)
+    path = tmp_path / "depot.ncn"
+    path.write_text(write_instance(instance))
+    _, want = solve_fixed_r(instance, depot_mode=True)
+    status, out, err = run(capsys, "solve", "--depot", "--backend", "fixed-r", str(path))
+    assert status == 0, err
+    assert f"objective {want.objective}" in out.splitlines()
+    # without --depot the general bound of 4 pairs still applies
+    assert run(capsys, "solve", "--backend", "fixed-r", str(path))[0] == 3
+    # explicit bounds still override the depot default
+    assert run(capsys, "solve", "--depot", "--max-pairs", "4", str(path))[0] == 3
+    monkeypatch.setenv("NETCON_MAX_PAIRS", "4")
+    assert run(capsys, "solve", "--depot", str(path))[0] == 3
+
+
+def test_internal_inconsistency_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise NetconError("replay disagrees with the forest value")
+
+    monkeypatch.setattr(cli, "solve_fixed_r", broken)
+    status, _, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
+    assert status == 4
+    assert "internal error" in err
 
 
 def test_auto_backend_routes_by_shape(capsys):

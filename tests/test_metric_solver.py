@@ -14,13 +14,14 @@ from netcon import (
     evaluate_sequence,
     extract_path,
     generate,
+    permutation_oracle,
     project_to_graph,
     solve_fixed_r,
     solve_fixed_r_detailed,
     solve_tree,
     subset_dp,
 )
-from netcon.metric_solver import validate_rforest
+from netcon.metric_solver import _component_trees, _template, validate_rforest
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -359,3 +360,123 @@ def test_solution_is_deterministic():
     second = solve_fixed_r_detailed(SQUARE)
     assert first.sequence == second.sequence
     assert first.metric_forest.edges == second.metric_forest.edges
+
+
+def _map_template(trees, vertices, group):
+    """Map slot templates onto vertices: (sorted edges, paths by pair index)."""
+    out = []
+    for tree_edges, tree_paths in trees:
+        edges = []
+        for a, b in zip(tree_edges[::2], tree_edges[1::2]):
+            x, y = vertices[a], vertices[b]
+            edges.append((x, y) if x < y else (y, x))
+        paths = {i: tuple(edges[eid] for eid in ids) for i, ids in zip(group, tree_paths)}
+        out.append((tuple(sorted(edges)), tuple(sorted(paths.items()))))
+    return out
+
+
+def test_templates_map_to_the_direct_component_trees():
+    rng = random.Random(97)
+    checked = 0
+    for _ in range(60):
+        n = 12
+        count = rng.randint(1, 3)
+        population = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        group_pairs = [
+            (i, RelevantPair(u, v, 1)) for i, (u, v) in enumerate(rng.sample(population, count))
+        ]
+        ends = sorted({x for _, p in group_pairs for x in p.key})
+        others = [v for v in range(n) if v not in ends]
+        junctions = rng.sample(others, rng.randint(0, min(3, 2 * count - 2)))
+        # any slot order works, not only first appearance
+        slot_ends = rng.sample(ends, len(ends))
+        slot_junctions = rng.sample(junctions, len(junctions))
+        slot = {v: i for i, v in enumerate(slot_ends)}
+        pair_slots = tuple((slot[p.u], slot[p.v]) for _, p in group_pairs)
+        trees = _template(pair_slots, len(ends), len(junctions))
+        mapped = _map_template(trees, slot_ends + slot_junctions, [i for i, _ in group_pairs])
+        direct = [
+            (tuple(sorted(edges)), tuple(sorted(paths.items())))
+            for edges, paths in _component_trees(
+                tuple(sorted(ends + junctions)), frozenset(junctions), group_pairs
+            )
+        ]
+        assert len(mapped) == len(set(mapped))
+        assert set(mapped) == set(direct)
+        checked += bool(direct)
+    assert checked > 20
+
+
+def _pendant_junction_instance():
+    # square of terminals 0-3; vertex 4 hangs off 0 and has degree 3 only
+    # through its two pendant non-terminal leaves 5 and 6
+    edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 4, 1), (4, 5, 1), (4, 6, 1)]
+    return _inst(edges, [(0, 2, 2), (1, 3, 1)])
+
+
+def test_kernel_degrees_prune_pendant_non_terminals():
+    inst = _pendant_junction_instance()
+    assert inst.network.degrees[4] == 3
+    assert inst.network.kernel_degrees(inst.terminals) == [2, 2, 2, 2, 0, 0, 0]
+    # a kept vertex is never pruned, even when pendant
+    assert inst.network.kernel_degrees([0, 1, 2, 3, 5]) == [3, 2, 2, 2, 2, 1, 0]
+
+
+def test_pendant_only_neighbours_never_make_a_junction():
+    inst = _pendant_junction_instance()
+    closure = build_metric_closure(inst.network)
+    candidates = list(enumerate_candidate_forests(inst, closure))
+    assert candidates
+    assert all(4 not in {x for e in c.edges for x in e} for c in candidates)
+    assert solve_fixed_r(inst)[1].objective == subset_dp(inst)[0]
+
+
+def _pendant_and_chain_instance(rng, objective, depot):
+    """A small random core with pendant trees hung on it and edges split
+    into degree-2 chains; pairs may end anywhere, pendants included."""
+    core = rng.randint(3, 4)
+    edges = {}
+    for v in range(1, core):
+        edges[(rng.randrange(v), v)] = rng.randint(1, 6)
+    for _ in range(rng.randint(0, 2)):
+        u, v = sorted(rng.sample(range(core), 2))
+        edges.setdefault((u, v), rng.randint(1, 6))
+    n = core
+    for (u, v) in rng.sample(sorted(edges), min(2, len(edges))):
+        # split u-v into a chain u-x-v
+        length = edges.pop((u, v))
+        edges[(u, n)] = rng.randint(1, 6)
+        edges[(n, v) if n < v else (v, n)] = length
+        n += 1
+    for _ in range(rng.randint(1, 3)):
+        edges[(rng.randrange(n), n)] = rng.randint(1, 6)
+        n += 1
+    network = Network(n, tuple((u, v, c) for (u, v), c in edges.items()))
+    r = rng.randint(1, 3)
+    if depot:
+        hub = rng.randrange(n)
+        ends = [(hub, x) for x in rng.sample([x for x in range(n) if x != hub], r)]
+    else:
+        population = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        ends = rng.sample(population, r)
+    pairs = tuple(
+        RelevantPair(u, v, rng.randint(1, 5), rng.randint(0, 20) if objective == "maxlat" else None)
+        for u, v in ends
+    )
+    return Instance(network, pairs, objective)
+
+
+@pytest.mark.parametrize(
+    "objective, depot", [("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)]
+)
+def test_pendant_and_chain_graphs_match_the_oracles(objective, depot):
+    rng = random.Random(f"kernel/{objective}/{depot}")
+    permutation_checked = 0
+    for _ in range(25):
+        inst = _pendant_and_chain_instance(rng, objective, depot)
+        _, report = solve_fixed_r(inst, depot_mode=depot)
+        assert report.objective == subset_dp(inst)[0]
+        if inst.network.edge_count <= 7:
+            assert report.objective == permutation_oracle(inst)
+            permutation_checked += 1
+    assert permutation_checked >= 3
