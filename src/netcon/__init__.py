@@ -9,7 +9,7 @@ enumeration for few pairs on general networks) plus brute-force oracles,
 instance generators, and a command-line interface.
 """
 
-from .chains import Chain, DensityBlock, Job, density_decomposition, merge_two_chains, rho_factor
+from .chains import Chain, Job, density_decomposition, merge_two_chains, rho_factor
 from .errors import (
     GuardExceededError,
     InstanceFormatError,
@@ -26,18 +26,7 @@ from .evaluator import (
     format_report,
     validate_sequence,
 )
-from .metric_solver import (
-    ForestEvaluation,
-    MetricClosure,
-    RForest,
-    build_metric_closure,
-    enumerate_candidate_forests,
-    evaluate_rforest,
-    extract_path,
-    project_to_graph,
-    solve_fixed_r,
-    solve_fixed_r_detailed,
-)
+from .metric_solver import solve_fixed_r
 from .model import (
     Instance,
     Network,
@@ -52,15 +41,7 @@ from .model import (
     write_ola_input,
 )
 from .oracle import interleaving_oracle, permutation_oracle, subset_dp
-from .tree_solver import (
-    SubtreeCatalog,
-    SubtreeRecord,
-    crossing_weight,
-    enumerate_subtrees,
-    merge_for_edge,
-    pair_weight_tables,
-    solve_tree,
-)
+from .tree_solver import solve_tree
 
 __version__ = "0.1.0"
 
@@ -68,47 +49,31 @@ __all__ = [
     "BuildSequence",
     "Chain",
     "ConnectionReport",
-    "DensityBlock",
-    "ForestEvaluation",
     "GuardExceededError",
     "Instance",
     "InstanceFormatError",
     "InvalidInstanceError",
     "Job",
-    "MetricClosure",
     "NetconError",
     "Network",
     "Objective",
     "OlaInput",
-    "RForest",
     "RelevantPair",
     "SequenceError",
-    "SubtreeCatalog",
-    "SubtreeRecord",
     "UnsupportedInstanceError",
     "Verdict",
-    "build_metric_closure",
-    "crossing_weight",
     "density_decomposition",
-    "enumerate_candidate_forests",
-    "enumerate_subtrees",
-    "evaluate_rforest",
     "evaluate_sequence",
-    "extract_path",
     "format_report",
     "generate",
     "interleaving_oracle",
-    "merge_for_edge",
     "merge_two_chains",
-    "pair_weight_tables",
     "parse_instance",
     "parse_ola_input",
     "permutation_oracle",
-    "project_to_graph",
     "reduce_ola",
     "rho_factor",
     "solve_fixed_r",
-    "solve_fixed_r_detailed",
     "solve_tree",
     "subset_dp",
     "validate_sequence",

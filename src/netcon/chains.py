@@ -7,6 +7,10 @@ the prefix (processing, weight) points, so equal-density stretches fuse into
 one longest block.  Two chains merge optimally by repeatedly emitting the
 highest-density front block, preferring the first chain on ties.
 
+``block_summaries`` is the one decomposition: every block is a plain
+``(weight, processing, inner, start, end)`` tuple, which the tree solver, the
+public ``density_decomposition`` and ``merge_two_chains`` all share.
+
 All densities are compared exactly by integer cross-multiplication.
 """
 
@@ -33,20 +37,6 @@ class Job:
 Chain = Sequence[Job]
 
 
-@dataclass(frozen=True)
-class DensityBlock:
-    """Contiguous job group: chain[start:end] with summed weight/processing."""
-
-    start: int
-    end: int
-    weight: int
-    processing: int
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.weight, self.processing)
-
-
 def _prefix_hull(ps: Sequence[int], ws: Sequence[int]) -> list[int]:
     """Indices of the upper convex hull of prefix points (with index 0 first)."""
     xs = [0]
@@ -67,23 +57,6 @@ def _prefix_hull(ps: Sequence[int], ws: Sequence[int]) -> list[int]:
     return hull
 
 
-def density_decomposition(chain: Chain) -> list[DensityBlock]:
-    """Split a chain into maximum-density initial blocks of successive residuals."""
-    hull = _prefix_hull([j.processing for j in chain], [j.weight for j in chain])
-    blocks = []
-    for a, b in zip(hull, hull[1:]):
-        weight = sum(j.weight for j in chain[a:b])
-        processing = sum(j.processing for j in chain[a:b])
-        blocks.append(DensityBlock(a, b, weight, processing))
-    return blocks
-
-
-def rho_factor(chain: Chain) -> Fraction:
-    """Density of the chain's maximum-density initial block; 0 when empty."""
-    blocks = density_decomposition(chain)
-    return blocks[0].density if blocks else Fraction(0, 1)
-
-
 # Block summaries are (weight, processing, inner, start, end) tuples, where
 # inner is the weighted completion cost of the block run in isolation.  They
 # are the memoized form reused across many merges of the same chain.
@@ -101,6 +74,24 @@ def block_summaries(ps: Sequence[int], ws: Sequence[int]) -> tuple[BlockSummary,
             inner += ws[i] * processing
         out.append((weight, processing, inner, a, b))
     return tuple(out)
+
+
+def density_decomposition(chain: Chain) -> list[BlockSummary]:
+    """Split a chain into maximum-density initial blocks of successive residuals.
+
+    Each block is a ``(weight, processing, inner, start, end)`` tuple covering
+    ``chain[start:end]``.
+    """
+    return list(block_summaries([j.processing for j in chain], [j.weight for j in chain]))
+
+
+def rho_factor(chain: Chain) -> Fraction:
+    """Density of the chain's maximum-density initial block; 0 when empty."""
+    blocks = density_decomposition(chain)
+    if not blocks:
+        return Fraction(0, 1)
+    weight, processing, _, _, _ = blocks[0]
+    return Fraction(weight, processing)
 
 
 def merge_plan(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> list[int]:
@@ -163,8 +154,8 @@ def merge_two_chains(c1: Chain, c2: Chain) -> tuple[list[Any], int]:
     Returns the merged order as a list of job tags plus its total weighted
     completion time, minimal over all order-preserving interleavings.
     """
-    s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
-    s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
+    s1 = density_decomposition(c1)
+    s2 = density_decomposition(c2)
     merged: list[Job] = []
     i = j = 0
     for src in merge_plan(s1, s2):

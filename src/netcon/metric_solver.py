@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     GuardExceededError,
@@ -125,28 +125,6 @@ class RForest:
     @property
     def total_length(self) -> int:
         return sum(self.lengths)
-
-    def length_of(self, edge: Edge) -> int:
-        return self.lengths[self.edges.index(edge)]
-
-
-def make_rforest(
-    host: str,
-    edges: Sequence[Edge],
-    lengths: Mapping[Edge, int],
-    pairs: Sequence[RelevantPair],
-) -> RForest:
-    """Build and validate a forest from an edge set; raises if not an r-forest."""
-    canon = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
-    paths = tuple(_forest_path(canon, p.u, p.v) for p in pairs)
-    forest = RForest(
-        host=host,
-        edges=canon,
-        lengths=tuple(lengths[e] for e in canon),
-        pair_paths=paths,
-    )
-    validate_rforest(forest, pairs)
-    return forest
 
 
 def _forest_path(edges: Sequence[Edge], source: int, target: int) -> tuple[Edge, ...]:

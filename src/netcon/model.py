@@ -213,7 +213,7 @@ class Instance:
         n = self.network.vertex_count
         seen = set()
         for pair in self.pairs:
-            if pair.v >= n:
+            if pair.u < 0 or pair.v >= n:
                 raise InvalidInstanceError(f"pair ({pair.u}, {pair.v}) endpoint out of range")
             if pair.key in seen:
                 raise InvalidInstanceError(f"duplicate pair ({pair.u}, {pair.v})")

@@ -179,21 +179,21 @@ def criterion_merge_optimality(scale: float = 1.0) -> CheckResult:
 
 def _decomposition_flaw(chain: list[Job]) -> str | None:
     blocks = density_decomposition(chain)
-    if [j for b in blocks for j in chain[b.start : b.end]] != list(chain):
+    if [j for _, _, _, a, b in blocks for j in chain[a:b]] != list(chain):
         return "blocks do not cover the chain in order"
-    for left, right in zip(blocks, blocks[1:]):
-        if left.weight * right.processing <= right.weight * left.processing:
+    for (w1, p1, *_), (w2, p2, *_) in zip(blocks, blocks[1:]):
+        if w1 * p2 <= w2 * p1:
             return "densities not strictly decreasing"
     # quadratic scan: every block is a maximum-density initial block of its residual
-    for block in blocks:
+    for weight, processing, _, start, end in blocks:
         x = y = 0
-        for job in chain[block.start :]:
+        for job in chain[start:]:
             x += job.processing
             y += job.weight
-            if y * block.processing > block.weight * x:
+            if y * processing > weight * x:
                 return (
-                    f"block [{block.start}:{block.end}] density "
-                    f"{block.weight}/{block.processing} beaten by prefix {y}/{x}"
+                    f"block [{start}:{end}] density "
+                    f"{weight}/{processing} beaten by prefix {y}/{x}"
                 )
     return None
 

@@ -35,7 +35,6 @@ class SubtreeCatalog:
     that is a single vertex.
     """
 
-    network: Network
     levels: tuple[tuple[int, ...], ...]
     vertex_masks: Mapping[int, int]
     sides: tuple[tuple[int, int], ...]
@@ -44,10 +43,6 @@ class SubtreeCatalog:
     def split(self, key: int, edge_id: int) -> tuple[int, int]:
         side_u, side_v = self.sides[edge_id]
         return key & side_u, key & side_v
-
-    def all_keys(self) -> Iterable[int]:
-        for level in self.levels:
-            yield from level
 
     @property
     def subtree_count(self) -> int:
@@ -64,16 +59,10 @@ class SubtreeRecord:
     reused by every merge this record participates in.
     """
 
-    key: int
-    pair_weight: int
     seq: tuple[int, ...]
     connect: tuple[int, ...]
     value: int
     blocks: tuple[chains.BlockSummary, ...]
-
-    @property
-    def connect_weights(self) -> dict[int, int]:
-        return dict(zip(self.seq, self.connect))
 
 
 def _edge_side_masks(network: Network) -> tuple[tuple[int, int], ...]:
@@ -146,7 +135,6 @@ def enumerate_subtrees(network: Network) -> SubtreeCatalog:
         levels.append([])
 
     return SubtreeCatalog(
-        network=network,
         levels=tuple(tuple(level) for level in levels),
         vertex_masks=vertex_masks,
         sides=_edge_side_masks(network),
@@ -182,14 +170,6 @@ def pair_weight_tables(
     return weights
 
 
-def crossing_weight(
-    catalog: SubtreeCatalog, weights: Mapping[int, int], key: int, edge_id: int
-) -> int:
-    """Weight of the pairs inside the subtree whose path uses edge_id."""
-    part_a, part_b = catalog.split(key, edge_id)
-    return weights[key] - weights[part_a] - weights[part_b]
-
-
 def _merged_jobs(
     rec_a: SubtreeRecord | None, rec_b: SubtreeRecord | None
 ) -> tuple[list[int], list[int]]:
@@ -213,53 +193,15 @@ def _merged_jobs(
     return seq, connect
 
 
-def merge_for_edge(
-    network: Network,
-    catalog: SubtreeCatalog,
-    weights: Mapping[int, int],
-    key: int,
-    edge_id: int,
-    rec_a: SubtreeRecord | None,
-    rec_b: SubtreeRecord | None,
-) -> tuple[tuple[int, ...], int]:
-    """Best order for a subtree forced to finish with edge_id, plus its value."""
-    blocks_a = rec_a.blocks if rec_a else _EMPTY_BLOCKS
-    blocks_b = rec_b.blocks if rec_b else _EMPTY_BLOCKS
-    cross = crossing_weight(catalog, weights, key, edge_id)
-    total_length = 0
-    probe = key
-    while probe:
-        low = probe & -probe
-        probe ^= low
-        total_length += network.edges[low.bit_length() - 1][2]
-    value = chains.merge_value(blocks_a, blocks_b) + total_length * cross
-    seq, _ = _merged_jobs(rec_a, rec_b)
-    seq.append(edge_id)
-    return tuple(seq), value
+def subtree_records(
+    network: Network, catalog: SubtreeCatalog, weights: Mapping[int, int]
+) -> dict[int, SubtreeRecord | None]:
+    """Optimal record of every subtree, keyed by edge mask (0 maps to None).
 
-
-def solve_tree(
-    instance: Instance, *, leaf_bound: int = LEAF_BOUND, force: bool = False
-) -> tuple[BuildSequence, ConnectionReport]:
-    """Exact optimum for a tree instance under the weighted-sum objective.
-
-    Work grows like n^(leaves + 2), so trees with more than ``leaf_bound``
-    leaves are refused unless ``force`` is set.
+    Each subtree tries every edge as its last one: the two components left by
+    deleting it are merged as two chains, then the edge connects every pair
+    whose path crosses it.
     """
-    network = instance.network
-    if not network.is_tree:
-        raise UnsupportedInstanceError("tree solver needs a tree network")
-    if instance.objective is not Objective.WEIGHTED_SUM:
-        raise UnsupportedInstanceError("tree solver only handles the wct objective")
-    leaves = network.leaf_count
-    if leaves > leaf_bound and not force:
-        raise GuardExceededError(
-            f"tree has {leaves} leaves (bound {leaf_bound}); runtime grows like "
-            "n^(leaves+2), pass force=True to run anyway"
-        )
-
-    catalog = enumerate_subtrees(network)
-    weights = pair_weight_tables(network, instance.pairs, catalog)
     edges = network.edges
     sides = catalog.sides
     merge_value = chains.merge_value
@@ -272,8 +214,6 @@ def solve_tree(
         w = weights[key]
         lengths[key] = c
         records[key] = SubtreeRecord(
-            key=key,
-            pair_weight=w,
             seq=(eid,),
             connect=(w,),
             value=c * w,
@@ -319,14 +259,37 @@ def solve_tree(
             connect.append(w_key - weights[best_parts[0]] - weights[best_parts[1]])
             ps = tuple(edges[eid][2] for eid in seq)
             records[key] = SubtreeRecord(
-                key=key,
-                pair_weight=w_key,
                 seq=tuple(seq),
                 connect=tuple(connect),
                 value=best_value,
                 blocks=chains.block_summaries(ps, tuple(connect)),
             )
+    return records
 
+
+def solve_tree(
+    instance: Instance, *, leaf_bound: int = LEAF_BOUND, force: bool = False
+) -> tuple[BuildSequence, ConnectionReport]:
+    """Exact optimum for a tree instance under the weighted-sum objective.
+
+    Work grows like n^(leaves + 2), so trees with more than ``leaf_bound``
+    leaves are refused unless ``force`` is set.
+    """
+    network = instance.network
+    if not network.is_tree:
+        raise UnsupportedInstanceError("tree solver needs a tree network")
+    if instance.objective is not Objective.WEIGHTED_SUM:
+        raise UnsupportedInstanceError("tree solver only handles the wct objective")
+    leaves = network.leaf_count
+    if leaves > leaf_bound and not force:
+        raise GuardExceededError(
+            f"tree has {leaves} leaves (bound {leaf_bound}); runtime grows like "
+            "n^(leaves+2), pass force=True to run anyway"
+        )
+
+    catalog = enumerate_subtrees(network)
+    weights = pair_weight_tables(network, instance.pairs, catalog)
+    records = subtree_records(network, catalog, weights)
     full = (1 << network.edge_count) - 1
     answer = records[full]
     report = evaluate_sequence(instance, answer.seq)

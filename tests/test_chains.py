@@ -26,19 +26,19 @@ def test_empty_chain_decomposes_to_nothing():
 def test_rising_weights_fuse_into_one_block():
     blocks = density_decomposition(jobs((1, 1), (1, 3)))
     assert len(blocks) == 1
-    assert (blocks[0].weight, blocks[0].processing) == (4, 2)
+    assert blocks[0][:2] == (4, 2)  # (weight, processing)
 
 
 def test_falling_weights_split():
     blocks = density_decomposition(jobs((1, 3), (1, 1)))
-    assert [(b.weight, b.processing) for b in blocks] == [(3, 1), (1, 1)]
-    assert blocks[0].density == Fraction(3)
+    assert [b[:2] for b in blocks] == [(3, 1), (1, 1)]
+    assert Fraction(*blocks[0][:2]) == Fraction(3)
 
 
 def test_equal_density_segments_fuse_into_longest_block():
     blocks = density_decomposition(jobs((1, 2), (2, 4), (3, 6)))
     assert len(blocks) == 1
-    assert blocks[0].end == 3
+    assert blocks[0][3:] == (0, 3)  # (start, end)
 
 
 def test_rho_factor():
@@ -49,15 +49,15 @@ def test_rho_factor():
 
 def _brute_decomposition_ok(chain):
     blocks = density_decomposition(chain)
-    assert [j for b in blocks for j in chain[b.start : b.end]] == list(chain)
-    for left, right in zip(blocks, blocks[1:]):
-        assert left.density > right.density
-    for block in blocks:
+    assert [j for _, _, _, a, b in blocks for j in chain[a:b]] == list(chain)
+    densities = [Fraction(w, p) for w, p, _, _, _ in blocks]
+    assert densities == sorted(set(densities), reverse=True)
+    for (_, _, _, start, _), density in zip(blocks, densities):
         x = y = 0
-        for job in chain[block.start :]:
+        for job in chain[start:]:
             x += job.processing
             y += job.weight
-            assert Fraction(y, x) <= block.density
+            assert Fraction(y, x) <= density
 
 
 def test_decomposition_property_random():

@@ -8,20 +8,24 @@ from netcon import (
     Network,
     RelevantPair,
     UnsupportedInstanceError,
-    build_metric_closure,
-    enumerate_candidate_forests,
-    evaluate_rforest,
     evaluate_sequence,
-    extract_path,
     generate,
     permutation_oracle,
-    project_to_graph,
     solve_fixed_r,
-    solve_fixed_r_detailed,
     solve_tree,
     subset_dp,
 )
-from netcon.metric_solver import _component_trees, _template, validate_rforest
+from netcon.metric_solver import (
+    _component_trees,
+    _template,
+    build_metric_closure,
+    enumerate_candidate_forests,
+    evaluate_rforest,
+    extract_path,
+    project_to_graph,
+    solve_fixed_r_detailed,
+    validate_rforest,
+)
 
 
 def _inst(edges, pairs, objective="wct"):

@@ -219,6 +219,15 @@ def test_network_invariants():
     assert Network(1, ()).is_tree  # zero edges, one vertex
 
 
+def test_instance_rejects_out_of_range_pair_endpoints():
+    # the library guard matches the parser's: both ends must lie in 0..n-1
+    net = Network(3, ((0, 1, 1), (1, 2, 2)))
+    with pytest.raises(InvalidInstanceError, match="out of range"):
+        Instance(net, (RelevantPair(-1, 2, 1),))
+    with pytest.raises(InvalidInstanceError, match="out of range"):
+        Instance(net, (RelevantPair(0, 3, 1),))
+
+
 def test_ola_input_invariants():
     with pytest.raises(InvalidInstanceError):
         OlaInput(2, ((0, 0),), 1)

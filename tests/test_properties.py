@@ -2,13 +2,17 @@
 
 Shifting every due date by s moves the maximum lateness by exactly -s, and
 scaling every length by k scales every connection time, and so the weighted
-sum, by k.  Neither may depend on how large the numbers get.
+sum, by k.  Neither may depend on how large the numbers get.  Renaming the
+vertices changes no objective, and the metric closure's distances are the
+graph's shortest-path distances (checked against scipy).
 """
 
 import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from netcon import (
     Instance,
@@ -20,6 +24,7 @@ from netcon import (
     solve_tree,
     subset_dp,
 )
+from netcon.metric_solver import build_metric_closure
 
 BIG_SHIFTS = st.sampled_from([1 << 61, 1 << 63, -(1 << 61)])
 SEEDS = st.integers(0, 1 << 30)
@@ -76,3 +81,47 @@ def test_fixed_r_handles_a_2_pow_60_edge():
     seq, report = solve_fixed_r(inst)
     assert report.objective == 3 * ((1 << 60) + 1)
     assert sorted(seq) == [0, 1]
+
+
+def _relabel(instance, perm):
+    edges = tuple((perm[u], perm[v], c) for u, v, c in instance.network.edges)
+    pairs = tuple(dataclasses.replace(p, u=perm[p.u], v=perm[p.v]) for p in instance.pairs)
+    return Instance(Network(instance.network.vertex_count, edges), pairs, instance.objective)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS, perm=st.permutations(range(7)))
+def test_relabelling_vertices_keeps_the_tree_optimum(seed, perm):
+    inst = generate("random_tree", 7, seed=seed, pair_count=3)
+    relabelled = _relabel(inst, perm)
+    want = solve_tree(inst)[1].objective
+    assert solve_tree(relabelled)[1].objective == want
+    assert subset_dp(relabelled)[0] == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS, perm=st.permutations(range(6)), objective=st.sampled_from(["wct", "maxlat"]))
+def test_relabelling_vertices_keeps_the_fixed_r_optimum(seed, perm, objective):
+    inst = _small_graph(seed, objective)
+    relabelled = _relabel(inst, perm)
+    want = subset_dp(inst)[0]
+    seq, report = solve_fixed_r(relabelled)
+    assert report.objective == want
+    assert evaluate_sequence(relabelled, seq) == report
+    assert subset_dp(relabelled)[0] == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 12), extra=st.integers(0, 20))
+def test_closure_distances_match_scipy(seed, n, extra):
+    edge_count = min(n - 1 + extra, n * (n - 1) // 2)
+    network = generate(
+        "random_graph", n, seed=seed, edge_count=edge_count, length_range=(1, 1000)
+    ).network
+    rows = [u for u, _, _ in network.edges]
+    cols = [v for _, v, _ in network.edges]
+    lengths = [c for _, _, c in network.edges]
+    graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
+    want = shortest_path(graph, directed=False)
+    dist = build_metric_closure(network).dist
+    assert [list(row) for row in dist] == [[int(d) for d in row] for row in want]

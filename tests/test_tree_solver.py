@@ -10,17 +10,14 @@ from netcon import (
     OlaInput,
     RelevantPair,
     UnsupportedInstanceError,
-    crossing_weight,
-    enumerate_subtrees,
     evaluate_sequence,
     generate,
-    merge_for_edge,
-    pair_weight_tables,
     reduce_ola,
     solve_tree,
     subset_dp,
 )
-from netcon.tree_solver import SubtreeRecord
+from netcon.chains import block_summaries
+from netcon.tree_solver import enumerate_subtrees, pair_weight_tables, subtree_records
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -94,44 +91,42 @@ def test_pair_weight_table_properties():
         full = (1 << inst.network.edge_count) - 1
         assert weights[full] == sum(p.weight for p in inst.pairs)
         # brute check on every subtree
-        for key in catalog.all_keys():
-            vmask = catalog.vertex_masks[key]
-            want = sum(
-                p.weight for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1
-            )
-            assert weights[key] == want
+        for level in catalog.levels:
+            for key in level:
+                vmask = catalog.vertex_masks[key]
+                want = sum(
+                    p.weight for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1
+                )
+                assert weights[key] == want
 
 
 def test_crossing_weights_on_path():
+    # the pairs whose path uses an edge: inside the subtree, in neither component
     catalog = enumerate_subtrees(PATH3.network)
     weights = pair_weight_tables(PATH3.network, PATH3.pairs, catalog)
-    assert crossing_weight(catalog, weights, 0b11, 0) == 4  # pairs (0,1) and (0,2)
-    assert crossing_weight(catalog, weights, 0b11, 1) == 2  # pairs (1,2) and (0,2)
-    assert crossing_weight(catalog, weights, 0b01, 0) == 3
+
+    def crossing(key, edge_id):
+        part_a, part_b = catalog.split(key, edge_id)
+        return weights[key] - weights[part_a] - weights[part_b]
+
+    assert crossing(0b11, 0) == 4  # pairs (0,1) and (0,2)
+    assert crossing(0b11, 1) == 2  # pairs (1,2) and (0,2)
+    assert crossing(0b01, 0) == 3
 
 
-def _records_for_path3():
+def test_subtree_records_on_path3():
     catalog = enumerate_subtrees(PATH3.network)
     weights = pair_weight_tables(PATH3.network, PATH3.pairs, catalog)
-    from netcon.chains import block_summaries
-
-    records = {}
-    for key in catalog.levels[1]:
-        eid = key.bit_length() - 1
-        c = PATH3.network.edges[eid][2]
-        w = weights[key]
-        records[key] = SubtreeRecord(key, w, (eid,), (w,), c * w, block_summaries((c,), (w,)))
-    return catalog, weights, records
-
-
-def test_merge_for_edge_examples():
-    catalog, weights, records = _records_for_path3()
-    seq, value = merge_for_edge(PATH3.network, catalog, weights, 0b11, 1, records[0b01], None)
-    assert (seq, value) == ((0, 1), 9)
-    seq, value = merge_for_edge(PATH3.network, catalog, weights, 0b11, 0, None, records[0b10])
-    assert (seq, value) == ((1, 0), 14)
-    seq, value = merge_for_edge(PATH3.network, catalog, weights, 0b01, 0, None, None)
-    assert (seq, value) == ((0,), 3)  # lone edge: length 1 times crossing weight 3
+    records = subtree_records(PATH3.network, catalog, weights)
+    assert records[0] is None
+    lone = records[0b01]
+    assert (lone.seq, lone.connect, lone.value) == ((0,), (3,), 3)  # length 1 times weight 3
+    assert lone.blocks == block_summaries((1,), (3,))
+    assert (records[0b10].seq, records[0b10].value) == ((1,), 2)
+    # ending with edge 1 costs 9, ending with edge 0 would cost 14
+    full = records[0b11]
+    assert (full.seq, full.connect, full.value) == ((0, 1), (3, 2), 9)
+    assert evaluate_sequence(PATH3, (1, 0)).objective == 14
 
 
 def test_solve_path3():
@@ -191,55 +186,40 @@ def test_matches_subset_dp_on_random_trees():
 
 
 def test_record_consistency():
+    # audit the solver's own records: every subtree's order, connect weights,
+    # memoized blocks and value, against a replay and the subset-DP oracle
     rng = random.Random(31)
-    from netcon import chains
-    from netcon.tree_solver import enumerate_subtrees as enum
-
     for _ in range(10):
         n = rng.randint(3, 7)
         inst = generate("random_tree", n, seed=rng.randrange(1 << 30), pair_count=3)
-        catalog = enum(inst.network)
-        weights = pair_weight_tables(inst.network, inst.pairs, catalog)
-        # rebuild records the way the solver does, then audit each one
-        records = {0: None}
+        net = inst.network
+        catalog = enumerate_subtrees(net)
+        weights = pair_weight_tables(net, inst.pairs, catalog)
+        records = subtree_records(net, catalog, weights)
+        assert records[0] is None
         for level in catalog.levels[1:]:
             for key in level:
-                best = None
-                probe = key
-                while probe:
-                    low = probe & -probe
-                    probe ^= low
-                    eid = low.bit_length() - 1
-                    part_a, part_b = catalog.split(key, eid)
-                    seq, value = merge_for_edge(
-                        inst.network, catalog, weights, key, eid,
-                        records[part_a], records[part_b],
+                rec = records[key]
+                assert sorted(rec.seq) == [e for e in range(net.edge_count) if key >> e & 1]
+                assert sum(rec.connect) == weights[key]
+                ps = tuple(net.edges[e][2] for e in rec.seq)
+                assert rec.blocks == block_summaries(ps, rec.connect)
+                vmask = catalog.vertex_masks[key]
+                inner = [p for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1]
+                if not inner:
+                    assert rec.value == 0
+                    continue
+                sub = Instance(net, tuple(inner))
+                report = evaluate_sequence(sub, rec.seq)
+                assert report.objective == rec.value == subset_dp(sub)[0]
+                # connect[i] is the weight first connected when seq[i] completes
+                done = 0
+                for eid, connected in zip(rec.seq, rec.connect):
+                    done += net.edges[eid][2]
+                    assert connected == sum(
+                        p.weight for p, t in zip(sub.pairs, report.times) if t == done
                     )
-                    if best is None or value < best[0]:
-                        connect = []
-                        for sid in seq[:-1]:
-                            src = records[part_a] if part_a >> sid & 1 else records[part_b]
-                            connect.append(src.connect_weights[sid])
-                        connect.append(crossing_weight(catalog, weights, key, eid))
-                        best = (value, seq, tuple(connect))
-                value, seq, connect = best
-                ps = tuple(inst.network.edges[e][2] for e in seq)
-                records[key] = SubtreeRecord(
-                    key, weights[key], seq, connect, value, chains.block_summaries(ps, connect)
-                )
-                # audit: connect weights sum to the subtree pair weight
-                assert sum(connect) == weights[key]
-                inner = [
-                    p for p in inst.pairs
-                    if catalog.vertex_masks[key] >> p.u & 1
-                    and catalog.vertex_masks[key] >> p.v & 1
-                ]
-                if inner:
-                    sub = Instance(inst.network, tuple(inner))
-                    assert evaluate_sequence(sub, seq).objective == value
-                else:
-                    assert value == 0
-        full = (1 << inst.network.edge_count) - 1
+        full = (1 << net.edge_count) - 1
         _, report = solve_tree(inst, force=True)
         assert records[full].value == report.objective
 
