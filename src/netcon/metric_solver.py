@@ -4,7 +4,8 @@ Strategy: compute all shortest-path distances (the metric closure), then
 enumerate every candidate forest over the pair endpoints plus a bounded set
 of extra junction vertices, score each candidate by trying all pair orders,
 and map the winner back to original edges.  Any objective that never
-decreases when connection times grow is supported.
+decreases when connection times grow fits this scheme; the weighted sum
+(wct) and maximum lateness (maxlat) are built in.
 
 A candidate forest must connect every pair, use every edge on some pair's
 path, and give every non-endpoint junction degree at least 3 (a degree-2
@@ -20,14 +21,28 @@ its junctions has kernel degree at least 3 and its contraction is still a
 candidate.  A component's labeled trees depend only on how its pairs share
 endpoints and on its junction count, so each such template is built once per
 solve and mapped onto every junction set.
+
+Scoring needs no forest objects.  Once the pair order is fixed, each step ends
+at the total length of the edges on the paths of the pairs served so far.
+So each forest shape (one combination of a layout's templates) gets one
+table: for wct, each edge's coefficient under each pair order; for maxlat,
+the edges each step builds first when the pairs are served by due date,
+which is optimal for max lateness on any forest.  Every junction set is then
+scored from its closure lengths alone.  ``scored_candidates`` yields every candidate with its
+exact value.  ``enumerate_candidate_forests`` builds and streams a forest only
+when its value is at most that of every forest it streamed before, so every
+minimum-value candidate is streamed, and the solver's (value, edges) pick is
+unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Sequence
+from operator import mul, sub
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     GuardExceededError,
@@ -275,24 +290,50 @@ def _constrained_sequences(k: int, min_count: Sequence[int]) -> Iterator[tuple[i
     yield from rec(0, total_deficit)
 
 
-def _decode_tree(seq: Sequence[int], k: int) -> list[tuple[int, int]]:
-    """Decode a Prufer-style sequence into the edge list of a labeled tree."""
+def _covered_tree(
+    seq: Sequence[int], k: int, parity: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[int], list[int], list[int]] | None:
+    """Decode a Prufer-style sequence into a labeled tree, or return None as
+    soon as an edge lies on no pair's path.
+
+    ``parity[x]`` has bit i set when label x is an endpoint of pair i.  A leaf
+    is popped only after everything behind it, so it carries the XOR of its
+    side of the tree, and the edge it leaves by is on pair i's path exactly
+    when bit i of that XOR is set.  Returns the edges and, per label, its
+    parent, the id of the edge up to it and that edge's side XOR (0 at the
+    root, the label left last).
+    """
     degree = [1] * k
     for v in seq:
         degree[v] += 1
     leaves = [v for v in range(k) if degree[v] == 1]
     heapify(leaves)
+    side = list(parity)
+    parent = [0] * k
+    up_edge = [0] * k
+    up_side = [0] * k
     edges = []
     for v in seq:
         leaf = heappop(leaves)
+        if not side[leaf]:
+            return None
+        parent[leaf] = v
+        up_edge[leaf] = len(edges)
+        up_side[leaf] = side[leaf]
+        side[v] ^= side[leaf]
         edges.append((leaf, v) if leaf < v else (v, leaf))
         degree[v] -= 1
         if degree[v] == 1:
             heappush(leaves, v)
     a = heappop(leaves)
     b = heappop(leaves)
+    if not side[a]:
+        return None
+    parent[a] = b
+    up_edge[a] = len(edges)
+    up_side[a] = side[a]
     edges.append((a, b) if a < b else (b, a))
-    return edges
+    return edges, parent, up_edge, up_side
 
 
 def _labeled_trees(
@@ -304,74 +345,31 @@ def _labeled_trees(
     k = len(min_count)
     if k - 2 < sum(min_count):
         return  # not enough total degree for the minimum counts
-    full = (1 << (k - 1)) - 1
+    parity = [0] * k
+    for i, (u, v) in enumerate(local_pairs):
+        parity[u] ^= 1 << i
+        parity[v] ^= 1 << i
     for seq in _constrained_sequences(k, min_count):
-        edges = _decode_tree(seq, k)
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        for eid, (a, b) in enumerate(edges):
-            adjacency[a].append((b, eid))
-            adjacency[b].append((a, eid))
-        covered = 0
+        tree = _covered_tree(seq, k, parity)
+        if tree is None:
+            continue
+        edges, parent, up_edge, up_side = tree
         paths = []
-        for u, v in local_pairs:
-            path_ids = _tree_path_ids(adjacency, u, v, k)
-            for eid in path_ids:
-                covered |= 1 << eid
-            paths.append(path_ids)
-        if covered == full:
-            yield edges, paths
-
-
-def _component_trees(
-    vertices: tuple[int, ...],
-    junctions: frozenset[int],
-    component_pairs: Sequence[tuple[int, RelevantPair]],
-) -> Iterator[tuple[list[Edge], dict[int, tuple[Edge, ...]]]]:
-    """Labeled trees on ``vertices`` where junction degrees are >= 3 and the
-    pair paths cover every edge; yields (edges, paths by pair index).
-
-    This is one component's enumeration labelled by vertex; the solver maps
-    slot templates (``_template``) instead, and tests check the two agree.
-    """
-    index = {v: i for i, v in enumerate(vertices)}
-    minimum = [2 if v in junctions else 0 for v in vertices]
-    local_pairs = [(index[p.u], index[p.v]) for _, p in component_pairs]
-    for local_edges, path_ids in _labeled_trees(minimum, local_pairs):
-        edges = [_global_edge(e, vertices) for e in local_edges]
-        yield edges, {
-            i: tuple(edges[eid] for eid in ids)
-            for (i, _), ids in zip(component_pairs, path_ids)
-        }
-
-
-def _global_edge(local: tuple[int, int], vertices: tuple[int, ...]) -> Edge:
-    a, b = vertices[local[0]], vertices[local[1]]
-    return (a, b) if a < b else (b, a)
-
-
-def _tree_path_ids(
-    adjacency: list[list[tuple[int, int]]], source: int, target: int, k: int
-) -> list[int]:
-    parent: list[tuple[int, int] | None] = [None] * k
-    seen = [False] * k
-    seen[source] = True
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        if x == target:
-            break
-        for y, eid in adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                parent[y] = (x, eid)
-                stack.append(y)
-    ids = []
-    at = target
-    while parent[at] is not None:
-        at, eid = parent[at]
-        ids.append(eid)
-    ids.reverse()
-    return ids
+        for i, (u, v) in enumerate(local_pairs):
+            # climb from each end while the edge above is on the pair's path;
+            # both climbs stop where the ends' branches meet
+            bit = 1 << i
+            head = []
+            while up_side[u] & bit:
+                head.append(up_edge[u])
+                u = parent[u]
+            tail = []
+            while up_side[v] & bit:
+                tail.append(up_edge[v])
+                v = parent[v]
+            tail.reverse()
+            paths.append(head + tail)
+        yield edges, paths
 
 
 # One tree of a template: its edges as slot pairs flattened into bytes, and
@@ -395,6 +393,194 @@ def _template(
     ]
 
 
+class _Scoring:
+    """Scores forests from their edge lengths alone, given their pair paths.
+
+    Serving a set of pairs builds exactly the edges on their paths, so once
+    the pair order is fixed, each step ends at the total length of the edges
+    on the paths of the pairs served so far.
+    """
+
+    def __init__(self, pairs: Sequence[RelevantPair], weighted: bool) -> None:
+        self.weighted = weighted
+        if weighted:
+            # per pair order: the set of pairs served by the end of each step
+            # (bit i for pair i) and the weight of the pair each step serves
+            self.orders = [
+                (
+                    tuple(itertools.accumulate(1 << i for i in perm)),
+                    tuple(pairs[i].weight for i in perm),
+                )
+                for perm in itertools.permutations(range(len(pairs)))
+            ]
+            # per set of pairs: an edge on exactly their paths delays every
+            # step from the first that serves one of them, so per order its
+            # coefficient is the weight of those steps
+            self.coefficients: dict[int, tuple[int, ...]] = {}
+        else:
+            # Serving the pairs by due date is optimal for max lateness on any
+            # forest (Lawler's exchange argument): moving the pair due last
+            # to the end leaves it charged at the full length, like whichever
+            # pair was last, and charges every other pair at most as late.
+            self.by_due = sorted(range(len(pairs)), key=lambda i: pairs[i].due)
+            self.dues = tuple(pairs[i].due for i in self.by_due)
+
+    def scorer(
+        self, paths: Sequence[tuple[int, ...]], edge_count: int
+    ) -> Callable[[Sequence[int]], int]:
+        """The exact value of a forest whose pair paths are ``paths`` (edge
+        ids), as a function of its edge lengths."""
+        if not self.weighted:
+            # per step, the edges it builds first
+            built: set[int] = set()
+            blocks = []
+            for i in self.by_due:
+                block = tuple(e for e in paths[i] if e not in built)
+                built.update(block)
+                blocks.append(block)
+            dues = self.dues
+
+            def max_lateness(lengths: Sequence[int]) -> int:
+                spent = [sum(map(lengths.__getitem__, block)) for block in blocks]
+                return max(map(sub, itertools.accumulate(spent), dues))
+
+            return max_lateness
+
+        users = [0] * edge_count
+        for i, ids in enumerate(paths):
+            for e in ids:
+                users[e] |= 1 << i
+        coefficients = self.coefficients
+        for mask in users:
+            if mask not in coefficients:
+                coefficients[mask] = tuple(
+                    sum(w for step, w in zip(served, weights) if step & mask)
+                    for served, weights in self.orders
+                )
+        # per order, each edge's coefficient
+        rows = set(zip(*map(coefficients.__getitem__, users)))
+        return lambda lengths: min([sum(map(mul, row, lengths)) for row in rows])
+
+
+def _closure_forest(
+    vertices: tuple[int, ...],
+    slot_edges: Sequence[tuple[int, int]],
+    paths: Sequence[tuple[int, ...]],
+    lengths: Sequence[int],
+) -> RForest:
+    edges = []
+    for a, b in slot_edges:
+        x, y = vertices[a], vertices[b]
+        edges.append((x, y) if x < y else (y, x))
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    return RForest(
+        host="metric_closure",
+        edges=tuple(edges[e] for e in order),
+        lengths=tuple(lengths[e] for e in order),
+        pair_paths=tuple(tuple(edges[e] for e in ids) for ids in paths),
+    )
+
+
+def _layouts(pairs: Sequence[RelevantPair]) -> list[tuple[tuple[int, ...], list[tuple]]]:
+    """Per partition of the pairs into components, lexicographically: every
+    endpoint in slot order, and per component its endpoint count, its pairs
+    as slot pairs and their pair indices.  A component's endpoints take the
+    next slots in order of first appearance in its pairs."""
+    atoms = _pair_atoms(pairs)
+    # each partition is a list of groups; flatten atoms to pair index tuples
+    flat_partitions = sorted(
+        sorted(tuple(sorted(i for atom in group for i in atom)) for group in partition)
+        for partition in _set_partitions(atoms)
+    )
+    layouts = []
+    for groups in flat_partitions:
+        ends: list[int] = []
+        components = []
+        for group in groups:
+            slot: dict[int, int] = {}
+            for i in group:
+                for x in pairs[i].key:
+                    slot.setdefault(x, len(slot))
+            pair_slots = tuple((slot[pairs[i].u], slot[pairs[i].v]) for i in group)
+            components.append((len(slot), pair_slots, group))
+            ends.extend(slot)
+        layouts.append((tuple(ends), components))
+    return layouts
+
+
+def _forest_shapes(
+    ends: int, components: list[tuple], size: int, r: int, templates: dict
+) -> Iterator[tuple[list[tuple[int, int]], list[tuple[int, ...]]]]:
+    """Every forest shape of a layout with ``size`` junctions, as its edges
+    between slots and each pair's path as edge ids.
+
+    The layout's ``ends`` endpoints take slots 0..ends-1 and the junction
+    set's vertices the slots after them.  Junctions are assigned to
+    components lexicographically, and each assignment streams the product of
+    its components' templates, which ``templates`` keeps for the whole solve.
+    """
+    for assignment in itertools.product(range(len(components)), repeat=size):
+        # per component: its slots' layout slots, pair indices and template
+        plan = []
+        base = 0
+        for g, (end_count, pair_slots, group) in enumerate(components):
+            positions = tuple(p for p, owner in enumerate(assignment) if owner == g)
+            key = (pair_slots, len(positions))
+            trees = templates.get(key)
+            if trees is None:
+                trees = templates[key] = _template(pair_slots, end_count, len(positions))
+            if not trees:
+                break
+            slots = tuple(range(base, base + end_count))
+            plan.append((slots + tuple(ends + p for p in positions), group, trees))
+            base += end_count
+        else:
+            for combo in itertools.product(*(trees for _, _, trees in plan)):
+                slot_edges: list[tuple[int, int]] = []
+                paths: list[tuple[int, ...]] = [()] * r
+                for (slots, group, _), (tree_edges, tree_paths) in zip(plan, combo):
+                    offset = len(slot_edges)
+                    flat = iter(tree_edges)
+                    slot_edges.extend((slots[a], slots[b]) for a, b in zip(flat, flat))
+                    for i, ids in zip(group, tree_paths):
+                        paths[i] = tuple(offset + e for e in ids)
+                yield slot_edges, paths
+
+
+def scored_candidates(
+    instance: Instance, closure: MetricClosure, *, depot_mode: bool = False
+) -> Iterator[tuple[int, Callable[[], RForest]]]:
+    """Every candidate closure forest exactly once, as its exact value (what
+    ``evaluate_rforest`` gives) and a function that builds the forest.
+
+    Junctions are the non-terminals of kernel degree >= 3.  Candidates are
+    scanned by junction-set size, then by layout and forest shape (see
+    ``_forest_shapes``).  Each shape gets one scoring table (``_Scoring``),
+    which then scores every junction set, lexicographically, from closure
+    lengths alone.
+    """
+    pairs = instance.pairs
+    r = len(pairs)
+    dist = closure.dist
+    terminals = set(instance.terminals)
+    degree = instance.network.kernel_degrees(terminals)
+    junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
+    max_junctions = (r - 1) if depot_mode else (2 * r - 2)
+    scoring = _Scoring(pairs, instance.objective is Objective.WEIGHTED_SUM)
+    layouts = _layouts(pairs)
+    templates: dict[tuple[tuple[tuple[int, int], ...], int], list[_TemplateTree]] = {}
+    for size in range(min(max_junctions, len(junctions)) + 1):
+        for ends, components in layouts:
+            for slot_edges, paths in _forest_shapes(len(ends), components, size, r, templates):
+                score = scoring.scorer(paths, len(slot_edges))
+                for junction_set in itertools.combinations(junctions, size):
+                    vertices = ends + junction_set
+                    lengths = [dist[vertices[a]][vertices[b]] for a, b in slot_edges]
+                    yield score(lengths), partial(
+                        _closure_forest, vertices, slot_edges, paths, lengths
+                    )
+
+
 def enumerate_candidate_forests(
     instance: Instance,
     closure: MetricClosure,
@@ -403,14 +589,12 @@ def enumerate_candidate_forests(
     max_pairs: int | None = None,
     force: bool = False,
 ) -> Iterator[RForest]:
-    """Stream every candidate closure forest exactly once, in a fixed order.
+    """Stream the candidates of ``scored_candidates`` that can still win.
 
-    Junctions are the non-terminals of kernel degree >= 3.  Candidates are
-    scanned by junction-set size.  Within a size, each junction set is taken
-    in lexicographic order and crossed with every layout (pair partition and
-    junction assignment, lexicographically), and each layout streams the
-    product of its components' templates in template order.  The solver
-    picks its winner by (value, edges), so the order never changes a result.
+    A forest is built and streamed only when its value is at most that of
+    every forest streamed before it, so every candidate of minimum value is
+    streamed.  The solver picks its winner by (value, edges), so dropping the
+    others never changes a result.
     """
     pairs = instance.pairs
     r = len(pairs)
@@ -423,76 +607,11 @@ def enumerate_candidate_forests(
     if depot_mode and instance.common_pair_vertex() is None:
         raise UnsupportedInstanceError("depot mode needs a vertex common to all pairs")
 
-    dist = closure.dist
-    terminals = set(instance.terminals)
-    degree = instance.network.kernel_degrees(terminals)
-    junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
-    max_junctions = (r - 1) if depot_mode else (2 * r - 2)
-
-    atoms = _pair_atoms(pairs)
-    # each partition is a list of groups; flatten atoms to pair index tuples
-    flat_partitions = sorted(
-        sorted(tuple(sorted(i for atom in group for i in atom)) for group in partition)
-        for partition in _set_partitions(atoms)
-    )
-    # per partition, per group: endpoints in slot order (first appearance in
-    # the group's pairs), the pairs as slot pairs, and the pair indices
-    layouts = []
-    for groups in flat_partitions:
-        layout = []
-        for group in groups:
-            slot: dict[int, int] = {}
-            for i in group:
-                for x in pairs[i].key:
-                    slot.setdefault(x, len(slot))
-            pair_slots = tuple((slot[pairs[i].u], slot[pairs[i].v]) for i in group)
-            layout.append((tuple(slot), pair_slots, group))
-        layouts.append(layout)
-
-    templates: dict[tuple[tuple[tuple[int, int], ...], int], list[_TemplateTree]] = {}
-    for size in range(min(max_junctions, len(junctions)) + 1):
-        # (endpoints, junction positions, pair indices, template) per group
-        plans = []
-        for layout in layouts:
-            for assignment in itertools.product(range(len(layout)), repeat=size):
-                plan = []
-                for g, (ends, pair_slots, group) in enumerate(layout):
-                    positions = tuple(p for p, owner in enumerate(assignment) if owner == g)
-                    key = (pair_slots, len(positions))
-                    trees = templates.get(key)
-                    if trees is None:
-                        trees = templates[key] = _template(pair_slots, len(ends), len(positions))
-                    if not trees:
-                        break
-                    plan.append((ends, positions, group, trees))
-                else:
-                    plans.append(plan)
-        for junction_set in itertools.combinations(junctions, size):
-            for plan in plans:
-                slot_vertices = [
-                    ends + tuple(junction_set[p] for p in positions)
-                    for ends, positions, _, _ in plan
-                ]
-                for combo in itertools.product(*(trees for _, _, _, trees in plan)):
-                    edges: list[Edge] = []
-                    paths: list[tuple[Edge, ...]] = [()] * r
-                    for vertices, (_, _, group, _), (tree_edges, tree_paths) in zip(
-                        slot_vertices, plan, combo
-                    ):
-                        base = len(edges)
-                        slots = iter(tree_edges)
-                        for a, b in zip(slots, slots):
-                            x, y = vertices[a], vertices[b]
-                            edges.append((x, y) if x < y else (y, x))
-                        for i, ids in zip(group, tree_paths):
-                            paths[i] = tuple(edges[base + eid] for eid in ids)
-                    edges.sort()
-                    yield RForest(
-                        host="metric_closure",
-                        edges=tuple(edges),
-                        lengths=tuple(dist[u][v] for u, v in edges),
-                        pair_paths=tuple(paths),
-                    )
+    best = None
+    for value, build in scored_candidates(instance, closure, depot_mode=depot_mode):
+        if best is None or value <= best:
+            best = value
+            yield build()
 
 
 # --- projection and the full solve -------------------------------------------

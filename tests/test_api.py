@@ -61,6 +61,7 @@ INTERNAL = [
     "merge_for_edge",
     "pair_weight_tables",
     "project_to_graph",
+    "scored_candidates",
     "solve_fixed_r_detailed",
 ]
 

@@ -12,6 +12,7 @@ from netcon import (
     solve_fixed_r,
     write_instance,
 )
+from netcon.metric_solver import PAIR_BOUND
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -30,6 +31,29 @@ def run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def _golden_runs():
+    """Every fixture under ``auto``, and under ``fixed-r`` within the pair bound."""
+    runs = []
+    for path in sorted(FIXTURES.glob("*.ncn")):
+        runs.append((path.stem, "auto"))
+        if parse_instance(path.read_text()).pair_count <= PAIR_BOUND:
+            runs.append((path.stem, "fixed-r"))
+    return runs
+
+
+@pytest.mark.parametrize("name, backend", _golden_runs())
+def test_solve_output_matches_the_golden_file(capsys, name, backend):
+    # tests/fixtures/<name>.<backend>.out holds the exact stdout of the solve
+    status, out, err = run(capsys, "solve", "--backend", backend, str(FIXTURES / f"{name}.ncn"))
+    assert status == 0, err
+    assert out == (FIXTURES / f"{name}.{backend}.out").read_text()
+
+
+def test_every_golden_file_is_checked():
+    checked = {f"{name}.{backend}.out" for name, backend in _golden_runs()}
+    assert {path.name for path in FIXTURES.glob("*.out")} == checked
 
 
 def test_solve_path3_reports_objective(capsys):

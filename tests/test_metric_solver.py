@@ -16,13 +16,14 @@ from netcon import (
     subset_dp,
 )
 from netcon.metric_solver import (
-    _component_trees,
+    _constrained_sequences,
     _template,
     build_metric_closure,
     enumerate_candidate_forests,
     evaluate_rforest,
     extract_path,
     project_to_graph,
+    scored_candidates,
     solve_fixed_r_detailed,
     validate_rforest,
 )
@@ -37,6 +38,12 @@ SQUARE = _inst(
     [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)],
     [(0, 2, 2), (1, 3, 1)],
 )
+
+
+def _all_candidates(inst, closure, depot_mode=False):
+    """Every candidate forest, in order: the full listing that
+    ``enumerate_candidate_forests`` filters down to the forests that can win."""
+    return [build() for _, build in scored_candidates(inst, closure, depot_mode=depot_mode)]
 
 
 def _brute_shortest(net, source, target):
@@ -121,7 +128,7 @@ def test_extract_path_matches_distance_on_random_queries():
 def test_candidates_on_terminal_path():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     closure = build_metric_closure(inst.network)
-    candidates = list(enumerate_candidate_forests(inst, closure))
+    candidates = _all_candidates(inst, closure)
     assert [c.edges for c in candidates] == [
         ((0, 1), (0, 2)),
         ((0, 1), (1, 2)),
@@ -131,7 +138,7 @@ def test_candidates_on_terminal_path():
 
 def test_disjoint_pairs_allow_two_component_forest():
     closure = build_metric_closure(SQUARE.network)
-    candidates = [c.edges for c in enumerate_candidate_forests(SQUARE, closure)]
+    candidates = [c.edges for c in _all_candidates(SQUARE, closure)]
     assert ((0, 2), (1, 3)) in candidates
 
 
@@ -148,7 +155,7 @@ def test_candidates_are_valid_unique_and_junctions_have_degree_3():
         closure = build_metric_closure(inst.network)
         seen = set()
         terminals = set(inst.terminals)
-        for forest in enumerate_candidate_forests(inst, closure):
+        for forest in _all_candidates(inst, closure):
             validate_rforest(forest, inst.pairs)
             assert forest.edges not in seen
             seen.add(forest.edges)
@@ -166,7 +173,7 @@ def test_evaluate_rforest_weighted_sum():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     closure = build_metric_closure(inst.network)
     forest = [
-        c for c in enumerate_candidate_forests(inst, closure) if c.edges == ((0, 1), (1, 2))
+        c for c in _all_candidates(inst, closure) if c.edges == ((0, 1), (1, 2))
     ][0]
     evaluation = evaluate_rforest(forest, inst)
     assert evaluation.value == 3  # serve (0,1) first: 1 + 2; other order gives 4
@@ -178,7 +185,7 @@ def test_evaluate_rforest_weighted_sum():
 def test_evaluate_rforest_single_pair():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
     closure = build_metric_closure(inst.network)
-    forest = next(enumerate_candidate_forests(inst, closure))
+    (forest,) = _all_candidates(inst, closure)
     assert evaluate_rforest(forest, inst).value == 12
 
 
@@ -186,7 +193,7 @@ def test_evaluate_rforest_max_lateness():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 1), (0, 2, 1, 2)], "maxlat")
     closure = build_metric_closure(inst.network)
     forest = [
-        c for c in enumerate_candidate_forests(inst, closure) if c.edges == ((0, 1), (1, 2))
+        c for c in _all_candidates(inst, closure) if c.edges == ((0, 1), (1, 2))
     ][0]
     assert evaluate_rforest(forest, inst).value == 0
 
@@ -206,7 +213,7 @@ def test_metric_evaluations_replay_exactly_on_the_closure_network():
             ),
         )
         closure_inst = Instance(complete, inst.pairs)
-        for forest in enumerate_candidate_forests(inst, closure):
+        for forest in _all_candidates(inst, closure):
             evaluation = evaluate_rforest(forest, inst)
             seq = [complete.edge_index[e] for e in evaluation.edge_order]
             assert evaluate_sequence(closure_inst, seq).objective == evaluation.value
@@ -215,7 +222,7 @@ def test_metric_evaluations_replay_exactly_on_the_closure_network():
 def test_projection_identity_when_closure_edge_is_direct():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
     closure = build_metric_closure(inst.network)
-    forest = next(enumerate_candidate_forests(inst, closure))
+    (forest,) = _all_candidates(inst, closure)
     evaluation = evaluate_rforest(forest, inst)
     projected, projected_eval = project_to_graph(forest, evaluation, closure, inst)
     assert projected.edges == forest.edges
@@ -225,7 +232,7 @@ def test_projection_identity_when_closure_edge_is_direct():
 def test_projection_square_trace():
     closure = build_metric_closure(SQUARE.network)
     forest = [
-        c for c in enumerate_candidate_forests(SQUARE, closure) if c.edges == ((0, 2), (1, 3))
+        c for c in _all_candidates(SQUARE, closure) if c.edges == ((0, 2), (1, 3))
     ][0]
     evaluation = evaluate_rforest(forest, SQUARE)
     assert evaluation.value == 8
@@ -247,7 +254,7 @@ def test_projection_never_increases_value_on_random_instances():
             objective=rng.choice(("wct", "maxlat")),
         )
         closure = build_metric_closure(inst.network)
-        for forest in enumerate_candidate_forests(inst, closure):
+        for forest in _all_candidates(inst, closure):
             evaluation = evaluate_rforest(forest, inst)
             projected, projected_eval = project_to_graph(forest, evaluation, closure, inst)
             validate_rforest(projected, inst.pairs)
@@ -379,6 +386,55 @@ def _map_template(trees, vertices, group):
     return out
 
 
+def _prufer_tree(seq, vertices):
+    """Decode a Prufer sequence over positions in ``vertices`` into edges."""
+    degree = [1] * len(vertices)
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v, d in enumerate(degree) if d == 1)
+        edges.append(tuple(sorted((vertices[leaf], vertices[x]))))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    a, b = (v for v, d in enumerate(degree) if d == 1)
+    edges.append(tuple(sorted((vertices[a], vertices[b]))))
+    return edges
+
+
+def _tree_path(edges, source, target):
+    """Edges of the path from source to target in a tree, in walking order."""
+    def walk(at, came_from):
+        if at == target:
+            return []
+        for edge in edges:
+            if at in edge and edge != came_from:
+                rest = walk(edge[0] + edge[1] - at, edge)
+                if rest is not None:
+                    return [edge] + rest
+        return None
+
+    return tuple(walk(source, None))
+
+
+def _component_trees(vertices, junctions, component_pairs):
+    """Labeled trees on ``vertices`` where junction degrees are >= 3 and the
+    pair paths cover every edge; yields (edges, paths by pair index).
+
+    The reference for the solver's slot templates: it decodes every sequence
+    meeting the degree minimums on vertex labels, searches each pair's path
+    and keeps the trees whose paths cover every edge.
+    """
+    minimum = [2 if v in junctions else 0 for v in vertices]
+    if len(vertices) - 2 < sum(minimum):
+        return
+    for seq in _constrained_sequences(len(vertices), minimum):
+        edges = _prufer_tree(seq, vertices)
+        paths = {i: _tree_path(edges, p.u, p.v) for i, p in component_pairs}
+        if {edge for path in paths.values() for edge in path} == set(edges):
+            yield edges, paths
+
+
 def test_templates_map_to_the_direct_component_trees():
     rng = random.Random(97)
     checked = 0
@@ -429,7 +485,7 @@ def test_kernel_degrees_prune_pendant_non_terminals():
 def test_pendant_only_neighbours_never_make_a_junction():
     inst = _pendant_junction_instance()
     closure = build_metric_closure(inst.network)
-    candidates = list(enumerate_candidate_forests(inst, closure))
+    candidates = _all_candidates(inst, closure)
     assert candidates
     assert all(4 not in {x for e in c.edges for x in e} for c in candidates)
     assert solve_fixed_r(inst)[1].objective == subset_dp(inst)[0]
@@ -484,3 +540,52 @@ def test_pendant_and_chain_graphs_match_the_oracles(objective, depot):
             assert report.objective == permutation_oracle(inst)
             permutation_checked += 1
     assert permutation_checked >= 3
+
+
+def _stream_instance(rng, objective, depot):
+    n = rng.randint(4, 7)
+    r = rng.randint(1, 3)
+    if depot:
+        hub, *others = rng.sample(range(n), r + 1)
+        ends = [(hub, x) for x in others]
+    else:
+        ends = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], r)
+    pairs = [
+        (u, v, rng.randint(1, 5)) + ((rng.randint(0, 30),) if objective == "maxlat" else ())
+        for u, v in ends
+    ]
+    return generate(
+        "random_graph",
+        n,
+        seed=rng.randrange(1 << 30),
+        edge_count=rng.randint(n - 1, n * (n - 1) // 2),
+        pairs=pairs,
+        objective=objective,
+    )
+
+
+@pytest.mark.parametrize(
+    "objective, depot", [("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)]
+)
+def test_stream_keeps_every_minimum_and_never_a_worse_value(objective, depot):
+    rng = random.Random(f"stream/{objective}/{depot}")
+    with_junctions = 0
+    for _ in range(20):
+        inst = _stream_instance(rng, objective, depot)
+        closure = build_metric_closure(inst.network)
+        listing = [
+            (value, build()) for value, build in scored_candidates(inst, closure, depot_mode=depot)
+        ]
+        for value, forest in listing:
+            assert value == evaluate_rforest(forest, inst).value
+        terminals = set(inst.terminals)
+        with_junctions += any(x not in terminals for _, f in listing for e in f.edges for x in e)
+
+        stream = list(enumerate_candidate_forests(inst, closure, depot_mode=depot))
+        values = [evaluate_rforest(f, inst).value for f in stream]
+        assert all(v <= min(values[:i]) for i, v in enumerate(values) if i)
+        low = min(value for value, _ in listing)
+        assert {f.edges for value, f in listing if value == low} <= {f.edges for f in stream}
+        want = min((value, f.edges) for value, f in listing)[1]
+        assert solve_fixed_r_detailed(inst, depot_mode=depot).metric_forest.edges == want
+    assert with_junctions >= 3
