@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 validation/selftest failure, 2 usage error (bad
 arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
 inconsistency (a solver contradicted its own checks).  Guard defaults can be
 overridden with the environment variables NETCON_LEAF_BOUND, NETCON_MAX_PAIRS,
-and NETCON_ORACLE_MAX_EDGES; the pair bound defaults to the depot bound under
-``solve --depot``.
+and NETCON_ORACLE_MAX_EDGES; the fixed-r pair bound defaults to 4 in general
+and 6 when all pairs share a vertex.  ``solve --depot`` insists on such a
+shared vertex and is a usage error without one.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .evaluator import ConnectionReport, format_report, validate_sequence
-from .metric_solver import PAIR_BOUND, PAIR_BOUND_DEPOT, solve_fixed_r
+from .metric_solver import solve_fixed_r
 from .model import (
     Instance,
     Objective,
@@ -45,7 +46,7 @@ from .oracle import SUBSET_EDGE_LIMIT, permutation_oracle, subset_dp
 from .tree_solver import LEAF_BOUND, solve_tree
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int | None) -> int | None:
     value = os.environ.get(name)
     if value is None:
         return fallback
@@ -73,7 +74,8 @@ def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tup
             continue
         tokens = line.split()
         if in_sequence:
-            if len(tokens) != 1 or not tokens[0].lstrip("-").isdigit():
+            digits = tokens[0].removeprefix("-")
+            if len(tokens) != 1 or not (digits.isascii() and digits.isdigit()):
                 raise InstanceFormatError("expected one edge id per line", lineno)
             seq.append(int(tokens[0]))
         elif tokens[0] == "pair" and len(tokens) == 4 and tokens[3].startswith("t="):
@@ -139,16 +141,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     leaf_bound = args.leaf_bound if args.leaf_bound is not None else _env_int(
         "NETCON_LEAF_BOUND", LEAF_BOUND
     )
-    max_pairs = args.max_pairs if args.max_pairs is not None else _env_int(
-        "NETCON_MAX_PAIRS", PAIR_BOUND_DEPOT if args.depot else PAIR_BOUND
-    )
     backend = _pick_backend(instance, args.backend, leaf_bound)
     if backend == "tree":
         seq, report = solve_tree(instance, leaf_bound=leaf_bound, force=args.force)
     else:
-        seq, report = solve_fixed_r(
-            instance, depot_mode=args.depot, max_pairs=max_pairs, force=args.force
+        if args.depot and instance.common_pair_vertex() is None:
+            raise UnsupportedInstanceError("--depot needs a vertex common to all pairs")
+        max_pairs = args.max_pairs if args.max_pairs is not None else _env_int(
+            "NETCON_MAX_PAIRS", None
         )
+        seq, report = solve_fixed_r(instance, max_pairs=max_pairs, force=args.force)
     text = format_solution(instance, report, seq)
     sys.stdout.write(text)
     if args.output:
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("instance")
     solve.add_argument("--backend", choices=("auto", "tree", "fixed-r"), default="auto")
-    solve.add_argument("--depot", action="store_true", help="all pairs share a vertex")
+    solve.add_argument("--depot", action="store_true", help="require a vertex shared by all pairs")
     solve.add_argument("--leaf-bound", type=int, default=None)
     solve.add_argument("--max-pairs", type=int, default=None)
     solve.add_argument("--force", action="store_true", help="override size guards")

@@ -2,17 +2,18 @@
 
 Strategy: compute all shortest-path distances (the metric closure), then
 enumerate every candidate forest over the pair endpoints plus a bounded set
-of extra junction vertices, score each candidate by trying all pair orders,
-and map the winner back to original edges.  Any objective that never
+of extra junction vertices, score each candidate over the pair orders, and
+map the winner back to original edges.  Any objective that never
 decreases when connection times grow fits this scheme; the weighted sum
 (wct) and maximum lateness (maxlat) are built in.
 
 A candidate forest must connect every pair, use every edge on some pair's
 path, and give every non-endpoint junction degree at least 3 (a degree-2
-junction could be contracted away).  At most 2r - 2 junctions are needed in
-general and r - 1 when all pairs share a vertex, so candidates are found by
-choosing the junction set, splitting pairs into components, and enumerating
-the labeled trees of each component with the junction-degree constraint.
+junction could be contracted away).  A forest on t pair endpoints has at
+most t - 2 such junctions: 2r - 2 in general and r - 1 when all pairs share
+a vertex.  Candidates are found by choosing the junction set, splitting
+pairs into components, and enumerating the labeled trees of each component
+with the junction-degree constraint.
 
 Junctions are drawn only from non-terminals whose degree is still at least 3
 after pendant non-terminals are pruned repeatedly (``Network.kernel_degrees``).
@@ -28,11 +29,12 @@ So each forest shape (one combination of a layout's templates) gets one
 table: for wct, each edge's coefficient under each pair order; for maxlat,
 the edges each step builds first when the pairs are served by due date,
 which is optimal for max lateness on any forest.  Every junction set is then
-scored from its closure lengths alone.  ``scored_candidates`` yields every candidate with its
-exact value.  ``enumerate_candidate_forests`` builds and streams a forest only
-when its value is at most that of every forest it streamed before, so every
-minimum-value candidate is streamed, and the solver's (value, edges) pick is
-unchanged.
+scored from its closure lengths alone.  ``scored_candidates`` yields every
+candidate with its exact value.  ``enumerate_candidate_forests`` builds and
+streams a forest with its value only when that value is at most every value
+it streamed before, so every minimum-value candidate is streamed.  The solver
+picks the (value, edges) minimum and replays only that forest over all pair
+orders (``evaluate_rforest``), which must give the same value.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .errors import (
     GuardExceededError,
     InvalidInstanceError,
     NetconError,
-    UnsupportedInstanceError,
 )
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
 from .model import Instance, Network, Objective, RelevantPair
@@ -128,18 +129,12 @@ class RForest:
     """Acyclic edge set connecting every pair, with every edge on a pair path.
 
     Edges are canonical (u < v) vertex pairs sorted ascending; ``lengths``
-    aligns with ``edges`` and carries host lengths (closure distances or
-    original edge lengths).  ``pair_paths[i]`` is pair i's unique path.
+    aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.
     """
 
-    host: str  # "metric_closure" or "original_graph"
     edges: tuple[Edge, ...]
     lengths: tuple[int, ...]
     pair_paths: tuple[tuple[Edge, ...], ...]
-
-    @property
-    def total_length(self) -> int:
-        return sum(self.lengths)
 
 
 def _forest_path(edges: Sequence[Edge], source: int, target: int) -> tuple[Edge, ...]:
@@ -474,7 +469,6 @@ def _closure_forest(
         edges.append((x, y) if x < y else (y, x))
     order = sorted(range(len(edges)), key=edges.__getitem__)
     return RForest(
-        host="metric_closure",
         edges=tuple(edges[e] for e in order),
         lengths=tuple(lengths[e] for e in order),
         pair_paths=tuple(tuple(edges[e] for e in ids) for ids in paths),
@@ -548,13 +542,14 @@ def _forest_shapes(
 
 
 def scored_candidates(
-    instance: Instance, closure: MetricClosure, *, depot_mode: bool = False
+    instance: Instance, closure: MetricClosure
 ) -> Iterator[tuple[int, Callable[[], RForest]]]:
     """Every candidate closure forest exactly once, as its exact value (what
     ``evaluate_rforest`` gives) and a function that builds the forest.
 
-    Junctions are the non-terminals of kernel degree >= 3.  Candidates are
-    scanned by junction-set size, then by layout and forest shape (see
+    Junctions are the non-terminals of kernel degree >= 3, at most t - 2 of
+    them for t pair endpoints (no layout has a shape with more).  Candidates
+    are scanned by junction-set size, then by layout and forest shape (see
     ``_forest_shapes``).  Each shape gets one scoring table (``_Scoring``),
     which then scores every junction set, lexicographically, from closure
     lengths alone.
@@ -565,7 +560,7 @@ def scored_candidates(
     terminals = set(instance.terminals)
     degree = instance.network.kernel_degrees(terminals)
     junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
-    max_junctions = (r - 1) if depot_mode else (2 * r - 2)
+    max_junctions = len(instance.terminals) - 2
     scoring = _Scoring(pairs, instance.objective is Objective.WEIGHTED_SUM)
     layouts = _layouts(pairs)
     templates: dict[tuple[tuple[tuple[int, int], ...], int], list[_TemplateTree]] = {}
@@ -585,33 +580,34 @@ def enumerate_candidate_forests(
     instance: Instance,
     closure: MetricClosure,
     *,
-    depot_mode: bool = False,
     max_pairs: int | None = None,
     force: bool = False,
-) -> Iterator[RForest]:
-    """Stream the candidates of ``scored_candidates`` that can still win.
+) -> Iterator[tuple[int, RForest]]:
+    """Stream the candidates of ``scored_candidates`` that can still win, as
+    (exact value, forest).
 
     A forest is built and streamed only when its value is at most that of
     every forest streamed before it, so every candidate of minimum value is
     streamed.  The solver picks its winner by (value, edges), so dropping the
-    others never changes a result.
+    others never changes a result.  ``max_pairs`` defaults to
+    ``PAIR_BOUND_DEPOT`` when all pairs share a vertex (at most r - 1
+    junctions) and to ``PAIR_BOUND`` otherwise.
     """
-    pairs = instance.pairs
-    r = len(pairs)
-    bound = max_pairs if max_pairs is not None else (PAIR_BOUND_DEPOT if depot_mode else PAIR_BOUND)
+    r = instance.pair_count
+    bound = max_pairs
+    if bound is None:
+        bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
     if r > bound and not force:
         raise GuardExceededError(
             f"{r} pairs exceeds the bound {bound}; candidate count grows like "
-            "n^(2r-2), pass force=True to run anyway"
+            "n^(t-2) for t pair endpoints, pass force=True to run anyway"
         )
-    if depot_mode and instance.common_pair_vertex() is None:
-        raise UnsupportedInstanceError("depot mode needs a vertex common to all pairs")
 
     best = None
-    for value, build in scored_candidates(instance, closure, depot_mode=depot_mode):
+    for value, build in scored_candidates(instance, closure):
         if best is None or value <= best:
             best = value
-            yield build()
+            yield value, build()
 
 
 # --- projection and the full solve -------------------------------------------
@@ -648,7 +644,6 @@ def project_to_graph(
         (u, v): c for u, v, c in network.edges
     }
     projected = RForest(
-        host="original_graph",
         edges=pruned,
         lengths=tuple(lengths[e] for e in pruned),
         pair_paths=paths,
@@ -670,26 +665,24 @@ class FixedRSolution:
 def solve_fixed_r_detailed(
     instance: Instance,
     *,
-    depot_mode: bool = False,
     max_pairs: int | None = None,
     force: bool = False,
 ) -> FixedRSolution:
     """Full solve keeping the winning closure forest and its projection."""
     closure = build_metric_closure(instance.network)
-    best_forest: RForest | None = None
-    best_eval: ForestEvaluation | None = None
-    for candidate in enumerate_candidate_forests(
-        instance, closure, depot_mode=depot_mode, max_pairs=max_pairs, force=force
-    ):
-        evaluation = evaluate_rforest(candidate, instance)
-        if (
-            best_eval is None
-            or (evaluation.value, candidate.edges) < (best_eval.value, best_forest.edges)
-        ):
-            best_forest = candidate
-            best_eval = evaluation
-    if best_forest is None:
+    streamed = enumerate_candidate_forests(
+        instance, closure, max_pairs=max_pairs, force=force
+    )
+    best = min(streamed, key=lambda item: (item[0], item[1].edges), default=None)
+    if best is None:
         raise NetconError("no candidate forest found")  # unreachable on valid instances
+    value, best_forest = best
+    best_eval = evaluate_rforest(best_forest, instance)
+    if best_eval.value != value:
+        raise NetconError(
+            f"internal inconsistency: forest replays to {best_eval.value}, "
+            f"scored {value}"
+        )
 
     projected, projected_eval = project_to_graph(best_forest, best_eval, closure, instance)
     index = instance.network.edge_index
@@ -716,13 +709,10 @@ def solve_fixed_r_detailed(
 
 def solve_fixed_r(
     instance: Instance,
-    depot_mode: bool = False,
     *,
     max_pairs: int | None = None,
     force: bool = False,
 ) -> tuple[BuildSequence, ConnectionReport]:
     """Exact optimum for an instance with few pairs; any monotone objective."""
-    solution = solve_fixed_r_detailed(
-        instance, depot_mode=depot_mode, max_pairs=max_pairs, force=force
-    )
+    solution = solve_fixed_r_detailed(instance, max_pairs=max_pairs, force=force)
     return solution.sequence, solution.report

@@ -418,8 +418,12 @@ def parse_ola_input(text: str) -> OlaInput:
                 raise InstanceFormatError("expected header 'ola 1'", lineno)
             header_seen = True
         elif tokens[0] == "vertices" and len(tokens) == 2:
+            if vertices is not None:
+                raise InstanceFormatError("duplicate vertices line", lineno)
             vertices = _parse_int(tokens[1], "vertex count", lineno)
         elif tokens[0] == "threshold" and len(tokens) == 2:
+            if threshold is not None:
+                raise InstanceFormatError("duplicate threshold line", lineno)
             threshold = _parse_int(tokens[1], "threshold", lineno)
         elif tokens[0] == "edge" and len(tokens) == 3:
             edges.append(

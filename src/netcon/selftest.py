@@ -105,7 +105,7 @@ def _fixed_r_instances(rng: random.Random, trials: int):
             ]
         else:
             pairs = _random_pairs(rng, n, r)
-        yield trial, common, Instance(base.network, tuple(pairs))
+        yield trial, Instance(base.network, tuple(pairs))
 
 
 def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckResult]:
@@ -115,7 +115,7 @@ def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckR
     start = time.perf_counter()
     mismatches = []
     projection_violations = 0
-    for trial, common, instance in _fixed_r_instances(rng, trials):
+    for trial, instance in _fixed_r_instances(rng, trials):
         solution = solve_fixed_r_detailed(instance)
         want, _ = subset_dp(instance)
         if solution.report.objective != want:
@@ -128,12 +128,6 @@ def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckR
             )
         if solution.projected_evaluation.value > solution.metric_evaluation.value:
             projection_violations += 1
-        if common:
-            _, depot_report = solve_fixed_r(instance, depot_mode=True)
-            if depot_report.objective != want:
-                mismatches.append(
-                    f"trial {trial}: depot mode {depot_report.objective} != oracle {want}"
-                )
     elapsed = time.perf_counter() - start
     detail = f"{trials} random graphs, {len(mismatches)} mismatches"
     if mismatches:

@@ -1,7 +1,9 @@
+import dataclasses
 import pathlib
 
 import pytest
 
+import netcon.metric_solver
 from netcon import (
     Instance,
     NetconError,
@@ -9,7 +11,7 @@ from netcon import (
     RelevantPair,
     cli,
     parse_instance,
-    solve_fixed_r,
+    subset_dp,
     write_instance,
 )
 from netcon.metric_solver import PAIR_BOUND
@@ -180,20 +182,54 @@ def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path, monkeypatch):
     # five pairs from hub 0; consecutive leaves also meet at a non-terminal
     edges = [(0, v, v) for v in range(1, 6)]
     edges += [(v, 5 + v, 2) for v in range(1, 5)] + [(v + 1, 5 + v, 3) for v in range(1, 5)]
-    pairs = tuple(RelevantPair(0, v, v) for v in range(1, 6))
-    instance = Instance(Network(10, tuple(edges)), pairs)
+    network = Network(10, tuple(edges))
+    instance = Instance(network, tuple(RelevantPair(0, v, v) for v in range(1, 6)))
     path = tmp_path / "depot.ncn"
     path.write_text(write_instance(instance))
-    _, want = solve_fixed_r(instance, depot_mode=True)
     status, out, err = run(capsys, "solve", "--depot", "--backend", "fixed-r", str(path))
     assert status == 0, err
-    assert f"objective {want.objective}" in out.splitlines()
-    # without --depot the general bound of 4 pairs still applies
-    assert run(capsys, "solve", "--backend", "fixed-r", str(path))[0] == 3
+    assert f"objective {subset_dp(instance)[0]}" in out.splitlines()
+    # the shared vertex, not the flag, selects the depot bound of 6 pairs
+    assert run(capsys, "solve", "--backend", "fixed-r", str(path)) == (0, out, "")
+    assert run(capsys, "solve", str(path)) == (0, out, "")
+    # five pairs without a shared vertex still meet the general bound of 4
+    general = tmp_path / "general.ncn"
+    pairs = tuple(RelevantPair(v, v + 1, 1) for v in range(5))
+    general.write_text(write_instance(Instance(network, pairs)))
+    assert run(capsys, "solve", "--backend", "fixed-r", str(general))[0] == 3
     # explicit bounds still override the depot default
     assert run(capsys, "solve", "--depot", "--max-pairs", "4", str(path))[0] == 3
+    assert run(capsys, "solve", "--max-pairs", "4", str(path))[0] == 3
     monkeypatch.setenv("NETCON_MAX_PAIRS", "4")
     assert run(capsys, "solve", "--depot", str(path))[0] == 3
+    assert run(capsys, "solve", str(path))[0] == 3
+
+
+def test_depot_flag_needs_a_shared_vertex(capsys):
+    status, out, err = run(capsys, "solve", "--depot", str(FIXTURES / "square.ncn"))
+    assert (status, out) == (2, "")
+    assert "common to all pairs" in err
+
+
+def test_max_pairs_env_is_read_only_by_fixed_r(capsys, monkeypatch):
+    monkeypatch.setenv("NETCON_MAX_PAIRS", "abc")
+    path3 = str(FIXTURES / "path3.ncn")
+    status, out, _ = run(capsys, "solve", "--backend", "tree", path3)
+    assert status == 0
+    assert out == (FIXTURES / "path3.auto.out").read_text()
+    assert run(capsys, "solve", "--backend", "fixed-r", path3)[0] == 2
+
+
+@pytest.mark.parametrize("token", ["--5", "\u00b2"], ids=["double-minus", "superscript-two"])
+def test_validate_rejects_a_malformed_edge_id(capsys, tmp_path, token):
+    solution = tmp_path / "solution.txt"
+    run(capsys, "solve", str(FIXTURES / "path3.ncn"), "-o", str(solution))
+    lines = solution.read_text().splitlines()
+    lines[-1] = token
+    solution.write_text("\n".join(lines) + "\n")
+    status, out, err = run(capsys, "validate", str(FIXTURES / "path3.ncn"), str(solution))
+    assert (status, out) == (2, "")
+    assert f"line {len(lines)}" in err
 
 
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):
@@ -203,6 +239,19 @@ def test_internal_inconsistency_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_fixed_r", broken)
     status, _, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
     assert status == 4
+    assert "internal error" in err
+
+
+def test_a_replay_that_disagrees_with_the_table_value_exits_4(capsys, monkeypatch):
+    original = netcon.metric_solver.evaluate_rforest
+
+    def off_by_one(forest, instance):
+        evaluation = original(forest, instance)
+        return dataclasses.replace(evaluation, value=evaluation.value + 1)
+
+    monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", off_by_one)
+    status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
+    assert (status, out) == (4, "")
     assert "internal error" in err
 
 

@@ -7,7 +7,6 @@ from netcon import (
     Instance,
     Network,
     RelevantPair,
-    UnsupportedInstanceError,
     evaluate_sequence,
     generate,
     permutation_oracle,
@@ -15,8 +14,11 @@ from netcon import (
     solve_tree,
     subset_dp,
 )
+import netcon.metric_solver
 from netcon.metric_solver import (
     _constrained_sequences,
+    _forest_shapes,
+    _layouts,
     _template,
     build_metric_closure,
     enumerate_candidate_forests,
@@ -40,10 +42,10 @@ SQUARE = _inst(
 )
 
 
-def _all_candidates(inst, closure, depot_mode=False):
+def _all_candidates(inst, closure):
     """Every candidate forest, in order: the full listing that
     ``enumerate_candidate_forests`` filters down to the forests that can win."""
-    return [build() for _, build in scored_candidates(inst, closure, depot_mode=depot_mode)]
+    return [build() for _, build in scored_candidates(inst, closure)]
 
 
 def _brute_shortest(net, source, target):
@@ -307,7 +309,7 @@ def test_matches_subset_dp_on_random_graphs():
         assert report.objective == subset_dp(inst)[0]
 
 
-def test_depot_mode_agrees_with_general_mode():
+def test_shared_vertex_pairs_match_subset_dp():
     rng = random.Random(79)
     for _ in range(15):
         n = rng.randint(3, 8)
@@ -318,14 +320,9 @@ def test_depot_mode_agrees_with_general_mode():
             RelevantPair(min(depot, v), max(depot, v), rng.randint(1, 5)) for v in others
         )
         inst = Instance(base.network, pairs)
-        _, general = solve_fixed_r(inst)
-        _, depot_report = solve_fixed_r(inst, depot_mode=True)
-        assert general.objective == depot_report.objective
-
-
-def test_depot_mode_requires_common_vertex():
-    with pytest.raises(UnsupportedInstanceError):
-        solve_fixed_r(SQUARE, depot_mode=True)
+        assert inst.common_pair_vertex() == depot
+        _, report = solve_fixed_r(inst)
+        assert report.objective == subset_dp(inst)[0]
 
 
 def test_max_lateness_all_zero_dues_is_makespan_of_last_pair():
@@ -362,8 +359,12 @@ def test_pair_guard():
     depot_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 6))
     depot_inst = Instance(net, depot_pairs)
     # five pairs sharing vertex 0 fit under the wider depot bound
-    _, report = solve_fixed_r(depot_inst, depot_mode=True)
+    _, report = solve_fixed_r(depot_inst)
     assert report.objective == subset_dp(depot_inst)[0]
+    # an explicit bound overrides the default either way
+    with pytest.raises(GuardExceededError):
+        solve_fixed_r(depot_inst, max_pairs=4)
+    assert solve_fixed_r(inst, max_pairs=5)[1].objective == subset_dp(inst)[0]
 
 
 def test_solution_is_deterministic():
@@ -534,7 +535,7 @@ def test_pendant_and_chain_graphs_match_the_oracles(objective, depot):
     permutation_checked = 0
     for _ in range(25):
         inst = _pendant_and_chain_instance(rng, objective, depot)
-        _, report = solve_fixed_r(inst, depot_mode=depot)
+        _, report = solve_fixed_r(inst)
         assert report.objective == subset_dp(inst)[0]
         if inst.network.edge_count <= 7:
             assert report.objective == permutation_oracle(inst)
@@ -573,19 +574,63 @@ def test_stream_keeps_every_minimum_and_never_a_worse_value(objective, depot):
     for _ in range(20):
         inst = _stream_instance(rng, objective, depot)
         closure = build_metric_closure(inst.network)
-        listing = [
-            (value, build()) for value, build in scored_candidates(inst, closure, depot_mode=depot)
-        ]
+        listing = [(value, build()) for value, build in scored_candidates(inst, closure)]
         for value, forest in listing:
             assert value == evaluate_rforest(forest, inst).value
         terminals = set(inst.terminals)
         with_junctions += any(x not in terminals for _, f in listing for e in f.edges for x in e)
 
-        stream = list(enumerate_candidate_forests(inst, closure, depot_mode=depot))
-        values = [evaluate_rforest(f, inst).value for f in stream]
+        stream = list(enumerate_candidate_forests(inst, closure))
+        values = [value for value, _ in stream]
+        assert values == [evaluate_rforest(f, inst).value for _, f in stream]
         assert all(v <= min(values[:i]) for i, v in enumerate(values) if i)
         low = min(value for value, _ in listing)
-        assert {f.edges for value, f in listing if value == low} <= {f.edges for f in stream}
+        assert {f.edges for value, f in listing if value == low} <= {f.edges for _, f in stream}
         want = min((value, f.edges) for value, f in listing)[1]
-        assert solve_fixed_r_detailed(inst, depot_mode=depot).metric_forest.edges == want
+        assert solve_fixed_r_detailed(inst).metric_forest.edges == want
     assert with_junctions >= 3
+
+
+def test_no_forest_shape_has_more_than_t_minus_2_junctions():
+    # pairs drawn among few vertices, so endpoints are often shared
+    rng = random.Random(101)
+    shared = 0
+    for _ in range(100):
+        ends = rng.sample(range(20), rng.randint(2, 6))
+        population = [(u, v) for u in ends for v in ends if u < v]
+        pairs = rng.sample(population, rng.randint(1, min(4, len(population))))
+        t = len({x for pair in pairs for x in pair})
+        shared += t < 2 * len(pairs)
+        for layout_ends, components in _layouts([RelevantPair(u, v, 1) for u, v in pairs]):
+            assert not list(_forest_shapes(len(layout_ends), components, t - 1, len(pairs), {}))
+    assert shared > 30
+
+
+def test_two_pairs_with_distinct_ends_can_need_two_junctions():
+    # an H: pairs (0, 1) and (2, 3) meet only along the bar 4-5
+    inst = _inst([(0, 4, 1), (2, 4, 1), (4, 5, 1), (1, 5, 1), (3, 5, 1)], [(0, 1, 1), (2, 3, 1)])
+    assert any(
+        list(_forest_shapes(len(layout_ends), components, 2, 2, {}))
+        for layout_ends, components in _layouts(inst.pairs)
+    )
+    forest = solve_fixed_r_detailed(inst).metric_forest
+    assert {x for e in forest.edges for x in e} == {0, 1, 2, 3, 4, 5}
+    assert solve_fixed_r(inst)[1].objective == subset_dp(inst)[0]
+
+
+def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
+    inst = _inst(
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], [(0, 2, 2, 2), (1, 3, 1, 4)], "maxlat"
+    )
+    closure = build_metric_closure(inst.network)
+    assert len(list(enumerate_candidate_forests(inst, closure))) > 1  # tied forests
+    calls = []
+    original = netcon.metric_solver.evaluate_rforest
+
+    def counted(forest, instance):
+        calls.append(forest)
+        return original(forest, instance)
+
+    monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", counted)
+    solution = solve_fixed_r_detailed(inst)
+    assert calls == [solution.metric_forest, solution.projected_forest]

@@ -12,6 +12,7 @@ from netcon import (
     RelevantPair,
     generate,
     parse_instance,
+    parse_ola_input,
     reduce_ola,
     subset_dp,
     write_instance,
@@ -235,6 +236,20 @@ def test_ola_input_invariants():
         OlaInput(2, ((0, 1), (1, 0)), 1)
     ola = OlaInput(3, ((2, 0), (1, 0)), 0)
     assert ola.edges == ((0, 1), (0, 2))
+
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        (["vertices 3", "vertices 2", "threshold 1"], 3),
+        (["vertices 3", "threshold 1", "threshold 9"], 4),
+    ],
+)
+def test_parse_ola_rejects_a_repeated_line(lines, line):
+    text = "\n".join(["ola 1", *lines, "edge 0 1"]) + "\n"
+    with pytest.raises(InstanceFormatError, match=f"line {line}: duplicate"):
+        parse_ola_input(text)
 
 
 def test_instance_helpers():
