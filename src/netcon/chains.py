@@ -5,11 +5,14 @@ decomposition splits it into consecutive blocks of strictly decreasing
 weight-per-time density; blocks are the vertices of the upper convex hull of
 the prefix (processing, weight) points, so equal-density stretches fuse into
 one longest block.  Two chains merge optimally by repeatedly emitting the
-highest-density front block, preferring the first chain on ties.
+highest-density front block, preferring the first chain on ties
+(``interleave``).
 
-``block_summaries`` is the one decomposition: every block is a plain
-``(weight, processing, inner, start, end)`` tuple, which the tree solver, the
-public ``density_decomposition`` and ``merge_two_chains`` all share.
+Every block is a plain ``(weight, processing, inner, start, end)`` tuple, and
+``append_block`` is the one fusing rule: it appends a block and fuses it with
+its predecessors while their density is not higher.  ``block_summaries``
+folds it over single jobs; the tree solver folds it over two interleaved
+decompositions plus one job, so no subtree's job list is ever rebuilt.
 
 All densities are compared exactly by integer cross-multiplication.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -37,43 +40,30 @@ class Job:
 Chain = Sequence[Job]
 
 
-def _prefix_hull(ps: Sequence[int], ws: Sequence[int]) -> list[int]:
-    """Indices of the upper convex hull of prefix points (with index 0 first)."""
-    xs = [0]
-    ys = [0]
-    for p, w in zip(ps, ws):
-        xs.append(xs[-1] + p)
-        ys.append(ys[-1] + w)
-    hull = [0]
-    for i in range(1, len(xs)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            # pop b unless a->b->i turns strictly right; collinear points fuse
-            if (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a]) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
-
-
 # Block summaries are (weight, processing, inner, start, end) tuples, where
-# inner is the weighted completion cost of the block run in isolation.  They
-# are the memoized form reused across many merges of the same chain.
+# inner is the weighted completion cost of the block run in isolation and the
+# block covers jobs [start, end) of its chain.
 BlockSummary = tuple[int, int, int, int, int]
 
 
+def append_block(blocks: list[BlockSummary], block: BlockSummary) -> None:
+    """Append ``block`` to a decomposition, fusing it backwards while its density is not lower.
+
+    This is the one fusing rule: a fused block's jobs in the later part finish
+    ``p0`` later, which adds ``w * p0`` to its inner cost.
+    """
+    w, p, inner, start, end = block
+    while blocks and blocks[-1][0] * p <= w * blocks[-1][1]:
+        w0, p0, inner0, start, _ = blocks.pop()
+        w, p, inner = w0 + w, p0 + p, inner0 + inner + w * p0
+    blocks.append((w, p, inner, start, end))
+
+
 def block_summaries(ps: Sequence[int], ws: Sequence[int]) -> tuple[BlockSummary, ...]:
-    hull = _prefix_hull(ps, ws)
-    out = []
-    for a, b in zip(hull, hull[1:]):
-        weight = processing = inner = 0
-        for i in range(a, b):
-            processing += ps[i]
-            weight += ws[i]
-            inner += ws[i] * processing
-        out.append((weight, processing, inner, a, b))
-    return tuple(out)
+    blocks: list[BlockSummary] = []
+    for i, (p, w) in enumerate(zip(ps, ws)):
+        append_block(blocks, (w, p, w * p, i, i + 1))
+    return tuple(blocks)
 
 
 def density_decomposition(chain: Chain) -> list[BlockSummary]:
@@ -94,22 +84,31 @@ def rho_factor(chain: Chain) -> Fraction:
     return Fraction(weight, processing)
 
 
-def merge_plan(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> list[int]:
-    """Source (0 or 1) of each block in the optimal interleaving order."""
-    plan = []
+def interleave(
+    s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]
+) -> Iterator[tuple[int, BlockSummary]]:
+    """Yield ``(side, block)`` in the optimal interleaving order of two decompositions.
+
+    The highest-density front block goes first, the first chain on ties.
+    """
     i = j = 0
     while i < len(s1) and j < len(s2):
-        w1, p1 = s1[i][0], s1[i][1]
-        w2, p2 = s2[j][0], s2[j][1]
-        if w1 * p2 >= w2 * p1:  # tie goes to the first chain
-            plan.append(0)
+        b1, b2 = s1[i], s2[j]
+        if b1[0] * b2[1] >= b2[0] * b1[1]:
+            yield 0, b1
             i += 1
         else:
-            plan.append(1)
+            yield 1, b2
             j += 1
-    plan.extend([0] * (len(s1) - i))
-    plan.extend([1] * (len(s2) - j))
-    return plan
+    for block in s1[i:]:
+        yield 0, block
+    for block in s2[j:]:
+        yield 1, block
+
+
+def merge_plan(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> list[int]:
+    """Source (0 or 1) of each block in the optimal interleaving order."""
+    return [side for side, _ in interleave(s1, s2)]
 
 
 def merge_value(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> int:
@@ -154,19 +153,9 @@ def merge_two_chains(c1: Chain, c2: Chain) -> tuple[list[Any], int]:
     Returns the merged order as a list of job tags plus its total weighted
     completion time, minimal over all order-preserving interleavings.
     """
-    s1 = density_decomposition(c1)
-    s2 = density_decomposition(c2)
     merged: list[Job] = []
-    i = j = 0
-    for src in merge_plan(s1, s2):
-        if src == 0:
-            _, _, _, a, b = s1[i]
-            merged.extend(c1[a:b])
-            i += 1
-        else:
-            _, _, _, a, b = s2[j]
-            merged.extend(c2[a:b])
-            j += 1
+    for side, (_, _, _, a, b) in interleave(density_decomposition(c1), density_decomposition(c2)):
+        merged.extend((c1, c2)[side][a:b])
     elapsed = 0
     objective = 0
     for job in merged:

@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 validation/selftest failure, 2 usage error (bad
 arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
 inconsistency (a solver contradicted its own checks).  Guard defaults can be
-overridden with the environment variables NETCON_LEAF_BOUND, NETCON_MAX_PAIRS,
+overridden with the environment variables NETCON_LEAF_BOUND (read only by
+``--backend auto`` and ``tree``), NETCON_MAX_PAIRS (only when fixed-r runs),
 and NETCON_ORACLE_MAX_EDGES; the fixed-r pair bound defaults to 4 in general
 and 6 when all pairs share a vertex.  ``solve --depot`` insists on such a
-shared vertex and is a usage error without one.
+shared vertex, whichever backend runs, and is a usage error without one.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Sequence
 
 from . import selftest
@@ -138,15 +138,17 @@ def _pick_backend(instance: Instance, backend: str, leaf_bound: int) -> str:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    leaf_bound = args.leaf_bound if args.leaf_bound is not None else _env_int(
-        "NETCON_LEAF_BOUND", LEAF_BOUND
-    )
-    backend = _pick_backend(instance, args.backend, leaf_bound)
+    if args.depot and instance.common_pair_vertex() is None:
+        raise UnsupportedInstanceError("--depot needs a vertex common to all pairs")
+    backend = args.backend
+    if backend != "fixed-r":
+        leaf_bound = args.leaf_bound if args.leaf_bound is not None else _env_int(
+            "NETCON_LEAF_BOUND", LEAF_BOUND
+        )
+        backend = _pick_backend(instance, backend, leaf_bound)
     if backend == "tree":
         seq, report = solve_tree(instance, leaf_bound=leaf_bound, force=args.force)
     else:
-        if args.depot and instance.common_pair_vertex() is None:
-            raise UnsupportedInstanceError("--depot needs a vertex common to all pairs")
         max_pairs = args.max_pairs if args.max_pairs is not None else _env_int(
             "NETCON_MAX_PAIRS", None
         )
@@ -210,48 +212,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    quick = args.quick
-    rows = []
-
-    def run(label: str, instance: Instance, kind: str):
-        t0 = time.perf_counter()
-        if kind == "tree":
-            _, report = solve_tree(instance, force=True)
-        elif kind == "fixed-r":
-            _, report = solve_fixed_r(instance)
-        else:
-            value, _ = subset_dp(instance)
-            report = None
-        took = time.perf_counter() - t0
-        objective = report.objective if report else value
-        rows.append(
-            (label, instance.network.vertex_count, instance.network.edge_count, took, objective)
-        )
-
-    for n in (30, 60) if quick else (50, 100, 200):
-        run(f"tree path n={n}", generate("path", n, seed=7, pair_count=6), "tree")
-    spider_n = 24 if quick else 60
-    run(f"tree 3-leaf n={spider_n}", selftest.spider(spider_n, seed=11), "tree")
-    for n in (30, 60) if quick else (40, 80, 150):
-        run(
-            f"fixed-r n={n} r=2",
-            generate("random_graph", n, seed=13, edge_count=min(3 * n, n * (n - 1) // 2), pair_count=2),
-            "fixed-r",
-        )
-    for m in (8, 10) if quick else (10, 12, 14):
-        run(
-            f"subset-dp m={m}",
-            generate("random_graph", m - 3, seed=17, edge_count=m, pair_count=3),
-            "oracle",
-        )
-
-    print(f"{'case':<24} {'n':>5} {'m':>5} {'seconds':>9} {'objective':>10}")
-    for label, n, m, took, objective in rows:
-        print(f"{label:<24} {n:>5} {m:>5} {took:>9.3f} {objective:>10}")
-    return 0
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
     results = selftest.run_all(scale=args.scale)
     failed = False
@@ -308,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("instance")
     validate.add_argument("solution")
     validate.set_defaults(func=_cmd_validate)
-
-    bench = sub.add_parser("bench", help="print a size-vs-time table")
-    bench.add_argument("--quick", action="store_true")
-    bench.set_defaults(func=_cmd_bench)
 
     self_cmd = sub.add_parser("selftest", help="run the acceptance checks")
     self_cmd.add_argument("--scale", type=float, default=1.0, help="trial-count multiplier")

@@ -8,6 +8,12 @@ pair weight connected when that edge completes), then the last edge picks up
 the weight of every pair whose path crosses it.  Subtrees are keyed by edge
 bitmask; the two components left by deleting an edge are obtained with O(1)
 mask intersections against the edge's precomputed sides in the full tree.
+
+A subtree's record keeps only what later merges read: its value, the density
+decomposition (blocks) of its optimal job chain, and its last edge.  The
+blocks come from the two parts' blocks, interleaved and followed by the last
+edge's job, through ``chains.append_block``.  ``subtree_sequence`` rebuilds
+the build order itself once, at the end, by following the last edges down.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
 from .model import Instance, Network, Objective, RelevantPair
 
 LEAF_BOUND = 6
-
-_EMPTY_BLOCKS: tuple[chains.BlockSummary, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -51,18 +55,17 @@ class SubtreeCatalog:
 
 @dataclass(frozen=True)
 class SubtreeRecord:
-    """Optimal solution of one subtree.
+    """Optimal solution of one subtree, kept only as far as merges need it.
 
-    ``seq`` and ``connect`` are aligned: ``connect[i]`` is the total weight of
-    the subtree's pairs first connected when ``seq[i]`` completes.  ``blocks``
-    memoizes the density decomposition of the job chain induced by ``seq``,
-    reused by every merge this record participates in.
+    ``blocks`` is the density decomposition of the subtree's optimal job chain
+    (one job per edge, weighted by the pairs that edge connects), with
+    ``start``/``end`` indexing its build order; ``last`` is the edge built
+    last.  ``subtree_sequence`` rebuilds the order itself on demand.
     """
 
-    seq: tuple[int, ...]
-    connect: tuple[int, ...]
     value: int
     blocks: tuple[chains.BlockSummary, ...]
+    last: int
 
 
 def _edge_side_masks(network: Network) -> tuple[tuple[int, int], ...]:
@@ -170,29 +173,6 @@ def pair_weight_tables(
     return weights
 
 
-def _merged_jobs(
-    rec_a: SubtreeRecord | None, rec_b: SubtreeRecord | None
-) -> tuple[list[int], list[int]]:
-    """Interleave two records' job chains optimally; empty records allowed."""
-    blocks_a = rec_a.blocks if rec_a else _EMPTY_BLOCKS
-    blocks_b = rec_b.blocks if rec_b else _EMPTY_BLOCKS
-    seq: list[int] = []
-    connect: list[int] = []
-    i = j = 0
-    for src in chains.merge_plan(blocks_a, blocks_b):
-        if src == 0:
-            _, _, _, a, b = blocks_a[i]
-            i += 1
-            seq.extend(rec_a.seq[a:b])
-            connect.extend(rec_a.connect[a:b])
-        else:
-            _, _, _, a, b = blocks_b[j]
-            j += 1
-            seq.extend(rec_b.seq[a:b])
-            connect.extend(rec_b.connect[a:b])
-    return seq, connect
-
-
 def subtree_records(
     network: Network, catalog: SubtreeCatalog, weights: Mapping[int, int]
 ) -> dict[int, SubtreeRecord | None]:
@@ -200,11 +180,14 @@ def subtree_records(
 
     Each subtree tries every edge as its last one: the two components left by
     deleting it are merged as two chains, then the edge connects every pair
-    whose path crosses it.
+    whose path crosses it.  The winner's blocks are the two parts' blocks,
+    interleaved and re-based onto the merged order, then the last edge as one
+    job, all folded through ``chains.append_block``.
     """
     edges = network.edges
     sides = catalog.sides
     merge_value = chains.merge_value
+    append_block = chains.append_block
 
     lengths: dict[int, int] = {0: 0}
     records: dict[int, SubtreeRecord | None] = {0: None}
@@ -213,12 +196,7 @@ def subtree_records(
         c = edges[eid][2]
         w = weights[key]
         lengths[key] = c
-        records[key] = SubtreeRecord(
-            seq=(eid,),
-            connect=(w,),
-            value=c * w,
-            blocks=chains.block_summaries((c,), (w,)),
-        )
+        records[key] = SubtreeRecord(c * w, ((w, c, c * w, 0, 1),), eid)
 
     for level in catalog.levels[2:]:
         for key in level:
@@ -254,17 +232,46 @@ def subtree_records(
                     best_edge = eid
                     best_parts = (part_a, part_b)
 
-            seq, connect = _merged_jobs(records[best_parts[0]], records[best_parts[1]])
-            seq.append(best_edge)
-            connect.append(w_key - weights[best_parts[0]] - weights[best_parts[1]])
-            ps = tuple(edges[eid][2] for eid in seq)
-            records[key] = SubtreeRecord(
-                seq=tuple(seq),
-                connect=tuple(connect),
-                value=best_value,
-                blocks=chains.block_summaries(ps, tuple(connect)),
-            )
+            part_a, part_b = best_parts
+            blocks: list[chains.BlockSummary] = []
+            at = 0
+            for _, (w, p, inner, start, end) in chains.interleave(
+                _blocks_of(records[part_a]), _blocks_of(records[part_b])
+            ):
+                append_block(blocks, (w, p, inner, at, at + end - start))
+                at += end - start
+            w = w_key - weights[part_a] - weights[part_b]
+            c = edges[best_edge][2]
+            append_block(blocks, (w, c, w * c, at, at + 1))
+            records[key] = SubtreeRecord(best_value, tuple(blocks), best_edge)
     return records
+
+
+def _blocks_of(record: SubtreeRecord | None) -> tuple[chains.BlockSummary, ...]:
+    return record.blocks if record else ()
+
+
+def subtree_sequence(
+    records: Mapping[int, SubtreeRecord | None], catalog: SubtreeCatalog, key: int
+) -> tuple[int, ...]:
+    """Optimal build order of subtree ``key``, rebuilt from the records.
+
+    The two parts left by the last edge are rebuilt, interleaved block by
+    block as the DP merged them, and the last edge follows; the recursion
+    depth is at most the subtree's edge count.
+    """
+    if not key:
+        return ()
+    record = records[key]
+    part_a, part_b = catalog.split(key, record.last)
+    orders = [subtree_sequence(records, catalog, part) for part in (part_a, part_b)]
+    seq: list[int] = []
+    for side, (_, _, _, start, end) in chains.interleave(
+        _blocks_of(records[part_a]), _blocks_of(records[part_b])
+    ):
+        seq.extend(orders[side][start:end])
+    seq.append(record.last)
+    return tuple(seq)
 
 
 def solve_tree(
@@ -291,10 +298,9 @@ def solve_tree(
     weights = pair_weight_tables(network, instance.pairs, catalog)
     records = subtree_records(network, catalog, weights)
     full = (1 << network.edge_count) - 1
-    answer = records[full]
-    report = evaluate_sequence(instance, answer.seq)
-    if report.objective != answer.value:
-        raise NetconError(
-            f"internal inconsistency: dp value {answer.value} != replay {report.objective}"
-        )
-    return answer.seq, report
+    value = records[full].value
+    seq = subtree_sequence(records, catalog, full)
+    report = evaluate_sequence(instance, seq)
+    if report.objective != value:
+        raise NetconError(f"internal inconsistency: dp value {value} != replay {report.objective}")
+    return seq, report

@@ -209,6 +209,12 @@ def test_depot_flag_needs_a_shared_vertex(capsys):
     status, out, err = run(capsys, "solve", "--depot", str(FIXTURES / "square.ncn"))
     assert (status, out) == (2, "")
     assert "common to all pairs" in err
+    # the check comes before the backend is picked, so the tree DP refuses too
+    path3 = str(FIXTURES / "path3.ncn")
+    for backend in ("auto", "tree", "fixed-r"):
+        status, out, err = run(capsys, "solve", "--depot", "--backend", backend, path3)
+        assert (status, out) == (2, ""), backend
+        assert "common to all pairs" in err
 
 
 def test_max_pairs_env_is_read_only_by_fixed_r(capsys, monkeypatch):
@@ -218,6 +224,16 @@ def test_max_pairs_env_is_read_only_by_fixed_r(capsys, monkeypatch):
     assert status == 0
     assert out == (FIXTURES / "path3.auto.out").read_text()
     assert run(capsys, "solve", "--backend", "fixed-r", path3)[0] == 2
+
+
+def test_leaf_bound_env_is_read_only_for_the_tree_backends(capsys, monkeypatch):
+    monkeypatch.setenv("NETCON_LEAF_BOUND", "abc")
+    square = str(FIXTURES / "square.ncn")
+    status, out, _ = run(capsys, "solve", "--backend", "fixed-r", square)
+    assert status == 0
+    assert out == (FIXTURES / "square.fixed-r.out").read_text()
+    assert run(capsys, "solve", "--backend", "tree", str(FIXTURES / "path3.ncn"))[0] == 2
+    assert run(capsys, "solve", square)[0] == 2
 
 
 @pytest.mark.parametrize("token", ["--5", "\u00b2"], ids=["double-minus", "superscript-two"])
@@ -267,13 +283,6 @@ def test_leaf_bound_env_override(capsys, tmp_path, monkeypatch):
     run(capsys, "gen", "--kind", "star", "--n", "9", "--pairs", "3", "-o", str(big))
     monkeypatch.setenv("NETCON_LEAF_BOUND", "8")
     assert run(capsys, "solve", "--backend", "tree", str(big))[0] == 0
-
-
-def test_bench_quick(capsys):
-    status, out, _ = run(capsys, "bench", "--quick")
-    assert status == 0
-    assert "tree path" in out
-    assert "fixed-r" in out
 
 
 def test_selftest_smoke(capsys):

@@ -17,7 +17,12 @@ from netcon import (
     subset_dp,
 )
 from netcon.chains import block_summaries
-from netcon.tree_solver import enumerate_subtrees, pair_weight_tables, subtree_records
+from netcon.tree_solver import (
+    enumerate_subtrees,
+    pair_weight_tables,
+    subtree_records,
+    subtree_sequence,
+)
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -120,12 +125,15 @@ def test_subtree_records_on_path3():
     records = subtree_records(PATH3.network, catalog, weights)
     assert records[0] is None
     lone = records[0b01]
-    assert (lone.seq, lone.connect, lone.value) == ((0,), (3,), 3)  # length 1 times weight 3
+    assert (lone.value, lone.last) == (3, 0)  # length 1 times weight 3
     assert lone.blocks == block_summaries((1,), (3,))
-    assert (records[0b10].seq, records[0b10].value) == ((1,), 2)
+    assert (records[0b10].value, records[0b10].last) == (2, 1)
     # ending with edge 1 costs 9, ending with edge 0 would cost 14
     full = records[0b11]
-    assert (full.seq, full.connect, full.value) == ((0, 1), (3, 2), 9)
+    assert (full.value, full.last) == (9, 1)
+    assert full.blocks == block_summaries((1, 2), (3, 2))  # edge 0 connects 3, edge 1 then 2
+    orders = [subtree_sequence(records, catalog, key) for key in (0b01, 0b10, 0b11)]
+    assert orders == [(0,), (1,), (0, 1)]
     assert evaluate_sequence(PATH3, (1, 0)).objective == 14
 
 
@@ -186,8 +194,9 @@ def test_matches_subset_dp_on_random_trees():
 
 
 def test_record_consistency():
-    # audit the solver's own records: every subtree's order, connect weights,
-    # memoized blocks and value, against a replay and the subset-DP oracle
+    # audit the solver's own records: every subtree's rebuilt order, the
+    # weights its edges connect, its blocks and value, against a replay and
+    # the subset-DP oracle
     rng = random.Random(31)
     for _ in range(10):
         n = rng.randint(3, 7)
@@ -200,25 +209,29 @@ def test_record_consistency():
         for level in catalog.levels[1:]:
             for key in level:
                 rec = records[key]
-                assert sorted(rec.seq) == [e for e in range(net.edge_count) if key >> e & 1]
-                assert sum(rec.connect) == weights[key]
-                ps = tuple(net.edges[e][2] for e in rec.seq)
-                assert rec.blocks == block_summaries(ps, rec.connect)
+                seq = subtree_sequence(records, catalog, key)
+                assert sorted(seq) == [e for e in range(net.edge_count) if key >> e & 1]
+                assert seq[-1] == rec.last
+                ps = tuple(net.edges[e][2] for e in seq)
                 vmask = catalog.vertex_masks[key]
                 inner = [p for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1]
                 if not inner:
+                    assert weights[key] == 0
+                    assert rec.blocks == block_summaries(ps, (0,) * len(seq))
                     assert rec.value == 0
                     continue
                 sub = Instance(net, tuple(inner))
-                report = evaluate_sequence(sub, rec.seq)
-                assert report.objective == rec.value == subset_dp(sub)[0]
+                report = evaluate_sequence(sub, seq)
                 # connect[i] is the weight first connected when seq[i] completes
                 done = 0
-                for eid, connected in zip(rec.seq, rec.connect):
-                    done += net.edges[eid][2]
-                    assert connected == sum(
-                        p.weight for p, t in zip(sub.pairs, report.times) if t == done
-                    )
+                connect = []
+                for c in ps:
+                    done += c
+                    times = zip(sub.pairs, report.times)
+                    connect.append(sum(p.weight for p, t in times if t == done))
+                assert sum(connect) == weights[key]
+                assert rec.blocks == block_summaries(ps, connect)
+                assert report.objective == rec.value == subset_dp(sub)[0]
         full = (1 << net.edge_count) - 1
         _, report = solve_tree(inst, force=True)
         assert records[full].value == report.objective
