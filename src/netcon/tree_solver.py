@@ -256,22 +256,31 @@ def subtree_sequence(
 ) -> tuple[int, ...]:
     """Optimal build order of subtree ``key``, rebuilt from the records.
 
-    The two parts left by the last edge are rebuilt, interleaved block by
-    block as the DP merged them, and the last edge follows; the recursion
-    depth is at most the subtree's edge count.
+    The subtrees met by following last edges down from ``key`` are listed
+    parents first, then rebuilt children first: each order interleaves its
+    two parts block by block as the DP merged them, then adds the last edge.
+    No recursion, so a path of any length rebuilds in constant stack depth.
     """
-    if not key:
-        return ()
-    record = records[key]
-    part_a, part_b = catalog.split(key, record.last)
-    orders = [subtree_sequence(records, catalog, part) for part in (part_a, part_b)]
-    seq: list[int] = []
-    for side, (_, _, _, start, end) in chains.interleave(
-        _blocks_of(records[part_a]), _blocks_of(records[part_b])
-    ):
-        seq.extend(orders[side][start:end])
-    seq.append(record.last)
-    return tuple(seq)
+    reached: list[int] = []
+    stack = [key]
+    while stack:
+        k = stack.pop()
+        if k:
+            reached.append(k)
+            stack.extend(catalog.split(k, records[k].last))
+    orders: dict[int, tuple[int, ...]] = {}
+    for k in reversed(reached):
+        record = records[k]
+        part_a, part_b = catalog.split(k, record.last)
+        sides = (orders.pop(part_a, ()), orders.pop(part_b, ()))
+        seq: list[int] = []
+        for side, (_, _, _, start, end) in chains.interleave(
+            _blocks_of(records[part_a]), _blocks_of(records[part_b])
+        ):
+            seq.extend(sides[side][start:end])
+        seq.append(record.last)
+        orders[k] = tuple(seq)
+    return orders.get(key, ())
 
 
 def solve_tree(

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +143,22 @@ def test_solve_path3():
     seq, report = solve_tree(PATH3)
     assert seq == (0, 1)
     assert report.objective == 9
+
+
+def test_deep_path_rebuilds_without_recursion():
+    # with one pair joining the ends, ties make every subtree's last edge its
+    # first, so the rebuild follows a chain of m subtrees; it must not need
+    # a stack frame per level
+    m = 100
+    inst = generate("path", m + 1, pairs=[(0, m, 3)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        seq, report = solve_tree(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert seq == tuple(reversed(range(m)))
+    assert report.objective == evaluate_sequence(inst, seq).objective == 3 * inst.network.total_length
 
 
 def test_solve_reduced_star():
