@@ -4,9 +4,10 @@ Given a network whose edges are built one at a time at unit speed, choose
 the build order minimizing an objective over the times at which designated
 vertex pairs first become connected: the weighted sum of connection times,
 or their maximum lateness against due dates.  Two exact backends are
-provided (a subtree dynamic program for trees, and a shortest-path-closure
-enumeration for few pairs on general networks) plus brute-force oracles,
-instance generators, and a command-line interface.
+provided (a subtree dynamic program for trees, and for few pairs on general
+networks a subset dynamic program over the pair endpoints under the weighted
+sum or a shortest-path-closure enumeration under maximum lateness) plus
+brute-force oracles, instance generators, and a command-line interface.
 """
 
 from .chains import Chain, Job, density_decomposition, merge_two_chains, rho_factor

@@ -1,19 +1,34 @@
 """Exact solver for few relevant pairs on general networks.
 
-Strategy: compute all shortest-path distances (the metric closure), then
-enumerate every candidate forest over the pair endpoints plus a bounded set
-of extra junction vertices, score each candidate over the pair orders, and
-map the winner back to original edges.  Any objective that never
-decreases when connection times grow fits this scheme; the weighted sum
-(wct) and maximum lateness (maxlat) are built in.
+An optimal build order first builds a forest that joins every pair (its
+essential edges), serving the pairs one at a time.  Once the pair order is
+fixed, each step ends at the total length of the edges on the paths of the
+pairs served so far.  The two objectives take two routes to that forest.
 
-A candidate forest must connect every pair, use every edge on some pair's
-path, and give every non-endpoint junction degree at least 3 (a degree-2
-junction could be contracted away).  A forest on t pair endpoints has at
-most t - 2 such junctions: 2r - 2 in general and r - 1 when all pairs share
-a vertex.  Candidates are found by choosing the junction set, splitting
-pairs into components, and enumerating the labeled trees of each component
-with the junction-degree constraint.
+Weighted sum (wct): a subset DP over the t pair endpoints on the network
+itself.  Root a forest anywhere and let S be the endpoints below an edge: the
+edge lies on pair i's path exactly when one end of pair i is in S, so under a
+fixed pair order it costs coef(S) times its length, coef(S) being the weight
+of the steps from the first one that serves such a pair.  For each of the r!
+orders a Dreyfus-Wagner recursion finds the cheapest such forest: one
+Dijkstra per endpoint, then per endpoint set the best split at each vertex and
+one multi-source Dijkstra from those labels.  Work is
+O(r! * (3^t * n + 2^t * m log n)), with no metric closure and no candidate
+scan.  The winner is read back from the labels as network edges; an optimal
+read-back uses no edge twice and closes no cycle (see ``_subset_forest``), so
+they form a forest whose value is the DP's.  Degree-2 non-endpoints are then
+contracted, which leaves a candidate forest in the scan's sense below.
+
+Maximum lateness (maxlat): compute all shortest-path distances (the metric
+closure), then enumerate every candidate forest over the pair endpoints plus
+a bounded set of extra junction vertices, score each, and map the winner back
+to original edges.  A candidate forest must connect every pair, use every
+edge on some pair's path, and give every non-endpoint junction degree at
+least 3 (a degree-2 junction could be contracted away).  A forest on t pair
+endpoints has at most t - 2 such junctions: 2r - 2 in general and r - 1 when
+all pairs share a vertex.  Candidates are found by choosing the junction set,
+splitting pairs into components, and enumerating the labeled trees of each
+component with the junction-degree constraint.
 
 Junctions are drawn only from non-terminals whose degree is still at least 3
 after pendant non-terminals are pruned repeatedly (``Network.kernel_degrees``).
@@ -23,18 +38,18 @@ candidate.  A component's labeled trees depend only on how its pairs share
 endpoints and on its junction count, so each such template is built once per
 solve and mapped onto every junction set.
 
-Scoring needs no forest objects.  Once the pair order is fixed, each step ends
-at the total length of the edges on the paths of the pairs served so far.
-So each forest shape (one combination of a layout's templates) gets one
-table: for wct, each edge's coefficient under each pair order; for maxlat,
-the edges each step builds first when the pairs are served by due date,
-which is optimal for max lateness on any forest.  Every junction set is then
-scored from its closure lengths alone.  ``scored_candidates`` yields every
-candidate with its exact value.  ``enumerate_candidate_forests`` builds and
-streams a forest with its value only when that value is at most every value
-it streamed before, so every minimum-value candidate is streamed.  The solver
-picks the (value, edges) minimum and replays only that forest over all pair
-orders (``evaluate_rforest``), which must give the same value.
+Scoring needs no forest objects.  Each forest shape (one combination of a
+layout's templates) gets one table: the edges each step builds first when the
+pairs are served by due date, which is optimal for max lateness on any
+forest.  Every junction set is then scored from its closure lengths alone.
+``scored_candidates`` yields every candidate with its exact value.
+
+``enumerate_candidate_forests`` streams the DP's one forest under wct.  Under
+maxlat it builds and streams a forest with its value only when that value is
+at most every value it streamed before, so every minimum-value candidate is
+streamed.  The solver picks the (value, edges) minimum and replays only that
+forest over all pair orders (``evaluate_rforest``), which must give the same
+value, then maps it onto network edges (``project_to_graph``).
 """
 
 from __future__ import annotations
@@ -43,13 +58,14 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
-from operator import mul, sub
-from typing import Callable, Iterator, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     GuardExceededError,
     InvalidInstanceError,
     NetconError,
+    UnsupportedInstanceError,
 )
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
 from .model import Instance, Network, Objective, RelevantPair
@@ -129,12 +145,16 @@ class RForest:
     """Acyclic edge set connecting every pair, with every edge on a pair path.
 
     Edges are canonical (u < v) vertex pairs sorted ascending; ``lengths``
-    aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.
+    aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.  A
+    forest the wct subset DP built also carries ``routes``: per edge, the ids
+    of the network edges it contracts, from u to v.  A closure forest has
+    none, since each of its edges stands for a shortest path.
     """
 
     edges: tuple[Edge, ...]
     lengths: tuple[int, ...]
     pair_paths: tuple[tuple[Edge, ...], ...]
+    routes: tuple[tuple[int, ...], ...] = ()
 
 
 def _forest_path(edges: Sequence[Edge], source: int, target: int) -> tuple[Edge, ...]:
@@ -388,73 +408,28 @@ def _template(
     ]
 
 
-class _Scoring:
-    """Scores forests from their edge lengths alone, given their pair paths.
+def _lateness_scorer(
+    by_due: Sequence[int], dues: Sequence[int], paths: Sequence[tuple[int, ...]]
+) -> Callable[[Sequence[int]], int]:
+    """The exact max lateness of a forest whose pair paths are ``paths``
+    (edge ids), as a function of its edge lengths, when the pairs are served
+    in the order ``by_due`` and are due at ``dues``.
 
-    Serving a set of pairs builds exactly the edges on their paths, so once
-    the pair order is fixed, each step ends at the total length of the edges
-    on the paths of the pairs served so far.
+    Serving a set of pairs builds exactly the edges on their paths, so each
+    step builds the edges of its pair's path that no earlier step built.
     """
+    built: set[int] = set()
+    blocks = []
+    for i in by_due:
+        block = tuple(e for e in paths[i] if e not in built)
+        built.update(block)
+        blocks.append(block)
 
-    def __init__(self, pairs: Sequence[RelevantPair], weighted: bool) -> None:
-        self.weighted = weighted
-        if weighted:
-            # per pair order: the set of pairs served by the end of each step
-            # (bit i for pair i) and the weight of the pair each step serves
-            self.orders = [
-                (
-                    tuple(itertools.accumulate(1 << i for i in perm)),
-                    tuple(pairs[i].weight for i in perm),
-                )
-                for perm in itertools.permutations(range(len(pairs)))
-            ]
-            # per set of pairs: an edge on exactly their paths delays every
-            # step from the first that serves one of them, so per order its
-            # coefficient is the weight of those steps
-            self.coefficients: dict[int, tuple[int, ...]] = {}
-        else:
-            # Serving the pairs by due date is optimal for max lateness on any
-            # forest (Lawler's exchange argument): moving the pair due last
-            # to the end leaves it charged at the full length, like whichever
-            # pair was last, and charges every other pair at most as late.
-            self.by_due = sorted(range(len(pairs)), key=lambda i: pairs[i].due)
-            self.dues = tuple(pairs[i].due for i in self.by_due)
+    def max_lateness(lengths: Sequence[int]) -> int:
+        spent = [sum(map(lengths.__getitem__, block)) for block in blocks]
+        return max(map(sub, itertools.accumulate(spent), dues))
 
-    def scorer(
-        self, paths: Sequence[tuple[int, ...]], edge_count: int
-    ) -> Callable[[Sequence[int]], int]:
-        """The exact value of a forest whose pair paths are ``paths`` (edge
-        ids), as a function of its edge lengths."""
-        if not self.weighted:
-            # per step, the edges it builds first
-            built: set[int] = set()
-            blocks = []
-            for i in self.by_due:
-                block = tuple(e for e in paths[i] if e not in built)
-                built.update(block)
-                blocks.append(block)
-            dues = self.dues
-
-            def max_lateness(lengths: Sequence[int]) -> int:
-                spent = [sum(map(lengths.__getitem__, block)) for block in blocks]
-                return max(map(sub, itertools.accumulate(spent), dues))
-
-            return max_lateness
-
-        users = [0] * edge_count
-        for i, ids in enumerate(paths):
-            for e in ids:
-                users[e] |= 1 << i
-        coefficients = self.coefficients
-        for mask in users:
-            if mask not in coefficients:
-                coefficients[mask] = tuple(
-                    sum(w for step, w in zip(served, weights) if step & mask)
-                    for served, weights in self.orders
-                )
-        # per order, each edge's coefficient
-        rows = set(zip(*map(coefficients.__getitem__, users)))
-        return lambda lengths: min([sum(map(mul, row, lengths)) for row in rows])
+    return max_lateness
 
 
 def _closure_forest(
@@ -544,16 +519,19 @@ def _forest_shapes(
 def scored_candidates(
     instance: Instance, closure: MetricClosure
 ) -> Iterator[tuple[int, Callable[[], RForest]]]:
-    """Every candidate closure forest exactly once, as its exact value (what
-    ``evaluate_rforest`` gives) and a function that builds the forest.
+    """Every candidate closure forest of a maxlat instance exactly once, as
+    its exact value (what ``evaluate_rforest`` gives) and a function that
+    builds the forest.
 
     Junctions are the non-terminals of kernel degree >= 3, at most t - 2 of
     them for t pair endpoints (no layout has a shape with more).  Candidates
     are scanned by junction-set size, then by layout and forest shape (see
-    ``_forest_shapes``).  Each shape gets one scoring table (``_Scoring``),
+    ``_forest_shapes``).  Each shape gets one scorer (``_lateness_scorer``),
     which then scores every junction set, lexicographically, from closure
     lengths alone.
     """
+    if instance.objective is not Objective.MAX_LATENESS:
+        raise UnsupportedInstanceError("the candidate scan scores maxlat; wct uses the subset DP")
     pairs = instance.pairs
     r = len(pairs)
     dist = closure.dist
@@ -561,13 +539,18 @@ def scored_candidates(
     degree = instance.network.kernel_degrees(terminals)
     junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
     max_junctions = len(instance.terminals) - 2
-    scoring = _Scoring(pairs, instance.objective is Objective.WEIGHTED_SUM)
+    # Serving the pairs by due date is optimal for max lateness on any forest
+    # (Lawler's exchange argument): moving the pair due last to the end leaves
+    # it charged at the full length, like whichever pair was last, and charges
+    # every other pair at most as late.
+    by_due = sorted(range(r), key=lambda i: pairs[i].due)
+    dues = tuple(pairs[i].due for i in by_due)
     layouts = _layouts(pairs)
     templates: dict[tuple[tuple[tuple[int, int], ...], int], list[_TemplateTree]] = {}
     for size in range(min(max_junctions, len(junctions)) + 1):
         for ends, components in layouts:
             for slot_edges, paths in _forest_shapes(len(ends), components, size, r, templates):
-                score = scoring.scorer(paths, len(slot_edges))
+                score = _lateness_scorer(by_due, dues, paths)
                 for junction_set in itertools.combinations(junctions, size):
                     vertices = ends + junction_set
                     lengths = [dist[vertices[a]][vertices[b]] for a, b in slot_edges]
@@ -576,33 +559,228 @@ def scored_candidates(
                     )
 
 
+# --- wct: a subset DP over the pair endpoints ---------------------------------
+
+
+def _dijkstra(
+    network: Network, labels: dict[int, int], factor: int
+) -> list[int]:
+    """Lowest labels from the labelled vertices along edges costing ``factor``
+    times their length, for every vertex (the network is connected).
+    ``labels`` is lowered in place."""
+    adjacency = network.adjacency
+    edges = network.edges
+    heap = [(d, v) for v, d in labels.items()]
+    heapify(heap)
+    while heap:
+        d, x = heappop(heap)
+        if d != labels[x]:
+            continue  # a stale entry
+        for y, eid in adjacency[x]:
+            alt = d + factor * edges[eid][2]
+            if y not in labels or alt < labels[y]:
+                labels[y] = alt
+                heappush(heap, (alt, y))
+    return [labels[v] for v in range(network.vertex_count)]
+
+
+def _subset_tables(
+    network: Network, dist: Sequence[list[int]], coef: Sequence[int]
+) -> tuple[list, list]:
+    """Dreyfus-Wagner tables under one pair order, for endpoint sets S as bit
+    masks: ``g[S][v]`` is the least cost of a tree that joins v to S, each
+    edge costing coef(endpoints below it) times its length, and ``h[S][v]``
+    (for two or more endpoints) the least cost of one whose root v splits S.
+
+    A set that separates no pair costs nothing to carry (coef 0), so its ``g``
+    is its best ``h`` at every vertex: that is how a forest's components join.
+    """
+    full = len(coef) - 1
+    n = network.vertex_count
+    g: list = [None] * (full + 1)
+    h: list = [None] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        if mask == low:
+            g[mask] = [coef[mask] * d for d in dist[low.bit_length() - 1]]
+            continue
+        rest = mask ^ low
+        part = rest
+        row = None
+        # the splits low|part and rest^part, part from rest's largest proper subset down
+        while part:
+            part = (part - 1) & rest
+            split = map(add, g[low | part], g[rest ^ part])
+            row = list(split) if row is None else list(map(min, row, split))
+        h[mask] = row
+        if coef[mask]:
+            g[mask] = _dijkstra(network, dict(enumerate(row)), coef[mask])
+        else:
+            g[mask] = [min(row)] * n
+    return g, h
+
+
+def _subset_forest(instance: Instance) -> tuple[int, RForest]:
+    """The wct optimum over all forests and one forest that attains it.
+
+    For each pair order (in ``itertools.permutations`` order), ``_subset_tables``
+    prices every forest rooted at a vertex; the first order with the least
+    value wins.  Its forest is read back from the labels, each choice going to
+    the first candidate that attains the label: the lowest root, the first
+    split, the first neighbour.
+
+    What is read back uses no network edge twice and closes no cycle.  If it
+    did, adding its edges in the order the winning pair order first needs
+    them and skipping each that closes a cycle would join every pair served
+    by step k with edges no longer than the DP charged through step k, and
+    strictly shorter at the last step: a forest cheaper than the optimum.  So
+    the edges form a forest whose value is the DP's, which the solver checks
+    by replaying it.
+    """
+    network = instance.network
+    terminals = instance.terminals
+    full = (1 << len(terminals)) - 1
+    where = {x: i for i, x in enumerate(terminals)}
+    # per endpoint set: the pairs with exactly one end in it, whose paths are
+    # exactly those crossing an edge with that set below it
+    ends = [0] * len(terminals)
+    for i, pair in enumerate(instance.pairs):
+        ends[where[pair.u]] ^= 1 << i
+        ends[where[pair.v]] ^= 1 << i
+    crossing = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        crossing[mask] = crossing[mask ^ low] ^ ends[low.bit_length() - 1]
+    dist = [_dijkstra(network, {s: 0}, 1) for s in terminals]
+
+    r = instance.pair_count
+    best = None
+    for perm in itertools.permutations(range(r)):
+        # per set of crossing pairs: the weight of the step that serves the
+        # first of them and of every later step (0 for no pairs)
+        weights = (instance.pairs[i].weight for i in reversed(perm))
+        suffix = list(itertools.accumulate(weights, initial=0))[::-1]
+        at = [perm.index(i) for i in range(r)]
+        step = [
+            min((at[i] for i in range(r) if pairs >> i & 1), default=r) for pairs in range(1 << r)
+        ]
+        coef = [suffix[step[c]] for c in crossing]
+        g, h = _subset_tables(network, dist, coef)
+        value = min(h[full])
+        if best is None or value < best[0]:
+            best = (value, coef, g, h)
+    value, coef, g, h = best
+
+    adjacency = network.adjacency
+    edges = network.edges
+    chosen = []
+    todo = [(full, 0)]
+    while todo:
+        mask, v = todo.pop()
+        low = mask & -mask
+        if not coef[mask]:
+            v = h[mask].index(min(h[mask]))
+        else:
+            labels = g[mask]
+            c = coef[mask]
+            # walk down to the vertex where the set splits (or to its endpoint)
+            while labels[v] != (0 if mask == low else h[mask][v]):
+                for y, eid in adjacency[v]:
+                    if labels[y] + c * edges[eid][2] == labels[v]:
+                        break
+                chosen.append(eid)
+                v = y
+        if mask == low:
+            continue
+        rest = mask ^ low
+        part = rest
+        while part:
+            part = (part - 1) & rest
+            if g[low | part][v] + g[rest ^ part][v] == h[mask][v]:
+                break
+        todo.append((low | part, v))
+        todo.append((rest ^ part, v))
+    return value, _contract(_spanning_forest(instance, chosen), instance)
+
+
+def _contract(forest: RForest, instance: Instance) -> RForest:
+    """Contract each run through degree-2 non-endpoints of a network forest
+    into one edge whose route is the run; the nodes left are the pair
+    endpoints and the branch vertices."""
+    incident: dict[int, list[tuple[int, Edge, int]]] = {}
+    for edge, length in zip(forest.edges, forest.lengths):
+        u, v = edge
+        incident.setdefault(u, []).append((v, edge, length))
+        incident.setdefault(v, []).append((u, edge, length))
+    terminals = set(instance.terminals)
+    nodes = [x for x, out in incident.items() if x in terminals or len(out) != 2]
+    index = instance.network.edge_index
+    runs = []  # (edge, length, route)
+    owner: dict[Edge, Edge] = {}
+    for a in nodes:
+        for x, edge, length in incident[a]:
+            route = [edge]
+            total = length
+            came = edge
+            while x not in terminals and len(incident[x]) == 2:
+                x, came, length = next(item for item in incident[x] if item[1] != came)
+                route.append(came)
+                total += length
+            if a < x:
+                runs.append(((a, x), total, tuple(index[e] for e in route)))
+                owner.update((e, (a, x)) for e in route)
+    runs.sort()
+    return RForest(
+        edges=tuple(edge for edge, _, _ in runs),
+        lengths=tuple(length for _, length, _ in runs),
+        pair_paths=tuple(
+            tuple(edge for edge, _ in itertools.groupby(owner[e] for e in path))
+            for path in forest.pair_paths
+        ),
+        routes=tuple(route for _, _, route in runs),
+    )
+
+
 def enumerate_candidate_forests(
     instance: Instance,
-    closure: MetricClosure,
+    closure: MetricClosure | None = None,
     *,
     max_pairs: int | None = None,
     force: bool = False,
 ) -> Iterator[tuple[int, RForest]]:
-    """Stream the candidates of ``scored_candidates`` that can still win, as
-    (exact value, forest).
+    """Stream the forests that can still win, as (exact value, forest).
 
-    A forest is built and streamed only when its value is at most that of
-    every forest streamed before it, so every candidate of minimum value is
-    streamed.  The solver picks its winner by (value, edges), so dropping the
-    others never changes a result.  ``max_pairs`` defaults to
-    ``PAIR_BOUND_DEPOT`` when all pairs share a vertex (at most r - 1
-    junctions) and to ``PAIR_BOUND`` otherwise.
+    Under wct this is the subset DP's one optimal forest (``_subset_forest``),
+    and ``closure`` is not used.  Under maxlat a candidate of
+    ``scored_candidates`` is built and streamed only when its value is at
+    most that of every forest streamed before it, so every candidate of
+    minimum value is streamed.  The solver picks its winner by (value,
+    edges), so dropping the others never changes a result.
+
+    ``max_pairs`` defaults to ``PAIR_BOUND_DEPOT`` when all pairs share a
+    vertex and to ``PAIR_BOUND`` otherwise.  It caps the DP's r! * 3^t work
+    under wct and the scan's n^(t-2) candidates under maxlat, for t pair
+    endpoints.
     """
     r = instance.pair_count
+    weighted = instance.objective is Objective.WEIGHTED_SUM
     bound = max_pairs
     if bound is None:
         bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
     if r > bound and not force:
+        work = (
+            "the wct subset DP does r! * 3^t work"
+            if weighted
+            else "the maxlat candidate count grows like n^(t-2)"
+        )
         raise GuardExceededError(
-            f"{r} pairs exceeds the bound {bound}; candidate count grows like "
-            "n^(t-2) for t pair endpoints, pass force=True to run anyway"
+            f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "
+            "pass force=True to run anyway"
         )
 
+    if weighted:
+        yield _subset_forest(instance)
+        return
     best = None
     for value, build in scored_candidates(instance, closure):
         if best is None or value <= best:
@@ -613,40 +791,42 @@ def enumerate_candidate_forests(
 # --- projection and the full solve -------------------------------------------
 
 
+def _spanning_forest(instance: Instance, edge_ids: Iterable[int]) -> RForest:
+    """The network forest that adds ``edge_ids`` in turn, skipping each edge
+    that would close a cycle, less the edges on no pair's path."""
+    network = instance.network
+    uf = UnionFind(network.vertex_count)
+    kept = []
+    for eid in edge_ids:
+        u, v, _ = network.edges[eid]
+        if uf.union(u, v):
+            kept.append((u, v))
+    paths = tuple(_forest_path(kept, p.u, p.v) for p in instance.pairs)
+    covered = sorted({edge for path in paths for edge in path})
+    index = network.edge_index
+    return RForest(
+        edges=tuple(covered),
+        lengths=tuple(network.edges[index[e]][2] for e in covered),
+        pair_paths=paths,
+    )
+
+
 def project_to_graph(
     forest: RForest,
     evaluation: ForestEvaluation,
-    closure: MetricClosure,
+    route: Callable[[int, int], Sequence[int]],
     instance: Instance,
 ) -> tuple[RForest, ForestEvaluation]:
-    """Replace closure edges by shortest paths, skipping edges that close cycles.
+    """Replace forest edges by the network paths ``route(u, v)`` gives (edge
+    ids), skipping edges that close cycles.
 
-    Closure edges are expanded in the evaluation's build order; every original
+    Forest edges are expanded in the evaluation's build order; every original
     edge along a path is kept unless it would join two already-connected
     vertices.  Edges that end up on no pair path are pruned before the
     projected forest is re-validated and re-scored.
     """
-    network = instance.network
-    uf = UnionFind(network.vertex_count)
-    chosen: list[int] = []
-    for a, b in evaluation.edge_order:
-        for eid in extract_path(closure, a, b):
-            u, v, _ = network.edges[eid]
-            if uf.union(u, v):
-                chosen.append(eid)
-    kept = tuple(
-        (network.edges[eid][0], network.edges[eid][1]) for eid in chosen
-    )
-    paths = tuple(_forest_path(kept, p.u, p.v) for p in instance.pairs)
-    covered = {edge for path in paths for edge in path}
-    pruned = tuple(sorted(e for e in kept if e in covered))
-    lengths = {
-        (u, v): c for u, v, c in network.edges
-    }
-    projected = RForest(
-        edges=pruned,
-        lengths=tuple(lengths[e] for e in pruned),
-        pair_paths=paths,
+    projected = _spanning_forest(
+        instance, (eid for a, b in evaluation.edge_order for eid in route(a, b))
     )
     validate_rforest(projected, instance.pairs)
     return projected, evaluate_rforest(projected, instance)
@@ -668,8 +848,14 @@ def solve_fixed_r_detailed(
     max_pairs: int | None = None,
     force: bool = False,
 ) -> FixedRSolution:
-    """Full solve keeping the winning closure forest and its projection."""
-    closure = build_metric_closure(instance.network)
+    """Full solve keeping the winning forest and its projection.
+
+    Under wct the winner is the subset DP's forest, whose edges are routed
+    along the network paths they contract; under maxlat it is a closure
+    forest, whose edges are routed along the closure's shortest paths.
+    """
+    weighted = instance.objective is Objective.WEIGHTED_SUM
+    closure = None if weighted else build_metric_closure(instance.network)
     streamed = enumerate_candidate_forests(
         instance, closure, max_pairs=max_pairs, force=force
     )
@@ -684,7 +870,12 @@ def solve_fixed_r_detailed(
             f"scored {value}"
         )
 
-    projected, projected_eval = project_to_graph(best_forest, best_eval, closure, instance)
+    if weighted:
+        routes = dict(zip(best_forest.edges, best_forest.routes))
+        route = lambda a, b: routes[a, b]
+    else:
+        route = partial(extract_path, closure)
+    projected, projected_eval = project_to_graph(best_forest, best_eval, route, instance)
     index = instance.network.edge_index
     essential = [index[e] for e in projected_eval.edge_order]
     used = set(essential)

@@ -124,7 +124,7 @@ def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckR
             )
         if solution.metric_evaluation.value != want:
             mismatches.append(
-                f"trial {trial}: closure optimum {solution.metric_evaluation.value} != {want}"
+                f"trial {trial}: forest optimum {solution.metric_evaluation.value} != {want}"
             )
         if solution.projected_evaluation.value > solution.metric_evaluation.value:
             projection_violations += 1

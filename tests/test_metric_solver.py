@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from functools import partial
 
 import pytest
 
@@ -42,10 +44,18 @@ SQUARE = _inst(
 )
 
 
+def _as_maxlat(inst):
+    """The same network and pairs under maxlat; a pair with no due date is due at 0."""
+    pairs = tuple(dataclasses.replace(p, due=p.due or 0) for p in inst.pairs)
+    return Instance(inst.network, pairs, "maxlat")
+
+
 def _all_candidates(inst, closure):
-    """Every candidate forest, in order: the full listing that
-    ``enumerate_candidate_forests`` filters down to the forests that can win."""
-    return [build() for _, build in scored_candidates(inst, closure)]
+    """Every candidate forest of the pairs, in order: the full listing that
+    ``enumerate_candidate_forests`` filters down to the forests that can win
+    under maxlat.  Only maxlat is scanned, but the forests do not depend on
+    the objective, so a wct instance is listed as its maxlat twin."""
+    return [build() for _, build in scored_candidates(_as_maxlat(inst), closure)]
 
 
 def _brute_shortest(net, source, target):
@@ -226,7 +236,8 @@ def test_projection_identity_when_closure_edge_is_direct():
     closure = build_metric_closure(inst.network)
     (forest,) = _all_candidates(inst, closure)
     evaluation = evaluate_rforest(forest, inst)
-    projected, projected_eval = project_to_graph(forest, evaluation, closure, inst)
+    route = partial(extract_path, closure)
+    projected, projected_eval = project_to_graph(forest, evaluation, route, inst)
     assert projected.edges == forest.edges
     assert projected_eval.value == evaluation.value
 
@@ -238,7 +249,8 @@ def test_projection_square_trace():
     ][0]
     evaluation = evaluate_rforest(forest, SQUARE)
     assert evaluation.value == 8
-    projected, projected_eval = project_to_graph(forest, evaluation, closure, SQUARE)
+    route = partial(extract_path, closure)
+    projected, projected_eval = project_to_graph(forest, evaluation, route, SQUARE)
     # (0,2) expands to 0-1-2; (1,3) walks 1-0-3, reusing (0,1) and adding (0,3)
     assert projected.edges == ((0, 1), (0, 3), (1, 2))
     assert projected_eval.value <= evaluation.value
@@ -258,7 +270,8 @@ def test_projection_never_increases_value_on_random_instances():
         closure = build_metric_closure(inst.network)
         for forest in _all_candidates(inst, closure):
             evaluation = evaluate_rforest(forest, inst)
-            projected, projected_eval = project_to_graph(forest, evaluation, closure, inst)
+            route = partial(extract_path, closure)
+            projected, projected_eval = project_to_graph(forest, evaluation, route, inst)
             validate_rforest(projected, inst.pairs)
             assert projected_eval.value <= evaluation.value
 
@@ -354,8 +367,10 @@ def test_pair_guard():
     net = generate("random_graph", 8, seed=5, pair_count=1).network
     pairs = tuple(RelevantPair(u, v, 1) for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     inst = Instance(net, pairs)
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match=r"wct subset DP does r! \* 3\^t work"):
         solve_fixed_r(inst)
+    with pytest.raises(GuardExceededError, match=r"maxlat candidate count grows like n\^\(t-2\)"):
+        solve_fixed_r(_as_maxlat(inst))
     depot_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 6))
     depot_inst = Instance(net, depot_pairs)
     # five pairs sharing vertex 0 fit under the wider depot bound
@@ -365,6 +380,20 @@ def test_pair_guard():
     with pytest.raises(GuardExceededError):
         solve_fixed_r(depot_inst, max_pairs=4)
     assert solve_fixed_r(inst, max_pairs=5)[1].objective == subset_dp(inst)[0]
+
+
+def test_wct_needs_no_closure_and_no_scan(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the wct route called the closure or the scan")
+
+    monkeypatch.setattr(netcon.metric_solver, "build_metric_closure", forbidden)
+    monkeypatch.setattr(netcon.metric_solver, "scored_candidates", forbidden)
+    solution = solve_fixed_r_detailed(SQUARE)
+    assert solution.report.objective == solution.metric_evaluation.value == 7
+    # the projection is the network forest the routes contract
+    routed = {SQUARE.network.edges[e][:2] for route in solution.metric_forest.routes for e in route}
+    assert set(solution.projected_forest.edges) == routed
+    assert len(solution.metric_forest.routes) == len(solution.metric_forest.edges)
 
 
 def test_solution_is_deterministic():
@@ -570,25 +599,42 @@ def _stream_instance(rng, objective, depot):
 )
 def test_stream_keeps_every_minimum_and_never_a_worse_value(objective, depot):
     rng = random.Random(f"stream/{objective}/{depot}")
-    with_junctions = 0
+    with_junctions = oracle_checked = 0
     for _ in range(20):
         inst = _stream_instance(rng, objective, depot)
         closure = build_metric_closure(inst.network)
-        listing = [(value, build()) for value, build in scored_candidates(inst, closure)]
-        for value, forest in listing:
-            assert value == evaluate_rforest(forest, inst).value
+        if objective == "wct":
+            listing = [(evaluate_rforest(f, inst).value, f) for f in _all_candidates(inst, closure)]
+        else:
+            listing = [(value, build()) for value, build in scored_candidates(inst, closure)]
+            for value, forest in listing:
+                assert value == evaluate_rforest(forest, inst).value
         terminals = set(inst.terminals)
         with_junctions += any(x not in terminals for _, f in listing for e in f.edges for x in e)
-
+        low = min(value for value, _ in listing)
+        if objective == "wct":
+            # the stream is the subset DP's one forest, optimal over the listing
+            ((value, forest),) = enumerate_candidate_forests(inst)
+            assert value == evaluate_rforest(forest, inst).value == low
+            if inst.network.edge_count <= 12:
+                assert value == subset_dp(inst)[0]
+                oracle_checked += 1
+            validate_rforest(forest, inst.pairs)
+            degree = {}
+            for e in forest.edges:
+                for x in e:
+                    degree[x] = degree.get(x, 0) + 1
+            assert all(d >= 3 for x, d in degree.items() if x not in terminals)
+            continue
         stream = list(enumerate_candidate_forests(inst, closure))
         values = [value for value, _ in stream]
         assert values == [evaluate_rforest(f, inst).value for _, f in stream]
         assert all(v <= min(values[:i]) for i, v in enumerate(values) if i)
-        low = min(value for value, _ in listing)
         assert {f.edges for value, f in listing if value == low} <= {f.edges for _, f in stream}
         want = min((value, f.edges) for value, f in listing)[1]
         assert solve_fixed_r_detailed(inst).metric_forest.edges == want
     assert with_junctions >= 3
+    assert oracle_checked >= 10 or objective == "maxlat"
 
 
 def test_no_forest_shape_has_more_than_t_minus_2_junctions():
@@ -634,3 +680,49 @@ def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
     monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", counted)
     solution = solve_fixed_r_detailed(inst)
     assert calls == [solution.metric_forest, solution.projected_forest]
+
+
+def _oracle_instance(rng, n, r, shared, lengths, max_edges):
+    if shared:
+        # pairs among r + 1 endpoints, so some ends are shared
+        ends = rng.sample(range(n), min(n, r + 1))
+        pairs = rng.sample([(u, v) for u in ends for v in ends if u < v], r)
+    else:
+        flat = rng.sample(range(n), 2 * r)
+        pairs = list(zip(flat[::2], flat[1::2]))
+    return generate(
+        "random_graph",
+        n,
+        seed=rng.randrange(1 << 30),
+        edge_count=rng.randint(n - 1, min(max_edges, n * (n - 1) // 2)),
+        pairs=[(min(p), max(p), rng.randint(1, 9)) for p in pairs],
+        length_range=lengths,
+    )
+
+
+def _check_against_subset_dp(inst):
+    solution = solve_fixed_r_detailed(inst)
+    want = subset_dp(inst)[0]
+    assert solution.metric_evaluation.value == solution.report.objective == want
+    assert evaluate_sequence(inst, solution.sequence) == solution.report
+
+
+def test_wct_subset_dp_matches_the_edge_subset_oracle():
+    rng = random.Random(107)
+    shared = 0
+    for trial in range(150):
+        n = rng.randint(3, 8)
+        with_shared = rng.random() < 0.4
+        r = rng.randint(1, min(4, n * (n - 1) // 2, n - 1 if with_shared else n // 2))
+        inst = _oracle_instance(rng, n, r, with_shared, rng.choice([(1, 3), (1, 20)]), 13)
+        shared += len(inst.terminals) < 2 * r
+        _check_against_subset_dp(inst)
+    assert shared >= 40
+
+
+def test_wct_subset_dp_reaches_four_general_pairs_on_nine_vertices():
+    rng = random.Random(109)
+    for _ in range(4):
+        inst = _oracle_instance(rng, 9, 4, False, (1, 20), 16)
+        assert len(inst.terminals) == 8
+        _check_against_subset_dp(inst)
