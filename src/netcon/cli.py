@@ -18,6 +18,7 @@ solution file against its instance and exits 1 on any discrepancy.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -276,10 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses: building it costs far more
+    than one ``parse_args``."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits on --help and usage errors
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -16,19 +16,19 @@ one multi-source Dijkstra from those labels.  Work is
 O(r! * (3^t * n + 2^t * m log n)), with no metric closure and no candidate
 scan.  The winner is read back from the labels as network edges; an optimal
 read-back uses no edge twice and closes no cycle (see ``_subset_forest``), so
-they form a forest whose value is the DP's.  Degree-2 non-endpoints are then
-contracted, which leaves a candidate forest in the scan's sense below.
+they form a forest of the network whose value is the DP's.
 
 Maximum lateness (maxlat): compute all shortest-path distances (the metric
-closure), then enumerate every candidate forest over the pair endpoints plus
-a bounded set of extra junction vertices, score each, and map the winner back
-to original edges.  A candidate forest must connect every pair, use every
-edge on some pair's path, and give every non-endpoint junction degree at
-least 3 (a degree-2 junction could be contracted away).  A forest on t pair
-endpoints has at most t - 2 such junctions: 2r - 2 in general and r - 1 when
-all pairs share a vertex.  Candidates are found by choosing the junction set,
-splitting pairs into components, and enumerating the labeled trees of each
-component with the junction-degree constraint.
+closure, one Dijkstra per vertex), then enumerate every candidate forest over
+the pair endpoints plus a bounded set of extra junction vertices, score each,
+and map the winner back to original edges along shortest paths.  A candidate
+forest must connect every pair, use every edge on some pair's path, and give
+every non-endpoint junction degree at least 3 (a degree-2 junction could be
+contracted away).  A forest on t pair endpoints has at most t - 2 such
+junctions: 2r - 2 in general and r - 1 when all pairs share a vertex.
+Candidates are found by choosing the junction set, splitting pairs into
+components, and enumerating the labeled trees of each component with the
+junction-degree constraint.
 
 Junctions are drawn only from non-terminals whose degree is still at least 3
 after pendant non-terminals are pruned repeatedly (``Network.kernel_degrees``).
@@ -49,7 +49,11 @@ maxlat it builds and streams a forest with its value only when that value is
 at most every value it streamed before, so every minimum-value candidate is
 streamed.  The solver picks the (value, edges) minimum and replays only that
 forest over all pair orders (``evaluate_rforest``), which must give the same
-value, then maps it onto network edges (``project_to_graph``).
+value, then maps it onto network edges (``project_to_graph``); a wct forest is
+already made of them, so its projection is itself.
+
+Both routes find shortest paths with one routine, ``_dijkstra``, and read a
+path back from its labels with one walk, ``_descend``.
 """
 
 from __future__ import annotations
@@ -79,65 +83,71 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class MetricClosure:
-    """All-pairs shortest distances with next-hop data for path recovery."""
+    """All-pairs shortest distances: ``dist[u]`` is u's Dijkstra row."""
 
     network: Network
     dist: tuple[tuple[int, ...], ...]
-    next_hop: tuple[tuple[int, ...], ...]
+
+
+def _dijkstra(
+    network: Network, labels: dict[int, int], factor: int
+) -> list[int]:
+    """Lowest labels from the labelled vertices along edges costing ``factor``
+    times their length, for every vertex (the network is connected).
+    ``labels`` is lowered in place."""
+    adjacency = network.adjacency
+    edges = network.edges
+    heap = [(d, v) for v, d in labels.items()]
+    heapify(heap)
+    while heap:
+        d, x = heappop(heap)
+        if d != labels[x]:
+            continue  # a stale entry
+        for y, eid in adjacency[x]:
+            alt = d + factor * edges[eid][2]
+            if y not in labels or alt < labels[y]:
+                labels[y] = alt
+                heappush(heap, (alt, y))
+    return [labels[v] for v in range(network.vertex_count)]
+
+
+def _descend(
+    network: Network, labels: Sequence[int], v: int, factor: int, floor: Sequence[int]
+) -> tuple[list[int], int]:
+    """Walk from v down ``labels`` (from ``_dijkstra`` with ``factor``) until a
+    vertex x with ``labels[x] == floor[x]``; return the edge ids walked and x.
+
+    Each step takes the first neighbour, in adjacency order, whose label plus
+    the edge's cost is the current label.
+    """
+    adjacency = network.adjacency
+    edges = network.edges
+    walked = []
+    while labels[v] != floor[v]:
+        for y, eid in adjacency[v]:
+            if labels[y] + factor * edges[eid][2] == labels[v]:
+                break
+        walked.append(eid)
+        v = y
+    return walked, v
 
 
 def build_metric_closure(network: Network) -> MetricClosure:
-    """Floyd-Warshall over the network; O(n^3), exact integer distances."""
-    n = network.vertex_count
-    # longer than any simple path, so it can only mean "no path found yet"
-    unreachable = network.total_length + 1
-    dist = [[unreachable] * n for _ in range(n)]
-    nxt = [[-1] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-        nxt[i][i] = i
-    for u, v, c in network.edges:
-        dist[u][v] = c
-        dist[v][u] = c
-        nxt[u][v] = v
-        nxt[v][u] = u
-    for k in range(n):
-        dist_k = dist[k]
-        for i in range(n):
-            dist_i = dist[i]
-            d_ik = dist_i[k]
-            if d_ik == unreachable:
-                continue
-            nxt_i = nxt[i]
-            n_ik = nxt_i[k]
-            for j in range(n):
-                alt = d_ik + dist_k[j]
-                if alt < dist_i[j]:
-                    dist_i[j] = alt
-                    nxt_i[j] = n_ik
+    """One Dijkstra per vertex; O(n * m log n), exact integer distances."""
     return MetricClosure(
         network=network,
-        dist=tuple(tuple(row) for row in dist),
-        next_hop=tuple(tuple(row) for row in nxt),
+        dist=tuple(tuple(_dijkstra(network, {s: 0}, 1)) for s in range(network.vertex_count)),
     )
 
 
-def path_vertices(closure: MetricClosure, u: int, v: int) -> list[int]:
-    hops = [u]
-    nxt = closure.next_hop
-    while u != v:
-        u = nxt[u][v]
-        hops.append(u)
-    return hops
-
-
 def extract_path(closure: MetricClosure, u: int, v: int) -> list[int]:
-    """Edge ids of one shortest path between u and v in the original network."""
+    """Edge ids of one shortest path from u to v in the original network."""
     if u == v:
         raise InvalidInstanceError("path endpoints must differ")
-    hops = path_vertices(closure, u, v)
-    index = closure.network.edge_index
-    return [index[(a, b) if a < b else (b, a)] for a, b in zip(hops, hops[1:])]
+    zeros = [0] * closure.network.vertex_count
+    walked, _ = _descend(closure.network, closure.dist[u], v, 1, zeros)
+    walked.reverse()
+    return walked
 
 
 @dataclass(frozen=True)
@@ -145,16 +155,14 @@ class RForest:
     """Acyclic edge set connecting every pair, with every edge on a pair path.
 
     Edges are canonical (u < v) vertex pairs sorted ascending; ``lengths``
-    aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.  A
-    forest the wct subset DP built also carries ``routes``: per edge, the ids
-    of the network edges it contracts, from u to v.  A closure forest has
-    none, since each of its edges stands for a shortest path.
+    aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.  The
+    wct subset DP's forest is made of network edges; each edge of a maxlat
+    closure forest stands for a shortest path between its ends.
     """
 
     edges: tuple[Edge, ...]
     lengths: tuple[int, ...]
     pair_paths: tuple[tuple[Edge, ...], ...]
-    routes: tuple[tuple[int, ...], ...] = ()
 
 
 def _forest_path(edges: Sequence[Edge], source: int, target: int) -> tuple[Edge, ...]:
@@ -562,28 +570,6 @@ def scored_candidates(
 # --- wct: a subset DP over the pair endpoints ---------------------------------
 
 
-def _dijkstra(
-    network: Network, labels: dict[int, int], factor: int
-) -> list[int]:
-    """Lowest labels from the labelled vertices along edges costing ``factor``
-    times their length, for every vertex (the network is connected).
-    ``labels`` is lowered in place."""
-    adjacency = network.adjacency
-    edges = network.edges
-    heap = [(d, v) for v, d in labels.items()]
-    heapify(heap)
-    while heap:
-        d, x = heappop(heap)
-        if d != labels[x]:
-            continue  # a stale entry
-        for y, eid in adjacency[x]:
-            alt = d + factor * edges[eid][2]
-            if y not in labels or alt < labels[y]:
-                labels[y] = alt
-                heappush(heap, (alt, y))
-    return [labels[v] for v in range(network.vertex_count)]
-
-
 def _subset_tables(
     network: Network, dist: Sequence[list[int]], coef: Sequence[int]
 ) -> tuple[list, list]:
@@ -634,8 +620,8 @@ def _subset_forest(instance: Instance) -> tuple[int, RForest]:
     them and skipping each that closes a cycle would join every pair served
     by step k with edges no longer than the DP charged through step k, and
     strictly shorter at the last step: a forest cheaper than the optimum.  So
-    the edges form a forest whose value is the DP's, which the solver checks
-    by replaying it.
+    the edges form a network forest whose value is the DP's, which the solver
+    checks by replaying it.
     """
     network = instance.network
     terminals = instance.terminals
@@ -671,8 +657,7 @@ def _subset_forest(instance: Instance) -> tuple[int, RForest]:
             best = (value, coef, g, h)
     value, coef, g, h = best
 
-    adjacency = network.adjacency
-    edges = network.edges
+    zeros = [0] * network.vertex_count
     chosen = []
     todo = [(full, 0)]
     while todo:
@@ -681,15 +666,10 @@ def _subset_forest(instance: Instance) -> tuple[int, RForest]:
         if not coef[mask]:
             v = h[mask].index(min(h[mask]))
         else:
-            labels = g[mask]
-            c = coef[mask]
             # walk down to the vertex where the set splits (or to its endpoint)
-            while labels[v] != (0 if mask == low else h[mask][v]):
-                for y, eid in adjacency[v]:
-                    if labels[y] + c * edges[eid][2] == labels[v]:
-                        break
-                chosen.append(eid)
-                v = y
+            floor = zeros if mask == low else h[mask]
+            walked, v = _descend(network, g[mask], v, coef[mask], floor)
+            chosen += walked
         if mask == low:
             continue
         rest = mask ^ low
@@ -700,45 +680,7 @@ def _subset_forest(instance: Instance) -> tuple[int, RForest]:
                 break
         todo.append((low | part, v))
         todo.append((rest ^ part, v))
-    return value, _contract(_spanning_forest(instance, chosen), instance)
-
-
-def _contract(forest: RForest, instance: Instance) -> RForest:
-    """Contract each run through degree-2 non-endpoints of a network forest
-    into one edge whose route is the run; the nodes left are the pair
-    endpoints and the branch vertices."""
-    incident: dict[int, list[tuple[int, Edge, int]]] = {}
-    for edge, length in zip(forest.edges, forest.lengths):
-        u, v = edge
-        incident.setdefault(u, []).append((v, edge, length))
-        incident.setdefault(v, []).append((u, edge, length))
-    terminals = set(instance.terminals)
-    nodes = [x for x, out in incident.items() if x in terminals or len(out) != 2]
-    index = instance.network.edge_index
-    runs = []  # (edge, length, route)
-    owner: dict[Edge, Edge] = {}
-    for a in nodes:
-        for x, edge, length in incident[a]:
-            route = [edge]
-            total = length
-            came = edge
-            while x not in terminals and len(incident[x]) == 2:
-                x, came, length = next(item for item in incident[x] if item[1] != came)
-                route.append(came)
-                total += length
-            if a < x:
-                runs.append(((a, x), total, tuple(index[e] for e in route)))
-                owner.update((e, (a, x)) for e in route)
-    runs.sort()
-    return RForest(
-        edges=tuple(edge for edge, _, _ in runs),
-        lengths=tuple(length for _, length, _ in runs),
-        pair_paths=tuple(
-            tuple(edge for edge, _ in itertools.groupby(owner[e] for e in path))
-            for path in forest.pair_paths
-        ),
-        routes=tuple(route for _, _, route in runs),
-    )
+    return value, _spanning_forest(instance, chosen)
 
 
 def enumerate_candidate_forests(
@@ -775,7 +717,7 @@ def enumerate_candidate_forests(
         )
         raise GuardExceededError(
             f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "
-            "pass force=True to run anyway"
+            "pass force=True (--force on the command line) to run anyway"
         )
 
     if weighted:
@@ -850,9 +792,9 @@ def solve_fixed_r_detailed(
 ) -> FixedRSolution:
     """Full solve keeping the winning forest and its projection.
 
-    Under wct the winner is the subset DP's forest, whose edges are routed
-    along the network paths they contract; under maxlat it is a closure
-    forest, whose edges are routed along the closure's shortest paths.
+    Under wct the winner is the subset DP's network forest, each of whose
+    edges is routed to itself; under maxlat it is a closure forest, whose
+    edges are routed along the closure's shortest paths.
     """
     weighted = instance.objective is Objective.WEIGHTED_SUM
     closure = None if weighted else build_metric_closure(instance.network)
@@ -870,13 +812,12 @@ def solve_fixed_r_detailed(
             f"scored {value}"
         )
 
+    index = instance.network.edge_index
     if weighted:
-        routes = dict(zip(best_forest.edges, best_forest.routes))
-        route = lambda a, b: routes[a, b]
+        route = lambda a, b: (index[a, b],)
     else:
         route = partial(extract_path, closure)
     projected, projected_eval = project_to_graph(best_forest, best_eval, route, instance)
-    index = instance.network.edge_index
     essential = [index[e] for e in projected_eval.edge_order]
     used = set(essential)
     sequence = tuple(

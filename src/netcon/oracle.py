@@ -34,7 +34,10 @@ def subset_dp(
     network = instance.network
     m = network.edge_count
     if m > max_edges and not force:
-        raise GuardExceededError(f"subset dp limited to {max_edges} edges, got {m}")
+        raise GuardExceededError(
+            f"subset dp limited to {max_edges} edges, got {m}; "
+            "pass force=True (--force on the command line) to run anyway"
+        )
 
     edges = network.edges
     pairs = instance.pairs
@@ -124,7 +127,10 @@ def permutation_oracle(
     """Exhaustive minimum of evaluate_sequence over all full edge orders."""
     m = instance.network.edge_count
     if m > max_edges and not force:
-        raise GuardExceededError(f"permutation oracle limited to {max_edges} edges, got {m}")
+        raise GuardExceededError(
+            f"permutation oracle limited to {max_edges} edges, got {m}; "
+            "pass force=True (--force on the command line) to run anyway"
+        )
     best = None
     for perm in itertools.permutations(range(m)):
         obj = evaluate_sequence(instance, perm).objective

@@ -8,6 +8,7 @@ runs; the full suite uses scale=1.0.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -93,7 +94,10 @@ def _fixed_r_instances(rng: random.Random, trials: int):
             pair_count=1,
             length_range=(1, 10),
         )
-        common = trial % 2 == 1  # alternate general and shared-vertex layouts
+        # trial % 4 cycles through general and shared-vertex layouts, each
+        # under wct and then under maxlat
+        common = trial % 2 == 1
+        maxlat = trial % 4 >= 2
         r_max = (n - 1) if common else max_edges  # shared-vertex pairs are depot-to-x
         r = rng.choice([x for x in (2, 3) if x <= r_max])
         if common:
@@ -105,11 +109,15 @@ def _fixed_r_instances(rng: random.Random, trials: int):
             ]
         else:
             pairs = _random_pairs(rng, n, r)
-        yield trial, Instance(base.network, tuple(pairs))
+        if maxlat:
+            pairs = [dataclasses.replace(p, due=rng.randint(0, 30)) for p in pairs]
+        objective = "maxlat" if maxlat else "wct"
+        yield trial, Instance(base.network, tuple(pairs), objective)
 
 
 def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckResult]:
-    """2 and 6: fixed-r solver matches the subset DP; projection never hurts."""
+    """2 and 6: fixed-r solver matches the subset DP under wct and maxlat;
+    projection never hurts."""
     rng = random.Random(422411)
     trials = _scaled(100, scale)
     start = time.perf_counter()
@@ -129,7 +137,7 @@ def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckR
         if solution.projected_evaluation.value > solution.metric_evaluation.value:
             projection_violations += 1
     elapsed = time.perf_counter() - start
-    detail = f"{trials} random graphs, {len(mismatches)} mismatches"
+    detail = f"{trials} random graphs, wct and maxlat, {len(mismatches)} mismatches"
     if mismatches:
         detail += "; first: " + mismatches[0]
     exactness = CheckResult(2, "fixed-r solver exactness", not mismatches, detail, elapsed)

@@ -300,7 +300,7 @@ def solve_tree(
     if leaves > leaf_bound and not force:
         raise GuardExceededError(
             f"tree has {leaves} leaves (bound {leaf_bound}); runtime grows like "
-            "n^(leaves+2), pass force=True to run anyway"
+            "n^(leaves+2), pass force=True (--force on the command line) to run anyway"
         )
 
     catalog = enumerate_subtrees(network)

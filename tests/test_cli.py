@@ -178,6 +178,39 @@ def test_guard_exceeded_exits_3(capsys, tmp_path):
     assert run(capsys, "solve", "--backend", "tree", "--force", str(big))[0] == 0
 
 
+def test_guard_messages_name_the_force_flag(capsys, tmp_path):
+    star = tmp_path / "star.ncn"
+    run(capsys, "gen", "--kind", "star", "--n", "10", "--pairs", "3", "-o", str(star))
+    square = str(FIXTURES / "square.ncn")
+    for argv in (
+        ("solve", "--max-pairs", "0", square),
+        ("solve", "--backend", "tree", str(star)),
+        ("oracle", "--max-edges", "0", square),
+        ("oracle", "--method", "permutations", str(star)),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (3, ""), argv
+        assert "--force" in err, argv
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    path3 = str(FIXTURES / "path3.ncn")
+    first = run(capsys, "solve", path3)
+    assert first[0] == 0
+    assert run(capsys, "nonsense")[0] == 2
+    assert run(capsys, "solve", path3) == first
+    assert len(built) == 1
+
+
 def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path, monkeypatch):
     # five pairs from hub 0; consecutive leaves also meet at a non-terminal
     edges = [(0, v, v) for v in range(1, 6)]

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -135,6 +136,12 @@ def test_extract_path_matches_distance_on_random_queries():
             path = extract_path(closure, u, v)
             assert sum(inst.network.edges[e][2] for e in path) == closure.dist[u][v]
             assert len(set(path)) == len(path)
+            at = u  # the ids chain from u to v
+            for e in path:
+                a, b, _ = inst.network.edges[e]
+                assert at in (a, b)
+                at = a + b - at
+            assert at == v
 
 
 def test_candidates_on_terminal_path():
@@ -382,6 +389,17 @@ def test_pair_guard():
     assert solve_fixed_r(inst, max_pairs=5)[1].objective == subset_dp(inst)[0]
 
 
+def _assert_network_forest(forest, inst):
+    """The forest's edges are network edges with their network lengths, and
+    every vertex of it that ends no pair has degree at least 2."""
+    network = inst.network
+    index = network.edge_index
+    assert set(forest.edges) <= set(index)
+    assert forest.lengths == tuple(network.edges[index[e]][2] for e in forest.edges)
+    degree = Counter(x for e in forest.edges for x in e)
+    assert all(d >= 2 for x, d in degree.items() if x not in inst.terminals)
+
+
 def test_wct_needs_no_closure_and_no_scan(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the wct route called the closure or the scan")
@@ -390,10 +408,9 @@ def test_wct_needs_no_closure_and_no_scan(monkeypatch):
     monkeypatch.setattr(netcon.metric_solver, "scored_candidates", forbidden)
     solution = solve_fixed_r_detailed(SQUARE)
     assert solution.report.objective == solution.metric_evaluation.value == 7
-    # the projection is the network forest the routes contract
-    routed = {SQUARE.network.edges[e][:2] for route in solution.metric_forest.routes for e in route}
-    assert set(solution.projected_forest.edges) == routed
-    assert len(solution.metric_forest.routes) == len(solution.metric_forest.edges)
+    # the DP's forest is made of network edges, so it projects onto itself
+    _assert_network_forest(solution.metric_forest, SQUARE)
+    assert solution.projected_forest == solution.metric_forest
 
 
 def test_solution_is_deterministic():
@@ -620,11 +637,10 @@ def test_stream_keeps_every_minimum_and_never_a_worse_value(objective, depot):
                 assert value == subset_dp(inst)[0]
                 oracle_checked += 1
             validate_rforest(forest, inst.pairs)
-            degree = {}
-            for e in forest.edges:
-                for x in e:
-                    degree[x] = degree.get(x, 0) + 1
-            assert all(d >= 3 for x, d in degree.items() if x not in terminals)
+            _assert_network_forest(forest, inst)
+            solution = solve_fixed_r_detailed(inst)
+            assert solution.metric_forest == forest
+            assert solution.projected_forest == solution.metric_forest
             continue
         stream = list(enumerate_candidate_forests(inst, closure))
         values = [value for value, _ in stream]

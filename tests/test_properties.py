@@ -77,9 +77,16 @@ def test_length_scaling_scales_wct_on_trees(seed, k):
 
 
 def test_fixed_r_handles_a_2_pow_60_edge():
-    inst = Instance(Network(3, ((0, 1, 1 << 60), (1, 2, 1))), (RelevantPair(0, 2, 3),))
+    network = Network(3, ((0, 1, 1 << 60), (1, 2, 1)))
+    inst = Instance(network, (RelevantPair(0, 2, 3),))
     seq, report = solve_fixed_r(inst)
     assert report.objective == 3 * ((1 << 60) + 1)
+    assert sorted(seq) == [0, 1]
+    # maxlat runs the closure, whose distances past 2^60 stay exact
+    assert build_metric_closure(network).dist[0] == (0, 1 << 60, (1 << 60) + 1)
+    maxlat = Instance(network, (RelevantPair(0, 2, 3, 7),), "maxlat")
+    seq, report = solve_fixed_r(maxlat)
+    assert report.objective == (1 << 60) + 1 - 7
     assert sorted(seq) == [0, 1]
 
 
