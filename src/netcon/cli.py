@@ -5,9 +5,10 @@ arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
 inconsistency (a solver contradicted its own checks).  Guard defaults can be
 overridden with the environment variables NETCON_LEAF_BOUND (read only by
 ``--backend auto`` and ``tree``), NETCON_MAX_PAIRS (only when fixed-r runs),
-and NETCON_ORACLE_MAX_EDGES; the fixed-r pair bound defaults to 4 in general
-and 6 when all pairs share a vertex.  ``solve --depot`` insists on such a
-shared vertex, whichever backend runs, and is a usage error without one.
+and NETCON_ORACLE_MAX_EDGES (for either oracle method, which otherwise keeps
+its own edge bound); the fixed-r pair bound defaults to 4 in general and 6
+when all pairs share a vertex.  ``solve --depot`` insists on such a shared
+vertex, whichever backend runs, and is a usage error without one.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -43,7 +44,7 @@ from .model import (
     reduce_ola,
     write_instance,
 )
-from .oracle import SUBSET_EDGE_LIMIT, permutation_oracle, subset_dp
+from .oracle import permutation_oracle, subset_dp
 from .tree_solver import LEAF_BOUND, solve_tree
 
 
@@ -164,13 +165,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
+    max_edges = args.max_edges if args.max_edges is not None else _env_int(
+        "NETCON_ORACLE_MAX_EDGES", None
+    )
+    # with neither set, each method keeps its own default bound
+    bound = {} if max_edges is None else {"max_edges": max_edges}
     if args.method == "permutations":
-        value = permutation_oracle(instance, force=args.force)
+        value = permutation_oracle(instance, force=args.force, **bound)
     else:
-        max_edges = args.max_edges if args.max_edges is not None else _env_int(
-            "NETCON_ORACLE_MAX_EDGES", SUBSET_EDGE_LIMIT
-        )
-        value, _ = subset_dp(instance, max_edges=max_edges, force=args.force)
+        value, _ = subset_dp(instance, force=args.force, **bound)
     print(f"objective {value}")
     return 0
 

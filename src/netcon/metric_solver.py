@@ -26,23 +26,24 @@ forest must connect every pair, use every edge on some pair's path, and give
 every non-endpoint junction degree at least 3 (a degree-2 junction could be
 contracted away).  A forest on t pair endpoints has at most t - 2 such
 junctions: 2r - 2 in general and r - 1 when all pairs share a vertex.
-Candidates are found by choosing the junction set, splitting pairs into
-components, and enumerating the labeled trees of each component with the
-junction-degree constraint.
+Candidates are found by listing the forest shapes over endpoint and junction
+slots, inserting the endpoints one at a time onto the vertices and edges of
+the forest built so far (``_forest_shapes``), and placing every ordered
+choice of junction vertices on each shape's junction slots.
 
 Junctions are drawn only from non-terminals whose degree is still at least 3
 after pendant non-terminals are pruned repeatedly (``Network.kernel_degrees``).
 A minimal optimal forest of the network lies inside that kernel, so each of
 its junctions has kernel degree at least 3 and its contraction is still a
-candidate.  A component's labeled trees depend only on how its pairs share
-endpoints and on its junction count, so each such template is built once per
-solve and mapped onto every junction set.
+candidate.  The shapes depend only on how the pairs share endpoints and on
+the junction cap, so each is made once per solve and serves every choice of
+junctions.
 
-Scoring needs no forest objects.  Each forest shape (one combination of a
-layout's templates) gets one table: the edges each step builds first when the
-pairs are served by due date, which is optimal for max lateness on any
-forest.  Every junction set is then scored from its closure lengths alone.
-``scored_candidates`` yields every candidate with its exact value.
+Scoring needs no forest objects.  Each forest shape gets one table: the edges
+each step builds first when the pairs are served by due date, which is
+optimal for max lateness on any forest.  Every choice of junctions is then
+scored from its closure lengths alone.  ``scored_candidates`` yields every
+candidate with its exact value.
 
 ``enumerate_candidate_forests`` streams the DP's one forest under wct.  Under
 maxlat it builds and streams a forest with its value only when that value is
@@ -165,32 +166,6 @@ class RForest:
     pair_paths: tuple[tuple[Edge, ...], ...]
 
 
-def _forest_path(edges: Sequence[Edge], source: int, target: int) -> tuple[Edge, ...]:
-    adjacency: dict[int, list[tuple[int, Edge]]] = {}
-    for u, v in edges:
-        adjacency.setdefault(u, []).append((v, (u, v)))
-        adjacency.setdefault(v, []).append((u, (u, v)))
-    parent: dict[int, tuple[int, Edge] | None] = {source: None}
-    stack = [source]
-    while stack:
-        x = stack.pop()
-        if x == target:
-            break
-        for y, edge in adjacency.get(x, ()):
-            if y not in parent:
-                parent[y] = (x, edge)
-                stack.append(y)
-    if target not in parent:
-        raise InvalidInstanceError(f"forest does not connect ({source}, {target})")
-    path = []
-    at = target
-    while parent[at] is not None:
-        at, edge = parent[at]
-        path.append(edge)
-    path.reverse()
-    return tuple(path)
-
-
 def validate_rforest(forest: RForest, pairs: Sequence[RelevantPair]) -> None:
     vertices = sorted({x for e in forest.edges for x in e})
     index = {v: i for i, v in enumerate(vertices)}
@@ -260,160 +235,128 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
 # --- candidate enumeration ---------------------------------------------------
 
 
-def _pair_atoms(pairs: Sequence[RelevantPair]) -> list[tuple[int, ...]]:
-    """Group pair indices that share a vertex (transitively); such pairs can
-    never sit in different forest components."""
-    uf = UnionFind(len(pairs))
-    owner: dict[int, int] = {}
-    for i, pair in enumerate(pairs):
-        for x in pair.key:
-            if x in owner:
-                uf.union(owner[x], i)
-            else:
-                owner[x] = i
-    groups: dict[int, list[int]] = {}
-    for i in range(len(pairs)):
-        groups.setdefault(uf.find(i), []).append(i)
-    return sorted(tuple(g) for g in groups.values())
+def _forest_paths(
+    vertex_count: int, edges: Sequence[tuple[int, int]], pairs: Iterable[tuple[int, int]]
+) -> list[list[int]]:
+    """Each pair's path in the forest ``edges`` on vertices 0..vertex_count-1,
+    as edge ids from u to v.
 
-
-def _set_partitions(items: Sequence) -> Iterator[list[list]]:
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[head] + partition[i]] + partition[i + 1 :]
-        yield [[head]] + partition
-
-
-def _constrained_sequences(k: int, min_count: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All length k-2 sequences over 0..k-1 meeting per-symbol minimum counts."""
-    length = k - 2
-    deficits = list(min_count)
-    total_deficit = sum(deficits)
-    seq = [0] * length
-
-    def rec(pos: int, total: int) -> Iterator[tuple[int, ...]]:
-        if total > length - pos:
-            return
-        if pos == length:
-            yield tuple(seq)
-            return
-        for v in range(k):
-            seq[pos] = v
-            if deficits[v] > 0:
-                deficits[v] -= 1
-                yield from rec(pos + 1, total - 1)
-                deficits[v] += 1
-            else:
-                yield from rec(pos + 1, total)
-
-    yield from rec(0, total_deficit)
-
-
-def _covered_tree(
-    seq: Sequence[int], k: int, parity: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[int], list[int], list[int]] | None:
-    """Decode a Prufer-style sequence into a labeled tree, or return None as
-    soon as an edge lies on no pair's path.
-
-    ``parity[x]`` has bit i set when label x is an endpoint of pair i.  A leaf
-    is popped only after everything behind it, so it carries the XOR of its
-    side of the tree, and the edge it leaves by is on pair i's path exactly
-    when bit i of that XOR is set.  Returns the edges and, per label, its
-    parent, the id of the edge up to it and that edge's side XOR (0 at the
-    root, the label left last).
+    One traversal roots every component at its lowest vertex and records each
+    vertex's parent, the edge up to it and its depth; a path then climbs from
+    the deeper end until both ends meet.
     """
-    degree = [1] * k
-    for v in seq:
-        degree[v] += 1
-    leaves = [v for v in range(k) if degree[v] == 1]
-    heapify(leaves)
-    side = list(parity)
-    parent = [0] * k
-    up_edge = [0] * k
-    up_side = [0] * k
-    edges = []
-    for v in seq:
-        leaf = heappop(leaves)
-        if not side[leaf]:
-            return None
-        parent[leaf] = v
-        up_edge[leaf] = len(edges)
-        up_side[leaf] = side[leaf]
-        side[v] ^= side[leaf]
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heappush(leaves, v)
-    a = heappop(leaves)
-    b = heappop(leaves)
-    if not side[a]:
-        return None
-    parent[a] = b
-    up_edge[a] = len(edges)
-    up_side[a] = side[a]
-    edges.append((a, b) if a < b else (b, a))
-    return edges, parent, up_edge, up_side
-
-
-def _labeled_trees(
-    min_count: Sequence[int], local_pairs: Sequence[tuple[int, int]]
-) -> Iterator[tuple[list[tuple[int, int]], list[list[int]]]]:
-    """Labeled trees on 0..k-1 (k = len(min_count)) where label x has degree
-    at least min_count[x] + 1 and the paths between ``local_pairs`` cover
-    every edge; yields (edges, each pair's path as edge ids from u to v)."""
-    k = len(min_count)
-    if k - 2 < sum(min_count):
-        return  # not enough total degree for the minimum counts
-    parity = [0] * k
-    for i, (u, v) in enumerate(local_pairs):
-        parity[u] ^= 1 << i
-        parity[v] ^= 1 << i
-    for seq in _constrained_sequences(k, min_count):
-        tree = _covered_tree(seq, k, parity)
-        if tree is None:
-            continue
-        edges, parent, up_edge, up_side = tree
-        paths = []
-        for i, (u, v) in enumerate(local_pairs):
-            # climb from each end while the edge above is on the pair's path;
-            # both climbs stop where the ends' branches meet
-            bit = 1 << i
-            head = []
-            while up_side[u] & bit:
-                head.append(up_edge[u])
-                u = parent[u]
-            tail = []
-            while up_side[v] & bit:
-                tail.append(up_edge[v])
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for e, (a, b) in enumerate(edges):
+        adjacency[a].append((b, e))
+        adjacency[b].append((a, e))
+    parent = [-1] * vertex_count
+    up = [-1] * vertex_count
+    depth = [0] * vertex_count
+    for root in range(vertex_count):
+        if parent[root] < 0:
+            parent[root] = root
+            reached = [root]
+            for x in reached:
+                for y, e in adjacency[x]:
+                    if parent[y] < 0:
+                        parent[y] = x
+                        up[y] = e
+                        depth[y] = depth[x] + 1
+                        reached.append(y)
+    paths = []
+    for source, target in pairs:
+        u, v = source, target
+        head: list[int] = []
+        tail: list[int] = []
+        while u != v:
+            if depth[u] < depth[v]:
+                tail.append(up[v])
                 v = parent[v]
-            tail.reverse()
-            paths.append(head + tail)
-        yield edges, paths
+            elif depth[u]:
+                head.append(up[u])
+                u = parent[u]
+            else:
+                raise InvalidInstanceError(f"forest does not connect ({source}, {target})")
+        tail.reverse()
+        paths.append(head + tail)
+    return paths
 
 
-# One tree of a template: its edges as slot pairs flattened into bytes, and
-# per pair (in group order) the bytes of its path's local edge ids, u to v.
-_TemplateTree = tuple[bytes, tuple[bytes, ...]]
+def _forest_shapes(
+    pair_slots: Sequence[tuple[int, int]], t: int, cap: int
+) -> Iterator[tuple[int, list[tuple[int, int]], list[list[int]]]]:
+    """Every forest shape of pairs joining the endpoint slots ``pair_slots``,
+    once, with at most ``cap`` junctions: (junction count s, its edges between
+    slots, each pair's path as edge ids from u to v).  The endpoints are slots
+    0..t-1 and the junctions slots t..t+s-1.
 
-
-def _template(
-    pair_slots: tuple[tuple[int, int], ...], ends: int, junctions: int
-) -> list[_TemplateTree]:
-    """Every tree shape of a component whose pairs join ``pair_slots``.
-
-    Slots 0..ends-1 are the pair endpoints and the next ``junctions`` slots
-    are junctions.  The shapes depend only on this slot structure, so one
-    template serves every junction set a solve tries.
+    A shape joins every pair, has every edge on some pair's path and gives
+    every junction degree at least 3.  The endpoints are inserted one at a
+    time in BFS order over the pairs, so the partners an endpoint already has
+    in the forest share one component, which it must join.  Each insertion
+    makes one move: start a new component (only with no partner placed), hang
+    from a vertex, subdivide an edge, hang from a new junction subdividing an
+    edge, or take over a junction.  Taking the last endpoint back out undoes
+    exactly one move: an isolated one goes, a leaf goes (smoothing away a
+    junction it leaves with degree 2), one of degree 2 is smoothed away and
+    one of higher degree becomes a junction.  So every shape is made exactly
+    once.  A branch stops when its junctions exceed ``cap`` by more than the
+    endpoints still to insert, each of which can take over one.
     """
-    minimum = [0] * ends + [2] * junctions
-    return [
-        (bytes(itertools.chain.from_iterable(edges)), tuple(map(bytes, paths)))
-        for edges, paths in _labeled_trees(minimum, pair_slots)
-    ]
+    partners: list[list[int]] = [[] for _ in range(t)]
+    for a, b in pair_slots:
+        partners[a].append(b)
+        partners[b].append(a)
+    order: list[int] = []
+    for root in range(t):
+        if root not in order:
+            reached = [root]
+            for x in reached:
+                reached.extend(y for y in partners[x] if y not in reached)
+            order += reached
+
+    def grow(k: int, edges: list, comp: dict[int, int], junctions: list[int]) -> Iterator:
+        # comp maps each placed endpoint and live junction to its component;
+        # the junction made at step k is vertex t + k
+        if len(junctions) - (t - k) > cap:
+            return
+        if k == t:
+            slot = {j: t + s for s, j in enumerate(junctions)}
+            slot_edges = [(slot.get(a, a), slot.get(b, b)) for a, b in edges]
+            paths = _forest_paths(t + len(junctions), slot_edges, pair_slots)
+            if len(set().union(*paths)) == len(edges):
+                yield len(junctions), slot_edges, paths
+            return
+        x = order[k]
+        home = next((comp[y] for y in partners[x] if y in comp), None)
+        if home is None:
+            yield from grow(k + 1, edges, {**comp, x: x}, junctions)
+        for v, c in comp.items():
+            if home in (None, c):
+                yield from grow(k + 1, edges + [(v, x)], {**comp, x: c}, junctions)
+        for i, (a, b) in enumerate(edges):
+            c = comp[a]
+            if home in (None, c):
+                before, after = edges[:i], edges[i + 1 :]
+                yield from grow(k + 1, before + [(a, x), (x, b)] + after, {**comp, x: c}, junctions)
+                j = t + k
+                yield from grow(
+                    k + 1,
+                    before + [(a, j), (j, b), (j, x)] + after,
+                    {**comp, j: c, x: c},
+                    junctions + [j],
+                )
+        for j in junctions:
+            c = comp[j]
+            if home in (None, c):
+                yield from grow(
+                    k + 1,
+                    [(x if a == j else a, x if b == j else b) for a, b in edges],
+                    {(x if v == j else v): c for v, c in comp.items()},
+                    [other for other in junctions if other != j],
+                )
+
+    yield from grow(0, [], {}, [])
 
 
 def _lateness_scorer(
@@ -458,72 +401,6 @@ def _closure_forest(
     )
 
 
-def _layouts(pairs: Sequence[RelevantPair]) -> list[tuple[tuple[int, ...], list[tuple]]]:
-    """Per partition of the pairs into components, lexicographically: every
-    endpoint in slot order, and per component its endpoint count, its pairs
-    as slot pairs and their pair indices.  A component's endpoints take the
-    next slots in order of first appearance in its pairs."""
-    atoms = _pair_atoms(pairs)
-    # each partition is a list of groups; flatten atoms to pair index tuples
-    flat_partitions = sorted(
-        sorted(tuple(sorted(i for atom in group for i in atom)) for group in partition)
-        for partition in _set_partitions(atoms)
-    )
-    layouts = []
-    for groups in flat_partitions:
-        ends: list[int] = []
-        components = []
-        for group in groups:
-            slot: dict[int, int] = {}
-            for i in group:
-                for x in pairs[i].key:
-                    slot.setdefault(x, len(slot))
-            pair_slots = tuple((slot[pairs[i].u], slot[pairs[i].v]) for i in group)
-            components.append((len(slot), pair_slots, group))
-            ends.extend(slot)
-        layouts.append((tuple(ends), components))
-    return layouts
-
-
-def _forest_shapes(
-    ends: int, components: list[tuple], size: int, r: int, templates: dict
-) -> Iterator[tuple[list[tuple[int, int]], list[tuple[int, ...]]]]:
-    """Every forest shape of a layout with ``size`` junctions, as its edges
-    between slots and each pair's path as edge ids.
-
-    The layout's ``ends`` endpoints take slots 0..ends-1 and the junction
-    set's vertices the slots after them.  Junctions are assigned to
-    components lexicographically, and each assignment streams the product of
-    its components' templates, which ``templates`` keeps for the whole solve.
-    """
-    for assignment in itertools.product(range(len(components)), repeat=size):
-        # per component: its slots' layout slots, pair indices and template
-        plan = []
-        base = 0
-        for g, (end_count, pair_slots, group) in enumerate(components):
-            positions = tuple(p for p, owner in enumerate(assignment) if owner == g)
-            key = (pair_slots, len(positions))
-            trees = templates.get(key)
-            if trees is None:
-                trees = templates[key] = _template(pair_slots, end_count, len(positions))
-            if not trees:
-                break
-            slots = tuple(range(base, base + end_count))
-            plan.append((slots + tuple(ends + p for p in positions), group, trees))
-            base += end_count
-        else:
-            for combo in itertools.product(*(trees for _, _, trees in plan)):
-                slot_edges: list[tuple[int, int]] = []
-                paths: list[tuple[int, ...]] = [()] * r
-                for (slots, group, _), (tree_edges, tree_paths) in zip(plan, combo):
-                    offset = len(slot_edges)
-                    flat = iter(tree_edges)
-                    slot_edges.extend((slots[a], slots[b]) for a, b in zip(flat, flat))
-                    for i, ids in zip(group, tree_paths):
-                        paths[i] = tuple(offset + e for e in ids)
-                yield slot_edges, paths
-
-
 def scored_candidates(
     instance: Instance, closure: MetricClosure
 ) -> Iterator[tuple[int, Callable[[], RForest]]]:
@@ -532,39 +409,35 @@ def scored_candidates(
     builds the forest.
 
     Junctions are the non-terminals of kernel degree >= 3, at most t - 2 of
-    them for t pair endpoints (no layout has a shape with more).  Candidates
-    are scanned by junction-set size, then by layout and forest shape (see
-    ``_forest_shapes``).  Each shape gets one scorer (``_lateness_scorer``),
-    which then scores every junction set, lexicographically, from closure
-    lengths alone.
+    them for t pair endpoints (no shape has more).  Candidates are scanned by
+    forest shape, as ``_forest_shapes`` makes them, so no shape is kept.  Each
+    shape gets one scorer (``_lateness_scorer``), which then scores every
+    ordered choice of junctions for its junction slots from closure lengths
+    alone.
     """
     if instance.objective is not Objective.MAX_LATENESS:
         raise UnsupportedInstanceError("the candidate scan scores maxlat; wct uses the subset DP")
     pairs = instance.pairs
     r = len(pairs)
     dist = closure.dist
-    terminals = set(instance.terminals)
+    terminals = instance.terminals
     degree = instance.network.kernel_degrees(terminals)
     junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
-    max_junctions = len(instance.terminals) - 2
+    slot = {x: i for i, x in enumerate(terminals)}
+    pair_slots = [(slot[p.u], slot[p.v]) for p in pairs]
+    cap = min(len(terminals) - 2, len(junctions))
     # Serving the pairs by due date is optimal for max lateness on any forest
     # (Lawler's exchange argument): moving the pair due last to the end leaves
     # it charged at the full length, like whichever pair was last, and charges
     # every other pair at most as late.
     by_due = sorted(range(r), key=lambda i: pairs[i].due)
     dues = tuple(pairs[i].due for i in by_due)
-    layouts = _layouts(pairs)
-    templates: dict[tuple[tuple[tuple[int, int], ...], int], list[_TemplateTree]] = {}
-    for size in range(min(max_junctions, len(junctions)) + 1):
-        for ends, components in layouts:
-            for slot_edges, paths in _forest_shapes(len(ends), components, size, r, templates):
-                score = _lateness_scorer(by_due, dues, paths)
-                for junction_set in itertools.combinations(junctions, size):
-                    vertices = ends + junction_set
-                    lengths = [dist[vertices[a]][vertices[b]] for a, b in slot_edges]
-                    yield score(lengths), partial(
-                        _closure_forest, vertices, slot_edges, paths, lengths
-                    )
+    for size, slot_edges, paths in _forest_shapes(pair_slots, len(terminals), cap):
+        score = _lateness_scorer(by_due, dues, paths)
+        for placed in itertools.permutations(junctions, size):
+            vertices = terminals + placed
+            lengths = [dist[vertices[a]][vertices[b]] for a, b in slot_edges]
+            yield score(lengths), partial(_closure_forest, vertices, slot_edges, paths, lengths)
 
 
 # --- wct: a subset DP over the pair endpoints ---------------------------------
@@ -743,7 +616,8 @@ def _spanning_forest(instance: Instance, edge_ids: Iterable[int]) -> RForest:
         u, v, _ = network.edges[eid]
         if uf.union(u, v):
             kept.append((u, v))
-    paths = tuple(_forest_path(kept, p.u, p.v) for p in instance.pairs)
+    ids = _forest_paths(network.vertex_count, kept, (p.key for p in instance.pairs))
+    paths = tuple(tuple(kept[e] for e in path) for path in ids)
     covered = sorted({edge for path in paths for edge in path})
     index = network.edge_index
     return RForest(

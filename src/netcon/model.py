@@ -518,6 +518,8 @@ def generate(
         wlo, whi = weight_range
         if not (1 <= wlo <= whi):
             raise InvalidInstanceError(f"bad weight range {weight_range}")
+        if objective is Objective.MAX_LATENESS and due_range[0] > due_range[1]:
+            raise InvalidInstanceError(f"bad due range {due_range}")
         population = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = []
         for u, v in rng.sample(population, count):

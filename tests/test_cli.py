@@ -137,6 +137,28 @@ def test_oracle_permutation_method(capsys):
     assert out.strip() == "objective 9"
 
 
+def test_oracle_edge_bound_applies_to_either_method(capsys, monkeypatch):
+    square = str(FIXTURES / "square.ncn")  # 4 edges
+    for method in ("subset-dp", "permutations"):
+        assert run(capsys, "oracle", "--method", method, square)[0] == 0
+        status, out, err = run(capsys, "oracle", "--method", method, "--max-edges", "3", square)
+        assert (status, out) == (3, ""), method
+        assert "limited to 3 edges" in err, method
+    monkeypatch.setenv("NETCON_ORACLE_MAX_EDGES", "3")
+    for method in ("subset-dp", "permutations"):
+        assert run(capsys, "oracle", "--method", method, square)[0] == 3, method
+        # the flag wins over the environment variable
+        assert run(capsys, "oracle", "--method", method, "--max-edges", "4", square)[0] == 0
+
+
+def test_gen_rejects_an_inverted_due_range(capsys):
+    argv = ("gen", "--kind", "random_graph", "--n", "6", "--pairs", "2", "--objective", "maxlat")
+    status, out, err = run(capsys, *argv, "--due-range", "50", "0")
+    assert (status, out) == (2, "")
+    assert "bad due range" in err
+    assert run(capsys, *argv, "--weight-range", "5", "1")[0] == 2
+
+
 def test_gen_writes_canonical_parseable_file(capsys, tmp_path):
     out_file = tmp_path / "gen.ncn"
     status, _, _ = run(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from functools import partial
@@ -8,6 +9,7 @@ import pytest
 from netcon import (
     GuardExceededError,
     Instance,
+    InvalidInstanceError,
     Network,
     RelevantPair,
     evaluate_sequence,
@@ -19,10 +21,8 @@ from netcon import (
 )
 import netcon.metric_solver
 from netcon.metric_solver import (
-    _constrained_sequences,
     _forest_shapes,
-    _layouts,
-    _template,
+    _spanning_forest,
     build_metric_closure,
     enumerate_candidate_forests,
     evaluate_rforest,
@@ -32,6 +32,7 @@ from netcon.metric_solver import (
     solve_fixed_r_detailed,
     validate_rforest,
 )
+from netcon.unionfind import UnionFind
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -413,40 +414,20 @@ def test_wct_needs_no_closure_and_no_scan(monkeypatch):
     assert solution.projected_forest == solution.metric_forest
 
 
+def test_spanning_forest_paths_run_from_u_to_v():
+    # edge ids 2, 3, 1 build 1-2, 2-3, 0-3; edge 0 (0-1) would close a cycle
+    forest = _spanning_forest(SQUARE, [2, 3, 1, 0])
+    assert forest.edges == ((0, 3), (1, 2), (2, 3))
+    assert forest.pair_paths == (((0, 3), (2, 3)), ((1, 2), (2, 3)))
+    with pytest.raises(InvalidInstanceError, match=r"does not connect \(1, 3\)"):
+        _spanning_forest(SQUARE, [0, 2])
+
+
 def test_solution_is_deterministic():
     first = solve_fixed_r_detailed(SQUARE)
     second = solve_fixed_r_detailed(SQUARE)
     assert first.sequence == second.sequence
     assert first.metric_forest.edges == second.metric_forest.edges
-
-
-def _map_template(trees, vertices, group):
-    """Map slot templates onto vertices: (sorted edges, paths by pair index)."""
-    out = []
-    for tree_edges, tree_paths in trees:
-        edges = []
-        for a, b in zip(tree_edges[::2], tree_edges[1::2]):
-            x, y = vertices[a], vertices[b]
-            edges.append((x, y) if x < y else (y, x))
-        paths = {i: tuple(edges[eid] for eid in ids) for i, ids in zip(group, tree_paths)}
-        out.append((tuple(sorted(edges)), tuple(sorted(paths.items()))))
-    return out
-
-
-def _prufer_tree(seq, vertices):
-    """Decode a Prufer sequence over positions in ``vertices`` into edges."""
-    degree = [1] * len(vertices)
-    for x in seq:
-        degree[x] += 1
-    edges = []
-    for x in seq:
-        leaf = min(v for v, d in enumerate(degree) if d == 1)
-        edges.append(tuple(sorted((vertices[leaf], vertices[x]))))
-        degree[leaf] -= 1
-        degree[x] -= 1
-    a, b = (v for v, d in enumerate(degree) if d == 1)
-    edges.append(tuple(sorted((vertices[a], vertices[b]))))
-    return edges
 
 
 def _tree_path(edges, source, target):
@@ -464,53 +445,62 @@ def _tree_path(edges, source, target):
     return tuple(walk(source, None))
 
 
-def _component_trees(vertices, junctions, component_pairs):
-    """Labeled trees on ``vertices`` where junction degrees are >= 3 and the
-    pair paths cover every edge; yields (edges, paths by pair index).
+def _brute_force_shapes(pair_slots, t, junctions):
+    """Forest shapes on endpoint slots 0..t-1 plus ``junctions`` junction
+    slots, as (sorted edges, each pair's path in walking order), found by
+    trying every edge subset: keep the forests that join every pair, have
+    every edge on a pair's path and give every junction degree >= 3."""
+    n = t + junctions
+    slots = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    atoms = UnionFind(t)
+    groups = t - sum(atoms.union(a, b) for a, b in pair_slots)
+    found = set()
+    # a forest joining every pair has no more components than the pairs have
+    # groups of shared endpoints
+    for size in range(n - groups, n):
+        for edges in itertools.combinations(slots, size):
+            degree = [0] * n
+            for a, b in edges:
+                degree[a] += 1
+                degree[b] += 1
+            if min(degree[t:], default=3) < 3:
+                continue
+            uf = UnionFind(n)
+            if not all(uf.union(a, b) for a, b in edges):
+                continue  # a cycle
+            if not all(uf.connected(a, b) for a, b in pair_slots):
+                continue
+            paths = tuple(_tree_path(edges, a, b) for a, b in pair_slots)
+            if {edge for path in paths for edge in path} == set(edges):
+                found.add((edges, paths))
+    return found
 
-    The reference for the solver's slot templates: it decodes every sequence
-    meeting the degree minimums on vertex labels, searches each pair's path
-    and keeps the trees whose paths cover every edge.
-    """
-    minimum = [2 if v in junctions else 0 for v in vertices]
-    if len(vertices) - 2 < sum(minimum):
-        return
-    for seq in _constrained_sequences(len(vertices), minimum):
-        edges = _prufer_tree(seq, vertices)
-        paths = {i: _tree_path(edges, p.u, p.v) for i, p in component_pairs}
-        if {edge for path in paths.values() for edge in path} == set(edges):
-            yield edges, paths
 
-
-def test_templates_map_to_the_direct_component_trees():
+def test_forest_shapes_match_a_brute_force_over_edge_subsets():
     rng = random.Random(97)
     checked = 0
-    for _ in range(60):
-        n = 12
-        count = rng.randint(1, 3)
-        population = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        group_pairs = [
-            (i, RelevantPair(u, v, 1)) for i, (u, v) in enumerate(rng.sample(population, count))
-        ]
-        ends = sorted({x for _, p in group_pairs for x in p.key})
-        others = [v for v in range(n) if v not in ends]
-        junctions = rng.sample(others, rng.randint(0, min(3, 2 * count - 2)))
-        # any slot order works, not only first appearance
-        slot_ends = rng.sample(ends, len(ends))
-        slot_junctions = rng.sample(junctions, len(junctions))
-        slot = {v: i for i, v in enumerate(slot_ends)}
-        pair_slots = tuple((slot[p.u], slot[p.v]) for _, p in group_pairs)
-        trees = _template(pair_slots, len(ends), len(junctions))
-        mapped = _map_template(trees, slot_ends + slot_junctions, [i for i, _ in group_pairs])
-        direct = [
-            (tuple(sorted(edges)), tuple(sorted(paths.items())))
-            for edges, paths in _component_trees(
-                tuple(sorted(ends + junctions)), frozenset(junctions), group_pairs
-            )
-        ]
-        assert len(mapped) == len(set(mapped))
-        assert set(mapped) == set(direct)
-        checked += bool(direct)
+    for _ in range(40):
+        t = rng.randint(2, 5)
+        population = list(itertools.combinations(range(t), 2))
+        pair_slots = []
+        while {x for pair in pair_slots for x in pair} != set(range(t)):
+            pair_slots = rng.sample(population, rng.randint(1, min(4, len(population))))
+            rng.shuffle(pair_slots)
+        labelled = []
+        for size, slot_edges, paths in _forest_shapes(pair_slots, t, 2):
+            # every way to label the shape's junction slots
+            for labels in itertools.permutations(range(t, t + size)):
+                name = list(range(t)) + list(labels)
+                edges = [tuple(sorted((name[a], name[b]))) for a, b in slot_edges]
+                labelled.append(
+                    (tuple(sorted(edges)), tuple(tuple(edges[e] for e in path) for path in paths))
+                )
+        direct = set()
+        for junctions in range(3):
+            direct |= _brute_force_shapes(pair_slots, t, junctions)
+        assert len(labelled) == len(set(labelled))
+        assert set(labelled) == direct
+        checked += any(x >= t for edges, _ in direct for edge in edges for x in edge)
     assert checked > 20
 
 
@@ -661,20 +651,20 @@ def test_no_forest_shape_has_more_than_t_minus_2_junctions():
         ends = rng.sample(range(20), rng.randint(2, 6))
         population = [(u, v) for u in ends for v in ends if u < v]
         pairs = rng.sample(population, rng.randint(1, min(4, len(population))))
-        t = len({x for pair in pairs for x in pair})
+        slot = {x: i for i, x in enumerate(sorted({x for pair in pairs for x in pair}))}
+        t = len(slot)
         shared += t < 2 * len(pairs)
-        for layout_ends, components in _layouts([RelevantPair(u, v, 1) for u, v in pairs]):
-            assert not list(_forest_shapes(len(layout_ends), components, t - 1, len(pairs), {}))
+        # a cap of t - 1 would let a shape with t - 1 junctions through
+        shapes = _forest_shapes([(slot[u], slot[v]) for u, v in pairs], t, t - 1)
+        assert all(size <= t - 2 for size, _, _ in shapes)
     assert shared > 30
 
 
 def test_two_pairs_with_distinct_ends_can_need_two_junctions():
     # an H: pairs (0, 1) and (2, 3) meet only along the bar 4-5
     inst = _inst([(0, 4, 1), (2, 4, 1), (4, 5, 1), (1, 5, 1), (3, 5, 1)], [(0, 1, 1), (2, 3, 1)])
-    assert any(
-        list(_forest_shapes(len(layout_ends), components, 2, 2, {}))
-        for layout_ends, components in _layouts(inst.pairs)
-    )
+    assert inst.terminals == (0, 1, 2, 3)
+    assert any(size == 2 for size, _, _ in _forest_shapes([(0, 1), (2, 3)], 4, 2))
     forest = solve_fixed_r_detailed(inst).metric_forest
     assert {x for e in forest.edges for x in e} == {0, 1, 2, 3, 4, 5}
     assert solve_fixed_r(inst)[1].objective == subset_dp(inst)[0]

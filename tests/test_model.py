@@ -159,6 +159,15 @@ def test_generate_validates_params():
         generate("blob", 4)
 
 
+def test_generate_rejects_an_inverted_due_range_when_it_draws_dues():
+    with pytest.raises(InvalidInstanceError, match="bad due range"):
+        generate("random_graph", 6, pair_count=2, objective="maxlat", due_range=(50, 0))
+    # no due dates are drawn under wct or for explicit pairs
+    assert generate("random_graph", 6, pair_count=2, due_range=(50, 0)).pair_count == 2
+    explicit = generate("path", 4, pairs=[(0, 3, 1, 7)], objective="maxlat", due_range=(50, 0))
+    assert explicit.pairs[0].due == 7
+
+
 def test_generators_always_produce_valid_instances():
     # constructors re-validate every invariant, so surviving them is the check
     rng = random.Random(99)
