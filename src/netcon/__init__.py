@@ -10,7 +10,7 @@ sum or a shortest-path-closure enumeration under maximum lateness) plus
 brute-force oracles, instance generators, and a command-line interface.
 """
 
-from .chains import Chain, Job, density_decomposition, merge_two_chains, rho_factor
+from .chains import Chain, Job, density_decomposition, merge_two_chains
 from .errors import (
     GuardExceededError,
     InstanceFormatError,
@@ -73,7 +73,6 @@ __all__ = [
     "parse_ola_input",
     "permutation_oracle",
     "reduce_ola",
-    "rho_factor",
     "solve_fixed_r",
     "solve_tree",
     "subset_dp",

@@ -20,7 +20,6 @@ All densities are compared exactly by integer cross-multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
 
@@ -73,15 +72,6 @@ def density_decomposition(chain: Chain) -> list[BlockSummary]:
     ``chain[start:end]``.
     """
     return list(block_summaries([j.processing for j in chain], [j.weight for j in chain]))
-
-
-def rho_factor(chain: Chain) -> Fraction:
-    """Density of the chain's maximum-density initial block; 0 when empty."""
-    blocks = density_decomposition(chain)
-    if not blocks:
-        return Fraction(0, 1)
-    weight, processing, _, _, _ = blocks[0]
-    return Fraction(weight, processing)
 
 
 def interleave(

@@ -38,6 +38,7 @@ from .metric_solver import solve_fixed_r
 from .model import (
     Instance,
     Objective,
+    _content_lines,
     generate,
     parse_instance,
     parse_ola_input,
@@ -70,11 +71,7 @@ def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tup
     objective: int | None = None
     seq: list[int] = []
     in_sequence = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _content_lines(text):
         if in_sequence:
             digits = tokens[0].removeprefix("-")
             if len(tokens) != 1 or not (digits.isascii() and digits.isdigit()):
@@ -98,7 +95,7 @@ def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tup
         elif tokens == ["sequence"]:
             in_sequence = True
         else:
-            raise InstanceFormatError(f"unexpected line {line!r}", lineno)
+            raise InstanceFormatError(f"unexpected line {' '.join(tokens)!r}", lineno)
     if objective is None:
         raise InstanceFormatError("solution has no objective line")
     if not in_sequence:

@@ -9,17 +9,19 @@ starting a comment anywhere on a line:
     edge <u> <v> <length>
     pair <u> <v> <weight> [<due>]
 
-``due`` is required for every pair exactly when the objective is ``maxlat``.
-The canonical writer orients every edge and pair as (u, v) with u < v and
-emits edges, then pairs, in sorted order; instances are normalized the same
-way on construction, so ``parse_instance(write_instance(x)) == x``.
-
 A companion format describes inputs for the star reduction (``.ola`` files):
 
     ola 1
     vertices <n>
     threshold <K>
     edge <u> <v>
+
+The constructors normalize: edges and pairs are oriented (u, v) with u < v
+and sorted, as the canonical writer emits them, so
+``parse_instance(write_instance(x)) == x``.  They also run every instance
+rule, each written once here.  The parsers check only the file syntax and
+prefix whatever a constructor raises with the line it came from, so the
+library and the files give the same messages.
 """
 
 from __future__ import annotations
@@ -38,13 +40,70 @@ class Objective(enum.Enum):
     MAX_LATENESS = "maxlat"
 
 
+# --- instance rules --------------------------------------------------------
+
+
+def _invalid(message: str, name: str, index: int | None = None) -> InvalidInstanceError:
+    """An error naming what broke a rule, by its directive in the text formats
+    (and the edge's or pair's position), so a parser can report its line."""
+    exc = InvalidInstanceError(message)
+    exc.where = (name, index)
+    return exc
+
+
 def _as_objective(value: "Objective | str") -> Objective:
     if isinstance(value, Objective):
         return value
     try:
         return Objective(value)
     except ValueError:
-        raise InvalidInstanceError(f"unknown objective {value!r}") from None
+        raise _invalid(f"objective must be 'wct' or 'maxlat', got {value!r}", "objective") from None
+
+
+def _check_vertex_count(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise _invalid(f"vertex count must be a positive integer, got {n!r}", "vertices")
+
+
+def _ends(what: str, u, v) -> tuple[int, int]:
+    """An edge's or a pair's endpoints: distinct integers, oriented u < v."""
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise InvalidInstanceError(f"{what} endpoints must be integers, got ({u!r}, {v!r})")
+    if u == v:
+        raise InvalidInstanceError(f"{what} ({u}, {v}) is a self-loop")
+    return (u, v) if u < v else (v, u)
+
+
+def _add_key(what: str, key: tuple[int, int], n: int, seen: set) -> None:
+    """Admit an oriented edge or pair: both ends in 0..n-1, not seen before."""
+    u, v = key
+    if u < 0 or v >= n:
+        raise InvalidInstanceError(f"{what} ({u}, {v}) has an endpoint out of range 0..{n - 1}")
+    if key in seen:
+        raise InvalidInstanceError(f"duplicate {what} ({u}, {v})")
+    seen.add(key)
+
+
+def _edge_list(edges, n: int, arity: int) -> tuple:
+    """Checked edges, oriented u < v and sorted: (u, v, length) for a
+    network (arity 3), (u, v) for an arrangement input (arity 2)."""
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for index, edge in enumerate(edges):
+        try:
+            if len(edge) != arity:
+                raise InvalidInstanceError(f"edge must have {arity} fields, got {edge!r}")
+            key = _ends("edge", edge[0], edge[1])
+            if arity == 3 and not (isinstance(edge[2], int) and edge[2] >= 1):
+                raise InvalidInstanceError(
+                    f"non-integer or non-positive edge length {edge[2]!r} on edge {key}"
+                )
+            _add_key("edge", key, n, seen)
+            out.append(key if arity == 2 else (*key, edge[2]))
+        except InvalidInstanceError as exc:
+            raise _invalid(str(exc), "edge", index) from None
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -60,36 +119,15 @@ class Network:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        n = self.vertex_count
-        if not isinstance(n, int) or n < 1:
-            raise InvalidInstanceError("vertex count must be a positive integer")
-        normalized = []
-        seen = set()
-        for edge in self.edges:
-            if len(edge) != 3:
-                raise InvalidInstanceError(f"edge must be (u, v, length), got {edge!r}")
-            u, v, c = edge
-            if not (isinstance(u, int) and isinstance(v, int) and isinstance(c, int)):
-                raise InvalidInstanceError(f"edge fields must be integers: {edge!r}")
-            if u == v:
-                raise InvalidInstanceError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInstanceError(f"edge ({u}, {v}) endpoint out of range")
-            if c < 1:
-                raise InvalidInstanceError(f"edge ({u}, {v}) has non-positive length {c}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InvalidInstanceError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            normalized.append((u, v, c))
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
+        _check_vertex_count(self.vertex_count)
+        object.__setattr__(self, "edges", _edge_list(self.edges, self.vertex_count, 3))
         if not self._is_connected():
             raise InvalidInstanceError("network is not connected")
 
     def _is_connected(self) -> bool:
         n = self.vertex_count
+        if n > len(self.edges) + 1:
+            return False  # fewer than n - 1 edges; decided before any per-vertex list
         if n == 1:
             return True
         neighbors: list[list[int]] = [[] for _ in range(n)]
@@ -142,10 +180,6 @@ class Network:
     def leaf_count(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
 
-    @property
-    def total_length(self) -> int:
-        return sum(c for _, _, c in self.edges)
-
     def kernel_degrees(self, keep: Iterable[int]) -> list[int]:
         """Degrees after repeatedly deleting degree-1 vertices not in ``keep``.
 
@@ -177,20 +211,17 @@ class RelevantPair:
     due: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.u, int) and isinstance(self.v, int)):
-            raise InvalidInstanceError("pair endpoints must be integers")
-        if self.u == self.v:
-            raise InvalidInstanceError(f"pair endpoints coincide at vertex {self.u}")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
+        u, v = _ends("pair", self.u, self.v)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
         if not isinstance(self.weight, int) or self.weight < 1:
             raise InvalidInstanceError(
-                f"pair ({self.u}, {self.v}) has non-positive weight {self.weight}"
+                f"non-integer or non-positive pair weight {self.weight!r} on pair ({u}, {v})"
             )
         if self.due is not None and not isinstance(self.due, int):
-            raise InvalidInstanceError(f"pair ({self.u}, {self.v}) due date must be an integer")
+            raise InvalidInstanceError(
+                f"pair ({u}, {v}) due date must be an integer, got {self.due!r}"
+            )
 
     @property
     def key(self) -> tuple[int, int]:
@@ -206,26 +237,25 @@ class Instance:
     objective: Objective = Objective.WEIGHTED_SUM
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs, key=lambda p: p.key)))
-        object.__setattr__(self, "objective", _as_objective(self.objective))
-        if not self.pairs:
-            raise InvalidInstanceError("instance must have at least one relevant pair")
+        objective = _as_objective(self.objective)
+        pairs = tuple(self.pairs)
+        if not pairs:
+            raise InvalidInstanceError("instance has no relevant pairs")
         n = self.network.vertex_count
-        seen = set()
-        for pair in self.pairs:
-            if pair.u < 0 or pair.v >= n:
-                raise InvalidInstanceError(f"pair ({pair.u}, {pair.v}) endpoint out of range")
-            if pair.key in seen:
-                raise InvalidInstanceError(f"duplicate pair ({pair.u}, {pair.v})")
-            seen.add(pair.key)
-            if self.objective is Objective.MAX_LATENESS and pair.due is None:
-                raise InvalidInstanceError(
-                    f"pair ({pair.u}, {pair.v}) needs a due date under the maxlat objective"
-                )
-            if self.objective is Objective.WEIGHTED_SUM and pair.due is not None:
-                raise InvalidInstanceError(
-                    f"pair ({pair.u}, {pair.v}) carries a due date but the objective is wct"
-                )
+        maxlat = objective is Objective.MAX_LATENESS
+        seen: set[tuple[int, int]] = set()
+        for index, pair in enumerate(pairs):
+            try:
+                _add_key("pair", pair.key, n, seen)
+                if (pair.due is None) == maxlat:
+                    raise InvalidInstanceError(
+                        f"{'missing' if maxlat else 'stray'} due date for pair"
+                        f" ({pair.u}, {pair.v}) under the {objective.value} objective"
+                    )
+            except InvalidInstanceError as exc:
+                raise _invalid(str(exc), "pair", index) from None
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "pairs", tuple(sorted(pairs, key=lambda p: p.key)))
 
     @property
     def pair_count(self) -> int:
@@ -252,26 +282,12 @@ class OlaInput:
     threshold: int
 
     def __post_init__(self):
-        n = self.vertex_count
-        if not isinstance(n, int) or n < 1:
-            raise InvalidInstanceError("vertex count must be a positive integer")
+        _check_vertex_count(self.vertex_count)
         if not isinstance(self.threshold, int) or self.threshold < 0:
-            raise InvalidInstanceError("threshold must be a non-negative integer")
-        normalized = []
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise InvalidInstanceError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInstanceError(f"edge ({u}, {v}) endpoint out of range")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InvalidInstanceError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            normalized.append((u, v))
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
+            raise _invalid(
+                f"threshold must be a non-negative integer, got {self.threshold!r}", "threshold"
+            )
+        object.__setattr__(self, "edges", _edge_list(self.edges, self.vertex_count, 2))
 
 
 # --- text format -----------------------------------------------------------
@@ -291,16 +307,48 @@ def _content_lines(text: str) -> Iterable[tuple[int, list[str]]]:
             yield lineno, line.split()
 
 
+def _build(cls, lines: dict, line: int | None, *args):
+    """``cls(*args)``, with the line of whatever it rejects.  ``lines`` maps a
+    directive to its line, or a repeated directive to its items' lines; an
+    error naming no directive gets ``line``."""
+    try:
+        return cls(*args)
+    except InvalidInstanceError as exc:
+        name, index = getattr(exc, "where", (None, None))
+        where = lines.get(name, line)
+        raise InstanceFormatError(str(exc), where if index is None else where[index]) from None
+
+
+_SINGLETONS = {
+    "objective": "objective wct|maxlat", "vertices": "vertices <n>", "threshold": "threshold <K>"
+}
+
+
+def _singleton(tokens: list[str], lineno: int, lines: dict, values: dict) -> None:
+    keyword = tokens[0]
+    if keyword in lines:
+        raise InstanceFormatError(f"duplicate {keyword} line", lineno)
+    if len(tokens) != 2:
+        raise InstanceFormatError(f"expected '{_SINGLETONS[keyword]}'", lineno)
+    lines[keyword], values[keyword] = lineno, tokens[1]
+
+
+def _require(lines: dict, *keywords: str) -> None:
+    for keyword in keywords:
+        if keyword not in lines:
+            raise InstanceFormatError(f"missing {keyword} line")
+
+
+_PAIR_FIELDS = ("pair endpoint", "pair endpoint", "pair weight", "pair due date")
+
+
 def parse_instance(text: str) -> Instance:
     """Parse instance text, reporting violations with their line number."""
     header_seen = False
-    objective: Objective | None = None
-    vertices: int | None = None
-    vertices_line = 0
+    lines: dict = {"edge": [], "pair": []}
+    values: dict[str, str] = {}
     edges: list[tuple[int, int, int]] = []
-    edge_keys: set[tuple[int, int]] = set()
     pairs: list[RelevantPair] = []
-    pair_keys: set[tuple[int, int]] = set()
 
     for lineno, tokens in _content_lines(text):
         keyword = tokens[0]
@@ -308,86 +356,38 @@ def parse_instance(text: str) -> Instance:
             if tokens != ["netcon", "1"]:
                 raise InstanceFormatError("expected header 'netcon 1'", lineno)
             header_seen = True
-        elif keyword == "objective":
-            if objective is not None:
-                raise InstanceFormatError("duplicate objective line", lineno)
-            if len(tokens) != 2 or tokens[1] not in ("wct", "maxlat"):
-                raise InstanceFormatError("objective must be 'wct' or 'maxlat'", lineno)
-            objective = Objective(tokens[1])
-        elif keyword == "vertices":
-            if vertices is not None:
-                raise InstanceFormatError("duplicate vertices line", lineno)
-            if len(tokens) != 2:
-                raise InstanceFormatError("expected 'vertices <n>'", lineno)
-            vertices = _parse_int(tokens[1], "vertex count", lineno)
-            if vertices < 1:
-                raise InstanceFormatError("vertex count must be positive", lineno)
-            vertices_line = lineno
+        elif keyword in ("objective", "vertices"):
+            _singleton(tokens, lineno, lines, values)
         elif keyword == "edge":
-            if vertices is None:
+            if "vertices" not in lines:
                 raise InstanceFormatError("edge line before vertices line", lineno)
             if len(tokens) != 4:
                 raise InstanceFormatError("expected 'edge <u> <v> <length>'", lineno)
-            u = _parse_int(tokens[1], "edge endpoint", lineno)
-            v = _parse_int(tokens[2], "edge endpoint", lineno)
-            c = _parse_int(tokens[3], "edge length", lineno)
-            if u == v:
-                raise InstanceFormatError(f"self-loop at vertex {u}", lineno)
-            if not (0 <= u < vertices and 0 <= v < vertices):
-                raise InstanceFormatError(f"edge endpoint out of range 0..{vertices - 1}", lineno)
-            if c < 1:
-                raise InstanceFormatError(f"non-positive edge length {c}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in edge_keys:
-                raise InstanceFormatError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-            edge_keys.add(key)
-            edges.append((key[0], key[1], c))
+            edges.append((
+                _parse_int(tokens[1], "edge endpoint", lineno),
+                _parse_int(tokens[2], "edge endpoint", lineno),
+                _parse_int(tokens[3], "edge length", lineno),
+            ))
+            lines["edge"].append(lineno)
         elif keyword == "pair":
-            if vertices is None:
+            if "vertices" not in lines:
                 raise InstanceFormatError("pair line before vertices line", lineno)
-            if objective is None:
+            if "objective" not in lines:
                 raise InstanceFormatError("pair line before objective line", lineno)
-            want = 5 if objective is Objective.MAX_LATENESS else 4
-            if len(tokens) != want:
-                if objective is Objective.MAX_LATENESS and len(tokens) == 4:
-                    raise InstanceFormatError("missing due date under maxlat objective", lineno)
-                raise InstanceFormatError(
-                    "expected 'pair <u> <v> <weight>'"
-                    + (" with a due date" if want == 5 else ""),
-                    lineno,
-                )
-            u = _parse_int(tokens[1], "pair endpoint", lineno)
-            v = _parse_int(tokens[2], "pair endpoint", lineno)
-            w = _parse_int(tokens[3], "pair weight", lineno)
-            due = _parse_int(tokens[4], "pair due date", lineno) if want == 5 else None
-            if u == v:
-                raise InstanceFormatError(f"pair endpoints coincide at vertex {u}", lineno)
-            if not (0 <= u < vertices and 0 <= v < vertices):
-                raise InstanceFormatError(f"pair endpoint out of range 0..{vertices - 1}", lineno)
-            if w < 1:
-                raise InstanceFormatError(f"non-positive pair weight {w}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in pair_keys:
-                raise InstanceFormatError(f"duplicate pair ({key[0]}, {key[1]})", lineno)
-            pair_keys.add(key)
-            pairs.append(RelevantPair(key[0], key[1], w, due))
+            if len(tokens) not in (4, 5):
+                raise InstanceFormatError("expected 'pair <u> <v> <weight> [<due>]'", lineno)
+            fields = [_parse_int(t, what, lineno) for t, what in zip(tokens[1:], _PAIR_FIELDS)]
+            pairs.append(_build(RelevantPair, {}, lineno, *fields))
+            lines["pair"].append(lineno)
         else:
             raise InstanceFormatError(f"unknown directive {keyword!r}", lineno)
 
     if not header_seen:
         raise InstanceFormatError("missing 'netcon 1' header")
-    if objective is None:
-        raise InstanceFormatError("missing objective line")
-    if vertices is None:
-        raise InstanceFormatError("missing vertices line")
-    if not pairs:
-        raise InstanceFormatError("instance has no relevant pairs")
-
-    try:
-        network = Network(vertices, tuple(edges))
-    except InvalidInstanceError as exc:
-        raise InstanceFormatError(str(exc), vertices_line) from None
-    return Instance(network, tuple(pairs), objective)
+    _require(lines, "objective", "vertices")
+    vertices = _parse_int(values["vertices"], "vertex count", lines["vertices"])
+    network = _build(Network, lines, lines["vertices"], vertices, tuple(edges))
+    return _build(Instance, lines, None, network, tuple(pairs), values["objective"])
 
 
 def write_instance(instance: Instance) -> str:
@@ -408,40 +408,32 @@ def write_instance(instance: Instance) -> str:
 
 
 def parse_ola_input(text: str) -> OlaInput:
+    """Parse arrangement-input text, reporting violations with their line number."""
     header_seen = False
-    vertices: int | None = None
-    threshold: int | None = None
+    lines: dict = {"edge": []}
+    values: dict[str, str] = {}
     edges: list[tuple[int, int]] = []
     for lineno, tokens in _content_lines(text):
         if not header_seen:
             if tokens != ["ola", "1"]:
                 raise InstanceFormatError("expected header 'ola 1'", lineno)
             header_seen = True
-        elif tokens[0] == "vertices" and len(tokens) == 2:
-            if vertices is not None:
-                raise InstanceFormatError("duplicate vertices line", lineno)
-            vertices = _parse_int(tokens[1], "vertex count", lineno)
-        elif tokens[0] == "threshold" and len(tokens) == 2:
-            if threshold is not None:
-                raise InstanceFormatError("duplicate threshold line", lineno)
-            threshold = _parse_int(tokens[1], "threshold", lineno)
+        elif tokens[0] in ("vertices", "threshold"):
+            _singleton(tokens, lineno, lines, values)
         elif tokens[0] == "edge" and len(tokens) == 3:
             edges.append(
                 (_parse_int(tokens[1], "edge endpoint", lineno),
                  _parse_int(tokens[2], "edge endpoint", lineno))
             )
+            lines["edge"].append(lineno)
         else:
             raise InstanceFormatError(f"malformed line {' '.join(tokens)!r}", lineno)
     if not header_seen:
         raise InstanceFormatError("missing 'ola 1' header")
-    if vertices is None:
-        raise InstanceFormatError("missing vertices line")
-    if threshold is None:
-        raise InstanceFormatError("missing threshold line")
-    try:
-        return OlaInput(vertices, tuple(edges), threshold)
-    except InvalidInstanceError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    _require(lines, "vertices", "threshold")
+    vertices = _parse_int(values["vertices"], "vertex count", lines["vertices"])
+    threshold = _parse_int(values["threshold"], "threshold", lines["threshold"])
+    return _build(OlaInput, lines, None, vertices, tuple(edges), threshold)
 
 
 def write_ola_input(ola: OlaInput) -> str:

@@ -36,7 +36,6 @@ PUBLIC = [
     "parse_ola_input",
     "permutation_oracle",
     "reduce_ola",
-    "rho_factor",
     "solve_fixed_r",
     "solve_tree",
     "subset_dp",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from netcon import Job, density_decomposition, interleaving_oracle, merge_two_chains, rho_factor
+from netcon import Job, density_decomposition, interleaving_oracle, merge_two_chains
 from netcon.chains import block_summaries, merge_value
 
 
@@ -39,12 +39,6 @@ def test_equal_density_segments_fuse_into_longest_block():
     blocks = density_decomposition(jobs((1, 2), (2, 4), (3, 6)))
     assert len(blocks) == 1
     assert blocks[0][3:] == (0, 3)  # (start, end)
-
-
-def test_rho_factor():
-    assert rho_factor([]) == 0
-    assert rho_factor(jobs((1, 3), (1, 1))) == Fraction(3, 1)
-    assert rho_factor(jobs((2, 1), (1, 5))) == Fraction(6, 3) == 2
 
 
 def _brute_decomposition_ok(chain):

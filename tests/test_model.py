@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -219,6 +220,17 @@ def test_reduce_ola_equivalence_small():
             assert subset_dp(instance)[0] == best + n * n * (n + 1) // 2
 
 
+def test_too_few_edges_are_refused_before_any_per_vertex_work():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInstanceError, match="not connected"):
+            Network(10**6, ((0, 1, 1),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_network_invariants():
     with pytest.raises(InvalidInstanceError):
         Network(2, ((0, 0, 1),))
@@ -245,6 +257,66 @@ def test_ola_input_invariants():
         OlaInput(2, ((0, 1), (1, 0)), 1)
     ola = OlaInput(3, ((2, 0), (1, 0)), 0)
     assert ola.edges == ((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0, 1, 2)])
+def test_ola_input_rejects_a_malformed_edge(edge):
+    with pytest.raises(InvalidInstanceError):
+        OlaInput(3, (edge,), 0)
+
+
+@pytest.mark.parametrize(
+    "vertices, threshold, edges, line",
+    [
+        (3, 1, [(0, 1), (2, 2)], 5),
+        (3, 1, [(0, 3)], 4),
+        (3, 1, [(0, 1), (1, 0)], 5),
+        (3, -1, [(0, 1)], 3),
+        (0, 1, [], 2),
+    ],
+)
+def test_parse_ola_errors_carry_line_numbers(vertices, threshold, edges, line):
+    text = "".join(
+        [f"ola 1\nvertices {vertices}\nthreshold {threshold}\n"]
+        + [f"edge {u} {v}\n" for u, v in edges]
+    )
+    with pytest.raises(InvalidInstanceError) as library:
+        OlaInput(vertices, tuple(edges), threshold)
+    with pytest.raises(InstanceFormatError) as parsed:
+        parse_ola_input(text)
+    assert str(parsed.value) == f"line {line}: {library.value}"
+
+
+PATH3_EDGES = [(0, 1, 1), (1, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "objective, edges, pairs, line",
+    [
+        ("wct", PATH3_EDGES + [(2, 2, 1)], [(0, 2, 1)], 6),
+        ("wct", PATH3_EDGES + [(0, 3, 1)], [(0, 2, 1)], 6),
+        ("wct", PATH3_EDGES + [(-1, 2, 1)], [(0, 2, 1)], 6),
+        ("wct", PATH3_EDGES + [(0, 2, 0)], [(0, 2, 1)], 6),
+        ("wct", PATH3_EDGES + [(2, 1, 4)], [(0, 2, 1)], 6),
+        ("wct", PATH3_EDGES, [(0, 2, 1), (1, 1, 1)], 7),
+        ("wct", PATH3_EDGES, [(0, 2, 1), (0, 3, 1)], 7),
+        ("wct", PATH3_EDGES, [(0, 2, 1), (0, 1, 0)], 7),
+        ("wct", PATH3_EDGES, [(0, 2, 1), (2, 0, 3)], 7),
+        ("wct", PATH3_EDGES, [(0, 2, 1), (0, 1, 1, 4)], 7),
+        ("maxlat", PATH3_EDGES, [(0, 2, 1, 4), (0, 1, 1)], 7),
+    ],
+)
+def test_parser_and_constructors_give_the_same_message(objective, edges, pairs, line):
+    text = "".join(
+        [f"netcon 1\nobjective {objective}\nvertices 3\n"]
+        + ["edge " + " ".join(map(str, e)) + "\n" for e in edges]
+        + ["pair " + " ".join(map(str, p)) + "\n" for p in pairs]
+    )
+    with pytest.raises(InvalidInstanceError) as library:
+        Instance(Network(3, tuple(edges)), tuple(RelevantPair(*p) for p in pairs), objective)
+    with pytest.raises(InstanceFormatError) as parsed:
+        parse_instance(text)
+    assert str(parsed.value) == f"line {line}: {library.value}"
 
 
 

@@ -158,7 +158,7 @@ def test_deep_path_rebuilds_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert seq == tuple(reversed(range(m)))
-    assert report.objective == evaluate_sequence(inst, seq).objective == 3 * inst.network.total_length
+    assert report.objective == evaluate_sequence(inst, seq).objective == 3 * sum(c for _, _, c in inst.network.edges)
 
 
 def test_solve_reduced_star():
