@@ -88,6 +88,8 @@ def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tup
                 raise InstanceFormatError(f"duplicate pair line for {key}", lineno)
             times[key] = t
         elif tokens[0] == "objective" and len(tokens) == 2:
+            if objective is not None:
+                raise InstanceFormatError("duplicate objective line", lineno)
             try:
                 objective = int(tokens[1])
             except ValueError:

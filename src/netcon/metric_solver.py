@@ -3,75 +3,48 @@
 An optimal build order first builds a forest that joins every pair (its
 essential edges), serving the pairs one at a time.  Once the pair order is
 fixed, each step ends at the total length of the edges on the paths of the
-pairs served so far.  The two objectives take two routes to that forest.
+pairs served so far.  Both objectives find that forest with one subset DP over
+the t pair endpoints on the network itself (Dreyfus and Wagner 1971).
 
-Weighted sum (wct): a subset DP over the t pair endpoints on the network
-itself.  Root a forest anywhere and let S be the endpoints below an edge: the
-edge lies on pair i's path exactly when one end of pair i is in S, so under a
-fixed pair order it costs coef(S) times its length, coef(S) being the weight
-of the steps from the first one that serves such a pair.  For each of the r!
-orders a Dreyfus-Wagner recursion finds the cheapest such forest: one
-Dijkstra per endpoint, then per endpoint set the best split at each vertex and
-one multi-source Dijkstra from those labels.  Work is
-O(r! * (3^t * n + 2^t * m log n)), with no metric closure and no candidate
-scan.  The winner is read back from the labels as network edges; an optimal
-read-back uses no edge twice and closes no cycle (see ``_subset_forest``), so
-they form a forest of the network whose value is the DP's.
+Root a forest anywhere and let S be the endpoints below an edge: the edge lies
+on pair i's path exactly when one end of pair i is in S, so under a fixed pair
+order it is first needed by the earliest step that serves such a pair.  Per
+endpoint set, the DP takes the best split at each vertex, then runs one
+multi-source Dijkstra from those labels.  A set that separates no pair costs
+nothing to carry: that is how a forest's components join.  The only distances
+the DP needs are those from the pair endpoints (``build_metric_closure``), so
+no all-pairs work is done.  Each DP's one optimal forest is streamed by
+``enumerate_candidate_forests``.
 
-Maximum lateness (maxlat): compute all shortest-path distances (the metric
-closure, one Dijkstra per vertex), then enumerate every candidate forest over
-the pair endpoints plus a bounded set of extra junction vertices, score each,
-and map the winner back to original edges along shortest paths.  A candidate
-forest must connect every pair, use every edge on some pair's path, and give
-every non-endpoint junction degree at least 3 (a degree-2 junction could be
-contracted away).  A forest on t pair endpoints has at most t - 2 such
-junctions: 2r - 2 in general and r - 1 when all pairs share a vertex.
-Candidates are found by listing the forest shapes over endpoint and junction
-slots, inserting the endpoints one at a time onto the vertices and edges of
-the forest built so far (``_forest_shapes``), and placing every ordered
-choice of junction vertices on each shape's junction slots.
+Weighted sum (wct): an edge costs its length times the weight of the steps
+from the first one that needs it.  For each of the r! pair orders the labels
+are scalars (``_subset_tables``).  Work is O(r! * (3^t * n + 2^t * m log n)).
 
-Junctions are drawn only from non-terminals whose degree is still at least 3
-after pendant non-terminals are pruned repeatedly (``Network.kernel_degrees``).
-A minimal optimal forest of the network lies inside that kernel, so each of
-its junctions has kernel degree at least 3 and its contraction is still a
-candidate.  The shapes depend only on how the pairs share endpoints and on
-the junction cap, so each is made once per solve and serves every choice of
-junctions.
+Maximum lateness (maxlat): the pairs are served by due date, which is optimal
+on any forest.  A label is the vector of prefix lengths P_0..P_{r-1} built
+through each step: an edge first needed at step j adds its length to
+P_j..P_{r-1}, and the value is max_k(P_k - d_k).  Each table holds a Pareto set
+of such vectors (multi-objective label setting, Martins 1984).  Comparing
+prefix sums is exact: a later edge adds the same amount to the prefixes of
+both labels, so one that is nowhere larger never does worse.  Labels worth
+more than the forest that adds the pairs' shortest paths in due order are
+dropped (``_lateness_tables``).  Work grows with the Pareto labels kept over
+the 2^t endpoint sets.
 
-Scoring needs no forest objects.  Each forest shape gets one table: the edges
-each step builds first when the pairs are served by due date, which is
-optimal for max lateness on any forest.  Every choice of junctions is then
-scored from its closure lengths alone.  ``scored_candidates`` yields every
-candidate with its exact value.
-
-``enumerate_candidate_forests`` streams the DP's one forest under wct.  Under
-maxlat it builds and streams a forest with its value only when that value is
-at most every value it streamed before, so every minimum-value candidate is
-streamed.  The solver picks the (value, edges) minimum and replays only that
-forest over all pair orders (``evaluate_rforest``), which must give the same
-value, then maps it onto network edges (``project_to_graph``); a wct forest is
-already made of them, so its projection is itself.
-
-Both routes find shortest paths with one routine, ``_dijkstra``, and read a
-path back from its labels with one walk, ``_descend``.
+The winner is read back from the labels as network edges, which
+``_spanning_forest`` makes into a forest whose value is the DP's.  The solver
+checks that by replaying it over all pair orders (``evaluate_rforest``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from heapq import heapify, heappop, heappush
-from operator import add, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import add, le, sub
+from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    GuardExceededError,
-    InvalidInstanceError,
-    NetconError,
-    UnsupportedInstanceError,
-)
+from .errors import GuardExceededError, InvalidInstanceError, NetconError
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
 from .model import Instance, Network, Objective, RelevantPair
 from .unionfind import UnionFind
@@ -80,14 +53,6 @@ PAIR_BOUND = 4
 PAIR_BOUND_DEPOT = 6
 
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class MetricClosure:
-    """All-pairs shortest distances: ``dist[u]`` is u's Dijkstra row."""
-
-    network: Network
-    dist: tuple[tuple[int, ...], ...]
 
 
 def _dijkstra(
@@ -133,22 +98,10 @@ def _descend(
     return walked, v
 
 
-def build_metric_closure(network: Network) -> MetricClosure:
-    """One Dijkstra per vertex; O(n * m log n), exact integer distances."""
-    return MetricClosure(
-        network=network,
-        dist=tuple(tuple(_dijkstra(network, {s: 0}, 1)) for s in range(network.vertex_count)),
-    )
-
-
-def extract_path(closure: MetricClosure, u: int, v: int) -> list[int]:
-    """Edge ids of one shortest path from u to v in the original network."""
-    if u == v:
-        raise InvalidInstanceError("path endpoints must differ")
-    zeros = [0] * closure.network.vertex_count
-    walked, _ = _descend(closure.network, closure.dist[u], v, 1, zeros)
-    walked.reverse()
-    return walked
+def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[int]]:
+    """Shortest distances from each source to every vertex: one Dijkstra per
+    source, exact integers."""
+    return [_dijkstra(network, {s: 0}, 1) for s in sources]
 
 
 @dataclass(frozen=True)
@@ -157,8 +110,7 @@ class RForest:
 
     Edges are canonical (u < v) vertex pairs sorted ascending; ``lengths``
     aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.  The
-    wct subset DP's forest is made of network edges; each edge of a maxlat
-    closure forest stands for a shortest path between its ends.
+    solver's forests are made of network edges.
     """
 
     edges: tuple[Edge, ...]
@@ -232,7 +184,349 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
     return best
 
 
-# --- candidate enumeration ---------------------------------------------------
+def _crossing(instance: Instance) -> list[int]:
+    """Per endpoint set (a bit mask over ``instance.terminals``), the pairs
+    with exactly one end in it (a bit mask over ``instance.pairs``): the pairs
+    whose paths cross an edge with that set below it."""
+    terminals = instance.terminals
+    where = {x: i for i, x in enumerate(terminals)}
+    ends = [0] * len(terminals)
+    for i, pair in enumerate(instance.pairs):
+        ends[where[pair.u]] ^= 1 << i
+        ends[where[pair.v]] ^= 1 << i
+    crossing = [0] * (1 << len(terminals))
+    for mask in range(1, len(crossing)):
+        low = mask & -mask
+        crossing[mask] = crossing[mask ^ low] ^ ends[low.bit_length() - 1]
+    return crossing
+
+
+# --- wct: scalar labels, one DP per pair order ---------------------------------
+
+
+def _subset_tables(
+    network: Network, dist: Sequence[list[int]], coef: Sequence[int]
+) -> tuple[list, list]:
+    """Dreyfus-Wagner tables under one pair order, for endpoint sets S as bit
+    masks: ``g[S][v]`` is the least cost of a tree that joins v to S, each
+    edge costing coef(endpoints below it) times its length, and ``h[S][v]``
+    (for two or more endpoints) the least cost of one whose root v splits S.
+
+    A set that separates no pair costs nothing to carry (coef 0), so its ``g``
+    is its best ``h`` at every vertex: that is how a forest's components join.
+    """
+    full = len(coef) - 1
+    n = network.vertex_count
+    g: list = [None] * (full + 1)
+    h: list = [None] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        if mask == low:
+            g[mask] = [coef[mask] * d for d in dist[low.bit_length() - 1]]
+            continue
+        rest = mask ^ low
+        part = rest
+        row = None
+        # the splits low|part and rest^part, part from rest's largest proper subset down
+        while part:
+            part = (part - 1) & rest
+            split = map(add, g[low | part], g[rest ^ part])
+            row = list(split) if row is None else list(map(min, row, split))
+        h[mask] = row
+        if coef[mask]:
+            g[mask] = _dijkstra(network, dict(enumerate(row)), coef[mask])
+        else:
+            g[mask] = [min(row)] * n
+    return g, h
+
+
+def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, RForest]:
+    """The wct optimum over all forests and one forest that attains it;
+    ``dist[i]`` holds the distances from ``instance.terminals[i]``.
+
+    For each pair order (in ``itertools.permutations`` order), ``_subset_tables``
+    prices every forest rooted at a vertex; the first order with the least
+    value wins.  Its forest is read back from the labels, each choice going to
+    the first candidate that attains the label: the lowest root, the first
+    split, the first neighbour.
+
+    What is read back uses no network edge twice and closes no cycle.  If it
+    did, adding its edges in the order the winning pair order first needs
+    them and skipping each that closes a cycle would join every pair served
+    by step k with edges no longer than the DP charged through step k, and
+    strictly shorter at the last step: a forest cheaper than the optimum.  So
+    the edges form a network forest whose value is the DP's, which the solver
+    checks by replaying it.
+    """
+    network = instance.network
+    terminals = instance.terminals
+    full = (1 << len(terminals)) - 1
+    crossing = _crossing(instance)
+
+    r = instance.pair_count
+    best = None
+    for perm in itertools.permutations(range(r)):
+        # per set of crossing pairs: the weight of the step that serves the
+        # first of them and of every later step (0 for no pairs)
+        weights = (instance.pairs[i].weight for i in reversed(perm))
+        suffix = list(itertools.accumulate(weights, initial=0))[::-1]
+        at = [perm.index(i) for i in range(r)]
+        step = [
+            min((at[i] for i in range(r) if pairs >> i & 1), default=r) for pairs in range(1 << r)
+        ]
+        coef = [suffix[step[c]] for c in crossing]
+        g, h = _subset_tables(network, dist, coef)
+        value = min(h[full])
+        if best is None or value < best[0]:
+            best = (value, coef, g, h)
+    value, coef, g, h = best
+
+    zeros = [0] * network.vertex_count
+    chosen = []
+    todo = [(full, 0)]
+    while todo:
+        mask, v = todo.pop()
+        low = mask & -mask
+        if not coef[mask]:
+            v = h[mask].index(min(h[mask]))
+        else:
+            # walk down to the vertex where the set splits (or to its endpoint)
+            floor = zeros if mask == low else h[mask]
+            walked, v = _descend(network, g[mask], v, coef[mask], floor)
+            chosen += walked
+        if mask == low:
+            continue
+        rest = mask ^ low
+        part = rest
+        while part:
+            part = (part - 1) & rest
+            if g[low | part][v] + g[rest ^ part][v] == h[mask][v]:
+                break
+        todo.append((low | part, v))
+        todo.append((rest ^ part, v))
+    return value, _spanning_forest(instance, chosen)
+
+
+# --- maxlat: Pareto sets of prefix lengths ------------------------------------
+
+
+def _dominated(kept: Sequence[tuple[int, ...]], label: tuple[int, ...]) -> bool:
+    """Whether some kept label is nowhere larger than ``label``."""
+    return any(all(map(le, other, label)) for other in kept)
+
+
+def _pop_key(label: tuple[int, ...]) -> tuple:
+    # a label that dominates another sorts and pops first
+    return label[-1], label
+
+
+def _pareto(labels: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The labels that no other one dominates, each once, in ``_pop_key`` order."""
+    kept: list[tuple[int, ...]] = []
+    for label in sorted(labels, key=_pop_key):
+        if not _dominated(kept, label):
+            kept.append(label)
+    return kept
+
+
+def _label_setting(
+    network: Network, start: Sequence[list], step: int, cap: Sequence[int]
+) -> list[list[tuple[int, ...]]]:
+    """Per vertex, the Pareto set of the labels reached from the ``start``
+    labels, an edge adding its length to the prefixes from ``step`` on.
+
+    Labels pop by ``_pop_key``; every edge raises the last prefix, so a label
+    that dominates another pops before it, and each vertex's settled labels
+    are final.  Labels above ``cap`` anywhere are dropped.
+    """
+    adjacency = network.adjacency
+    edges = network.edges
+    settled: list[list[tuple[int, ...]]] = [[] for _ in start]
+    heap = [(*_pop_key(label), v) for v, labels in enumerate(start) for label in labels]
+    heapify(heap)
+    while heap:
+        _, label, x = heappop(heap)
+        if _dominated(settled[x], label):
+            continue
+        settled[x].append(label)
+        head, tail = label[:step], label[step:]
+        for y, eid in adjacency[x]:
+            length = edges[eid][2]
+            grown = head + tuple(p + length for p in tail)
+            if all(map(le, grown, cap)) and not _dominated(settled[y], grown):
+                heappush(heap, (*_pop_key(grown), y))
+    return settled
+
+
+def _lateness_tables(
+    network: Network, dist: Sequence[list[int]], first: Sequence[int], cap: Sequence[int]
+) -> tuple[list, list]:
+    """Pareto tables of prefix-length labels for endpoint sets S as bit masks:
+    ``g[S][v]`` for trees that join v to S, and ``h[S][v]`` (for two or more
+    endpoints) for those whose root v splits S.  An edge with S below it adds
+    its length to the prefixes from ``first[S]`` on.
+
+    ``first[S]`` is r for a set that separates no pair.  Such a set costs
+    nothing to carry, so one Pareto set of its ``h`` over every vertex serves
+    as its ``g`` at every vertex.  Every other set runs one
+    ``_label_setting`` from its ``h``.  Labels above ``cap`` anywhere are
+    dropped.
+    """
+    r = len(cap)
+    full = len(first) - 1
+    g: list = [None] * (full + 1)
+    h: list = [None] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        step = first[mask]
+        if mask == low:
+            g[mask] = [[(0,) * step + (d,) * (r - step)] for d in dist[low.bit_length() - 1]]
+            continue
+        rest = mask ^ low
+        sums: list[list] = [[] for _ in range(network.vertex_count)]
+        part = rest
+        # the splits low|part and rest^part, as in _subset_tables
+        while part:
+            part = (part - 1) & rest
+            for found, left, right in zip(sums, g[low | part], g[rest ^ part]):
+                for a in left:
+                    for b in right:
+                        label = tuple(map(add, a, b))
+                        if all(map(le, label, cap)):
+                            found.append(label)
+        h[mask] = [_pareto(found) for found in sums]
+        if step == r:
+            g[mask] = [_pareto(itertools.chain.from_iterable(h[mask]))] * network.vertex_count
+        else:
+            g[mask] = _label_setting(network, h[mask], step, cap)
+    return g, h
+
+
+def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, RForest]:
+    """The maxlat optimum over all forests and one forest that attains it;
+    ``dist`` as for ``_subset_forest``.
+
+    Serving the pairs by due date is optimal for max lateness on any forest
+    (Lawler's exchange argument): moving the pair due last to the end leaves
+    it charged at the full length, like whichever pair was last, and charges
+    every other pair at most as late.  So prefix k is the k-th pair by due
+    date, and ``first[S]`` is the first such position of a pair S separates.
+    The forest that adds the pairs' shortest paths in that order bounds the
+    optimum, so a label worth more is dropped.
+
+    The read-back takes the least (value, label) of the full set.  Then, at
+    each set, it takes the lowest root (for a set that separates no pair),
+    the first split, and the first neighbour in adjacency order whose label
+    matches exactly.  What is read back uses no network edge twice, closes no
+    cycle and has every edge on some pair's path.  If it did not, adding its edges
+    by the step that first needs them and dropping each that closes a cycle
+    or lies on no pair's path would join every pair served by step k within
+    P_k, and strictly within the last prefix: a forest whose label dominates
+    the one read back, which is in the full set's Pareto set.  So the edges
+    form a network forest whose value is the DP's, which the solver checks by
+    replaying it.
+    """
+    network = instance.network
+    pairs = instance.pairs
+    r = len(pairs)
+    terminals = instance.terminals
+    by_due = sorted(range(r), key=lambda i: pairs[i].due)
+    dues = [pairs[i].due for i in by_due]
+    first = [
+        min((k for k, i in enumerate(by_due) if crossed >> i & 1), default=r)
+        for crossed in _crossing(instance)
+    ]
+    where = {x: i for i, x in enumerate(terminals)}
+    zeros = [0] * network.vertex_count
+    built: set[int] = set()
+    late = []
+    for i in by_due:
+        walked, _ = _descend(network, dist[where[pairs[i].u]], pairs[i].v, 1, zeros)
+        built.update(walked)
+        late.append(sum(network.edges[e][2] for e in built) - pairs[i].due)
+    g, h = _lateness_tables(network, dist, first, [max(late) + due for due in dues])
+    full = len(first) - 1
+    value, label = min((max(map(sub, p, dues)), p) for p in g[full][0])
+
+    adjacency = network.adjacency
+    edges = network.edges
+    chosen = []
+    todo = [(full, 0, label)]
+    while todo:
+        mask, v, label = todo.pop()
+        low = mask & -mask
+        step = first[mask]
+        if mask == low:
+            walked, _ = _descend(network, dist[low.bit_length() - 1], v, 1, zeros)
+            chosen += walked
+            continue
+        if step == r:
+            v = next(u for u, labels in enumerate(h[mask]) if label in labels)
+        while label not in h[mask][v]:
+            # walk down to the vertex where the set splits
+            for y, eid in adjacency[v]:
+                length = edges[eid][2]
+                lower = label[:step] + tuple(p - length for p in label[step:])
+                if lower in g[mask][y]:
+                    break
+            chosen.append(eid)
+            v, label = y, lower
+        rest = mask ^ low
+        part = rest
+        while part:
+            part = (part - 1) & rest
+            split = next(
+                (
+                    (a, b)
+                    for a in g[low | part][v]
+                    for b in g[rest ^ part][v]
+                    if tuple(map(add, a, b)) == label
+                ),
+                None,
+            )
+            if split:
+                break
+        todo.append((low | part, v, split[0]))
+        todo.append((rest ^ part, v, split[1]))
+    return value, _spanning_forest(instance, chosen)
+
+
+def enumerate_candidate_forests(
+    instance: Instance,
+    dist: Sequence[list[int]],
+    *,
+    max_pairs: int | None = None,
+    force: bool = False,
+) -> Iterator[tuple[int, RForest]]:
+    """Stream the DP's one optimal forest, as (exact value, forest):
+    ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat.
+    ``dist[i]`` holds the distances from ``instance.terminals[i]``
+    (``build_metric_closure``).
+
+    ``max_pairs`` defaults to ``PAIR_BOUND_DEPOT`` when all pairs share a
+    vertex and to ``PAIR_BOUND`` otherwise.  For t pair endpoints it caps the
+    r! * 3^t work of wct and the Pareto labels over 2^t endpoint sets of
+    maxlat.
+    """
+    r = instance.pair_count
+    weighted = instance.objective is Objective.WEIGHTED_SUM
+    bound = max_pairs
+    if bound is None:
+        bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
+    if r > bound and not force:
+        work = (
+            "the wct subset DP does r! * 3^t work"
+            if weighted
+            else "the maxlat subset DP keeps Pareto labels over 2^t endpoint sets"
+        )
+        raise GuardExceededError(
+            f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "
+            "pass force=True (--force on the command line) to run anyway"
+        )
+    yield (_subset_forest if weighted else _lateness_forest)(instance, dist)
+
+
+# --- the network forest and the full solve ------------------------------------
 
 
 def _forest_paths(
@@ -282,330 +576,6 @@ def _forest_paths(
     return paths
 
 
-def _forest_shapes(
-    pair_slots: Sequence[tuple[int, int]], t: int, cap: int
-) -> Iterator[tuple[int, list[tuple[int, int]], list[list[int]]]]:
-    """Every forest shape of pairs joining the endpoint slots ``pair_slots``,
-    once, with at most ``cap`` junctions: (junction count s, its edges between
-    slots, each pair's path as edge ids from u to v).  The endpoints are slots
-    0..t-1 and the junctions slots t..t+s-1.
-
-    A shape joins every pair, has every edge on some pair's path and gives
-    every junction degree at least 3.  The endpoints are inserted one at a
-    time in BFS order over the pairs, so the partners an endpoint already has
-    in the forest share one component, which it must join.  Each insertion
-    makes one move: start a new component (only with no partner placed), hang
-    from a vertex, subdivide an edge, hang from a new junction subdividing an
-    edge, or take over a junction.  Taking the last endpoint back out undoes
-    exactly one move: an isolated one goes, a leaf goes (smoothing away a
-    junction it leaves with degree 2), one of degree 2 is smoothed away and
-    one of higher degree becomes a junction.  So every shape is made exactly
-    once.  A branch stops when its junctions exceed ``cap`` by more than the
-    endpoints still to insert, each of which can take over one.
-    """
-    partners: list[list[int]] = [[] for _ in range(t)]
-    for a, b in pair_slots:
-        partners[a].append(b)
-        partners[b].append(a)
-    order: list[int] = []
-    for root in range(t):
-        if root not in order:
-            reached = [root]
-            for x in reached:
-                reached.extend(y for y in partners[x] if y not in reached)
-            order += reached
-
-    def grow(k: int, edges: list, comp: dict[int, int], junctions: list[int]) -> Iterator:
-        # comp maps each placed endpoint and live junction to its component;
-        # the junction made at step k is vertex t + k
-        if len(junctions) - (t - k) > cap:
-            return
-        if k == t:
-            slot = {j: t + s for s, j in enumerate(junctions)}
-            slot_edges = [(slot.get(a, a), slot.get(b, b)) for a, b in edges]
-            paths = _forest_paths(t + len(junctions), slot_edges, pair_slots)
-            if len(set().union(*paths)) == len(edges):
-                yield len(junctions), slot_edges, paths
-            return
-        x = order[k]
-        home = next((comp[y] for y in partners[x] if y in comp), None)
-        if home is None:
-            yield from grow(k + 1, edges, {**comp, x: x}, junctions)
-        for v, c in comp.items():
-            if home in (None, c):
-                yield from grow(k + 1, edges + [(v, x)], {**comp, x: c}, junctions)
-        for i, (a, b) in enumerate(edges):
-            c = comp[a]
-            if home in (None, c):
-                before, after = edges[:i], edges[i + 1 :]
-                yield from grow(k + 1, before + [(a, x), (x, b)] + after, {**comp, x: c}, junctions)
-                j = t + k
-                yield from grow(
-                    k + 1,
-                    before + [(a, j), (j, b), (j, x)] + after,
-                    {**comp, j: c, x: c},
-                    junctions + [j],
-                )
-        for j in junctions:
-            c = comp[j]
-            if home in (None, c):
-                yield from grow(
-                    k + 1,
-                    [(x if a == j else a, x if b == j else b) for a, b in edges],
-                    {(x if v == j else v): c for v, c in comp.items()},
-                    [other for other in junctions if other != j],
-                )
-
-    yield from grow(0, [], {}, [])
-
-
-def _lateness_scorer(
-    by_due: Sequence[int], dues: Sequence[int], paths: Sequence[tuple[int, ...]]
-) -> Callable[[Sequence[int]], int]:
-    """The exact max lateness of a forest whose pair paths are ``paths``
-    (edge ids), as a function of its edge lengths, when the pairs are served
-    in the order ``by_due`` and are due at ``dues``.
-
-    Serving a set of pairs builds exactly the edges on their paths, so each
-    step builds the edges of its pair's path that no earlier step built.
-    """
-    built: set[int] = set()
-    blocks = []
-    for i in by_due:
-        block = tuple(e for e in paths[i] if e not in built)
-        built.update(block)
-        blocks.append(block)
-
-    def max_lateness(lengths: Sequence[int]) -> int:
-        spent = [sum(map(lengths.__getitem__, block)) for block in blocks]
-        return max(map(sub, itertools.accumulate(spent), dues))
-
-    return max_lateness
-
-
-def _closure_forest(
-    vertices: tuple[int, ...],
-    slot_edges: Sequence[tuple[int, int]],
-    paths: Sequence[tuple[int, ...]],
-    lengths: Sequence[int],
-) -> RForest:
-    edges = []
-    for a, b in slot_edges:
-        x, y = vertices[a], vertices[b]
-        edges.append((x, y) if x < y else (y, x))
-    order = sorted(range(len(edges)), key=edges.__getitem__)
-    return RForest(
-        edges=tuple(edges[e] for e in order),
-        lengths=tuple(lengths[e] for e in order),
-        pair_paths=tuple(tuple(edges[e] for e in ids) for ids in paths),
-    )
-
-
-def scored_candidates(
-    instance: Instance, closure: MetricClosure
-) -> Iterator[tuple[int, Callable[[], RForest]]]:
-    """Every candidate closure forest of a maxlat instance exactly once, as
-    its exact value (what ``evaluate_rforest`` gives) and a function that
-    builds the forest.
-
-    Junctions are the non-terminals of kernel degree >= 3, at most t - 2 of
-    them for t pair endpoints (no shape has more).  Candidates are scanned by
-    forest shape, as ``_forest_shapes`` makes them, so no shape is kept.  Each
-    shape gets one scorer (``_lateness_scorer``), which then scores every
-    ordered choice of junctions for its junction slots from closure lengths
-    alone.
-    """
-    if instance.objective is not Objective.MAX_LATENESS:
-        raise UnsupportedInstanceError("the candidate scan scores maxlat; wct uses the subset DP")
-    pairs = instance.pairs
-    r = len(pairs)
-    dist = closure.dist
-    terminals = instance.terminals
-    degree = instance.network.kernel_degrees(terminals)
-    junctions = [v for v, d in enumerate(degree) if d >= 3 and v not in terminals]
-    slot = {x: i for i, x in enumerate(terminals)}
-    pair_slots = [(slot[p.u], slot[p.v]) for p in pairs]
-    cap = min(len(terminals) - 2, len(junctions))
-    # Serving the pairs by due date is optimal for max lateness on any forest
-    # (Lawler's exchange argument): moving the pair due last to the end leaves
-    # it charged at the full length, like whichever pair was last, and charges
-    # every other pair at most as late.
-    by_due = sorted(range(r), key=lambda i: pairs[i].due)
-    dues = tuple(pairs[i].due for i in by_due)
-    for size, slot_edges, paths in _forest_shapes(pair_slots, len(terminals), cap):
-        score = _lateness_scorer(by_due, dues, paths)
-        for placed in itertools.permutations(junctions, size):
-            vertices = terminals + placed
-            lengths = [dist[vertices[a]][vertices[b]] for a, b in slot_edges]
-            yield score(lengths), partial(_closure_forest, vertices, slot_edges, paths, lengths)
-
-
-# --- wct: a subset DP over the pair endpoints ---------------------------------
-
-
-def _subset_tables(
-    network: Network, dist: Sequence[list[int]], coef: Sequence[int]
-) -> tuple[list, list]:
-    """Dreyfus-Wagner tables under one pair order, for endpoint sets S as bit
-    masks: ``g[S][v]`` is the least cost of a tree that joins v to S, each
-    edge costing coef(endpoints below it) times its length, and ``h[S][v]``
-    (for two or more endpoints) the least cost of one whose root v splits S.
-
-    A set that separates no pair costs nothing to carry (coef 0), so its ``g``
-    is its best ``h`` at every vertex: that is how a forest's components join.
-    """
-    full = len(coef) - 1
-    n = network.vertex_count
-    g: list = [None] * (full + 1)
-    h: list = [None] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        if mask == low:
-            g[mask] = [coef[mask] * d for d in dist[low.bit_length() - 1]]
-            continue
-        rest = mask ^ low
-        part = rest
-        row = None
-        # the splits low|part and rest^part, part from rest's largest proper subset down
-        while part:
-            part = (part - 1) & rest
-            split = map(add, g[low | part], g[rest ^ part])
-            row = list(split) if row is None else list(map(min, row, split))
-        h[mask] = row
-        if coef[mask]:
-            g[mask] = _dijkstra(network, dict(enumerate(row)), coef[mask])
-        else:
-            g[mask] = [min(row)] * n
-    return g, h
-
-
-def _subset_forest(instance: Instance) -> tuple[int, RForest]:
-    """The wct optimum over all forests and one forest that attains it.
-
-    For each pair order (in ``itertools.permutations`` order), ``_subset_tables``
-    prices every forest rooted at a vertex; the first order with the least
-    value wins.  Its forest is read back from the labels, each choice going to
-    the first candidate that attains the label: the lowest root, the first
-    split, the first neighbour.
-
-    What is read back uses no network edge twice and closes no cycle.  If it
-    did, adding its edges in the order the winning pair order first needs
-    them and skipping each that closes a cycle would join every pair served
-    by step k with edges no longer than the DP charged through step k, and
-    strictly shorter at the last step: a forest cheaper than the optimum.  So
-    the edges form a network forest whose value is the DP's, which the solver
-    checks by replaying it.
-    """
-    network = instance.network
-    terminals = instance.terminals
-    full = (1 << len(terminals)) - 1
-    where = {x: i for i, x in enumerate(terminals)}
-    # per endpoint set: the pairs with exactly one end in it, whose paths are
-    # exactly those crossing an edge with that set below it
-    ends = [0] * len(terminals)
-    for i, pair in enumerate(instance.pairs):
-        ends[where[pair.u]] ^= 1 << i
-        ends[where[pair.v]] ^= 1 << i
-    crossing = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        crossing[mask] = crossing[mask ^ low] ^ ends[low.bit_length() - 1]
-    dist = [_dijkstra(network, {s: 0}, 1) for s in terminals]
-
-    r = instance.pair_count
-    best = None
-    for perm in itertools.permutations(range(r)):
-        # per set of crossing pairs: the weight of the step that serves the
-        # first of them and of every later step (0 for no pairs)
-        weights = (instance.pairs[i].weight for i in reversed(perm))
-        suffix = list(itertools.accumulate(weights, initial=0))[::-1]
-        at = [perm.index(i) for i in range(r)]
-        step = [
-            min((at[i] for i in range(r) if pairs >> i & 1), default=r) for pairs in range(1 << r)
-        ]
-        coef = [suffix[step[c]] for c in crossing]
-        g, h = _subset_tables(network, dist, coef)
-        value = min(h[full])
-        if best is None or value < best[0]:
-            best = (value, coef, g, h)
-    value, coef, g, h = best
-
-    zeros = [0] * network.vertex_count
-    chosen = []
-    todo = [(full, 0)]
-    while todo:
-        mask, v = todo.pop()
-        low = mask & -mask
-        if not coef[mask]:
-            v = h[mask].index(min(h[mask]))
-        else:
-            # walk down to the vertex where the set splits (or to its endpoint)
-            floor = zeros if mask == low else h[mask]
-            walked, v = _descend(network, g[mask], v, coef[mask], floor)
-            chosen += walked
-        if mask == low:
-            continue
-        rest = mask ^ low
-        part = rest
-        while part:
-            part = (part - 1) & rest
-            if g[low | part][v] + g[rest ^ part][v] == h[mask][v]:
-                break
-        todo.append((low | part, v))
-        todo.append((rest ^ part, v))
-    return value, _spanning_forest(instance, chosen)
-
-
-def enumerate_candidate_forests(
-    instance: Instance,
-    closure: MetricClosure | None = None,
-    *,
-    max_pairs: int | None = None,
-    force: bool = False,
-) -> Iterator[tuple[int, RForest]]:
-    """Stream the forests that can still win, as (exact value, forest).
-
-    Under wct this is the subset DP's one optimal forest (``_subset_forest``),
-    and ``closure`` is not used.  Under maxlat a candidate of
-    ``scored_candidates`` is built and streamed only when its value is at
-    most that of every forest streamed before it, so every candidate of
-    minimum value is streamed.  The solver picks its winner by (value,
-    edges), so dropping the others never changes a result.
-
-    ``max_pairs`` defaults to ``PAIR_BOUND_DEPOT`` when all pairs share a
-    vertex and to ``PAIR_BOUND`` otherwise.  It caps the DP's r! * 3^t work
-    under wct and the scan's n^(t-2) candidates under maxlat, for t pair
-    endpoints.
-    """
-    r = instance.pair_count
-    weighted = instance.objective is Objective.WEIGHTED_SUM
-    bound = max_pairs
-    if bound is None:
-        bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
-    if r > bound and not force:
-        work = (
-            "the wct subset DP does r! * 3^t work"
-            if weighted
-            else "the maxlat candidate count grows like n^(t-2)"
-        )
-        raise GuardExceededError(
-            f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "
-            "pass force=True (--force on the command line) to run anyway"
-        )
-
-    if weighted:
-        yield _subset_forest(instance)
-        return
-    best = None
-    for value, build in scored_candidates(instance, closure):
-        if best is None or value <= best:
-            best = value
-            yield value, build()
-
-
-# --- projection and the full solve -------------------------------------------
-
-
 def _spanning_forest(instance: Instance, edge_ids: Iterable[int]) -> RForest:
     """The network forest that adds ``edge_ids`` in turn, skipping each edge
     that would close a cycle, less the edges on no pair's path."""
@@ -627,35 +597,23 @@ def _spanning_forest(instance: Instance, edge_ids: Iterable[int]) -> RForest:
     )
 
 
-def project_to_graph(
-    forest: RForest,
-    evaluation: ForestEvaluation,
-    route: Callable[[int, int], Sequence[int]],
-    instance: Instance,
-) -> tuple[RForest, ForestEvaluation]:
-    """Replace forest edges by the network paths ``route(u, v)`` gives (edge
-    ids), skipping edges that close cycles.
+def project_to_graph(forest: RForest, instance: Instance) -> ForestEvaluation:
+    """Validate a winning forest and score it again over all pair orders.
 
-    Forest edges are expanded in the evaluation's build order; every original
-    edge along a path is kept unless it would join two already-connected
-    vertices.  Edges that end up on no pair path are pruned before the
-    projected forest is re-validated and re-scored.
+    Both DPs read their forests back as network edges, so the projection onto
+    the network is the identity.  It stays a separate replay while the
+    benchmark's one-pair self-check counts two forest evaluations per solve.
     """
-    projected = _spanning_forest(
-        instance, (eid for a, b in evaluation.edge_order for eid in route(a, b))
-    )
-    validate_rforest(projected, instance.pairs)
-    return projected, evaluate_rforest(projected, instance)
+    validate_rforest(forest, instance.pairs)
+    return evaluate_rforest(forest, instance)
 
 
 @dataclass(frozen=True)
 class FixedRSolution:
     sequence: BuildSequence
     report: ConnectionReport
-    metric_forest: RForest
-    metric_evaluation: ForestEvaluation
-    projected_forest: RForest
-    projected_evaluation: ForestEvaluation
+    forest: RForest
+    evaluation: ForestEvaluation
 
 
 def solve_fixed_r_detailed(
@@ -664,53 +622,30 @@ def solve_fixed_r_detailed(
     max_pairs: int | None = None,
     force: bool = False,
 ) -> FixedRSolution:
-    """Full solve keeping the winning forest and its projection.
-
-    Under wct the winner is the subset DP's network forest, each of whose
-    edges is routed to itself; under maxlat it is a closure forest, whose
-    edges are routed along the closure's shortest paths.
-    """
-    weighted = instance.objective is Objective.WEIGHTED_SUM
-    closure = None if weighted else build_metric_closure(instance.network)
-    streamed = enumerate_candidate_forests(
-        instance, closure, max_pairs=max_pairs, force=force
+    """Full solve keeping the winning network forest and its evaluation."""
+    dist = build_metric_closure(instance.network, instance.terminals)
+    ((value, forest),) = enumerate_candidate_forests(
+        instance, dist, max_pairs=max_pairs, force=force
     )
-    best = min(streamed, key=lambda item: (item[0], item[1].edges), default=None)
-    if best is None:
-        raise NetconError("no candidate forest found")  # unreachable on valid instances
-    value, best_forest = best
-    best_eval = evaluate_rforest(best_forest, instance)
-    if best_eval.value != value:
+    replayed = evaluate_rforest(forest, instance).value
+    if replayed != value:
         raise NetconError(
-            f"internal inconsistency: forest replays to {best_eval.value}, "
-            f"scored {value}"
+            f"internal inconsistency: forest replays to {replayed}, scored {value}"
         )
-
+    evaluation = project_to_graph(forest, instance)
     index = instance.network.edge_index
-    if weighted:
-        route = lambda a, b: (index[a, b],)
-    else:
-        route = partial(extract_path, closure)
-    projected, projected_eval = project_to_graph(best_forest, best_eval, route, instance)
-    essential = [index[e] for e in projected_eval.edge_order]
+    essential = [index[e] for e in evaluation.edge_order]
     used = set(essential)
     sequence = tuple(
         essential + [e for e in range(instance.network.edge_count) if e not in used]
     )
     report = evaluate_sequence(instance, sequence)
-    if report.objective > projected_eval.value:
+    if report.objective > evaluation.value:
         raise NetconError(
             f"internal inconsistency: replay {report.objective} exceeds "
-            f"forest value {projected_eval.value}"
+            f"forest value {evaluation.value}"
         )
-    return FixedRSolution(
-        sequence=sequence,
-        report=report,
-        metric_forest=best_forest,
-        metric_evaluation=best_eval,
-        projected_forest=projected,
-        projected_evaluation=projected_eval,
-    )
+    return FixedRSolution(sequence=sequence, report=report, forest=forest, evaluation=evaluation)
 
 
 def solve_fixed_r(

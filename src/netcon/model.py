@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import InstanceFormatError, InvalidInstanceError
@@ -179,26 +181,6 @@ class Network:
     @property
     def leaf_count(self) -> int:
         return sum(1 for d in self.degrees if d == 1)
-
-    def kernel_degrees(self, keep: Iterable[int]) -> list[int]:
-        """Degrees after repeatedly deleting degree-1 vertices not in ``keep``.
-
-        Deleted vertices read 0.  No path between two kept vertices passes
-        through a deleted one, so every forest joining kept vertices lies in
-        what remains.
-        """
-        keep = set(keep)
-        degree = list(self.degrees)
-        pendant = [v for v, d in enumerate(degree) if d == 1 and v not in keep]
-        while pendant:
-            v = pendant.pop()
-            degree[v] = 0
-            for y, _ in self.adjacency[v]:
-                if degree[y]:
-                    degree[y] -= 1
-                    if degree[y] == 1 and y not in keep:
-                        pendant.append(y)
-        return degree
 
 
 @dataclass(frozen=True)
@@ -447,6 +429,19 @@ def write_ola_input(ola: OlaInput) -> str:
 GENERATOR_KINDS = ("random_tree", "star", "path", "random_graph")
 
 
+def _pair_rank(n: int, u: int, v: int) -> int:
+    """The index of (u, v), u < v, in the list of all pairs of 0..n-1 that
+    runs over u, then v, in ascending order."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
+def _pair_at(n: int, rank: int) -> tuple[int, int]:
+    """The pair at ``rank`` in that list, without building it."""
+    back = n * (n - 1) // 2 - 1 - rank  # counted from the end, whose rows hold 1, 2, ... pairs
+    row = (isqrt(8 * back + 1) - 1) // 2
+    return n - 2 - row, n - 1 - back + row * (row + 1) // 2
+
+
 def generate(
     kind: str,
     n: int,
@@ -490,11 +485,12 @@ def generate(
             raise InvalidInstanceError(
                 f"random_graph edge count must lie in [{n - 1}, {max_edges}]"
             )
-        present = {(min(u, v), max(u, v)) for u, v in skeleton}
-        candidates = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
-        ]
-        skeleton.extend(rng.sample(candidates, edge_count - (n - 1)))
+        # sample ranks among the pairs off the skeleton, then skip the
+        # skeleton's ranks: the same draws as sampling the list of those pairs
+        taken = sorted(_pair_rank(n, u, v) for u, v in skeleton)
+        free_before = [rank - i for i, rank in enumerate(taken)]
+        for k in rng.sample(range(max_edges - (n - 1)), edge_count - (n - 1)):
+            skeleton.append(_pair_at(n, k + bisect_right(free_before, k)))
     if kind != "random_graph" and edge_count not in (None, n - 1):
         raise InvalidInstanceError(f"{kind} generator always has n-1 edges")
 
@@ -512,9 +508,8 @@ def generate(
             raise InvalidInstanceError(f"bad weight range {weight_range}")
         if objective is Objective.MAX_LATENESS and due_range[0] > due_range[1]:
             raise InvalidInstanceError(f"bad due range {due_range}")
-        population = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = []
-        for u, v in rng.sample(population, count):
+        for u, v in map(partial(_pair_at, n), rng.sample(range(max_edges), count)):
             due = rng.randint(*due_range) if objective is Objective.MAX_LATENESS else None
             chosen.append(RelevantPair(u, v, rng.randint(wlo, whi), due))
     return Instance(network, tuple(chosen), objective)

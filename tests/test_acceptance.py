@@ -54,7 +54,7 @@ def test_criterion_5_reduction_identity():
     assert result.seconds < 60
 
 
-def test_criterion_6_projection_inequality(fixed_r_results):
+def test_criterion_6_replay_equals_forest_optimum(fixed_r_results):
     result = _report(fixed_r_results[1])
     assert result.passed, result.detail
 

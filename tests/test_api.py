@@ -47,7 +47,6 @@ PUBLIC = [
 INTERNAL = [
     "DensityBlock",
     "ForestEvaluation",
-    "MetricClosure",
     "RForest",
     "SubtreeCatalog",
     "SubtreeRecord",
@@ -56,11 +55,9 @@ INTERNAL = [
     "enumerate_candidate_forests",
     "enumerate_subtrees",
     "evaluate_rforest",
-    "extract_path",
     "merge_for_edge",
     "pair_weight_tables",
     "project_to_graph",
-    "scored_candidates",
     "solve_fixed_r_detailed",
 ]
 

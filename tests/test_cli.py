@@ -102,6 +102,17 @@ def test_validate_rejects_tampered_objective(capsys, tmp_path):
     assert "objective" in out
 
 
+def test_validate_rejects_a_second_objective_line(capsys, tmp_path):
+    solution = tmp_path / "solution.txt"
+    run(capsys, "solve", str(FIXTURES / "square.ncn"), "-o", str(solution))
+    lines = solution.read_text().splitlines()
+    at = lines.index("objective 7")
+    solution.write_text("\n".join(lines[:at] + ["objective 999"] + lines[at:]) + "\n")
+    status, _, err = run(capsys, "validate", str(FIXTURES / "square.ncn"), str(solution))
+    assert status == 2
+    assert f"line {at + 2}: duplicate objective line" in err
+
+
 def test_backends_agree_on_tree_fixtures(capsys):
     # tree fixtures with at most 3 pairs; star_ola.ncn has 6, over the r guard
     for name in ("path3.ncn", "tree8.ncn"):

@@ -1,8 +1,6 @@
 import dataclasses
-import itertools
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
@@ -21,18 +19,15 @@ from netcon import (
 )
 import netcon.metric_solver
 from netcon.metric_solver import (
-    _forest_shapes,
+    _descend,
     _spanning_forest,
     build_metric_closure,
     enumerate_candidate_forests,
     evaluate_rforest,
-    extract_path,
     project_to_graph,
-    scored_candidates,
     solve_fixed_r_detailed,
     validate_rforest,
 )
-from netcon.unionfind import UnionFind
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -52,12 +47,8 @@ def _as_maxlat(inst):
     return Instance(inst.network, pairs, "maxlat")
 
 
-def _all_candidates(inst, closure):
-    """Every candidate forest of the pairs, in order: the full listing that
-    ``enumerate_candidate_forests`` filters down to the forests that can win
-    under maxlat.  Only maxlat is scanned, but the forests do not depend on
-    the objective, so a wct instance is listed as its maxlat twin."""
-    return [build() for _, build in scored_candidates(_as_maxlat(inst), closure)]
+def _stream(inst):
+    return enumerate_candidate_forests(inst, build_metric_closure(inst.network, inst.terminals))
 
 
 def _brute_shortest(net, source, target):
@@ -79,18 +70,18 @@ def _brute_shortest(net, source, target):
 
 def test_closure_prefers_detour_over_long_edge():
     net = Network(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
-    closure = build_metric_closure(net)
-    assert closure.dist[0][2] == 2
-    assert closure.dist[2][0] == 2
+    dist = build_metric_closure(net, [0, 2])
+    assert dist[0][2] == 2
+    assert dist[1][0] == 2  # the row of source 2
 
 
 def test_closure_on_tree_equals_path_lengths():
     inst = generate("random_tree", 8, seed=4, pair_count=1)
-    closure = build_metric_closure(inst.network)
+    dist = build_metric_closure(inst.network, range(8))
     for u in range(8):
         for v in range(8):
             if u != v:
-                assert closure.dist[u][v] == _brute_shortest(inst.network, u, v)
+                assert dist[u][v] == _brute_shortest(inst.network, u, v)
 
 
 def test_closure_matches_exhaustive_path_enumeration():
@@ -104,20 +95,29 @@ def test_closure_matches_exhaustive_path_enumeration():
             edge_count=rng.randint(n - 1, n * (n - 1) // 2),
             pair_count=1,
         )
-        closure = build_metric_closure(inst.network)
+        dist = build_metric_closure(inst.network, range(n))
         for u in range(n):
-            assert closure.dist[u][u] == 0
+            assert dist[u][u] == 0
             for v in range(u + 1, n):
                 want = _brute_shortest(inst.network, u, v)
-                assert closure.dist[u][v] == want
-                assert closure.dist[v][u] == want
+                assert dist[u][v] == want
+                assert dist[v][u] == want
+
+
+def _walk(network, dist, u, v):
+    """Edge ids of the shortest path from v down to u that ``_descend`` walks
+    along u's distance row."""
+    walked, end = _descend(network, dist[u], v, 1, [0] * network.vertex_count)
+    assert end == u
+    return walked
 
 
 def test_extract_path_examples():
     net = Network(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
-    closure = build_metric_closure(net)
-    assert extract_path(closure, 0, 1) == [0]  # the direct edge is shortest
-    assert extract_path(closure, 0, 2) == [0, 2]  # detour via vertex 1
+    dist = build_metric_closure(net, range(3))
+    assert _walk(net, dist, 0, 1) == [0]  # the direct edge is shortest
+    assert _walk(net, dist, 0, 2) == [2, 0]  # detour via vertex 1
+    assert _walk(net, dist, 2, 0) == [0, 2]
 
 
 def test_extract_path_matches_distance_on_random_queries():
@@ -131,70 +131,59 @@ def test_extract_path_matches_distance_on_random_queries():
             edge_count=rng.randint(n - 1, n * (n - 1) // 2),
             pair_count=1,
         )
-        closure = build_metric_closure(inst.network)
+        dist = build_metric_closure(inst.network, range(n))
         for _ in range(10):
             u, v = rng.sample(range(n), 2)
-            path = extract_path(closure, u, v)
-            assert sum(inst.network.edges[e][2] for e in path) == closure.dist[u][v]
+            path = _walk(inst.network, dist, u, v)
+            assert sum(inst.network.edges[e][2] for e in path) == dist[u][v]
             assert len(set(path)) == len(path)
-            at = u  # the ids chain from u to v
+            at = v  # the ids chain from v to u
             for e in path:
                 a, b, _ = inst.network.edges[e]
                 assert at in (a, b)
                 at = a + b - at
-            assert at == v
+            assert at == u
 
 
 def test_candidates_on_terminal_path():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
-    closure = build_metric_closure(inst.network)
-    candidates = _all_candidates(inst, closure)
-    assert [c.edges for c in candidates] == [
-        ((0, 1), (0, 2)),
-        ((0, 1), (1, 2)),
-        ((0, 2), (1, 2)),
-    ]
-
-
-def test_disjoint_pairs_allow_two_component_forest():
-    closure = build_metric_closure(SQUARE.network)
-    candidates = [c.edges for c in _all_candidates(SQUARE, closure)]
-    assert ((0, 2), (1, 3)) in candidates
+    for twin in (inst, _as_maxlat(inst)):
+        ((_, forest),) = _stream(twin)
+        assert forest.edges == ((0, 1), (1, 2))
+        assert forest.pair_paths == (((0, 1),), ((0, 1), (1, 2)))
 
 
 def test_candidates_are_valid_unique_and_junctions_have_degree_3():
+    # the stream holds one forest; a vertex of it that ends no pair lies
+    # inside a path (degree 2) or is a junction (degree 3 or more)
     rng = random.Random(59)
-    for _ in range(10):
-        n = rng.randint(3, 7)
-        inst = generate(
-            "random_graph",
-            n,
-            seed=rng.randrange(1 << 30),
-            pair_count=min(2, n * (n - 1) // 2),
-        )
-        closure = build_metric_closure(inst.network)
-        seen = set()
-        terminals = set(inst.terminals)
-        for forest in _all_candidates(inst, closure):
-            validate_rforest(forest, inst.pairs)
-            assert forest.edges not in seen
-            seen.add(forest.edges)
-            degree = {}
-            for u, v in forest.edges:
-                degree[u] = degree.get(u, 0) + 1
-                degree[v] = degree.get(v, 0) + 1
-            for vertex, d in degree.items():
-                if vertex not in terminals:
-                    assert d >= 3
-        assert seen
+    junctions = 0
+    for _ in range(40):
+        n = rng.randint(4, 8)
+        objective = rng.choice(("wct", "maxlat"))
+        inst = generate("random_graph", n, seed=rng.randrange(1 << 30), pair_count=3, objective=objective)
+        ((_, forest),) = _stream(inst)
+        validate_rforest(forest, inst.pairs)
+        degree = Counter(x for e in forest.edges for x in e)
+        inner = [d for x, d in degree.items() if x not in inst.terminals]
+        assert all(d >= 2 for d in inner)
+        junctions += any(d >= 3 for d in inner)
+    assert junctions >= 3
+
+
+def test_disjoint_pairs_allow_two_component_forest():
+    # pairs (0, 1) and (2, 3) on the square: its opposite edges serve them
+    inst = _inst(SQUARE.network.edges, [(0, 1, 2), (2, 3, 1)])
+    for twin in (inst, _as_maxlat(inst)):
+        ((value, forest),) = _stream(twin)
+        assert forest.edges == ((0, 1), (2, 3))
+        assert value == subset_dp(twin)[0]
 
 
 def test_evaluate_rforest_weighted_sum():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
-    closure = build_metric_closure(inst.network)
-    forest = [
-        c for c in _all_candidates(inst, closure) if c.edges == ((0, 1), (1, 2))
-    ][0]
+    forest = _spanning_forest(inst, [0, 1])
+    assert forest.edges == ((0, 1), (1, 2))
     evaluation = evaluate_rforest(forest, inst)
     assert evaluation.value == 3  # serve (0,1) first: 1 + 2; other order gives 4
     assert evaluation.pair_order == (0, 1)
@@ -204,67 +193,23 @@ def test_evaluate_rforest_weighted_sum():
 
 def test_evaluate_rforest_single_pair():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
-    closure = build_metric_closure(inst.network)
-    (forest,) = _all_candidates(inst, closure)
-    assert evaluate_rforest(forest, inst).value == 12
+    assert evaluate_rforest(_spanning_forest(inst, [0]), inst).value == 12
 
 
 def test_evaluate_rforest_max_lateness():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 1), (0, 2, 1, 2)], "maxlat")
-    closure = build_metric_closure(inst.network)
-    forest = [
-        c for c in _all_candidates(inst, closure) if c.edges == ((0, 1), (1, 2))
-    ][0]
-    assert evaluate_rforest(forest, inst).value == 0
-
-
-def test_metric_evaluations_replay_exactly_on_the_closure_network():
-    # materialize the closure as a complete network and rebuild each winner's
-    # order there: the replayed objective must reproduce the charged value
-    rng = random.Random(83)
-    for _ in range(10):
-        n = rng.randint(3, 6)
-        inst = generate("random_graph", n, seed=rng.randrange(1 << 30), pair_count=2)
-        closure = build_metric_closure(inst.network)
-        complete = Network(
-            n,
-            tuple(
-                (u, v, closure.dist[u][v]) for u in range(n) for v in range(u + 1, n)
-            ),
-        )
-        closure_inst = Instance(complete, inst.pairs)
-        for forest in _all_candidates(inst, closure):
-            evaluation = evaluate_rforest(forest, inst)
-            seq = [complete.edge_index[e] for e in evaluation.edge_order]
-            assert evaluate_sequence(closure_inst, seq).objective == evaluation.value
+    assert evaluate_rforest(_spanning_forest(inst, [0, 1]), inst).value == 0
 
 
 def test_projection_identity_when_closure_edge_is_direct():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
-    closure = build_metric_closure(inst.network)
-    (forest,) = _all_candidates(inst, closure)
-    evaluation = evaluate_rforest(forest, inst)
-    route = partial(extract_path, closure)
-    projected, projected_eval = project_to_graph(forest, evaluation, route, inst)
-    assert projected.edges == forest.edges
-    assert projected_eval.value == evaluation.value
-
-
-def test_projection_square_trace():
-    closure = build_metric_closure(SQUARE.network)
-    forest = [
-        c for c in _all_candidates(SQUARE, closure) if c.edges == ((0, 2), (1, 3))
-    ][0]
-    evaluation = evaluate_rforest(forest, SQUARE)
-    assert evaluation.value == 8
-    route = partial(extract_path, closure)
-    projected, projected_eval = project_to_graph(forest, evaluation, route, SQUARE)
-    # (0,2) expands to 0-1-2; (1,3) walks 1-0-3, reusing (0,1) and adding (0,3)
-    assert projected.edges == ((0, 1), (0, 3), (1, 2))
-    assert projected_eval.value <= evaluation.value
+    ((_, forest),) = _stream(inst)
+    assert forest.edges == ((0, 1),)
+    assert project_to_graph(forest, inst) == evaluate_rforest(forest, inst)
 
 
 def test_projection_never_increases_value_on_random_instances():
+    # both DPs give network forests, so the projection rescores them unchanged
     rng = random.Random(61)
     for _ in range(100):
         n = rng.randint(3, 7)
@@ -275,13 +220,10 @@ def test_projection_never_increases_value_on_random_instances():
             pair_count=2,
             objective=rng.choice(("wct", "maxlat")),
         )
-        closure = build_metric_closure(inst.network)
-        for forest in _all_candidates(inst, closure):
-            evaluation = evaluate_rforest(forest, inst)
-            route = partial(extract_path, closure)
-            projected, projected_eval = project_to_graph(forest, evaluation, route, inst)
-            validate_rforest(projected, inst.pairs)
-            assert projected_eval.value <= evaluation.value
+        ((value, forest),) = _stream(inst)
+        validate_rforest(forest, inst.pairs)
+        _assert_network_forest(forest, inst)
+        assert project_to_graph(forest, inst).value == value
 
 
 def test_solve_square():
@@ -298,10 +240,10 @@ def test_solve_single_pair_is_shortest_path():
         inst = generate(
             "random_graph", n, seed=rng.randrange(1 << 30), pair_count=1, weight_range=(1, 9)
         )
-        closure = build_metric_closure(inst.network)
         pair = inst.pairs[0]
+        (row,) = build_metric_closure(inst.network, [pair.u])
         _, report = solve_fixed_r(inst)
-        assert report.objective == pair.weight * closure.dist[pair.u][pair.v]
+        assert report.objective == pair.weight * row[pair.v]
 
 
 def test_matches_tree_solver_on_trees():
@@ -377,7 +319,7 @@ def test_pair_guard():
     inst = Instance(net, pairs)
     with pytest.raises(GuardExceededError, match=r"wct subset DP does r! \* 3\^t work"):
         solve_fixed_r(inst)
-    with pytest.raises(GuardExceededError, match=r"maxlat candidate count grows like n\^\(t-2\)"):
+    with pytest.raises(GuardExceededError, match=r"maxlat subset DP keeps Pareto labels over 2\^t"):
         solve_fixed_r(_as_maxlat(inst))
     depot_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 6))
     depot_inst = Instance(net, depot_pairs)
@@ -402,16 +344,26 @@ def _assert_network_forest(forest, inst):
 
 
 def test_wct_needs_no_closure_and_no_scan(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the wct route called the closure or the scan")
+    # the only single-source Dijkstra runs start at the pair endpoints, once each
+    inst = _inst(
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (3, 4, 1), (4, 5, 2), (2, 5, 1)],
+        [(0, 2, 2), (1, 3, 1)],
+    )
+    sources = []
+    original = netcon.metric_solver._dijkstra
 
-    monkeypatch.setattr(netcon.metric_solver, "build_metric_closure", forbidden)
-    monkeypatch.setattr(netcon.metric_solver, "scored_candidates", forbidden)
-    solution = solve_fixed_r_detailed(SQUARE)
-    assert solution.report.objective == solution.metric_evaluation.value == 7
-    # the DP's forest is made of network edges, so it projects onto itself
-    _assert_network_forest(solution.metric_forest, SQUARE)
-    assert solution.projected_forest == solution.metric_forest
+    def recorded(network, labels, factor):
+        if len(labels) == 1:
+            sources.extend(labels)
+        return original(network, labels, factor)
+
+    monkeypatch.setattr(netcon.metric_solver, "_dijkstra", recorded)
+    for twin, want in ((inst, 7), (_as_maxlat(inst), 3)):
+        sources.clear()
+        solution = solve_fixed_r_detailed(twin)
+        assert sorted(sources) == [0, 1, 2, 3]
+        assert solution.report.objective == solution.evaluation.value == want
+        _assert_network_forest(solution.forest, twin)
 
 
 def test_spanning_forest_paths_run_from_u_to_v():
@@ -427,81 +379,7 @@ def test_solution_is_deterministic():
     first = solve_fixed_r_detailed(SQUARE)
     second = solve_fixed_r_detailed(SQUARE)
     assert first.sequence == second.sequence
-    assert first.metric_forest.edges == second.metric_forest.edges
-
-
-def _tree_path(edges, source, target):
-    """Edges of the path from source to target in a tree, in walking order."""
-    def walk(at, came_from):
-        if at == target:
-            return []
-        for edge in edges:
-            if at in edge and edge != came_from:
-                rest = walk(edge[0] + edge[1] - at, edge)
-                if rest is not None:
-                    return [edge] + rest
-        return None
-
-    return tuple(walk(source, None))
-
-
-def _brute_force_shapes(pair_slots, t, junctions):
-    """Forest shapes on endpoint slots 0..t-1 plus ``junctions`` junction
-    slots, as (sorted edges, each pair's path in walking order), found by
-    trying every edge subset: keep the forests that join every pair, have
-    every edge on a pair's path and give every junction degree >= 3."""
-    n = t + junctions
-    slots = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    atoms = UnionFind(t)
-    groups = t - sum(atoms.union(a, b) for a, b in pair_slots)
-    found = set()
-    # a forest joining every pair has no more components than the pairs have
-    # groups of shared endpoints
-    for size in range(n - groups, n):
-        for edges in itertools.combinations(slots, size):
-            degree = [0] * n
-            for a, b in edges:
-                degree[a] += 1
-                degree[b] += 1
-            if min(degree[t:], default=3) < 3:
-                continue
-            uf = UnionFind(n)
-            if not all(uf.union(a, b) for a, b in edges):
-                continue  # a cycle
-            if not all(uf.connected(a, b) for a, b in pair_slots):
-                continue
-            paths = tuple(_tree_path(edges, a, b) for a, b in pair_slots)
-            if {edge for path in paths for edge in path} == set(edges):
-                found.add((edges, paths))
-    return found
-
-
-def test_forest_shapes_match_a_brute_force_over_edge_subsets():
-    rng = random.Random(97)
-    checked = 0
-    for _ in range(40):
-        t = rng.randint(2, 5)
-        population = list(itertools.combinations(range(t), 2))
-        pair_slots = []
-        while {x for pair in pair_slots for x in pair} != set(range(t)):
-            pair_slots = rng.sample(population, rng.randint(1, min(4, len(population))))
-            rng.shuffle(pair_slots)
-        labelled = []
-        for size, slot_edges, paths in _forest_shapes(pair_slots, t, 2):
-            # every way to label the shape's junction slots
-            for labels in itertools.permutations(range(t, t + size)):
-                name = list(range(t)) + list(labels)
-                edges = [tuple(sorted((name[a], name[b]))) for a, b in slot_edges]
-                labelled.append(
-                    (tuple(sorted(edges)), tuple(tuple(edges[e] for e in path) for path in paths))
-                )
-        direct = set()
-        for junctions in range(3):
-            direct |= _brute_force_shapes(pair_slots, t, junctions)
-        assert len(labelled) == len(set(labelled))
-        assert set(labelled) == direct
-        checked += any(x >= t for edges, _ in direct for edge in edges for x in edge)
-    assert checked > 20
+    assert first.forest.edges == second.forest.edges
 
 
 def _pendant_junction_instance():
@@ -511,21 +389,13 @@ def _pendant_junction_instance():
     return _inst(edges, [(0, 2, 2), (1, 3, 1)])
 
 
-def test_kernel_degrees_prune_pendant_non_terminals():
-    inst = _pendant_junction_instance()
-    assert inst.network.degrees[4] == 3
-    assert inst.network.kernel_degrees(inst.terminals) == [2, 2, 2, 2, 0, 0, 0]
-    # a kept vertex is never pruned, even when pendant
-    assert inst.network.kernel_degrees([0, 1, 2, 3, 5]) == [3, 2, 2, 2, 2, 1, 0]
-
-
 def test_pendant_only_neighbours_never_make_a_junction():
     inst = _pendant_junction_instance()
-    closure = build_metric_closure(inst.network)
-    candidates = _all_candidates(inst, closure)
-    assert candidates
-    assert all(4 not in {x for e in c.edges for x in e} for c in candidates)
-    assert solve_fixed_r(inst)[1].objective == subset_dp(inst)[0]
+    assert inst.network.degrees[4] == 3
+    for twin in (inst, _as_maxlat(inst)):
+        solution = solve_fixed_r_detailed(twin)
+        assert 4 not in {x for e in solution.forest.edges for x in e}
+        assert solution.report.objective == subset_dp(twin)[0]
 
 
 def _pendant_and_chain_instance(rng, objective, depot):
@@ -604,78 +474,39 @@ def _stream_instance(rng, objective, depot):
 @pytest.mark.parametrize(
     "objective, depot", [("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)]
 )
-def test_stream_keeps_every_minimum_and_never_a_worse_value(objective, depot):
+def test_stream_is_one_optimal_network_forest(objective, depot):
     rng = random.Random(f"stream/{objective}/{depot}")
     with_junctions = oracle_checked = 0
     for _ in range(20):
         inst = _stream_instance(rng, objective, depot)
-        closure = build_metric_closure(inst.network)
-        if objective == "wct":
-            listing = [(evaluate_rforest(f, inst).value, f) for f in _all_candidates(inst, closure)]
-        else:
-            listing = [(value, build()) for value, build in scored_candidates(inst, closure)]
-            for value, forest in listing:
-                assert value == evaluate_rforest(forest, inst).value
+        ((value, forest),) = _stream(inst)
+        assert value == evaluate_rforest(forest, inst).value
+        validate_rforest(forest, inst.pairs)
+        _assert_network_forest(forest, inst)
         terminals = set(inst.terminals)
-        with_junctions += any(x not in terminals for _, f in listing for e in f.edges for x in e)
-        low = min(value for value, _ in listing)
-        if objective == "wct":
-            # the stream is the subset DP's one forest, optimal over the listing
-            ((value, forest),) = enumerate_candidate_forests(inst)
-            assert value == evaluate_rforest(forest, inst).value == low
-            if inst.network.edge_count <= 12:
-                assert value == subset_dp(inst)[0]
-                oracle_checked += 1
-            validate_rforest(forest, inst.pairs)
-            _assert_network_forest(forest, inst)
-            solution = solve_fixed_r_detailed(inst)
-            assert solution.metric_forest == forest
-            assert solution.projected_forest == solution.metric_forest
-            continue
-        stream = list(enumerate_candidate_forests(inst, closure))
-        values = [value for value, _ in stream]
-        assert values == [evaluate_rforest(f, inst).value for _, f in stream]
-        assert all(v <= min(values[:i]) for i, v in enumerate(values) if i)
-        assert {f.edges for value, f in listing if value == low} <= {f.edges for _, f in stream}
-        want = min((value, f.edges) for value, f in listing)[1]
-        assert solve_fixed_r_detailed(inst).metric_forest.edges == want
+        with_junctions += any(x not in terminals for e in forest.edges for x in e)
+        if inst.network.edge_count <= 12:
+            assert value == subset_dp(inst)[0]
+            oracle_checked += 1
+        assert solve_fixed_r_detailed(inst).forest == forest
     assert with_junctions >= 3
-    assert oracle_checked >= 10 or objective == "maxlat"
-
-
-def test_no_forest_shape_has_more_than_t_minus_2_junctions():
-    # pairs drawn among few vertices, so endpoints are often shared
-    rng = random.Random(101)
-    shared = 0
-    for _ in range(100):
-        ends = rng.sample(range(20), rng.randint(2, 6))
-        population = [(u, v) for u in ends for v in ends if u < v]
-        pairs = rng.sample(population, rng.randint(1, min(4, len(population))))
-        slot = {x: i for i, x in enumerate(sorted({x for pair in pairs for x in pair}))}
-        t = len(slot)
-        shared += t < 2 * len(pairs)
-        # a cap of t - 1 would let a shape with t - 1 junctions through
-        shapes = _forest_shapes([(slot[u], slot[v]) for u, v in pairs], t, t - 1)
-        assert all(size <= t - 2 for size, _, _ in shapes)
-    assert shared > 30
+    assert oracle_checked >= 10
 
 
 def test_two_pairs_with_distinct_ends_can_need_two_junctions():
     # an H: pairs (0, 1) and (2, 3) meet only along the bar 4-5
     inst = _inst([(0, 4, 1), (2, 4, 1), (4, 5, 1), (1, 5, 1), (3, 5, 1)], [(0, 1, 1), (2, 3, 1)])
     assert inst.terminals == (0, 1, 2, 3)
-    assert any(size == 2 for size, _, _ in _forest_shapes([(0, 1), (2, 3)], 4, 2))
-    forest = solve_fixed_r_detailed(inst).metric_forest
-    assert {x for e in forest.edges for x in e} == {0, 1, 2, 3, 4, 5}
-    assert solve_fixed_r(inst)[1].objective == subset_dp(inst)[0]
+    for twin in (inst, _as_maxlat(inst)):
+        forest = solve_fixed_r_detailed(twin).forest
+        assert {x for e in forest.edges for x in e} == {0, 1, 2, 3, 4, 5}
+        assert solve_fixed_r(twin)[1].objective == subset_dp(twin)[0]
 
 
 def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
     inst = _inst(
         [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], [(0, 2, 2, 2), (1, 3, 1, 4)], "maxlat"
     )
-    closure = build_metric_closure(inst.network)
-    assert len(list(enumerate_candidate_forests(inst, closure))) > 1  # tied forests
     calls = []
     original = netcon.metric_solver.evaluate_rforest
 
@@ -685,10 +516,12 @@ def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
 
     monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", counted)
     solution = solve_fixed_r_detailed(inst)
-    assert calls == [solution.metric_forest, solution.projected_forest]
+    assert calls == [solution.forest, solution.forest]
 
 
-def _oracle_instance(rng, n, r, shared, lengths, max_edges):
+def _oracle_instance(rng, n, r, shared, lengths, max_edges, due=None):
+    """A random graph with r pairs: a wct instance, or a maxlat one whose due
+    dates ``due()`` draws."""
     if shared:
         # pairs among r + 1 endpoints, so some ends are shared
         ends = rng.sample(range(n), min(n, r + 1))
@@ -701,15 +534,16 @@ def _oracle_instance(rng, n, r, shared, lengths, max_edges):
         n,
         seed=rng.randrange(1 << 30),
         edge_count=rng.randint(n - 1, min(max_edges, n * (n - 1) // 2)),
-        pairs=[(min(p), max(p), rng.randint(1, 9)) for p in pairs],
+        pairs=[(min(p), max(p), rng.randint(1, 9)) + (() if due is None else (due(),)) for p in pairs],
         length_range=lengths,
+        objective="wct" if due is None else "maxlat",
     )
 
 
-def _check_against_subset_dp(inst):
-    solution = solve_fixed_r_detailed(inst)
-    want = subset_dp(inst)[0]
-    assert solution.metric_evaluation.value == solution.report.objective == want
+def _check_against_subset_dp(inst, force=False):
+    solution = solve_fixed_r_detailed(inst, force=force)
+    want = subset_dp(inst, force=True)[0]
+    assert solution.evaluation.value == solution.report.objective == want
     assert evaluate_sequence(inst, solution.sequence) == solution.report
 
 
@@ -731,4 +565,70 @@ def test_wct_subset_dp_reaches_four_general_pairs_on_nine_vertices():
     for _ in range(4):
         inst = _oracle_instance(rng, 9, 4, False, (1, 20), 16)
         assert len(inst.terminals) == 8
+        _check_against_subset_dp(inst)
+
+
+def _due_dates(rng):
+    """Due dates spread out, all tied, or near -10^18 and 10^18."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return lambda: rng.randint(0, 40)
+    if kind == 1:
+        tied = rng.randint(0, 40)
+        return lambda: tied
+    return lambda: rng.choice((-(10**18), 10**18)) + rng.randint(0, 40)
+
+
+def test_maxlat_dp_matches_the_edge_subset_oracle(monkeypatch):
+    # the forest read back keeps every edge it reads: none twice, none that
+    # closes a cycle and none on no pair's path
+    original = netcon.metric_solver._spanning_forest
+
+    def exact(instance, edge_ids):
+        forest = original(instance, edge_ids)
+        assert len(forest.edges) == len(edge_ids)
+        return forest
+
+    monkeypatch.setattr(netcon.metric_solver, "_spanning_forest", exact)
+    # the second pair's due date leaves slack: a read-back that routes it over
+    # 1-2 closes a cycle with the first pair's edges
+    _check_against_subset_dp(
+        _inst([(0, 1, 2), (0, 2, 2), (1, 2, 2), (2, 3, 2)], [(1, 3, 4, 4), (2, 3, 2, 24)], "maxlat")
+    )
+    rng = random.Random(113)
+    shared = unit = 0
+    for trial in range(160):
+        n = rng.randint(3, 9)
+        with_shared = rng.random() < 0.4
+        r = rng.randint(1, min(5, n * (n - 1) // 2, n - 1 if with_shared else n // 2))
+        lengths = rng.choice([(1, 1), (1, 3), (1, 20)])
+        inst = _oracle_instance(rng, n, r, with_shared, lengths, 13, _due_dates(rng))
+        shared += len(inst.terminals) < 2 * r
+        unit += lengths == (1, 1)
+        _check_against_subset_dp(inst, force=True)
+    assert shared >= 40 and unit >= 40
+
+
+def test_maxlat_dp_reaches_four_general_pairs_on_nine_vertices():
+    rng = random.Random(127)
+    for _ in range(2):
+        inst = _oracle_instance(rng, 9, 4, False, (1, 20), 16, _due_dates(rng))
+        assert len(inst.terminals) == 8
+        _check_against_subset_dp(inst)
+
+
+def test_maxlat_dp_reaches_six_depot_pairs():
+    rng = random.Random(137)
+    for _ in range(2):
+        hub, *others = rng.sample(range(10), 7)
+        inst = generate(
+            "random_graph",
+            10,
+            seed=rng.randrange(1 << 30),
+            edge_count=rng.randint(12, 16),
+            pairs=[(min(hub, x), max(hub, x), rng.randint(1, 9), rng.randint(0, 60)) for x in others],
+            length_range=(1, 20),
+            objective="maxlat",
+        )
+        assert inst.common_pair_vertex() == hub
         _check_against_subset_dp(inst)

@@ -160,6 +160,51 @@ def test_generate_validates_params():
         generate("blob", 4)
 
 
+def _generate_from_lists(kind, n, seed, edge_count, pair_count, objective):
+    """What ``generate`` draws with default ranges, sampling the edges and the
+    pairs from lists of every vertex pair."""
+    rng = random.Random(seed)
+    if kind == "path":
+        skeleton = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "star":
+        skeleton = [(0, i) for i in range(1, n)]
+    else:
+        skeleton = [(rng.randrange(v), v) for v in range(1, n)]
+    every = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "random_graph":
+        off = [pair for pair in every if pair not in set(skeleton)]
+        skeleton += rng.sample(off, edge_count - (n - 1))
+    edges = tuple((u, v, rng.randint(1, 10)) for u, v in skeleton)
+    pairs = []
+    for u, v in rng.sample(every, pair_count):
+        due = rng.randint(0, 50) if objective == "maxlat" else None
+        pairs.append(RelevantPair(u, v, rng.randint(1, 5), due))
+    return Instance(Network(n, edges), tuple(pairs), objective)
+
+
+def test_generate_draws_as_if_from_lists_of_every_vertex_pair():
+    rng = random.Random(131)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        kind = rng.choice(("path", "star", "random_tree", "random_graph"))
+        most = n * (n - 1) // 2
+        edge_count = rng.randint(n - 1, most) if kind == "random_graph" else None
+        args = (kind, n, rng.randrange(1 << 30), edge_count, rng.randint(1, min(most, 6)))
+        objective = rng.choice(("wct", "maxlat"))
+        got = generate(*args[:2], seed=args[2], edge_count=args[3], pair_count=args[4], objective=objective)
+        assert write_instance(got) == write_instance(_generate_from_lists(*args, objective))
+
+
+def test_generate_builds_no_list_of_every_vertex_pair():
+    tracemalloc.start()
+    try:
+        generate("path", 1000, pair_count=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
 def test_generate_rejects_an_inverted_due_range_when_it_draws_dues():
     with pytest.raises(InvalidInstanceError, match="bad due range"):
         generate("random_graph", 6, pair_count=2, objective="maxlat", due_range=(50, 0))

@@ -2,9 +2,10 @@
 
 Shifting every due date by s moves the maximum lateness by exactly -s, and
 scaling every length by k scales every connection time, and so the weighted
-sum, by k.  Neither may depend on how large the numbers get.  Renaming the
-vertices changes no objective, and the metric closure's distances are the
-graph's shortest-path distances (checked against scipy).
+sum, by k; scaling the due dates by k as well scales the maximum lateness by
+k.  None of these may depend on how large the numbers get.  Renaming the
+vertices changes no objective, and the shortest-path distances the fixed-r
+DPs start from are the graph's (checked against scipy).
 """
 
 import dataclasses
@@ -68,6 +69,20 @@ def test_length_scaling_scales_wct(seed, k):
     assert subset_dp(scaled)[0] == k * want
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 1 << 62))
+def test_length_and_due_scaling_scales_maxlat(seed, k):
+    inst = _small_graph(seed, "maxlat")
+    pairs = tuple(dataclasses.replace(p, due=p.due * k) for p in inst.pairs)
+    scaled = _scale_lengths(Instance(inst.network, pairs, inst.objective), k)
+    want = subset_dp(inst)[0]
+    assert solve_fixed_r(inst)[1].objective == want
+    seq, report = solve_fixed_r(scaled)
+    assert report.objective == k * want
+    assert evaluate_sequence(scaled, seq) == report
+    assert subset_dp(scaled)[0] == k * want
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=SEEDS, k=st.integers(1, 1 << 62))
 def test_length_scaling_scales_wct_on_trees(seed, k):
@@ -82,8 +97,8 @@ def test_fixed_r_handles_a_2_pow_60_edge():
     seq, report = solve_fixed_r(inst)
     assert report.objective == 3 * ((1 << 60) + 1)
     assert sorted(seq) == [0, 1]
-    # maxlat runs the closure, whose distances past 2^60 stay exact
-    assert build_metric_closure(network).dist[0] == (0, 1 << 60, (1 << 60) + 1)
+    # the distances the DPs start from stay exact past 2^60
+    assert build_metric_closure(network, [0]) == [[0, 1 << 60, (1 << 60) + 1]]
     maxlat = Instance(network, (RelevantPair(0, 2, 3, 7),), "maxlat")
     seq, report = solve_fixed_r(maxlat)
     assert report.objective == (1 << 60) + 1 - 7
@@ -130,5 +145,5 @@ def test_closure_distances_match_scipy(seed, n, extra):
     lengths = [c for _, _, c in network.edges]
     graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
     want = shortest_path(graph, directed=False)
-    dist = build_metric_closure(network).dist
-    assert [list(row) for row in dist] == [[int(d) for d in row] for row in want]
+    dist = build_metric_closure(network, range(n))
+    assert dist == [[int(d) for d in row] for row in want]
