@@ -2,13 +2,12 @@
 
 Exit codes: 0 success, 1 validation/selftest failure, 2 usage error (bad
 arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
-inconsistency (a solver contradicted its own checks).  Guard defaults can be
-overridden with the environment variables NETCON_LEAF_BOUND (read only by
-``--backend auto`` and ``tree``), NETCON_MAX_PAIRS (only when fixed-r runs),
-and NETCON_ORACLE_MAX_EDGES (for either oracle method, which otherwise keeps
-its own edge bound); the fixed-r pair bound defaults to 4 in general and 6
-when all pairs share a vertex.  ``solve --depot`` insists on such a shared
-vertex, whichever backend runs, and is a usage error without one.
+inconsistency (a solver contradicted its own checks).  Each size guard is a
+fixed bound of its solver (the tree leaf bound, the fixed-r pair bound of 4
+in general and 6 when all pairs share a vertex, each oracle's edge bound),
+and ``--force`` is the one way past them.  ``solve --depot`` insists on a
+vertex shared by all pairs, whichever backend runs, and is a usage error
+without one.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from typing import Sequence
 
@@ -39,6 +37,7 @@ from .model import (
     Instance,
     Objective,
     _content_lines,
+    _parse_int,
     generate,
     parse_instance,
     parse_ola_input,
@@ -47,16 +46,6 @@ from .model import (
 )
 from .oracle import permutation_oracle, subset_dp
 from .tree_solver import LEAF_BOUND, solve_tree
-
-
-def _env_int(name: str, fallback: int | None) -> int | None:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidInstanceError(f"{name} must be an integer, got {value!r}") from None
 
 
 def format_solution(instance: Instance, report: ConnectionReport, seq: Sequence[int]) -> str:
@@ -73,27 +62,20 @@ def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tup
     in_sequence = False
     for lineno, tokens in _content_lines(text):
         if in_sequence:
-            digits = tokens[0].removeprefix("-")
-            if len(tokens) != 1 or not (digits.isascii() and digits.isdigit()):
+            if len(tokens) != 1:
                 raise InstanceFormatError("expected one edge id per line", lineno)
-            seq.append(int(tokens[0]))
+            seq.append(_parse_int(tokens[0], "edge id", lineno))
         elif tokens[0] == "pair" and len(tokens) == 4 and tokens[3].startswith("t="):
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-                t = int(tokens[3][2:])
-            except ValueError:
-                raise InstanceFormatError("malformed pair line", lineno) from None
+            u = _parse_int(tokens[1], "pair endpoint", lineno)
+            v = _parse_int(tokens[2], "pair endpoint", lineno)
             key = (min(u, v), max(u, v))
             if key in times:
                 raise InstanceFormatError(f"duplicate pair line for {key}", lineno)
-            times[key] = t
+            times[key] = _parse_int(tokens[3][2:], "connection time", lineno)
         elif tokens[0] == "objective" and len(tokens) == 2:
             if objective is not None:
                 raise InstanceFormatError("duplicate objective line", lineno)
-            try:
-                objective = int(tokens[1])
-            except ValueError:
-                raise InstanceFormatError("malformed objective line", lineno) from None
+            objective = _parse_int(tokens[1], "objective", lineno)
         elif tokens == ["sequence"]:
             in_sequence = True
         else:
@@ -126,12 +108,12 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _pick_backend(instance: Instance, backend: str, leaf_bound: int) -> str:
+def _pick_backend(instance: Instance, backend: str) -> str:
     if backend != "auto":
         return backend
     fits_tree = (
         instance.network.is_tree
-        and instance.network.leaf_count <= leaf_bound
+        and instance.network.leaf_count <= LEAF_BOUND
         and instance.objective is Objective.WEIGHTED_SUM
     )
     return "tree" if fits_tree else "fixed-r"
@@ -141,19 +123,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     if args.depot and instance.common_pair_vertex() is None:
         raise UnsupportedInstanceError("--depot needs a vertex common to all pairs")
-    backend = args.backend
-    if backend != "fixed-r":
-        leaf_bound = args.leaf_bound if args.leaf_bound is not None else _env_int(
-            "NETCON_LEAF_BOUND", LEAF_BOUND
-        )
-        backend = _pick_backend(instance, backend, leaf_bound)
-    if backend == "tree":
-        seq, report = solve_tree(instance, leaf_bound=leaf_bound, force=args.force)
+    if _pick_backend(instance, args.backend) == "tree":
+        seq, report = solve_tree(instance, force=args.force)
     else:
-        max_pairs = args.max_pairs if args.max_pairs is not None else _env_int(
-            "NETCON_MAX_PAIRS", None
-        )
-        seq, report = solve_fixed_r(instance, max_pairs=max_pairs, force=args.force)
+        seq, report = solve_fixed_r(instance, force=args.force)
     text = format_solution(instance, report, seq)
     sys.stdout.write(text)
     if args.output:
@@ -164,15 +137,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    max_edges = args.max_edges if args.max_edges is not None else _env_int(
-        "NETCON_ORACLE_MAX_EDGES", None
-    )
-    # with neither set, each method keeps its own default bound
-    bound = {} if max_edges is None else {"max_edges": max_edges}
     if args.method == "permutations":
-        value = permutation_oracle(instance, force=args.force, **bound)
+        value = permutation_oracle(instance, force=args.force)
     else:
-        value, _ = subset_dp(instance, force=args.force, **bound)
+        value, _ = subset_dp(instance, force=args.force)
     print(f"objective {value}")
     return 0
 
@@ -236,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--backend", choices=("auto", "tree", "fixed-r"), default="auto")
     solve.add_argument("--depot", action="store_true", help="require a vertex shared by all pairs")
-    solve.add_argument("--leaf-bound", type=int, default=None)
-    solve.add_argument("--max-pairs", type=int, default=None)
     solve.add_argument("--force", action="store_true", help="override size guards")
     solve.add_argument("-o", "--output", default=None)
     solve.set_defaults(func=_cmd_solve)
@@ -245,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force optimum of an instance file")
     oracle.add_argument("instance")
     oracle.add_argument("--method", choices=("subset-dp", "permutations"), default="subset-dp")
-    oracle.add_argument("--max-edges", type=int, default=None)
-    oracle.add_argument("--force", action="store_true")
+    oracle.add_argument("--force", action="store_true", help="override the edge bound")
     oracle.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate an instance file")

@@ -45,7 +45,7 @@ def evaluate_sequence(instance: Instance, seq: Sequence[int]) -> ConnectionRepor
     m = len(edges)
     seen: set[int] = set()
     for eid in seq:
-        if not isinstance(eid, int) or not (0 <= eid < m):
+        if type(eid) is not int or not (0 <= eid < m):  # model's integer rule
             raise SequenceError(f"invalid edge id {eid!r}")
         if eid in seen:
             raise SequenceError(f"duplicate edge id {eid}")

@@ -492,27 +492,21 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int
 
 
 def enumerate_candidate_forests(
-    instance: Instance,
-    dist: Sequence[list[int]],
-    *,
-    max_pairs: int | None = None,
-    force: bool = False,
+    instance: Instance, dist: Sequence[list[int]], *, force: bool = False
 ) -> Iterator[tuple[int, RForest]]:
     """Stream the DP's one optimal forest, as (exact value, forest):
     ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat.
     ``dist[i]`` holds the distances from ``instance.terminals[i]``
     (``build_metric_closure``).
 
-    ``max_pairs`` defaults to ``PAIR_BOUND_DEPOT`` when all pairs share a
-    vertex and to ``PAIR_BOUND`` otherwise.  For t pair endpoints it caps the
-    r! * 3^t work of wct and the Pareto labels over 2^t endpoint sets of
-    maxlat.
+    Unless ``force`` is set, more than ``PAIR_BOUND_DEPOT`` pairs are refused
+    when all pairs share a vertex, and more than ``PAIR_BOUND`` otherwise.
+    For t pair endpoints the bound caps the r! * 3^t work of wct and the
+    Pareto labels over 2^t endpoint sets of maxlat.
     """
     r = instance.pair_count
     weighted = instance.objective is Objective.WEIGHTED_SUM
-    bound = max_pairs
-    if bound is None:
-        bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
+    bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
     if r > bound and not force:
         work = (
             "the wct subset DP does r! * 3^t work"
@@ -616,17 +610,10 @@ class FixedRSolution:
     evaluation: ForestEvaluation
 
 
-def solve_fixed_r_detailed(
-    instance: Instance,
-    *,
-    max_pairs: int | None = None,
-    force: bool = False,
-) -> FixedRSolution:
+def solve_fixed_r_detailed(instance: Instance, *, force: bool = False) -> FixedRSolution:
     """Full solve keeping the winning network forest and its evaluation."""
     dist = build_metric_closure(instance.network, instance.terminals)
-    ((value, forest),) = enumerate_candidate_forests(
-        instance, dist, max_pairs=max_pairs, force=force
-    )
+    ((value, forest),) = enumerate_candidate_forests(instance, dist, force=force)
     replayed = evaluate_rforest(forest, instance).value
     if replayed != value:
         raise NetconError(
@@ -649,11 +636,8 @@ def solve_fixed_r_detailed(
 
 
 def solve_fixed_r(
-    instance: Instance,
-    *,
-    max_pairs: int | None = None,
-    force: bool = False,
+    instance: Instance, *, force: bool = False
 ) -> tuple[BuildSequence, ConnectionReport]:
     """Exact optimum for an instance with few pairs; any monotone objective."""
-    solution = solve_fixed_r_detailed(instance, max_pairs=max_pairs, force=force)
+    solution = solve_fixed_r_detailed(instance, force=force)
     return solution.sequence, solution.report

@@ -44,6 +44,9 @@ class Objective(enum.Enum):
 
 # --- instance rules --------------------------------------------------------
 
+# The one integer rule: every integer of an instance is exactly an ``int``.
+# ``type(x) is int`` rejects ``bool``, which ``isinstance(True, int)`` admits.
+
 
 def _invalid(message: str, name: str, index: int | None = None) -> InvalidInstanceError:
     """An error naming what broke a rule, by its directive in the text formats
@@ -63,13 +66,13 @@ def _as_objective(value: "Objective | str") -> Objective:
 
 
 def _check_vertex_count(n) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise _invalid(f"vertex count must be a positive integer, got {n!r}", "vertices")
 
 
 def _ends(what: str, u, v) -> tuple[int, int]:
     """An edge's or a pair's endpoints: distinct integers, oriented u < v."""
-    if not (isinstance(u, int) and isinstance(v, int)):
+    if not (type(u) is type(v) is int):
         raise InvalidInstanceError(f"{what} endpoints must be integers, got ({u!r}, {v!r})")
     if u == v:
         raise InvalidInstanceError(f"{what} ({u}, {v}) is a self-loop")
@@ -96,7 +99,7 @@ def _edge_list(edges, n: int, arity: int) -> tuple:
             if len(edge) != arity:
                 raise InvalidInstanceError(f"edge must have {arity} fields, got {edge!r}")
             key = _ends("edge", edge[0], edge[1])
-            if arity == 3 and not (isinstance(edge[2], int) and edge[2] >= 1):
+            if arity == 3 and not (type(edge[2]) is int and edge[2] >= 1):
                 raise InvalidInstanceError(
                     f"non-integer or non-positive edge length {edge[2]!r} on edge {key}"
                 )
@@ -196,11 +199,11 @@ class RelevantPair:
         u, v = _ends("pair", self.u, self.v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if type(self.weight) is not int or self.weight < 1:
             raise InvalidInstanceError(
                 f"non-integer or non-positive pair weight {self.weight!r} on pair ({u}, {v})"
             )
-        if self.due is not None and not isinstance(self.due, int):
+        if self.due is not None and type(self.due) is not int:
             raise InvalidInstanceError(
                 f"pair ({u}, {v}) due date must be an integer, got {self.due!r}"
             )
@@ -265,7 +268,7 @@ class OlaInput:
 
     def __post_init__(self):
         _check_vertex_count(self.vertex_count)
-        if not isinstance(self.threshold, int) or self.threshold < 0:
+        if type(self.threshold) is not int or self.threshold < 0:
             raise _invalid(
                 f"threshold must be a non-negative integer, got {self.threshold!r}", "threshold"
             )
@@ -276,10 +279,12 @@ class OlaInput:
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
-    try:
+    """The one integer-token rule of every text format: ASCII ``-?[0-9]+``.
+    Plain ``int()`` would also take ``1_0``, ``+3`` and non-ASCII digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isdigit() and digits.isascii():
         return int(token)
-    except ValueError:
-        raise InstanceFormatError(f"{what} must be an integer, got {token!r}", lineno) from None
+    raise InstanceFormatError(f"{what} must be an integer, got {token!r}", lineno)
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, list[str]]]:
@@ -519,10 +524,10 @@ def reduce_ola(ola: OlaInput) -> tuple[Instance, int]:
     """Map a linear-arrangement question to a star instance plus threshold.
 
     The star has center 0 and one unit edge per input vertex v (mapped to
-    v + 1).  Center pairs get weight |V| - deg(v) (skipped if zero) and each
-    input edge becomes a leaf pair of weight 2.  The returned threshold is
-    |V|^2 (|V| + 1) / 2 + K: the instance optimum is at most the threshold
-    exactly when the arrangement question is a yes-instance.
+    v + 1).  Center pairs get weight |V| - deg(v), at least 1 in a simple
+    graph, and each input edge becomes a leaf pair of weight 2.  The returned
+    threshold is |V|^2 (|V| + 1) / 2 + K: the instance optimum is at most the
+    threshold exactly when the arrangement question is a yes-instance.
     """
     nv = ola.vertex_count
     degree = [0] * nv
@@ -530,11 +535,7 @@ def reduce_ola(ola: OlaInput) -> tuple[Instance, int]:
         degree[u] += 1
         degree[v] += 1
     star_edges = tuple((0, i + 1, 1) for i in range(nv))
-    pairs = [
-        RelevantPair(0, i + 1, nv - degree[i])
-        for i in range(nv)
-        if nv - degree[i] > 0
-    ]
+    pairs = [RelevantPair(0, i + 1, nv - degree[i]) for i in range(nv)]
     pairs.extend(RelevantPair(u + 1, v + 1, 2) for u, v in ola.edges)
     instance = Instance(Network(nv + 1, star_edges), tuple(pairs), Objective.WEIGHTED_SUM)
     threshold = nv * nv * (nv + 1) // 2 + ola.threshold

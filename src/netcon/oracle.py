@@ -23,9 +23,7 @@ PERMUTATION_EDGE_LIMIT = 8
 INTERLEAVING_JOB_LIMIT = 14
 
 
-def subset_dp(
-    instance: Instance, *, max_edges: int = SUBSET_EDGE_LIMIT, force: bool = False
-) -> tuple[int, tuple[int, ...]]:
+def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[int, ...]]:
     """Exact optimum over all build orders via DP on edge subsets.
 
     Returns the optimal objective and one optimal full build sequence
@@ -33,9 +31,9 @@ def subset_dp(
     """
     network = instance.network
     m = network.edge_count
-    if m > max_edges and not force:
+    if m > SUBSET_EDGE_LIMIT and not force:
         raise GuardExceededError(
-            f"subset dp limited to {max_edges} edges, got {m}; "
+            f"subset dp limited to {SUBSET_EDGE_LIMIT} edges, got {m}; "
             "pass force=True (--force on the command line) to run anyway"
         )
 
@@ -121,14 +119,12 @@ def subset_dp(
     return best_value, tuple(order)
 
 
-def permutation_oracle(
-    instance: Instance, *, max_edges: int = PERMUTATION_EDGE_LIMIT, force: bool = False
-) -> int:
+def permutation_oracle(instance: Instance, *, force: bool = False) -> int:
     """Exhaustive minimum of evaluate_sequence over all full edge orders."""
     m = instance.network.edge_count
-    if m > max_edges and not force:
+    if m > PERMUTATION_EDGE_LIMIT and not force:
         raise GuardExceededError(
-            f"permutation oracle limited to {max_edges} edges, got {m}; "
+            f"permutation oracle limited to {PERMUTATION_EDGE_LIMIT} edges, got {m}; "
             "pass force=True (--force on the command line) to run anyway"
         )
     best = None
@@ -139,17 +135,14 @@ def permutation_oracle(
     return best
 
 
-def interleaving_oracle(
-    c1: Sequence[Job],
-    c2: Sequence[Job],
-    *,
-    max_jobs: int = INTERLEAVING_JOB_LIMIT,
-    force: bool = False,
-) -> int:
+def interleaving_oracle(c1: Sequence[Job], c2: Sequence[Job], *, force: bool = False) -> int:
     """Minimum total weighted completion time over all order-preserving interleavings."""
     total = len(c1) + len(c2)
-    if total > max_jobs and not force:
-        raise GuardExceededError(f"interleaving oracle limited to {max_jobs} jobs, got {total}")
+    if total > INTERLEAVING_JOB_LIMIT and not force:
+        raise GuardExceededError(
+            f"interleaving oracle limited to {INTERLEAVING_JOB_LIMIT} jobs, got {total}; "
+            "pass force=True to run anyway"
+        )
     best = None
     for slots in itertools.combinations(range(total), len(c1)):
         taken = set(slots)

@@ -284,11 +284,11 @@ def subtree_sequence(
 
 
 def solve_tree(
-    instance: Instance, *, leaf_bound: int = LEAF_BOUND, force: bool = False
+    instance: Instance, *, force: bool = False
 ) -> tuple[BuildSequence, ConnectionReport]:
     """Exact optimum for a tree instance under the weighted-sum objective.
 
-    Work grows like n^(leaves + 2), so trees with more than ``leaf_bound``
+    Work grows like n^(leaves + 2), so trees with more than ``LEAF_BOUND``
     leaves are refused unless ``force`` is set.
     """
     network = instance.network
@@ -297,9 +297,9 @@ def solve_tree(
     if instance.objective is not Objective.WEIGHTED_SUM:
         raise UnsupportedInstanceError("tree solver only handles the wct objective")
     leaves = network.leaf_count
-    if leaves > leaf_bound and not force:
+    if leaves > LEAF_BOUND and not force:
         raise GuardExceededError(
-            f"tree has {leaves} leaves (bound {leaf_bound}); runtime grows like "
+            f"tree has {leaves} leaves (bound {LEAF_BOUND}); runtime grows like "
             "n^(leaves+2), pass force=True (--force on the command line) to run anyway"
         )
 

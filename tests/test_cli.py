@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import pathlib
+import re
 
 import pytest
 
@@ -15,6 +17,8 @@ from netcon import (
     write_instance,
 )
 from netcon.metric_solver import PAIR_BOUND
+from netcon.oracle import PERMUTATION_EDGE_LIMIT, SUBSET_EDGE_LIMIT
+from netcon.tree_solver import LEAF_BOUND
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -148,18 +152,24 @@ def test_oracle_permutation_method(capsys):
     assert out.strip() == "objective 9"
 
 
-def test_oracle_edge_bound_applies_to_either_method(capsys, monkeypatch):
+def _gen_path(capsys, tmp_path, edges: int) -> str:
+    path = tmp_path / f"path{edges}.ncn"
+    run(capsys, "gen", "--kind", "path", "--n", str(edges + 1), "--pairs", "2", "-o", str(path))
+    return str(path)
+
+
+def test_oracle_edge_bound_applies_to_either_method(capsys, tmp_path):
     square = str(FIXTURES / "square.ncn")  # 4 edges
     for method in ("subset-dp", "permutations"):
         assert run(capsys, "oracle", "--method", method, square)[0] == 0
-        status, out, err = run(capsys, "oracle", "--method", method, "--max-edges", "3", square)
+    # each method trips its own bound, one edge past it
+    over_permutations = _gen_path(capsys, tmp_path, PERMUTATION_EDGE_LIMIT + 1)
+    assert run(capsys, "oracle", "--method", "subset-dp", over_permutations)[0] == 0
+    for method, bound in (("permutations", PERMUTATION_EDGE_LIMIT), ("subset-dp", SUBSET_EDGE_LIMIT)):
+        over = _gen_path(capsys, tmp_path, bound + 1)
+        status, out, err = run(capsys, "oracle", "--method", method, over)
         assert (status, out) == (3, ""), method
-        assert "limited to 3 edges" in err, method
-    monkeypatch.setenv("NETCON_ORACLE_MAX_EDGES", "3")
-    for method in ("subset-dp", "permutations"):
-        assert run(capsys, "oracle", "--method", method, square)[0] == 3, method
-        # the flag wins over the environment variable
-        assert run(capsys, "oracle", "--method", method, "--max-edges", "4", square)[0] == 0
+        assert f"limited to {bound} edges" in err, method
 
 
 def test_gen_rejects_an_inverted_due_range(capsys):
@@ -214,11 +224,15 @@ def test_guard_exceeded_exits_3(capsys, tmp_path):
 def test_guard_messages_name_the_force_flag(capsys, tmp_path):
     star = tmp_path / "star.ncn"
     run(capsys, "gen", "--kind", "star", "--n", "10", "--pairs", "3", "-o", str(star))
-    square = str(FIXTURES / "square.ncn")
+    # five pairs on a path that share no vertex: one past the general pair bound
+    network = Network(6, tuple((v, v + 1, 1) for v in range(5)))
+    pairs = tuple(RelevantPair(v, v + 1, 1) for v in range(PAIR_BOUND + 1))
+    many_pairs = tmp_path / "pairs.ncn"
+    many_pairs.write_text(write_instance(Instance(network, pairs)))
     for argv in (
-        ("solve", "--max-pairs", "0", square),
+        ("solve", "--backend", "fixed-r", str(many_pairs)),
         ("solve", "--backend", "tree", str(star)),
-        ("oracle", "--max-edges", "0", square),
+        ("oracle", _gen_path(capsys, tmp_path, SUBSET_EDGE_LIMIT + 1)),
         ("oracle", "--method", "permutations", str(star)),
     ):
         status, out, err = run(capsys, *argv)
@@ -244,7 +258,7 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path, monkeypatch):
+def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path):
     # five pairs from hub 0; consecutive leaves also meet at a non-terminal
     edges = [(0, v, v) for v in range(1, 6)]
     edges += [(v, 5 + v, 2) for v in range(1, 5)] + [(v + 1, 5 + v, 3) for v in range(1, 5)]
@@ -263,12 +277,14 @@ def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path, monkeypatch):
     pairs = tuple(RelevantPair(v, v + 1, 1) for v in range(5))
     general.write_text(write_instance(Instance(network, pairs)))
     assert run(capsys, "solve", "--backend", "fixed-r", str(general))[0] == 3
-    # explicit bounds still override the depot default
-    assert run(capsys, "solve", "--depot", "--max-pairs", "4", str(path))[0] == 3
-    assert run(capsys, "solve", "--max-pairs", "4", str(path))[0] == 3
-    monkeypatch.setenv("NETCON_MAX_PAIRS", "4")
-    assert run(capsys, "solve", "--depot", str(path))[0] == 3
-    assert run(capsys, "solve", str(path))[0] == 3
+    # seven pairs from hub 0 are one past the depot bound, with the flag or without
+    seven = tmp_path / "seven.ncn"
+    seven_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 8))
+    seven.write_text(write_instance(Instance(network, seven_pairs)))
+    for flags in (("--depot",), ()):
+        status, out, err = run(capsys, "solve", *flags, str(seven))
+        assert (status, out) == (3, ""), flags
+        assert "exceeds the bound 6" in err, flags
 
 
 def test_depot_flag_needs_a_shared_vertex(capsys):
@@ -283,26 +299,11 @@ def test_depot_flag_needs_a_shared_vertex(capsys):
         assert "common to all pairs" in err
 
 
-def test_max_pairs_env_is_read_only_by_fixed_r(capsys, monkeypatch):
-    monkeypatch.setenv("NETCON_MAX_PAIRS", "abc")
-    path3 = str(FIXTURES / "path3.ncn")
-    status, out, _ = run(capsys, "solve", "--backend", "tree", path3)
-    assert status == 0
-    assert out == (FIXTURES / "path3.auto.out").read_text()
-    assert run(capsys, "solve", "--backend", "fixed-r", path3)[0] == 2
-
-
-def test_leaf_bound_env_is_read_only_for_the_tree_backends(capsys, monkeypatch):
-    monkeypatch.setenv("NETCON_LEAF_BOUND", "abc")
-    square = str(FIXTURES / "square.ncn")
-    status, out, _ = run(capsys, "solve", "--backend", "fixed-r", square)
-    assert status == 0
-    assert out == (FIXTURES / "square.fixed-r.out").read_text()
-    assert run(capsys, "solve", "--backend", "tree", str(FIXTURES / "path3.ncn"))[0] == 2
-    assert run(capsys, "solve", square)[0] == 2
-
-
-@pytest.mark.parametrize("token", ["--5", "\u00b2"], ids=["double-minus", "superscript-two"])
+@pytest.mark.parametrize(
+    "token",
+    ["--5", "\u00b2", "1_0", "+3", "\u0663"],
+    ids=["double-minus", "superscript-two", "underscore", "plus", "arabic-three"],
+)
 def test_validate_rejects_a_malformed_edge_id(capsys, tmp_path, token):
     solution = tmp_path / "solution.txt"
     run(capsys, "solve", str(FIXTURES / "path3.ncn"), "-o", str(solution))
@@ -312,6 +313,28 @@ def test_validate_rejects_a_malformed_edge_id(capsys, tmp_path, token):
     status, out, err = run(capsys, "validate", str(FIXTURES / "path3.ncn"), str(solution))
     assert (status, out) == (2, "")
     assert f"line {len(lines)}" in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663"], ids=["underscore", "plus", "arabic-three"])
+@pytest.mark.parametrize(
+    "line, template, what",
+    [
+        ("pair 0 1 t=1", "pair {} 1 t=1", "pair endpoint"),
+        ("pair 0 1 t=1", "pair 0 1 t={}", "connection time"),
+        ("objective 9", "objective {}", "objective"),
+    ],
+)
+def test_validate_takes_only_ascii_integer_tokens(capsys, tmp_path, token, line, template, what):
+    # the instance parser's integer-token rule, as for edge ids above
+    solution = tmp_path / "solution.txt"
+    run(capsys, "solve", str(FIXTURES / "path3.ncn"), "-o", str(solution))
+    lines = solution.read_text().splitlines()
+    row = lines.index(line)
+    lines[row] = template.format(token)
+    solution.write_text("\n".join(lines) + "\n")
+    status, out, err = run(capsys, "validate", str(FIXTURES / "path3.ncn"), str(solution))
+    assert (status, out) == (2, "")
+    assert f"line {row + 1}: {what} must be an integer" in err
 
 
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):
@@ -337,18 +360,74 @@ def test_a_replay_that_disagrees_with_the_table_value_exits_4(capsys, monkeypatc
     assert "internal error" in err
 
 
-def test_auto_backend_routes_by_shape(capsys):
-    # maxlat tree instance must go to fixed-r (tree backend rejects maxlat)
-    status, out, _ = run(capsys, "solve", str(FIXTURES / "square_maxlat.ncn"))
-    assert status == 0
-    assert "objective 0" in out
+def test_auto_backend_routes_by_shape(capsys, tmp_path, monkeypatch):
+    ran = []
+
+    def recording(name):
+        solver = getattr(cli, name)
+
+        def wrapper(instance, **kwargs):
+            ran.append(name)
+            return solver(instance, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_tree", "solve_fixed_r"):
+        monkeypatch.setattr(cli, name, recording(name))
+    path3 = parse_instance((FIXTURES / "path3.ncn").read_text())
+    maxlat_tree = tmp_path / "path3_maxlat.ncn"
+    maxlat_pairs = tuple(dataclasses.replace(p, due=3) for p in path3.pairs)
+    maxlat_tree.write_text(write_instance(Instance(path3.network, maxlat_pairs, "maxlat")))
+    star = tmp_path / "star.ncn"  # wct, one leaf past the leaf bound
+    at_bound = tmp_path / "star_at_bound.ncn"
+    for path, leaves in ((star, LEAF_BOUND + 1), (at_bound, LEAF_BOUND)):
+        run(capsys, "gen", "--kind", "star", "--n", str(leaves + 1), "--pairs", "3", "-o", str(path))
+    for path, solver, backend in (
+        (maxlat_tree, "solve_fixed_r", "fixed-r"),
+        (star, "solve_fixed_r", "fixed-r"),
+        (at_bound, "solve_tree", "tree"),
+    ):
+        ran.clear()
+        status, out, err = run(capsys, "solve", str(path))
+        assert (status, ran) == (0, [solver]), err
+        assert run(capsys, "solve", "--backend", backend, str(path)) == (0, out, "")
+    # the tree DP refuses the maxlat tree outright, and the star unless forced
+    assert run(capsys, "solve", "--backend", "tree", str(maxlat_tree))[0] == 2
+    assert run(capsys, "solve", "--backend", "tree", str(star))[0] == 3
+    auto = run(capsys, "solve", str(star))[1]
+    forced = run(capsys, "solve", "--backend", "tree", "--force", str(star))[1]
+    objective = [line for line in auto.splitlines() if line.startswith("objective")]
+    assert objective == [line for line in forced.splitlines() if line.startswith("objective")]
 
 
-def test_leaf_bound_env_override(capsys, tmp_path, monkeypatch):
-    big = tmp_path / "big.ncn"
-    run(capsys, "gen", "--kind", "star", "--n", "9", "--pairs", "3", "-o", str(big))
-    monkeypatch.setenv("NETCON_LEAF_BOUND", "8")
-    assert run(capsys, "solve", "--backend", "tree", str(big))[0] == 0
+def _readme_synopsis() -> dict[str, set[str]]:
+    """The options each subcommand shows in the README's ``## CLI`` block."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("netcon "):
+            command = line.split()[1]
+            shown[command] = set()
+        shown[command].update(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", line))
+    return shown
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    shown = _readme_synopsis()
+    assert shown.keys() == subparsers.choices.keys()
+    for command, parser in subparsers.choices.items():
+        options = [a.option_strings for a in parser._actions if a.option_strings]
+        options.remove(["-h", "--help"])
+        # each option appears under its subcommand by one of its names ...
+        for names in options:
+            assert shown[command] & set(names), (command, names)
+        # ... and nothing else does
+        assert shown[command] <= {name for names in options for name in names}, command
 
 
 def test_selftest_smoke(capsys):

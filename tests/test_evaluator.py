@@ -62,6 +62,9 @@ def test_sequence_errors():
         evaluate_sequence(PATH3, (0, 0))
     with pytest.raises(SequenceError, match="invalid edge id"):
         evaluate_sequence(PATH3, (7,))
+    # a bool is no edge id, though isinstance(True, int) holds
+    with pytest.raises(SequenceError, match="invalid edge id True"):
+        evaluate_sequence(PATH3, (True, False))
     with pytest.raises(SequenceError, match="never connects"):
         evaluate_sequence(PATH3, (0,))
 

@@ -112,7 +112,7 @@ def _walk(network, dist, u, v):
     return walked
 
 
-def test_extract_path_examples():
+def test_descend_walk_examples():
     net = Network(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
     dist = build_metric_closure(net, range(3))
     assert _walk(net, dist, 0, 1) == [0]  # the direct edge is shortest
@@ -120,7 +120,7 @@ def test_extract_path_examples():
     assert _walk(net, dist, 2, 0) == [0, 2]
 
 
-def test_extract_path_matches_distance_on_random_queries():
+def test_descend_walk_matches_distance_on_random_queries():
     rng = random.Random(53)
     for _ in range(10):
         n = rng.randint(3, 9)
@@ -145,7 +145,7 @@ def test_extract_path_matches_distance_on_random_queries():
             assert at == u
 
 
-def test_candidates_on_terminal_path():
+def test_streamed_forest_on_terminal_path():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     for twin in (inst, _as_maxlat(inst)):
         ((_, forest),) = _stream(twin)
@@ -153,7 +153,7 @@ def test_candidates_on_terminal_path():
         assert forest.pair_paths == (((0, 1),), ((0, 1), (1, 2)))
 
 
-def test_candidates_are_valid_unique_and_junctions_have_degree_3():
+def test_streamed_forest_is_valid_and_junctions_have_degree_3():
     # the stream holds one forest; a vertex of it that ends no pair lies
     # inside a path (degree 2) or is a junction (degree 3 or more)
     rng = random.Random(59)
@@ -201,14 +201,14 @@ def test_evaluate_rforest_max_lateness():
     assert evaluate_rforest(_spanning_forest(inst, [0, 1]), inst).value == 0
 
 
-def test_projection_identity_when_closure_edge_is_direct():
+def test_projection_is_identity_on_a_single_edge():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
     ((_, forest),) = _stream(inst)
     assert forest.edges == ((0, 1),)
     assert project_to_graph(forest, inst) == evaluate_rforest(forest, inst)
 
 
-def test_projection_never_increases_value_on_random_instances():
+def test_projection_keeps_the_value_on_random_instances():
     # both DPs give network forests, so the projection rescores them unchanged
     rng = random.Random(61)
     for _ in range(100):
@@ -323,13 +323,13 @@ def test_pair_guard():
         solve_fixed_r(_as_maxlat(inst))
     depot_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 6))
     depot_inst = Instance(net, depot_pairs)
-    # five pairs sharing vertex 0 fit under the wider depot bound
+    # five pairs sharing vertex 0 fit under the wider depot bound, seven do not
     _, report = solve_fixed_r(depot_inst)
     assert report.objective == subset_dp(depot_inst)[0]
-    # an explicit bound overrides the default either way
-    with pytest.raises(GuardExceededError):
-        solve_fixed_r(depot_inst, max_pairs=4)
-    assert solve_fixed_r(inst, max_pairs=5)[1].objective == subset_dp(inst)[0]
+    with pytest.raises(GuardExceededError, match="exceeds the bound 6"):
+        solve_fixed_r(Instance(net, tuple(RelevantPair(0, v, 1) for v in range(1, 8))))
+    # force is the one way past either bound
+    assert solve_fixed_r(inst, force=True)[1].objective == subset_dp(inst)[0]
 
 
 def _assert_network_forest(forest, inst):
@@ -343,7 +343,7 @@ def _assert_network_forest(forest, inst):
     assert all(d >= 2 for x, d in degree.items() if x not in inst.terminals)
 
 
-def test_wct_needs_no_closure_and_no_scan(monkeypatch):
+def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     # the only single-source Dijkstra runs start at the pair endpoints, once each
     inst = _inst(
         [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (3, 4, 1), (4, 5, 2), (2, 5, 1)],

@@ -77,6 +77,10 @@ def test_writer_orients_and_sorts_edges():
         ("edge 0 1 x", "must be an integer"),
         ("edge 0 5 1", "out of range"),
         ("bogus 1 2", "unknown directive"),
+        # int() takes these; the one integer-token rule is ASCII -?[0-9]+
+        ("edge 0 1 1_0", "must be an integer"),
+        ("edge 0 1 +3", "must be an integer"),
+        ("edge 0 1 \u0663", "must be an integer"),
     ],
 )
 def test_parse_errors_carry_line_numbers(line, fragment):
@@ -284,6 +288,16 @@ def test_network_invariants():
     with pytest.raises(InvalidInstanceError):
         Network(2, ((0, 1, 1), (1, 0, 2)))
     assert Network(1, ()).is_tree  # zero edges, one vertex
+    # isinstance(True, int) holds, but a bool is no integer of an instance
+    for build in (
+        lambda: Network(3, ((False, True, True), (1, 2, 1))),
+        lambda: Network(2, ((0, 1, True),)),
+        lambda: Network(True, ()),
+        lambda: RelevantPair(False, 2, True),
+        lambda: RelevantPair(0, 2, 1, due=False),
+    ):
+        with pytest.raises(InvalidInstanceError, match="integer"):
+            build()
 
 
 def test_instance_rejects_out_of_range_pair_endpoints():
@@ -302,6 +316,9 @@ def test_ola_input_invariants():
         OlaInput(2, ((0, 1), (1, 0)), 1)
     ola = OlaInput(3, ((2, 0), (1, 0)), 0)
     assert ola.edges == ((0, 1), (0, 2))
+    for vertices, edges, threshold in ((True, (), 0), (2, ((False, True),), 0), (2, (), False)):
+        with pytest.raises(InvalidInstanceError, match="integer"):
+            OlaInput(vertices, edges, threshold)
 
 
 @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (0, 1, 2)])

@@ -106,10 +106,10 @@ def test_interleaving_oracle_basics():
 
 def test_guards_raise_without_force():
     big = generate("path", 11, pair_count=2)  # 10 edges
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="force"):
         permutation_oracle(big)
-    with pytest.raises(GuardExceededError):
-        subset_dp(big, max_edges=5)
-    assert subset_dp(big, max_edges=5, force=True)[0] == subset_dp(big)[0]
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match="limited to 22 edges.*force"):
+        subset_dp(generate("path", 24, pair_count=2))
+    assert subset_dp(big, force=True) == subset_dp(big)
+    with pytest.raises(GuardExceededError, match="limited to 14 jobs.*force"):
         interleaving_oracle([Job(1, 1)] * 10, [Job(1, 1)] * 10)
