@@ -14,6 +14,11 @@ its predecessors while their density is not higher.  ``block_summaries``
 folds it over single jobs; the tree solver folds it over two interleaved
 decompositions plus one job, so no subtree's job list is ever rebuilt.
 
+A chain whose first block has no weight has none at all: densities fall
+strictly and weights are non-negative, so it is that one block or nothing.
+``merge_value`` takes each chain's own objective and returns the other's when
+one side is weightless, without walking any block.
+
 All densities are compared exactly by integer cross-multiplication.
 """
 
@@ -101,31 +106,43 @@ def merge_plan(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> list[i
     return [side for side, _ in interleave(s1, s2)]
 
 
-def merge_value(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> int:
-    """Objective of the optimal interleaving, from block summaries alone."""
+def merge_value(
+    s1: Sequence[BlockSummary], s2: Sequence[BlockSummary], own1: int, own2: int
+) -> int:
+    """Objective of the optimal interleaving, from block summaries.
+
+    ``own1`` and ``own2`` are the chains' objectives when each runs alone.  A
+    chain that is empty or starts with a weightless block carries no weight,
+    since block densities fall and no weight is negative; it runs after every
+    weighted block of the other chain, so the merge costs just the other
+    chain's own objective and no block is walked.
+    """
+    if not s2 or not s2[0][0]:
+        return own1
+    if not s1 or not s1[0][0]:
+        return own2
     total = 0
     elapsed = 0
     i = j = 0
     n1 = len(s1)
     n2 = len(s2)
-    if n1 and n2:
-        w1, p1, inner1, _, _ = s1[0]
-        w2, p2, inner2, _, _ = s2[0]
-        while True:
-            if w1 * p2 >= w2 * p1:
-                total += inner1 + elapsed * w1
-                elapsed += p1
-                i += 1
-                if i == n1:
-                    break
-                w1, p1, inner1, _, _ = s1[i]
-            else:
-                total += inner2 + elapsed * w2
-                elapsed += p2
-                j += 1
-                if j == n2:
-                    break
-                w2, p2, inner2, _, _ = s2[j]
+    w1, p1, inner1, _, _ = s1[0]
+    w2, p2, inner2, _, _ = s2[0]
+    while True:
+        if w1 * p2 >= w2 * p1:
+            total += inner1 + elapsed * w1
+            elapsed += p1
+            i += 1
+            if i == n1:
+                break
+            w1, p1, inner1, _, _ = s1[i]
+        else:
+            total += inner2 + elapsed * w2
+            elapsed += p2
+            j += 1
+            if j == n2:
+                break
+            w2, p2, inner2, _, _ = s2[j]
     for k in range(i, n1):
         w, p, inner, _, _ = s1[k]
         total += inner + elapsed * w

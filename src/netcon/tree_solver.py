@@ -9,6 +9,10 @@ the weight of every pair whose path crosses it.  Subtrees are keyed by edge
 bitmask; the two components left by deleting an edge are obtained with O(1)
 mask intersections against the edge's precomputed sides in the full tree.
 
+The catalog generates each subtree exactly once, grown from its lowest edge
+by edges of higher id only, and keeps the one-edge-smaller subtree it grew
+from; pair weights and lengths are sums over that single step.
+
 A subtree's record keeps only what later merges read: its value, the density
 decomposition (blocks) of its optimal job chain, and its last edge.  The
 blocks come from the two parts' blocks, interleaved and followed by the last
@@ -90,52 +94,51 @@ def _edge_side_masks(network: Network) -> tuple[tuple[int, int], ...]:
 
 
 def enumerate_subtrees(network: Network) -> SubtreeCatalog:
-    """Catalog all connected edge subsets, growing them one pendant edge at a time."""
+    """Catalog all connected edge subsets, each generated once from its lowest edge.
+
+    Subtrees whose lowest edge is r grow from r alone by adding one edge at a
+    time, drawn only from an extension list of edges with id above r.
+    Adding the list's i-th edge passes on the edges after it plus the new
+    vertex's other edges above r, so the edges before it are never offered
+    again below that child (extension sets, as in Wernicke's ESU).  In a tree
+    every offered edge brings exactly one new vertex, and every subtree is
+    reached exactly once, from the parent recorded in ``growth``.
+    """
     if not network.is_tree:
         raise UnsupportedInstanceError("subtree enumeration needs a tree network")
     m = network.edge_count
+    edges = network.edges
     incident: list[list[int]] = [[] for _ in range(network.vertex_count)]
-    for eid, (u, v, _) in enumerate(network.edges):
+    for eid, (u, v, _) in enumerate(edges):
         incident[u].append(eid)
         incident[v].append(eid)
 
     vertex_masks: dict[int, int] = {}
     growth: dict[int, tuple[int, int]] = {}
-    levels: list[list[int]] = [[]]
-    current: list[int] = []
-    for eid, (u, v, _) in enumerate(network.edges):
-        key = 1 << eid
-        vertex_masks[key] = (1 << u) | (1 << v)
-        current.append(key)
-    levels.append(current)
-
-    for _ in range(2, m + 1):
-        grown: list[int] = []
-        for key in current:
-            vmask = vertex_masks[key]
-            probe = vmask
-            while probe:
-                vlow = probe & -probe
-                probe ^= vlow
-                for eid in incident[vlow.bit_length() - 1]:
-                    bit = 1 << eid
-                    if key & bit:
-                        continue
-                    new_key = key | bit
-                    if new_key in vertex_masks:
-                        continue
-                    u, v, _ = network.edges[eid]
-                    new_vertex = v if vmask >> u & 1 else u
-                    vertex_masks[new_key] = vmask | (1 << new_vertex)
-                    growth[new_key] = (key, new_vertex)
-                    grown.append(new_key)
-        grown.sort()
-        levels.append(grown)
-        current = grown
-        if not current:
-            break
-    while len(levels) < m + 1:
-        levels.append([])
+    levels: list[list[int]] = [[] for _ in range(max(m, 1) + 1)]  # levels[1] even without edges
+    for root, (u, v, _) in enumerate(edges):
+        key = 1 << root
+        vmask = (1 << u) | (1 << v)
+        vertex_masks[key] = vmask
+        levels[1].append(key)
+        extension = [e for e in incident[u] + incident[v] if e > root]
+        stack = [(key, vmask, 1, extension)] if extension else []
+        while stack:
+            key, vmask, size, extension = stack.pop()
+            level = levels[size + 1]
+            for i, eid in enumerate(extension):
+                a, b, _ = edges[eid]
+                vertex = b if vmask >> a & 1 else a
+                new_key = key | 1 << eid
+                new_vmask = vmask | 1 << vertex
+                vertex_masks[new_key] = new_vmask
+                growth[new_key] = (key, vertex)
+                level.append(new_key)
+                later = extension[i + 1 :] + [e for e in incident[vertex] if e > root and e != eid]
+                if later:
+                    stack.append((new_key, new_vmask, size + 1, later))
+    for level in levels:
+        level.sort()
 
     return SubtreeCatalog(
         levels=tuple(tuple(level) for level in levels),
@@ -225,7 +228,7 @@ def subtree_records(
                 elif rec_b is None:
                     value = rec_a.value
                 else:
-                    value = merge_value(rec_a.blocks, rec_b.blocks)
+                    value = merge_value(rec_a.blocks, rec_b.blocks, rec_a.value, rec_b.value)
                 value += total_length * (w_key - weights[part_a] - weights[part_b])
                 if best_value is None or value < best_value:
                     best_value = value

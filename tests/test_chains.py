@@ -110,9 +110,55 @@ def test_merge_value_agrees_with_expanded_walk():
     for _ in range(200):
         c1 = jobs(*[(rng.randint(1, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 8))])
         c2 = jobs(*[(rng.randint(1, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 8))])
-        s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
-        s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
-        assert merge_value(s1, s2) == merge_two_chains(c1, c2)[1]
+        assert _merge_value(c1, c2) == merge_two_chains(c1, c2)[1]
+
+
+def _merge_value(c1, c2):
+    """``merge_value`` on two job chains, each with its objective run alone."""
+    s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
+    s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
+    return merge_value(s1, s2, merge_two_chains(c1, [])[1], merge_two_chains(c2, [])[1])
+
+
+def _chain(rng, kind):
+    """A short chain that is empty, weightless, weighted then weightless, or weighted."""
+    size = rng.randint(1, 3)
+    zeros = [(rng.randint(1, 3), 0) for _ in range(size)]
+    # weights 0..2 over lengths 1..3 make equal densities across the chains common
+    weighted = [(rng.randint(1, 3), rng.randint(0, 2)) for _ in range(size)]
+    weighted[0] = (weighted[0][0], rng.randint(1, 2))
+    return jobs(*{"empty": [], "zero": zeros, "zero_tail": weighted + zeros, "weighted": weighted}[kind])
+
+
+@pytest.mark.parametrize("kind2", ["empty", "zero", "zero_tail", "weighted"])
+@pytest.mark.parametrize("kind1", ["empty", "zero", "zero_tail", "weighted"])
+def test_merge_value_with_weightless_chains(kind1, kind2):
+    """A zero-weight first block means the chain carries no weight at all.
+
+    Block densities fall strictly and weights are non-negative, so such a
+    chain is that one block; ``merge_value`` then returns the other chain's
+    own objective without a walk, which must equal the optimal interleaving.
+    """
+    rng = random.Random(f"{kind1}/{kind2}")
+    for _ in range(40):
+        c1, c2 = _chain(rng, kind1), _chain(rng, kind2)
+        for chain in (c1, c2):
+            blocks = density_decomposition(chain)
+            if blocks and blocks[0][0] == 0:
+                assert len(blocks) == 1 and not any(j.weight for j in chain)
+        assert _merge_value(c1, c2) == merge_two_chains(c1, c2)[1] == interleaving_oracle(c1, c2)
+        assert _merge_value(c2, c1) == _merge_value(c1, c2)
+
+
+def test_merge_value_on_density_ties():
+    # equal densities on both sides, weightless tails included
+    for c1, c2 in [
+        (jobs((2, 4)), jobs((1, 2))),
+        (jobs((2, 4), (1, 0)), jobs((1, 2), (3, 0))),
+        (jobs((1, 1), (2, 0)), jobs((3, 3))),
+        (jobs((1, 0)), jobs((2, 0), (1, 0))),
+    ]:
+        assert _merge_value(c1, c2) == merge_two_chains(c1, c2)[1] == interleaving_oracle(c1, c2)
 
 
 def test_scaling_weights_preserves_order():

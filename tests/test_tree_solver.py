@@ -53,24 +53,47 @@ def test_enumerate_single_edge():
     assert enumerate_subtrees(Network(2, ((0, 1, 9),))).subtree_count == 1
 
 
-def test_enumerate_counts_on_random_trees():
-    # each subtree corresponds to exactly one connected edge subset
-    rng = random.Random(7)
-    for _ in range(20):
-        net = generate("random_tree", rng.randint(2, 8), seed=rng.randrange(1 << 30)).network
+def _catalog_test_networks():
+    """Random trees, stars with 7-9 leaves and 3-leg spiders, n <= 10.
+
+    Vertices are relabelled at random, so edge ids (sorted by endpoints) come
+    in no particular order along the tree.
+    """
+    rng = random.Random(43)
+    shapes = [[(rng.randrange(v), v) for v in range(1, rng.randint(2, 10))] for _ in range(30)]
+    shapes += [[(0, v) for v in range(1, leaves + 1)] for leaves in (7, 8, 9)]
+    shapes += [[(0 if v <= 3 else v - 3, v) for v in range(1, n)] for n in (4, 5, 7, 8, 10)]
+    for shape in shapes:
+        label = list(range(len(shape) + 1))
+        rng.shuffle(label)
+        yield Network(len(label), tuple((label[u], label[v], 1) for u, v in shape))
+
+
+def test_enumerate_generates_each_subtree_once_from_a_smaller_one():
+    for net in _catalog_test_networks():
         catalog = enumerate_subtrees(net)
-        count = 0
         m = net.edge_count
+        expected = [[] for _ in range(m + 1)]
+        vertex_masks = {}
         for mask in range(1, 1 << m):
-            vertices = set()
+            vertices = 0
             for e in range(m):
                 if mask >> e & 1:
                     u, v, _ = net.edges[e]
-                    vertices.update((u, v))
-            # connected iff edges == vertices - 1 for a subgraph of a tree
-            if bin(mask).count("1") == len(vertices) - 1:
-                count += 1
-        assert catalog.subtree_count == count
+                    vertices |= 1 << u | 1 << v
+            size = bin(mask).count("1")
+            if size == bin(vertices).count("1") - 1:  # connected in a tree
+                expected[size].append(mask)
+                vertex_masks[mask] = vertices
+        # each subtree exactly once, at its level, in ascending order
+        assert catalog.levels == tuple(map(tuple, expected))
+        assert catalog.vertex_masks == vertex_masks
+        assert set(catalog.growth) == {key for level in expected[2:] for key in level}
+        for key, (parent, vertex) in catalog.growth.items():
+            assert parent in catalog.levels[bin(key).count("1") - 1]
+            assert parent & key == parent
+            assert not catalog.vertex_masks[parent] >> vertex & 1
+            assert catalog.vertex_masks[parent] | 1 << vertex == catalog.vertex_masks[key]
 
 
 def test_split_marks_single_vertices_as_empty():
