@@ -31,9 +31,10 @@ more than the forest that adds the pairs' shortest paths in due order are
 dropped (``_lateness_tables``).  Work grows with the Pareto labels kept over
 the 2^t endpoint sets.
 
-The winner is read back from the labels as network edges, which
+The winner is read back from the labels as network edge ids, which
 ``_spanning_forest`` makes into a forest whose value is the DP's.  The solver
-checks that by replaying it over all pair orders (``evaluate_rforest``).
+checks that by replaying it over all pair orders (``evaluate_rforest``), then
+that its build sequence replays to exactly that value, not below it either.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, InvalidInstanceError, NetconError
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
-from .model import Instance, Network, Objective, RelevantPair
+from .model import Instance, Network, Objective
 from .unionfind import UnionFind
 
 PAIR_BOUND = 4
 PAIR_BOUND_DEPOT = 6
-
-Edge = tuple[int, int]
 
 
 def _dijkstra(
@@ -106,39 +105,14 @@ def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[
 
 @dataclass(frozen=True)
 class RForest:
-    """Acyclic edge set connecting every pair, with every edge on a pair path.
+    """Acyclic set of network edges joining every pair, each on a pair path.
 
-    Edges are canonical (u < v) vertex pairs sorted ascending; ``lengths``
-    aligns with ``edges``.  ``pair_paths[i]`` is pair i's unique path.  The
-    solver's forests are made of network edges.
+    ``edges`` holds their ids in ascending order; ``pair_paths[i]`` is pair
+    i's unique path, as edge ids from its u to its v.
     """
 
-    edges: tuple[Edge, ...]
-    lengths: tuple[int, ...]
-    pair_paths: tuple[tuple[Edge, ...], ...]
-
-
-def validate_rforest(forest: RForest, pairs: Sequence[RelevantPair]) -> None:
-    vertices = sorted({x for e in forest.edges for x in e})
-    index = {v: i for i, v in enumerate(vertices)}
-    uf = UnionFind(len(vertices))
-    for u, v in forest.edges:
-        if not uf.union(index[u], index[v]):
-            raise InvalidInstanceError("forest contains a cycle")
-    if len(forest.pair_paths) != len(pairs):
-        raise InvalidInstanceError("forest pair paths do not match the pair list")
-    covered: set[Edge] = set()
-    for pair, path in zip(pairs, forest.pair_paths):
-        endpoints = {pair.u, pair.v}
-        for edge in path:
-            if edge not in forest.edges:
-                raise InvalidInstanceError(f"path edge {edge} not in forest")
-            endpoints ^= set(edge)
-        if endpoints:
-            raise InvalidInstanceError(f"stored path does not join ({pair.u}, {pair.v})")
-        covered.update(path)
-    if covered != set(forest.edges):
-        raise InvalidInstanceError("forest has an edge on no pair path")
+    edges: tuple[int, ...]
+    pair_paths: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -146,7 +120,7 @@ class ForestEvaluation:
     """Best value achievable with a forest as the essential edge set."""
 
     value: int
-    edge_order: tuple[Edge, ...]
+    edge_order: tuple[int, ...]  # edge ids
     pair_order: tuple[int, ...]
 
 
@@ -157,21 +131,21 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
     earlier block already connected it; some order charges every pair at its
     true connection time, so the minimum over orders is exact.
     """
-    length_of = dict(zip(forest.edges, forest.lengths))
+    edges = instance.network.edges
     pairs = instance.pairs
     weighted = instance.objective is Objective.WEIGHTED_SUM
     best: ForestEvaluation | None = None
     for perm in itertools.permutations(range(len(pairs))):
-        built: set[Edge] = set()
-        order: list[Edge] = []
+        built: set[int] = set()
+        order: list[int] = []
         elapsed = 0
         value = 0
         for step, idx in enumerate(perm):
-            for edge in forest.pair_paths[idx]:
-                if edge not in built:
-                    built.add(edge)
-                    order.append(edge)
-                    elapsed += length_of[edge]
+            for eid in forest.pair_paths[idx]:
+                if eid not in built:
+                    built.add(eid)
+                    order.append(eid)
+                    elapsed += edges[eid][2]
             if weighted:
                 value += pairs[idx].weight * elapsed
             elif step == 0:
@@ -524,33 +498,12 @@ def enumerate_candidate_forests(
 
 
 def _forest_paths(
-    vertex_count: int, edges: Sequence[tuple[int, int]], pairs: Iterable[tuple[int, int]]
+    network: Network, kept: Iterable[int], pairs: Iterable[tuple[int, int]]
 ) -> list[list[int]]:
-    """Each pair's path in the forest ``edges`` on vertices 0..vertex_count-1,
-    as edge ids from u to v.
-
-    One traversal roots every component at its lowest vertex and records each
-    vertex's parent, the edge up to it and its depth; a path then climbs from
-    the deeper end until both ends meet.
-    """
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    for e, (a, b) in enumerate(edges):
-        adjacency[a].append((b, e))
-        adjacency[b].append((a, e))
-    parent = [-1] * vertex_count
-    up = [-1] * vertex_count
-    depth = [0] * vertex_count
-    for root in range(vertex_count):
-        if parent[root] < 0:
-            parent[root] = root
-            reached = [root]
-            for x in reached:
-                for y, e in adjacency[x]:
-                    if parent[y] < 0:
-                        parent[y] = x
-                        up[y] = e
-                        depth[y] = depth[x] + 1
-                        reached.append(y)
+    """Each pair's path in the forest of the edge ids ``kept``, as edge ids
+    from u to v: a climb from the deeper end until both ends meet, over
+    ``Network.root_forest``."""
+    parent, up, depth, _ = network.root_forest(kept)
     paths = []
     for source, target in pairs:
         u, v = source, target
@@ -575,30 +528,22 @@ def _spanning_forest(instance: Instance, edge_ids: Iterable[int]) -> RForest:
     that would close a cycle, less the edges on no pair's path."""
     network = instance.network
     uf = UnionFind(network.vertex_count)
-    kept = []
-    for eid in edge_ids:
-        u, v, _ = network.edges[eid]
-        if uf.union(u, v):
-            kept.append((u, v))
-    ids = _forest_paths(network.vertex_count, kept, (p.key for p in instance.pairs))
-    paths = tuple(tuple(kept[e] for e in path) for path in ids)
-    covered = sorted({edge for path in paths for edge in path})
-    index = network.edge_index
+    kept = [eid for eid in edge_ids if uf.union(*network.edges[eid][:2])]
+    paths = _forest_paths(network, kept, (p.key for p in instance.pairs))
     return RForest(
-        edges=tuple(covered),
-        lengths=tuple(network.edges[index[e]][2] for e in covered),
-        pair_paths=paths,
+        edges=tuple(sorted({eid for path in paths for eid in path})),
+        pair_paths=tuple(map(tuple, paths)),
     )
 
 
 def project_to_graph(forest: RForest, instance: Instance) -> ForestEvaluation:
-    """Validate a winning forest and score it again over all pair orders.
+    """Score a winning forest of edge ids again over all pair orders; the
+    solve's build sequence must replay to exactly the value returned.
 
-    Both DPs read their forests back as network edges, so the projection onto
-    the network is the identity.  It stays a separate replay while the
+    Both DPs read their forests back as network edge ids, so the projection
+    onto the network is the identity.  It stays a separate replay while the
     benchmark's one-pair self-check counts two forest evaluations per solve.
     """
-    validate_rforest(forest, instance.pairs)
     return evaluate_rforest(forest, instance)
 
 
@@ -620,16 +565,13 @@ def solve_fixed_r_detailed(instance: Instance, *, force: bool = False) -> FixedR
             f"internal inconsistency: forest replays to {replayed}, scored {value}"
         )
     evaluation = project_to_graph(forest, instance)
-    index = instance.network.edge_index
-    essential = [index[e] for e in evaluation.edge_order]
+    essential = evaluation.edge_order
     used = set(essential)
-    sequence = tuple(
-        essential + [e for e in range(instance.network.edge_count) if e not in used]
-    )
+    sequence = essential + tuple(e for e in range(instance.network.edge_count) if e not in used)
     report = evaluate_sequence(instance, sequence)
-    if report.objective > evaluation.value:
+    if report.objective != evaluation.value:
         raise NetconError(
-            f"internal inconsistency: replay {report.objective} exceeds "
+            f"internal inconsistency: replay {report.objective} != "
             f"forest value {evaluation.value}"
         )
     return FixedRSolution(sequence=sequence, report=report, forest=forest, evaluation=evaluation)

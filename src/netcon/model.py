@@ -153,10 +153,6 @@ class Network:
         return count == n
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {(u, v): i for i, (u, v, _) in enumerate(self.edges)}
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex: tuple of (neighbor, edge id)."""
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
@@ -165,13 +161,31 @@ class Network:
             out[v].append((u, i))
         return tuple(tuple(a) for a in out)
 
+    def root_forest(self, kept: Iterable[int] | None = None) -> tuple[list[int], ...]:
+        """Root each component of the edge ids ``kept`` (every edge when None)
+        at its lowest vertex, by one breadth-first traversal.  Returns each
+        vertex's parent (a root is its own), the edge id up to it (-1 at a
+        root), its depth, and the vertices in visit order, parents first."""
+        n = self.vertex_count
+        adjacency = self.adjacency
+        keep = range(len(self.edges)) if kept is None else set(kept)
+        parent, up, depth = [-1] * n, [-1] * n, [0] * n
+        order: list[int] = []
+        for root in range(n):
+            if parent[root] < 0:
+                parent[root] = root
+                reached = [root]
+                for x in reached:
+                    for y, e in adjacency[x]:
+                        if parent[y] < 0 and e in keep:
+                            parent[y], up[y], depth[y] = x, e, depth[x] + 1
+                            reached.append(y)
+                order += reached
+        return parent, up, depth, order
+
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        return tuple(map(len, self.adjacency))
 
     @property
     def edge_count(self) -> int:
@@ -463,11 +477,21 @@ def generate(
     """Deterministically generate a valid instance.
 
     ``pairs`` gives explicit (u, v, weight[, due]) tuples; otherwise
-    ``pair_count`` pairs (default 1) are sampled from the seeded RNG.
+    ``pair_count`` pairs (default 1) are sampled from the seeded RNG.  The
+    numbers, each bound of each range included, follow the one integer rule.
     """
     objective = _as_objective(objective)
     if kind not in GENERATOR_KINDS:
         raise InvalidInstanceError(f"unknown generator kind {kind!r}")
+    ranges = {"length_range": length_range, "weight_range": weight_range, "due_range": due_range}
+    numbers = {"n": n, "seed": seed, "edge_count": edge_count, "pair_count": pair_count}
+    for name, bounds in ranges.items():
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2):
+            raise InvalidInstanceError(f"{name} must be a (low, high) pair, got {bounds!r}")
+        numbers[f"{name}[0]"], numbers[f"{name}[1]"] = bounds
+    for name, value in numbers.items():
+        if type(value) is not int and not (value is None and name.endswith("_count")):
+            raise InvalidInstanceError(f"{name} must be an integer, got {value!r}")
     if n < 2:
         raise InvalidInstanceError("generator needs at least 2 vertices")
     lo, hi = length_range

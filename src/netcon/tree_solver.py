@@ -73,24 +73,20 @@ class SubtreeRecord:
 
 
 def _edge_side_masks(network: Network) -> tuple[tuple[int, int], ...]:
-    """For each tree edge (u, v): bitmasks of the edges on u's and v's side."""
-    adjacency = network.adjacency
-    sides = []
+    """For each tree edge (u, v): bitmasks of the edges on u's and v's side.
+    The edges below each vertex of the rooted tree are gathered in reverse
+    visit order; an edge's lower end has those on its side."""
+    parent, up, _, order = network.root_forest()
+    below = [0] * network.vertex_count
+    for x in reversed(order[1:]):
+        below[parent[x]] |= below[x] | 1 << up[x]
     full = (1 << network.edge_count) - 1
-    for eid, (u, v, _) in enumerate(network.edges):
-        mask = 0
-        stack = [u]
-        seen = {u, v}
-        while stack:
-            x = stack.pop()
-            for y, through in adjacency[x]:
-                if through != eid and y not in seen:
-                    seen.add(y)
-                    mask |= 1 << through
-                    stack.append(y)
-        # edges reachable from u without crossing (u, v) vs. everything else
-        sides.append((mask, full ^ mask ^ (1 << eid)))
-    return tuple(sides)
+    return tuple(
+        (full ^ below[v] ^ 1 << eid, below[v])
+        if up[v] == eid
+        else (below[u], full ^ below[u] ^ 1 << eid)
+        for eid, (u, v, _) in enumerate(network.edges)
+    )
 
 
 def enumerate_subtrees(network: Network) -> SubtreeCatalog:
@@ -108,10 +104,7 @@ def enumerate_subtrees(network: Network) -> SubtreeCatalog:
         raise UnsupportedInstanceError("subtree enumeration needs a tree network")
     m = network.edge_count
     edges = network.edges
-    incident: list[list[int]] = [[] for _ in range(network.vertex_count)]
-    for eid, (u, v, _) in enumerate(edges):
-        incident[u].append(eid)
-        incident[v].append(eid)
+    incident = [[eid for _, eid in around] for around in network.adjacency]
 
     vertex_masks: dict[int, int] = {}
     growth: dict[int, tuple[int, int]] = {}

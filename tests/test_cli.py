@@ -13,6 +13,7 @@ from netcon import (
     RelevantPair,
     cli,
     parse_instance,
+    selftest,
     subset_dp,
     write_instance,
 )
@@ -360,6 +361,20 @@ def test_a_replay_that_disagrees_with_the_table_value_exits_4(capsys, monkeypatc
     assert "internal error" in err
 
 
+def test_a_sequence_replay_below_the_forest_value_exits_4(capsys, monkeypatch):
+    # a replay that beats the forest's proven value is as inconsistent as one above it
+    original = netcon.metric_solver.project_to_graph
+
+    def one_too_high(forest, instance):
+        evaluation = original(forest, instance)
+        return dataclasses.replace(evaluation, value=evaluation.value + 1)
+
+    monkeypatch.setattr(netcon.metric_solver, "project_to_graph", one_too_high)
+    status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
+    assert (status, out) == (4, "")
+    assert "internal error" in err
+
+
 def test_auto_backend_routes_by_shape(capsys, tmp_path, monkeypatch):
     ran = []
 
@@ -436,6 +451,27 @@ def test_selftest_smoke(capsys):
     lines = [l for l in out.splitlines() if l.startswith("criterion")]
     assert len(lines) == 8
     assert all("[PASS]" in l for l in lines)
+
+
+def test_selftest_counts_an_inconsistent_solve_as_a_mismatch(capsys, monkeypatch):
+    original = selftest.solve_fixed_r_detailed
+    calls = []
+
+    def first_fails(instance, **kwargs):
+        calls.append(instance)
+        if len(calls) == 1:
+            raise NetconError("internal inconsistency: replay 8 != forest value 7")
+        return original(instance, **kwargs)
+
+    monkeypatch.setattr(selftest, "solve_fixed_r_detailed", first_fails)
+    status, out, _ = run(capsys, "selftest", "--scale", "0.02")
+    assert status == 1
+    lines = [l for l in out.splitlines() if l.startswith("criterion")]
+    assert len(lines) == 8
+    failed = [l for l in lines if "[FAIL]" in l]
+    assert [l.split()[1] for l in failed] == ["2", "6"]
+    assert "trial 0: internal inconsistency" in failed[0]
+    assert "1 mismatches" in failed[1]
 
 
 def test_help_exits_cleanly(capsys):

@@ -26,8 +26,8 @@ from netcon.metric_solver import (
     evaluate_rforest,
     project_to_graph,
     solve_fixed_r_detailed,
-    validate_rforest,
 )
+from netcon.unionfind import UnionFind
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -49,6 +49,31 @@ def _as_maxlat(inst):
 
 def _stream(inst):
     return enumerate_candidate_forests(inst, build_metric_closure(inst.network, inst.terminals))
+
+
+def _forest_vertices(forest, inst):
+    return [x for e in forest.edges for x in inst.network.edges[e][:2]]
+
+
+def _assert_forest(forest, inst):
+    """``forest`` is an acyclic set of network edge ids, the sorted union of
+    its pair paths; each path is a chain of distinct ids from its pair's u to
+    its v; and every vertex of it that ends no pair has degree at least 2."""
+    edges = inst.network.edges
+    uf = UnionFind(inst.network.vertex_count)
+    assert all(uf.union(*edges[e][:2]) for e in forest.edges)
+    assert forest.edges == tuple(sorted({e for path in forest.pair_paths for e in path}))
+    assert len(forest.pair_paths) == inst.pair_count
+    for pair, path in zip(inst.pairs, forest.pair_paths):
+        assert len(set(path)) == len(path)
+        at = pair.u
+        for e in path:
+            a, b, _ = edges[e]
+            assert at in (a, b)
+            at = a + b - at
+        assert at == pair.v
+    degree = Counter(_forest_vertices(forest, inst))
+    assert all(d >= 2 for x, d in degree.items() if x not in inst.terminals)
 
 
 def _brute_shortest(net, source, target):
@@ -149,8 +174,8 @@ def test_streamed_forest_on_terminal_path():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     for twin in (inst, _as_maxlat(inst)):
         ((_, forest),) = _stream(twin)
-        assert forest.edges == ((0, 1), (1, 2))
-        assert forest.pair_paths == (((0, 1),), ((0, 1), (1, 2)))
+        assert forest.edges == (0, 1)
+        assert forest.pair_paths == ((0,), (0, 1))
 
 
 def test_streamed_forest_is_valid_and_junctions_have_degree_3():
@@ -163,8 +188,8 @@ def test_streamed_forest_is_valid_and_junctions_have_degree_3():
         objective = rng.choice(("wct", "maxlat"))
         inst = generate("random_graph", n, seed=rng.randrange(1 << 30), pair_count=3, objective=objective)
         ((_, forest),) = _stream(inst)
-        validate_rforest(forest, inst.pairs)
-        degree = Counter(x for e in forest.edges for x in e)
+        _assert_forest(forest, inst)
+        degree = Counter(_forest_vertices(forest, inst))
         inner = [d for x, d in degree.items() if x not in inst.terminals]
         assert all(d >= 2 for d in inner)
         junctions += any(d >= 3 for d in inner)
@@ -172,23 +197,23 @@ def test_streamed_forest_is_valid_and_junctions_have_degree_3():
 
 
 def test_disjoint_pairs_allow_two_component_forest():
-    # pairs (0, 1) and (2, 3) on the square: its opposite edges serve them
+    # pairs (0, 1) and (2, 3) on the square: its opposite edges 0 and 3 serve them
     inst = _inst(SQUARE.network.edges, [(0, 1, 2), (2, 3, 1)])
     for twin in (inst, _as_maxlat(inst)):
         ((value, forest),) = _stream(twin)
-        assert forest.edges == ((0, 1), (2, 3))
+        assert forest.edges == (0, 3)
         assert value == subset_dp(twin)[0]
 
 
 def test_evaluate_rforest_weighted_sum():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     forest = _spanning_forest(inst, [0, 1])
-    assert forest.edges == ((0, 1), (1, 2))
+    assert forest.edges == (0, 1)
     evaluation = evaluate_rforest(forest, inst)
     assert evaluation.value == 3  # serve (0,1) first: 1 + 2; other order gives 4
     assert evaluation.pair_order == (0, 1)
-    replay = evaluate_sequence(inst, [inst.network.edge_index[e] for e in evaluation.edge_order])
-    assert replay.objective == evaluation.value
+    assert evaluation.edge_order == (0, 1)
+    assert evaluate_sequence(inst, evaluation.edge_order).objective == evaluation.value
 
 
 def test_evaluate_rforest_single_pair():
@@ -204,7 +229,7 @@ def test_evaluate_rforest_max_lateness():
 def test_projection_is_identity_on_a_single_edge():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
     ((_, forest),) = _stream(inst)
-    assert forest.edges == ((0, 1),)
+    assert forest.edges == (0,)
     assert project_to_graph(forest, inst) == evaluate_rforest(forest, inst)
 
 
@@ -221,8 +246,7 @@ def test_projection_keeps_the_value_on_random_instances():
             objective=rng.choice(("wct", "maxlat")),
         )
         ((value, forest),) = _stream(inst)
-        validate_rforest(forest, inst.pairs)
-        _assert_network_forest(forest, inst)
+        _assert_forest(forest, inst)
         assert project_to_graph(forest, inst).value == value
 
 
@@ -332,17 +356,6 @@ def test_pair_guard():
     assert solve_fixed_r(inst, force=True)[1].objective == subset_dp(inst)[0]
 
 
-def _assert_network_forest(forest, inst):
-    """The forest's edges are network edges with their network lengths, and
-    every vertex of it that ends no pair has degree at least 2."""
-    network = inst.network
-    index = network.edge_index
-    assert set(forest.edges) <= set(index)
-    assert forest.lengths == tuple(network.edges[index[e]][2] for e in forest.edges)
-    degree = Counter(x for e in forest.edges for x in e)
-    assert all(d >= 2 for x, d in degree.items() if x not in inst.terminals)
-
-
 def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     # the only single-source Dijkstra runs start at the pair endpoints, once each
     inst = _inst(
@@ -363,16 +376,48 @@ def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
         solution = solve_fixed_r_detailed(twin)
         assert sorted(sources) == [0, 1, 2, 3]
         assert solution.report.objective == solution.evaluation.value == want
-        _assert_network_forest(solution.forest, twin)
+        _assert_forest(solution.forest, twin)
 
 
 def test_spanning_forest_paths_run_from_u_to_v():
     # edge ids 2, 3, 1 build 1-2, 2-3, 0-3; edge 0 (0-1) would close a cycle
     forest = _spanning_forest(SQUARE, [2, 3, 1, 0])
-    assert forest.edges == ((0, 3), (1, 2), (2, 3))
-    assert forest.pair_paths == (((0, 3), (2, 3)), ((1, 2), (2, 3)))
+    assert forest.edges == (1, 2, 3)
+    assert forest.pair_paths == ((1, 3), (2, 3))
     with pytest.raises(InvalidInstanceError, match=r"does not connect \(1, 3\)"):
         _spanning_forest(SQUARE, [0, 2])
+
+
+def test_spanning_forest_of_any_edge_list_is_a_forest_of_pair_paths(monkeypatch):
+    # shuffled lists of every edge, then the edge ids both DPs read back
+    rng = random.Random(139)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        inst = generate(
+            "random_graph",
+            n,
+            seed=rng.randrange(1 << 30),
+            edge_count=rng.randint(n - 1, n * (n - 1) // 2),
+            pair_count=rng.randint(1, 3),
+        )
+        ids = list(range(inst.network.edge_count))
+        rng.shuffle(ids)
+        _assert_forest(_spanning_forest(inst, ids), inst)
+    read_backs = []
+    original = netcon.metric_solver._spanning_forest
+
+    def checked(instance, edge_ids):
+        forest = original(instance, edge_ids)
+        _assert_forest(forest, instance)
+        read_backs.append(edge_ids)
+        return forest
+
+    monkeypatch.setattr(netcon.metric_solver, "_spanning_forest", checked)
+    for objective, depot in (("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)):
+        rng = random.Random(f"read-back/{objective}/{depot}")
+        for _ in range(10):
+            solve_fixed_r(_stream_instance(rng, objective, depot))
+    assert len(read_backs) == 40
 
 
 def test_solution_is_deterministic():
@@ -394,7 +439,7 @@ def test_pendant_only_neighbours_never_make_a_junction():
     assert inst.network.degrees[4] == 3
     for twin in (inst, _as_maxlat(inst)):
         solution = solve_fixed_r_detailed(twin)
-        assert 4 not in {x for e in solution.forest.edges for x in e}
+        assert 4 not in _forest_vertices(solution.forest, twin)
         assert solution.report.objective == subset_dp(twin)[0]
 
 
@@ -481,10 +526,9 @@ def test_stream_is_one_optimal_network_forest(objective, depot):
         inst = _stream_instance(rng, objective, depot)
         ((value, forest),) = _stream(inst)
         assert value == evaluate_rforest(forest, inst).value
-        validate_rforest(forest, inst.pairs)
-        _assert_network_forest(forest, inst)
+        _assert_forest(forest, inst)
         terminals = set(inst.terminals)
-        with_junctions += any(x not in terminals for e in forest.edges for x in e)
+        with_junctions += any(x not in terminals for x in _forest_vertices(forest, inst))
         if inst.network.edge_count <= 12:
             assert value == subset_dp(inst)[0]
             oracle_checked += 1
@@ -499,7 +543,7 @@ def test_two_pairs_with_distinct_ends_can_need_two_junctions():
     assert inst.terminals == (0, 1, 2, 3)
     for twin in (inst, _as_maxlat(inst)):
         forest = solve_fixed_r_detailed(twin).forest
-        assert {x for e in forest.edges for x in e} == {0, 1, 2, 3, 4, 5}
+        assert set(_forest_vertices(forest, twin)) == {0, 1, 2, 3, 4, 5}
         assert solve_fixed_r(twin)[1].objective == subset_dp(twin)[0]
 
 

@@ -18,6 +18,7 @@ from netcon import (
     subset_dp,
     write_instance,
 )
+from netcon.unionfind import UnionFind
 
 MINIMAL = """\
 netcon 1
@@ -186,6 +187,27 @@ def _generate_from_lists(kind, n, seed, edge_count, pair_count, objective):
     return Instance(Network(n, edges), tuple(pairs), objective)
 
 
+@pytest.mark.parametrize(
+    "args, params, name",
+    [
+        (("path", 2.5), {}, "n"),
+        (("path", 4), {"seed": None}, "seed"),
+        (("path", 4), {"seed": 1.0}, "seed"),
+        (("random_graph", 5), {"edge_count": 6.0}, "edge_count"),
+        (("path", 4), {"pair_count": True}, "pair_count"),
+        (("path", 4), {"length_range": (1.5, 3)}, r"length_range\[0\]"),
+        (("path", 4), {"weight_range": (1, False)}, r"weight_range\[1\]"),
+        (("path", 4), {"due_range": (0, "9")}, r"due_range\[1\]"),
+        (("path", 4), {"length_range": 3}, "length_range must be a"),
+    ],
+    ids=["n", "seed-none", "seed-float", "edge-count", "pair-count-bool", "length-range",
+         "weight-range", "due-range", "range-shape"],
+)
+def test_generate_applies_the_integer_rule_to_its_parameters(args, params, name):
+    with pytest.raises(InvalidInstanceError, match=f"^{name}"):
+        generate(*args, **params)
+
+
 def test_generate_draws_as_if_from_lists_of_every_vertex_pair():
     rng = random.Random(131)
     for _ in range(300):
@@ -298,6 +320,35 @@ def test_network_invariants():
     ):
         with pytest.raises(InvalidInstanceError, match="integer"):
             build()
+
+
+def test_root_forest_roots_each_component_at_its_lowest_vertex():
+    rng = random.Random(151)
+    for trial in range(60):
+        n = rng.randint(2, 12)
+        edge_count = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
+        net = generate("random_graph", n, seed=trial, edge_count=edge_count).network
+        every = list(range(net.edge_count))
+        for kept in (None, rng.sample(every, rng.randint(0, len(every)))):
+            parent, up, depth, order = net.root_forest(kept)
+            allowed = set(every if kept is None else kept)
+            assert sorted(order) == list(range(n))
+            uf = UnionFind(n)
+            for e in allowed:
+                uf.union(*net.edges[e][:2])
+            lowest = {}
+            for x in range(n):
+                lowest.setdefault(uf.find(x), x)
+            at = {x: i for i, x in enumerate(order)}
+            for x in range(n):
+                if parent[x] == x:
+                    assert (up[x], depth[x]) == (-1, 0)
+                    assert lowest[uf.find(x)] == x
+                else:
+                    assert up[x] in allowed
+                    assert set(net.edges[up[x]][:2]) == {x, parent[x]}
+                    assert depth[x] == depth[parent[x]] + 1
+                    assert at[parent[x]] < at[x]
 
 
 def test_instance_rejects_out_of_range_pair_endpoints():

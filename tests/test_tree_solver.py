@@ -20,6 +20,7 @@ from netcon import (
 )
 from netcon.chains import block_summaries
 from netcon.tree_solver import (
+    _edge_side_masks,
     enumerate_subtrees,
     pair_weight_tables,
     subtree_records,
@@ -94,6 +95,37 @@ def test_enumerate_generates_each_subtree_once_from_a_smaller_one():
             assert parent & key == parent
             assert not catalog.vertex_masks[parent] >> vertex & 1
             assert catalog.vertex_masks[parent] | 1 << vertex == catalog.vertex_masks[key]
+
+
+def _reachable_edges(net, start, blocked):
+    """Bitmask of the edges reachable from ``start`` without crossing ``blocked``."""
+    mask = 0
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y, eid in net.adjacency[x]:
+            if eid != blocked and y not in seen:
+                seen.add(y)
+                mask |= 1 << eid
+                stack.append(y)
+    return mask
+
+
+def test_edge_side_masks_match_a_walk_from_each_end():
+    rng = random.Random(149)
+    shapes = [[(rng.randrange(v), v) for v in range(1, rng.randint(2, 12))] for _ in range(40)]
+    shapes += [[(0, v) for v in range(1, n)] for n in (2, 3, 7, 12)]
+    shapes += [[(v - 1, v) for v in range(1, n)] for n in (2, 3, 7, 12)]
+    for shape in shapes:
+        label = list(range(len(shape) + 1))
+        rng.shuffle(label)
+        net = Network(len(label), tuple((label[u], label[v], 1) for u, v in shape))
+        want = tuple(
+            (_reachable_edges(net, u, eid), _reachable_edges(net, v, eid))
+            for eid, (u, v, _) in enumerate(net.edges)
+        )
+        assert _edge_side_masks(net) == want
 
 
 def test_split_marks_single_vertices_as_empty():
