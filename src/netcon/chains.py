@@ -35,9 +35,9 @@ class Job:
     tag: Any = None
 
     def __post_init__(self):
-        if not isinstance(self.processing, int) or self.processing < 1:
+        if type(self.processing) is not int or self.processing < 1:
             raise ValueError(f"job processing time must be a positive integer: {self.processing!r}")
-        if not isinstance(self.weight, int) or self.weight < 0:
+        if type(self.weight) is not int or self.weight < 0:
             raise ValueError(f"job weight must be a non-negative integer: {self.weight!r}")
 
 

@@ -31,10 +31,10 @@ more than the forest that adds the pairs' shortest paths in due order are
 dropped (``_lateness_tables``).  Work grows with the Pareto labels kept over
 the 2^t endpoint sets.
 
-The winner is read back from the labels as network edge ids, which
-``_spanning_forest`` makes into a forest whose value is the DP's.  The solver
-checks that by replaying it over all pair orders (``evaluate_rforest``), then
-that its build sequence replays to exactly that value, not below it either.
+The winner is read back from the labels as network edge ids that use no edge
+twice and close no cycle: they are the forest, kept as its pair paths.  The
+solver replays it over all pair orders (``evaluate_rforest``) to the DP's value,
+then checks that its build sequence replays to exactly that value, not below it.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GuardExceededError, InvalidInstanceError, NetconError
+from .errors import GuardExceededError, NetconError
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
 from .model import Instance, Network, Objective
-from .unionfind import UnionFind
 
 PAIR_BOUND = 4
 PAIR_BOUND_DEPOT = 6
@@ -103,16 +102,9 @@ def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[
     return [_dijkstra(network, {s: 0}, 1) for s in sources]
 
 
-@dataclass(frozen=True)
-class RForest:
-    """Acyclic set of network edges joining every pair, each on a pair path.
-
-    ``edges`` holds their ids in ascending order; ``pair_paths[i]`` is pair
-    i's unique path, as edge ids from its u to its v.
-    """
-
-    edges: tuple[int, ...]
-    pair_paths: tuple[tuple[int, ...], ...]
+# A forest joining every pair: per pair in ``instance.pairs`` order, its
+# unique path as network edge ids from its u to its v.
+Forest = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -121,10 +113,9 @@ class ForestEvaluation:
 
     value: int
     edge_order: tuple[int, ...]  # edge ids
-    pair_order: tuple[int, ...]
 
 
-def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
+def evaluate_rforest(forest: Forest, instance: Instance) -> ForestEvaluation:
     """Try all pair orders, building each pair's remaining path edges in turn.
 
     A pair is charged at the completion of its own path block even if an
@@ -141,7 +132,7 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
         elapsed = 0
         value = 0
         for step, idx in enumerate(perm):
-            for eid in forest.pair_paths[idx]:
+            for eid in forest[idx]:
                 if eid not in built:
                     built.add(eid)
                     order.append(eid)
@@ -153,7 +144,7 @@ def evaluate_rforest(forest: RForest, instance: Instance) -> ForestEvaluation:
             else:
                 value = max(value, elapsed - pairs[idx].due)
         if best is None or value < best.value:
-            best = ForestEvaluation(value, tuple(order), perm)
+            best = ForestEvaluation(value, tuple(order))
     assert best is not None
     return best
 
@@ -173,6 +164,16 @@ def _crossing(instance: Instance) -> list[int]:
         low = mask & -mask
         crossing[mask] = crossing[mask ^ low] ^ ends[low.bit_length() - 1]
     return crossing
+
+
+def _first_steps(crossing: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Per endpoint set, the first position in the pair order ``order`` of a
+    pair that the set separates, or r for none; ``crossing`` from
+    ``_crossing``.  The positions are tabled once per set of pairs."""
+    r = len(order)
+    at = [order.index(i) for i in range(r)]
+    step = [min((at[i] for i in range(r) if pairs >> i & 1), default=r) for pairs in range(1 << r)]
+    return [step[c] for c in crossing]
 
 
 # --- wct: scalar labels, one DP per pair order ---------------------------------
@@ -214,7 +215,7 @@ def _subset_tables(
     return g, h
 
 
-def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, RForest]:
+def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, Forest]:
     """The wct optimum over all forests and one forest that attains it;
     ``dist[i]`` holds the distances from ``instance.terminals[i]``.
 
@@ -229,8 +230,8 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, 
     them and skipping each that closes a cycle would join every pair served
     by step k with edges no longer than the DP charged through step k, and
     strictly shorter at the last step: a forest cheaper than the optimum.  So
-    the edges form a network forest whose value is the DP's, which the solver
-    checks by replaying it.
+    the edges read back are the forest, returned as its pair paths; its value
+    is the DP's, which the solver checks by replaying it.
     """
     network = instance.network
     terminals = instance.terminals
@@ -240,15 +241,11 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, 
     r = instance.pair_count
     best = None
     for perm in itertools.permutations(range(r)):
-        # per set of crossing pairs: the weight of the step that serves the
-        # first of them and of every later step (0 for no pairs)
+        # per endpoint set: the weight of the step that first needs its edge
+        # and of every later step (0 for a set that separates no pair)
         weights = (instance.pairs[i].weight for i in reversed(perm))
         suffix = list(itertools.accumulate(weights, initial=0))[::-1]
-        at = [perm.index(i) for i in range(r)]
-        step = [
-            min((at[i] for i in range(r) if pairs >> i & 1), default=r) for pairs in range(1 << r)
-        ]
-        coef = [suffix[step[c]] for c in crossing]
+        coef = [suffix[step] for step in _first_steps(crossing, perm)]
         g, h = _subset_tables(network, dist, coef)
         value = min(h[full])
         if best is None or value < best[0]:
@@ -278,7 +275,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, 
                 break
         todo.append((low | part, v))
         todo.append((rest ^ part, v))
-    return value, _spanning_forest(instance, chosen)
+    return value, _forest_paths(network, chosen, (p.key for p in instance.pairs))
 
 
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
@@ -376,7 +373,7 @@ def _lateness_tables(
     return g, h
 
 
-def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, RForest]:
+def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int, Forest]:
     """The maxlat optimum over all forests and one forest that attains it;
     ``dist`` as for ``_subset_forest``.
 
@@ -397,8 +394,8 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int
     or lies on no pair's path would join every pair served by step k within
     P_k, and strictly within the last prefix: a forest whose label dominates
     the one read back, which is in the full set's Pareto set.  So the edges
-    form a network forest whose value is the DP's, which the solver checks by
-    replaying it.
+    read back are the forest, returned as its pair paths; its value is the
+    DP's, which the solver checks by replaying it.
     """
     network = instance.network
     pairs = instance.pairs
@@ -406,10 +403,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int
     terminals = instance.terminals
     by_due = sorted(range(r), key=lambda i: pairs[i].due)
     dues = [pairs[i].due for i in by_due]
-    first = [
-        min((k for k, i in enumerate(by_due) if crossed >> i & 1), default=r)
-        for crossed in _crossing(instance)
-    ]
+    first = _first_steps(_crossing(instance), by_due)
     where = {x: i for i, x in enumerate(terminals)}
     zeros = [0] * network.vertex_count
     built: set[int] = set()
@@ -462,12 +456,12 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> tuple[int
                 break
         todo.append((low | part, v, split[0]))
         todo.append((rest ^ part, v, split[1]))
-    return value, _spanning_forest(instance, chosen)
+    return value, _forest_paths(network, chosen, (p.key for p in instance.pairs))
 
 
 def enumerate_candidate_forests(
     instance: Instance, dist: Sequence[list[int]], *, force: bool = False
-) -> Iterator[tuple[int, RForest]]:
+) -> Iterator[tuple[int, Forest]]:
     """Stream the DP's one optimal forest, as (exact value, forest):
     ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat.
     ``dist[i]`` holds the distances from ``instance.terminals[i]``
@@ -499,10 +493,11 @@ def enumerate_candidate_forests(
 
 def _forest_paths(
     network: Network, kept: Iterable[int], pairs: Iterable[tuple[int, int]]
-) -> list[list[int]]:
+) -> Forest:
     """Each pair's path in the forest of the edge ids ``kept``, as edge ids
     from u to v: a climb from the deeper end until both ends meet, over
-    ``Network.root_forest``."""
+    ``Network.root_forest``.  A pair the forest does not join is a solver
+    fault, not a bad input."""
     parent, up, depth, _ = network.root_forest(kept)
     paths = []
     for source, target in pairs:
@@ -517,26 +512,15 @@ def _forest_paths(
                 head.append(up[u])
                 u = parent[u]
             else:
-                raise InvalidInstanceError(f"forest does not connect ({source}, {target})")
+                raise NetconError(
+                    f"internal inconsistency: forest does not connect ({source}, {target})"
+                )
         tail.reverse()
-        paths.append(head + tail)
-    return paths
+        paths.append(tuple(head + tail))
+    return tuple(paths)
 
 
-def _spanning_forest(instance: Instance, edge_ids: Iterable[int]) -> RForest:
-    """The network forest that adds ``edge_ids`` in turn, skipping each edge
-    that would close a cycle, less the edges on no pair's path."""
-    network = instance.network
-    uf = UnionFind(network.vertex_count)
-    kept = [eid for eid in edge_ids if uf.union(*network.edges[eid][:2])]
-    paths = _forest_paths(network, kept, (p.key for p in instance.pairs))
-    return RForest(
-        edges=tuple(sorted({eid for path in paths for eid in path})),
-        pair_paths=tuple(map(tuple, paths)),
-    )
-
-
-def project_to_graph(forest: RForest, instance: Instance) -> ForestEvaluation:
+def project_to_graph(forest: Forest, instance: Instance) -> ForestEvaluation:
     """Score a winning forest of edge ids again over all pair orders; the
     solve's build sequence must replay to exactly the value returned.
 
@@ -547,16 +531,10 @@ def project_to_graph(forest: RForest, instance: Instance) -> ForestEvaluation:
     return evaluate_rforest(forest, instance)
 
 
-@dataclass(frozen=True)
-class FixedRSolution:
-    sequence: BuildSequence
-    report: ConnectionReport
-    forest: RForest
-    evaluation: ForestEvaluation
-
-
-def solve_fixed_r_detailed(instance: Instance, *, force: bool = False) -> FixedRSolution:
-    """Full solve keeping the winning network forest and its evaluation."""
+def solve_fixed_r(
+    instance: Instance, *, force: bool = False
+) -> tuple[BuildSequence, ConnectionReport]:
+    """Exact optimum for an instance with few pairs; any monotone objective."""
     dist = build_metric_closure(instance.network, instance.terminals)
     ((value, forest),) = enumerate_candidate_forests(instance, dist, force=force)
     replayed = evaluate_rforest(forest, instance).value
@@ -574,12 +552,4 @@ def solve_fixed_r_detailed(instance: Instance, *, force: bool = False) -> FixedR
             f"internal inconsistency: replay {report.objective} != "
             f"forest value {evaluation.value}"
         )
-    return FixedRSolution(sequence=sequence, report=report, forest=forest, evaluation=evaluation)
-
-
-def solve_fixed_r(
-    instance: Instance, *, force: bool = False
-) -> tuple[BuildSequence, ConnectionReport]:
-    """Exact optimum for an instance with few pairs; any monotone objective."""
-    solution = solve_fixed_r_detailed(instance, force=force)
-    return solution.sequence, solution.report
+    return sequence, report

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .chains import Job, density_decomposition, merge_two_chains
 from .errors import NetconError
-from .metric_solver import solve_fixed_r, solve_fixed_r_detailed
+from .metric_solver import solve_fixed_r
 from .model import (
     Instance,
     Network,
@@ -128,15 +128,13 @@ def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckR
         want, _ = subset_dp(instance)
         try:
             # the solve raises when a replay differs from the value it checks
-            solution = solve_fixed_r_detailed(instance)
+            _, report = solve_fixed_r(instance)
         except NetconError as exc:
             mismatches.append(f"trial {trial}: {exc}")
             replay_mismatches += 1
             continue
-        if solution.report.objective != want:
-            mismatches.append(
-                f"trial {trial}: solver {solution.report.objective} != oracle {want}"
-            )
+        if report.objective != want:
+            mismatches.append(f"trial {trial}: solver {report.objective} != oracle {want}")
     elapsed = time.perf_counter() - start
     detail = f"{trials} random graphs, wct and maxlat, {len(mismatches)} mismatches"
     if mismatches:

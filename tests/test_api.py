@@ -47,7 +47,6 @@ PUBLIC = [
 INTERNAL = [
     "DensityBlock",
     "ForestEvaluation",
-    "RForest",
     "SubtreeCatalog",
     "SubtreeRecord",
     "build_metric_closure",
@@ -58,7 +57,6 @@ INTERNAL = [
     "merge_for_edge",
     "pair_weight_tables",
     "project_to_graph",
-    "solve_fixed_r_detailed",
 ]
 
 
@@ -87,7 +85,9 @@ def test_internals_live_in_their_submodules():
     from netcon import metric_solver, tree_solver
 
     assert callable(tree_solver.subtree_records)
-    assert callable(metric_solver.solve_fixed_r_detailed)
+    assert callable(metric_solver.evaluate_rforest)
+    for gone in ("RForest", "FixedRSolution", "solve_fixed_r_detailed", "_spanning_forest"):
+        assert not hasattr(metric_solver, gone), gone
     assert not hasattr(tree_solver, "merge_for_edge")
     assert not hasattr(tree_solver, "crossing_weight")
     assert not hasattr(netcon.chains, "DensityBlock")

@@ -16,6 +16,11 @@ def test_job_validation():
         Job(0, 1)
     with pytest.raises(ValueError):
         Job(1, -1)
+    # one integer rule throughout: a bool is not an integer
+    with pytest.raises(ValueError):
+        Job(True, 0)
+    with pytest.raises(ValueError):
+        Job(1, False)
     Job(1, 0)  # zero weights are legal
 
 

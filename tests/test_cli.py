@@ -375,6 +375,19 @@ def test_a_sequence_replay_below_the_forest_value_exits_4(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_a_read_back_that_joins_no_pair_exits_4(capsys, monkeypatch):
+    # a broken solver is an internal error (4), not a bad input (2)
+    original = netcon.metric_solver._forest_paths
+
+    def emptied(network, kept, pairs):
+        return original(network, [], pairs)
+
+    monkeypatch.setattr(netcon.metric_solver, "_forest_paths", emptied)
+    status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
+    assert (status, out) == (4, "")
+    assert "internal error: internal inconsistency: forest does not connect" in err
+
+
 def test_auto_backend_routes_by_shape(capsys, tmp_path, monkeypatch):
     ran = []
 
@@ -454,7 +467,7 @@ def test_selftest_smoke(capsys):
 
 
 def test_selftest_counts_an_inconsistent_solve_as_a_mismatch(capsys, monkeypatch):
-    original = selftest.solve_fixed_r_detailed
+    original = selftest.solve_fixed_r
     calls = []
 
     def first_fails(instance, **kwargs):
@@ -463,7 +476,7 @@ def test_selftest_counts_an_inconsistent_solve_as_a_mismatch(capsys, monkeypatch
             raise NetconError("internal inconsistency: replay 8 != forest value 7")
         return original(instance, **kwargs)
 
-    monkeypatch.setattr(selftest, "solve_fixed_r_detailed", first_fails)
+    monkeypatch.setattr(selftest, "solve_fixed_r", first_fails)
     status, out, _ = run(capsys, "selftest", "--scale", "0.02")
     assert status == 1
     lines = [l for l in out.splitlines() if l.startswith("criterion")]

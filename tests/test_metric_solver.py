@@ -8,6 +8,7 @@ from netcon import (
     GuardExceededError,
     Instance,
     InvalidInstanceError,
+    NetconError,
     Network,
     RelevantPair,
     evaluate_sequence,
@@ -20,12 +21,11 @@ from netcon import (
 import netcon.metric_solver
 from netcon.metric_solver import (
     _descend,
-    _spanning_forest,
+    _forest_paths,
     build_metric_closure,
     enumerate_candidate_forests,
     evaluate_rforest,
     project_to_graph,
-    solve_fixed_r_detailed,
 )
 from netcon.unionfind import UnionFind
 
@@ -51,20 +51,29 @@ def _stream(inst):
     return enumerate_candidate_forests(inst, build_metric_closure(inst.network, inst.terminals))
 
 
+def _forest_edges(forest):
+    """The edge ids of a forest: the union of its pair paths."""
+    return {e for path in forest for e in path}
+
+
 def _forest_vertices(forest, inst):
-    return [x for e in forest.edges for x in inst.network.edges[e][:2]]
+    return [x for e in _forest_edges(forest) for x in inst.network.edges[e][:2]]
+
+
+def _assert_acyclic(network, ids):
+    """No id repeats and none closes a cycle."""
+    uf = UnionFind(network.vertex_count)
+    assert all(uf.union(*network.edges[e][:2]) for e in ids)
 
 
 def _assert_forest(forest, inst):
-    """``forest`` is an acyclic set of network edge ids, the sorted union of
-    its pair paths; each path is a chain of distinct ids from its pair's u to
-    its v; and every vertex of it that ends no pair has degree at least 2."""
+    """``forest`` holds one path per pair, each a chain of distinct network
+    edge ids from its pair's u to its v; their union is acyclic; and every
+    vertex of it that ends no pair has degree at least 2."""
     edges = inst.network.edges
-    uf = UnionFind(inst.network.vertex_count)
-    assert all(uf.union(*edges[e][:2]) for e in forest.edges)
-    assert forest.edges == tuple(sorted({e for path in forest.pair_paths for e in path}))
-    assert len(forest.pair_paths) == inst.pair_count
-    for pair, path in zip(inst.pairs, forest.pair_paths):
+    _assert_acyclic(inst.network, _forest_edges(forest))
+    assert len(forest) == inst.pair_count
+    for pair, path in zip(inst.pairs, forest):
         assert len(set(path)) == len(path)
         at = pair.u
         for e in path:
@@ -174,8 +183,7 @@ def test_streamed_forest_on_terminal_path():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     for twin in (inst, _as_maxlat(inst)):
         ((_, forest),) = _stream(twin)
-        assert forest.edges == (0, 1)
-        assert forest.pair_paths == ((0,), (0, 1))
+        assert forest == ((0,), (0, 1))
 
 
 def test_streamed_forest_is_valid_and_junctions_have_degree_3():
@@ -201,35 +209,32 @@ def test_disjoint_pairs_allow_two_component_forest():
     inst = _inst(SQUARE.network.edges, [(0, 1, 2), (2, 3, 1)])
     for twin in (inst, _as_maxlat(inst)):
         ((value, forest),) = _stream(twin)
-        assert forest.edges == (0, 3)
+        assert forest == ((0,), (3,))
         assert value == subset_dp(twin)[0]
 
 
 def test_evaluate_rforest_weighted_sum():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
-    forest = _spanning_forest(inst, [0, 1])
-    assert forest.edges == (0, 1)
-    evaluation = evaluate_rforest(forest, inst)
+    evaluation = evaluate_rforest(((0,), (0, 1)), inst)
     assert evaluation.value == 3  # serve (0,1) first: 1 + 2; other order gives 4
-    assert evaluation.pair_order == (0, 1)
     assert evaluation.edge_order == (0, 1)
     assert evaluate_sequence(inst, evaluation.edge_order).objective == evaluation.value
 
 
 def test_evaluate_rforest_single_pair():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
-    assert evaluate_rforest(_spanning_forest(inst, [0]), inst).value == 12
+    assert evaluate_rforest(((0,),), inst).value == 12
 
 
 def test_evaluate_rforest_max_lateness():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 1), (0, 2, 1, 2)], "maxlat")
-    assert evaluate_rforest(_spanning_forest(inst, [0, 1]), inst).value == 0
+    assert evaluate_rforest(((0,), (0, 1)), inst).value == 0
 
 
 def test_projection_is_identity_on_a_single_edge():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
     ((_, forest),) = _stream(inst)
-    assert forest.edges == (0,)
+    assert forest == ((0,),)
     assert project_to_graph(forest, inst) == evaluate_rforest(forest, inst)
 
 
@@ -373,23 +378,29 @@ def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     monkeypatch.setattr(netcon.metric_solver, "_dijkstra", recorded)
     for twin, want in ((inst, 7), (_as_maxlat(inst), 3)):
         sources.clear()
-        solution = solve_fixed_r_detailed(twin)
+        _, report = solve_fixed_r(twin)
         assert sorted(sources) == [0, 1, 2, 3]
-        assert solution.report.objective == solution.evaluation.value == want
-        _assert_forest(solution.forest, twin)
+        assert report.objective == want
+        ((value, forest),) = _stream(twin)
+        assert evaluate_rforest(forest, twin).value == value == want
+        _assert_forest(forest, twin)
 
 
-def test_spanning_forest_paths_run_from_u_to_v():
-    # edge ids 2, 3, 1 build 1-2, 2-3, 0-3; edge 0 (0-1) would close a cycle
-    forest = _spanning_forest(SQUARE, [2, 3, 1, 0])
-    assert forest.edges == (1, 2, 3)
-    assert forest.pair_paths == ((1, 3), (2, 3))
-    with pytest.raises(InvalidInstanceError, match=r"does not connect \(1, 3\)"):
-        _spanning_forest(SQUARE, [0, 2])
+def _keys(inst):
+    return [p.key for p in inst.pairs]
 
 
-def test_spanning_forest_of_any_edge_list_is_a_forest_of_pair_paths(monkeypatch):
-    # shuffled lists of every edge, then the edge ids both DPs read back
+def test_forest_paths_run_from_u_to_v():
+    # edge ids 2, 3, 1 join 1-2, 2-3 and 0-3
+    assert _forest_paths(SQUARE.network, [2, 3, 1], _keys(SQUARE)) == ((1, 3), (2, 3))
+    # a forest that leaves a pair apart is a solver fault, not a bad input
+    with pytest.raises(NetconError, match=r"does not connect \(1, 3\)") as caught:
+        _forest_paths(SQUARE.network, [0, 2], _keys(SQUARE))
+    assert not isinstance(caught.value, InvalidInstanceError)
+
+
+def test_forest_paths_of_any_edge_list_are_a_forest_of_pair_paths():
+    # ``Network.root_forest`` spans whatever list it gets, cycles and all
     rng = random.Random(139)
     for _ in range(60):
         n = rng.randint(3, 9)
@@ -402,29 +413,39 @@ def test_spanning_forest_of_any_edge_list_is_a_forest_of_pair_paths(monkeypatch)
         )
         ids = list(range(inst.network.edge_count))
         rng.shuffle(ids)
-        _assert_forest(_spanning_forest(inst, ids), inst)
+        _assert_forest(_forest_paths(inst.network, ids, _keys(inst)), inst)
+
+
+def test_every_read_back_is_the_forest(monkeypatch):
+    # the edge ids either DP reads back repeat none, close no cycle and each
+    # lie on a returned pair path, which replay to the DP's value
     read_backs = []
-    original = netcon.metric_solver._spanning_forest
+    original = netcon.metric_solver._forest_paths
 
-    def checked(instance, edge_ids):
-        forest = original(instance, edge_ids)
-        _assert_forest(forest, instance)
-        read_backs.append(edge_ids)
-        return forest
+    def captured(network, kept, pairs):
+        read_backs.append(kept)
+        return original(network, kept, pairs)
 
-    monkeypatch.setattr(netcon.metric_solver, "_spanning_forest", checked)
+    monkeypatch.setattr(netcon.metric_solver, "_forest_paths", captured)
+    checked = 0
     for objective, depot in (("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)):
         rng = random.Random(f"read-back/{objective}/{depot}")
-        for _ in range(10):
-            solve_fixed_r(_stream_instance(rng, objective, depot))
-    assert len(read_backs) == 40
+        for _ in range(12):
+            inst = _stream_instance(rng, objective, depot)
+            read_backs.clear()
+            ((value, forest),) = _stream(inst)
+            (kept,) = read_backs
+            _assert_acyclic(inst.network, kept)
+            assert set(kept) == _forest_edges(forest)
+            _assert_forest(forest, inst)
+            assert evaluate_rforest(forest, inst).value == value
+            checked += 1
+    assert checked == 48
 
 
 def test_solution_is_deterministic():
-    first = solve_fixed_r_detailed(SQUARE)
-    second = solve_fixed_r_detailed(SQUARE)
-    assert first.sequence == second.sequence
-    assert first.forest.edges == second.forest.edges
+    assert solve_fixed_r(SQUARE) == solve_fixed_r(SQUARE)
+    assert list(_stream(SQUARE)) == list(_stream(SQUARE))
 
 
 def _pendant_junction_instance():
@@ -438,9 +459,9 @@ def test_pendant_only_neighbours_never_make_a_junction():
     inst = _pendant_junction_instance()
     assert inst.network.degrees[4] == 3
     for twin in (inst, _as_maxlat(inst)):
-        solution = solve_fixed_r_detailed(twin)
-        assert 4 not in _forest_vertices(solution.forest, twin)
-        assert solution.report.objective == subset_dp(twin)[0]
+        ((_, forest),) = _stream(twin)
+        assert 4 not in _forest_vertices(forest, twin)
+        assert solve_fixed_r(twin)[1].objective == subset_dp(twin)[0]
 
 
 def _pendant_and_chain_instance(rng, objective, depot):
@@ -532,7 +553,7 @@ def test_stream_is_one_optimal_network_forest(objective, depot):
         if inst.network.edge_count <= 12:
             assert value == subset_dp(inst)[0]
             oracle_checked += 1
-        assert solve_fixed_r_detailed(inst).forest == forest
+        assert solve_fixed_r(inst)[1].objective == value
     assert with_junctions >= 3
     assert oracle_checked >= 10
 
@@ -542,7 +563,7 @@ def test_two_pairs_with_distinct_ends_can_need_two_junctions():
     inst = _inst([(0, 4, 1), (2, 4, 1), (4, 5, 1), (1, 5, 1), (3, 5, 1)], [(0, 1, 1), (2, 3, 1)])
     assert inst.terminals == (0, 1, 2, 3)
     for twin in (inst, _as_maxlat(inst)):
-        forest = solve_fixed_r_detailed(twin).forest
+        ((_, forest),) = _stream(twin)
         assert set(_forest_vertices(forest, twin)) == {0, 1, 2, 3, 4, 5}
         assert solve_fixed_r(twin)[1].objective == subset_dp(twin)[0]
 
@@ -551,6 +572,7 @@ def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
     inst = _inst(
         [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], [(0, 2, 2, 2), (1, 3, 1, 4)], "maxlat"
     )
+    ((_, winner),) = _stream(inst)
     calls = []
     original = netcon.metric_solver.evaluate_rforest
 
@@ -559,8 +581,8 @@ def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
         return original(forest, instance)
 
     monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", counted)
-    solution = solve_fixed_r_detailed(inst)
-    assert calls == [solution.forest, solution.forest]
+    solve_fixed_r(inst)
+    assert calls == [winner, winner]
 
 
 def _oracle_instance(rng, n, r, shared, lengths, max_edges, due=None):
@@ -585,10 +607,9 @@ def _oracle_instance(rng, n, r, shared, lengths, max_edges, due=None):
 
 
 def _check_against_subset_dp(inst, force=False):
-    solution = solve_fixed_r_detailed(inst, force=force)
-    want = subset_dp(inst, force=True)[0]
-    assert solution.evaluation.value == solution.report.objective == want
-    assert evaluate_sequence(inst, solution.sequence) == solution.report
+    sequence, report = solve_fixed_r(inst, force=force)
+    assert report.objective == subset_dp(inst, force=True)[0]
+    assert evaluate_sequence(inst, sequence) == report
 
 
 def test_wct_subset_dp_matches_the_edge_subset_oracle():
@@ -625,15 +646,15 @@ def _due_dates(rng):
 
 def test_maxlat_dp_matches_the_edge_subset_oracle(monkeypatch):
     # the forest read back keeps every edge it reads: none twice, none that
-    # closes a cycle and none on no pair's path
-    original = netcon.metric_solver._spanning_forest
+    # closes a cycle (the rooting skips it) and none on no pair's path
+    original = netcon.metric_solver._forest_paths
 
-    def exact(instance, edge_ids):
-        forest = original(instance, edge_ids)
-        assert len(forest.edges) == len(edge_ids)
+    def exact(network, kept, pairs):
+        forest = original(network, kept, pairs)
+        assert len(_forest_edges(forest)) == len(kept)
         return forest
 
-    monkeypatch.setattr(netcon.metric_solver, "_spanning_forest", exact)
+    monkeypatch.setattr(netcon.metric_solver, "_forest_paths", exact)
     # the second pair's due date leaves slack: a read-back that routes it over
     # 1-2 closes a cycle with the first pair's edges
     _check_against_subset_dp(
