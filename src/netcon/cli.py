@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Sequence
 
@@ -183,6 +184,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
+def _scale(text: str) -> float:
+    """The ``--scale`` type: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
 def _cmd_selftest(args: argparse.Namespace) -> int:
     results = selftest.run_all(scale=args.scale)
     failed = False
@@ -238,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=_cmd_validate)
 
     self_cmd = sub.add_parser("selftest", help="run the acceptance checks")
-    self_cmd.add_argument("--scale", type=float, default=1.0, help="trial-count multiplier")
+    self_cmd.add_argument("--scale", type=_scale, default=1.0, help="trial-count multiplier")
     self_cmd.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -245,6 +245,8 @@ class Instance:
         seen: set[tuple[int, int]] = set()
         for index, pair in enumerate(pairs):
             try:
+                if not isinstance(pair, RelevantPair):
+                    raise InvalidInstanceError(f"pair must be a RelevantPair, got {pair!r}")
                 _add_key("pair", pair.key, n, seen)
                 if (pair.due is None) == maxlat:
                     raise InvalidInstanceError(

@@ -351,8 +351,8 @@ def test_internal_inconsistency_exits_4(capsys, monkeypatch):
 def test_a_replay_that_disagrees_with_the_table_value_exits_4(capsys, monkeypatch):
     original = netcon.metric_solver.evaluate_rforest
 
-    def off_by_one(forest, instance):
-        evaluation = original(forest, instance)
+    def off_by_one(*args):
+        evaluation = original(*args)
         return dataclasses.replace(evaluation, value=evaluation.value + 1)
 
     monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", off_by_one)
@@ -365,8 +365,8 @@ def test_a_sequence_replay_below_the_forest_value_exits_4(capsys, monkeypatch):
     # a replay that beats the forest's proven value is as inconsistent as one above it
     original = netcon.metric_solver.project_to_graph
 
-    def one_too_high(forest, instance):
-        evaluation = original(forest, instance)
+    def one_too_high(*args):
+        evaluation = original(*args)
         return dataclasses.replace(evaluation, value=evaluation.value + 1)
 
     monkeypatch.setattr(netcon.metric_solver, "project_to_graph", one_too_high)
@@ -464,6 +464,13 @@ def test_selftest_smoke(capsys):
     lines = [l for l in out.splitlines() if l.startswith("criterion")]
     assert len(lines) == 8
     assert all("[PASS]" in l for l in lines)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "x"])
+def test_selftest_scale_must_be_a_finite_number_above_0(capsys, scale):
+    status, out, err = run(capsys, "selftest", "--scale", scale)
+    assert (status, out) == (2, "")
+    assert f"must be a finite number above 0, got {scale!r}" in err
 
 
 def test_selftest_counts_an_inconsistent_solve_as_a_mismatch(capsys, monkeypatch):

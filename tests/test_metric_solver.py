@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from netcon import (
     InvalidInstanceError,
     NetconError,
     Network,
+    Objective,
     RelevantPair,
     evaluate_sequence,
     generate,
@@ -182,11 +184,11 @@ def test_descend_walk_matches_distance_on_random_queries():
 def test_streamed_forest_on_terminal_path():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
     for twin in (inst, _as_maxlat(inst)):
-        ((_, forest),) = _stream(twin)
-        assert forest == ((0,), (0, 1))
+        ((_, order, forest),) = _stream(twin)
+        assert (order, forest) == ((0, 1), ((0,), (0, 1)))
 
 
-def test_streamed_forest_is_valid_and_junctions_have_degree_3():
+def test_streamed_forest_has_no_dangling_non_terminal_and_can_branch():
     # the stream holds one forest; a vertex of it that ends no pair lies
     # inside a path (degree 2) or is a junction (degree 3 or more)
     rng = random.Random(59)
@@ -195,7 +197,7 @@ def test_streamed_forest_is_valid_and_junctions_have_degree_3():
         n = rng.randint(4, 8)
         objective = rng.choice(("wct", "maxlat"))
         inst = generate("random_graph", n, seed=rng.randrange(1 << 30), pair_count=3, objective=objective)
-        ((_, forest),) = _stream(inst)
+        ((_, _, forest),) = _stream(inst)
         _assert_forest(forest, inst)
         degree = Counter(_forest_vertices(forest, inst))
         inner = [d for x, d in degree.items() if x not in inst.terminals]
@@ -208,34 +210,37 @@ def test_disjoint_pairs_allow_two_component_forest():
     # pairs (0, 1) and (2, 3) on the square: its opposite edges 0 and 3 serve them
     inst = _inst(SQUARE.network.edges, [(0, 1, 2), (2, 3, 1)])
     for twin in (inst, _as_maxlat(inst)):
-        ((value, forest),) = _stream(twin)
+        ((value, _, forest),) = _stream(twin)
         assert forest == ((0,), (3,))
         assert value == subset_dp(twin)[0]
 
 
 def test_evaluate_rforest_weighted_sum():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1), (0, 2, 1)])
-    evaluation = evaluate_rforest(((0,), (0, 1)), inst)
-    assert evaluation.value == 3  # serve (0,1) first: 1 + 2; other order gives 4
+    evaluation = evaluate_rforest(((0,), (0, 1)), inst, (0, 1))
+    assert evaluation.value == 3  # serve (0,1) first: 1 + 2
     assert evaluation.edge_order == (0, 1)
     assert evaluate_sequence(inst, evaluation.edge_order).objective == evaluation.value
+    # the other order charges (0,1) only when its own block completes: 2 + 2
+    assert dataclasses.astuple(evaluate_rforest(((0,), (0, 1)), inst, (1, 0))) == (4, (0, 1))
 
 
 def test_evaluate_rforest_single_pair():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
-    assert evaluate_rforest(((0,),), inst).value == 12
+    assert evaluate_rforest(((0,),), inst, (0,)).value == 12
 
 
 def test_evaluate_rforest_max_lateness():
     inst = _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 1), (0, 2, 1, 2)], "maxlat")
-    assert evaluate_rforest(((0,), (0, 1)), inst).value == 0
+    assert evaluate_rforest(((0,), (0, 1)), inst, (0, 1)).value == 0
+    assert evaluate_rforest(((0,), (0, 1)), inst, (1, 0)).value == 1
 
 
-def test_projection_is_identity_on_a_single_edge():
+def test_projection_equals_the_forest_replay_on_a_single_edge():
     inst = _inst([(0, 1, 4)], [(0, 1, 3)])
-    ((_, forest),) = _stream(inst)
-    assert forest == ((0,),)
-    assert project_to_graph(forest, inst) == evaluate_rforest(forest, inst)
+    ((_, order, forest),) = _stream(inst)
+    assert (order, forest) == ((0,), ((0,),))
+    assert project_to_graph(forest, inst, order) == evaluate_rforest(forest, inst, order)
 
 
 def test_projection_keeps_the_value_on_random_instances():
@@ -250,9 +255,9 @@ def test_projection_keeps_the_value_on_random_instances():
             pair_count=2,
             objective=rng.choice(("wct", "maxlat")),
         )
-        ((value, forest),) = _stream(inst)
+        ((value, order, forest),) = _stream(inst)
         _assert_forest(forest, inst)
-        assert project_to_graph(forest, inst).value == value
+        assert project_to_graph(forest, inst, order).value == value
 
 
 def test_solve_square():
@@ -381,8 +386,8 @@ def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
         _, report = solve_fixed_r(twin)
         assert sorted(sources) == [0, 1, 2, 3]
         assert report.objective == want
-        ((value, forest),) = _stream(twin)
-        assert evaluate_rforest(forest, twin).value == value == want
+        ((value, order, forest),) = _stream(twin)
+        assert evaluate_rforest(forest, twin, order).value == value == want
         _assert_forest(forest, twin)
 
 
@@ -433,12 +438,12 @@ def test_every_read_back_is_the_forest(monkeypatch):
         for _ in range(12):
             inst = _stream_instance(rng, objective, depot)
             read_backs.clear()
-            ((value, forest),) = _stream(inst)
+            ((value, order, forest),) = _stream(inst)
             (kept,) = read_backs
             _assert_acyclic(inst.network, kept)
             assert set(kept) == _forest_edges(forest)
             _assert_forest(forest, inst)
-            assert evaluate_rforest(forest, inst).value == value
+            assert evaluate_rforest(forest, inst, order).value == value
             checked += 1
     assert checked == 48
 
@@ -459,7 +464,7 @@ def test_pendant_only_neighbours_never_make_a_junction():
     inst = _pendant_junction_instance()
     assert inst.network.degrees[4] == 3
     for twin in (inst, _as_maxlat(inst)):
-        ((_, forest),) = _stream(twin)
+        ((_, _, forest),) = _stream(twin)
         assert 4 not in _forest_vertices(forest, twin)
         assert solve_fixed_r(twin)[1].objective == subset_dp(twin)[0]
 
@@ -545,8 +550,8 @@ def test_stream_is_one_optimal_network_forest(objective, depot):
     with_junctions = oracle_checked = 0
     for _ in range(20):
         inst = _stream_instance(rng, objective, depot)
-        ((value, forest),) = _stream(inst)
-        assert value == evaluate_rforest(forest, inst).value
+        ((value, order, forest),) = _stream(inst)
+        assert value == evaluate_rforest(forest, inst, order).value
         _assert_forest(forest, inst)
         terminals = set(inst.terminals)
         with_junctions += any(x not in terminals for x in _forest_vertices(forest, inst))
@@ -563,26 +568,73 @@ def test_two_pairs_with_distinct_ends_can_need_two_junctions():
     inst = _inst([(0, 4, 1), (2, 4, 1), (4, 5, 1), (1, 5, 1), (3, 5, 1)], [(0, 1, 1), (2, 3, 1)])
     assert inst.terminals == (0, 1, 2, 3)
     for twin in (inst, _as_maxlat(inst)):
-        ((_, forest),) = _stream(twin)
+        ((_, _, forest),) = _stream(twin)
         assert set(_forest_vertices(forest, twin)) == {0, 1, 2, 3, 4, 5}
         assert solve_fixed_r(twin)[1].objective == subset_dp(twin)[0]
 
 
 def test_solve_replays_only_the_winner_and_its_projection(monkeypatch):
+    # once directly and once through its projection, each in the one order
     inst = _inst(
-        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], [(0, 2, 2, 2), (1, 3, 1, 4)], "maxlat"
+        [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], [(0, 2, 2, 4), (1, 3, 1, 2)], "maxlat"
     )
-    ((_, winner),) = _stream(inst)
+    ((_, order, winner),) = _stream(inst)
+    assert order == (1, 0)  # by due date
     calls = []
     original = netcon.metric_solver.evaluate_rforest
 
-    def counted(forest, instance):
-        calls.append(forest)
-        return original(forest, instance)
+    def counted(forest, instance, order):
+        calls.append((forest, order))
+        return original(forest, instance, order)
 
     monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", counted)
     solve_fixed_r(inst)
-    assert calls == [winner, winner]
+    assert calls == [(winner, order), (winner, order)]
+
+
+def _replay_every_order(forest, inst):
+    """The r! reference: per pair order, in ``itertools.permutations`` order,
+    the forest built pair by pair in it, each pair charged when its own path's
+    edges are all built; yields (value, order, edge ids in build order)."""
+    edges = inst.network.edges
+    for perm in itertools.permutations(range(inst.pair_count)):
+        built = []
+        elapsed = 0
+        times = {}
+        for idx in perm:
+            for e in forest[idx]:
+                if e not in built:
+                    built.append(e)
+                    elapsed += edges[e][2]
+            times[idx] = elapsed
+        if inst.objective is Objective.WEIGHTED_SUM:
+            value = sum(inst.pairs[i].weight * t for i, t in times.items())
+        else:
+            value = max(t - inst.pairs[i].due for i, t in times.items())
+        yield value, perm, tuple(built)
+
+
+@pytest.mark.parametrize(
+    "objective, depot", [("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)]
+)
+def test_the_dp_order_is_optimal_on_its_forest_against_every_order(objective, depot):
+    # the one-order replay reaches the least block-charged value over all r!
+    # orders; under wct the DP's order is the first that does, so the build
+    # order is the one the r! replay picks
+    rng = random.Random(f"orders/{objective}/{depot}")
+    several = 0
+    for _ in range(16):
+        inst = _stream_instance(rng, objective, depot)
+        ((value, order, forest),) = _stream(inst)
+        replays = list(_replay_every_order(forest, inst))
+        least = min(v for v, _, _ in replays)
+        evaluation = evaluate_rforest(forest, inst, order)
+        assert evaluation.value == value == least
+        if objective == "wct":
+            first = next(replay for replay in replays if replay[0] == least)
+            assert (order, evaluation.edge_order) == first[1:]
+        several += inst.pair_count >= 3
+    assert several >= 3
 
 
 def _oracle_instance(rng, n, r, shared, lengths, max_edges, due=None):

@@ -360,6 +360,14 @@ def test_instance_rejects_out_of_range_pair_endpoints():
         Instance(net, (RelevantPair(0, 3, 1),))
 
 
+def test_instance_rejects_a_pair_that_is_not_a_relevant_pair():
+    # tagged with the pair's position, like every other pair rule
+    net = Network(3, ((0, 1, 1), (1, 2, 2)))
+    with pytest.raises(InvalidInstanceError, match=r"RelevantPair, got \(0, 2, 1\)") as caught:
+        Instance(net, (RelevantPair(0, 1, 1), (0, 2, 1)))
+    assert caught.value.where == ("pair", 1)
+
+
 def test_ola_input_invariants():
     with pytest.raises(InvalidInstanceError):
         OlaInput(2, ((0, 0),), 1)
