@@ -21,15 +21,26 @@ from the first one that needs it.  For each of the r! pair orders the labels
 are scalars (``_subset_tables``).  Work is O(r! * (3^t * n + 2^t * m log n)).
 
 Maximum lateness (maxlat): the pairs are served by due date, which is optimal
-on any forest.  A label is the vector of prefix lengths P_0..P_{r-1} built
-through each step: an edge first needed at step j adds its length to
-P_j..P_{r-1}, and the value is max_k(P_k - d_k).  Each table holds a Pareto set
-of such vectors (multi-objective label setting, Martins 1984).  Comparing
-prefix sums is exact: a later edge adds the same amount to the prefixes of
-both labels, so one that is nowhere larger never does worse.  Labels worth
-more than the forest that adds the pairs' shortest paths in due order are
-dropped (``_lateness_tables``).  Work grows with the Pareto labels kept over
-the 2^t endpoint sets.
+on any forest.  Let P_k be the first k+1 pairs by due date and d_k the due
+date of the last of them.  Any schedule joins all of P_k no earlier than
+SF(P_k), the least length of a forest joining them, and the one of P_k it
+joins last is due no later than d_k; so max_k(SF(P_k) - d_k) bounds the
+optimum from below.  ``_lateness_bound`` tries to meet that bound, cheapest
+first: with the pairs' shortest paths in due order (optimal when the pair due
+first is the latest), then with SF of the prefix where that forest is latest
+(one scalar subset DP with coefficient 1 on the endpoint sets that separate a
+pair of the prefix), then with that least forest followed by the later
+pairs' shortest paths.
+
+Only when the bound falls short does the Pareto DP run.  A label is the
+vector of prefix lengths P_0..P_{r-1} built through each step: an edge first
+needed at step j adds its length to P_j..P_{r-1}, and the value is
+max_k(P_k - d_k).  Each table holds a Pareto set of such vectors
+(multi-objective label setting, Martins 1984).  Comparing prefix sums is
+exact: a later edge adds the same amount to the prefixes of both labels, so
+one that is nowhere larger never does worse.  Labels worth more than the
+better of the bound's two forests are dropped (``_lateness_tables``).  Work
+grows with the Pareto labels kept over the 2^t endpoint sets.
 
 The winner is read back from the labels as network edge ids that use no edge
 twice and close no cycle: they are the forest, kept as its pair paths.  The
@@ -45,9 +56,10 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GuardExceededError, NetconError
+from .errors import GuardExceededError, NetconError, SequenceError
 from .evaluator import BuildSequence, ConnectionReport, _objective_value, evaluate_sequence
 from .model import Instance, Network, Objective
+from .unionfind import UnionFind
 
 PAIR_BOUND = 4
 PAIR_BOUND_DEPOT = 6
@@ -137,16 +149,15 @@ def evaluate_rforest(forest: Forest, instance: Instance, order: Sequence[int]) -
     return ForestEvaluation(_objective_value(instance, times), tuple(built))
 
 
-def _crossing(instance: Instance) -> list[int]:
-    """Per endpoint set (a bit mask over ``instance.terminals``), the pairs
-    with exactly one end in it (a bit mask over ``instance.pairs``): the pairs
-    whose paths cross an edge with that set below it."""
-    terminals = instance.terminals
+def _crossing(terminals: Sequence[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Per endpoint set (a bit mask over ``terminals``), the pairs with exactly
+    one end in it (a bit mask over ``pairs``): the pairs whose paths cross an
+    edge with that set below it."""
     where = {x: i for i, x in enumerate(terminals)}
     ends = [0] * len(terminals)
-    for i, pair in enumerate(instance.pairs):
-        ends[where[pair.u]] ^= 1 << i
-        ends[where[pair.v]] ^= 1 << i
+    for i, (u, v) in enumerate(pairs):
+        ends[where[u]] ^= 1 << i
+        ends[where[v]] ^= 1 << i
     crossing = [0] * (1 << len(terminals))
     for mask in range(1, len(crossing)):
         low = mask & -mask
@@ -164,7 +175,7 @@ def _first_steps(crossing: Sequence[int], order: Sequence[int]) -> list[int]:
     return [step[c] for c in crossing]
 
 
-# --- wct: scalar labels, one DP per pair order ---------------------------------
+# --- scalar labels: Steiner forests, and wct with one DP per pair order ---------
 
 
 def _subset_tables(
@@ -203,6 +214,37 @@ def _subset_tables(
     return g, h
 
 
+def _read_back(network: Network, coef: Sequence[int], g: Sequence, h: Sequence, full: int) -> list[int]:
+    """The edge ids of one least forest in the ``_subset_tables`` tables of the
+    endpoint set ``full``: each choice goes to the first candidate that
+    attains the label (the lowest root for a set that separates no pair, the
+    first split, the first neighbour)."""
+    zeros = [0] * network.vertex_count
+    chosen = []
+    todo = [(full, 0)]  # the full set separates no pair, so its root is chosen below
+    while todo:
+        mask, v = todo.pop()
+        low = mask & -mask
+        if not coef[mask]:
+            v = h[mask].index(min(h[mask]))
+        else:
+            # walk down to the vertex where the set splits (or to its endpoint)
+            floor = zeros if mask == low else h[mask]
+            walked, v = _descend(network, g[mask], v, coef[mask], floor)
+            chosen += walked
+        if mask == low:
+            continue
+        rest = mask ^ low
+        part = rest
+        while part:
+            part = (part - 1) & rest
+            if g[low | part][v] + g[rest ^ part][v] == h[mask][v]:
+                break
+        todo.append((low | part, v))
+        todo.append((rest ^ part, v))
+    return chosen
+
+
 def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     """The wct optimum over all forests, the pair order and one forest that
     attain it; ``dist[i]`` holds the distances from ``instance.terminals[i]``.
@@ -224,7 +266,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     network = instance.network
     terminals = instance.terminals
     full = (1 << len(terminals)) - 1
-    crossing = _crossing(instance)
+    crossing = _crossing(terminals, (p.key for p in instance.pairs))
 
     r = instance.pair_count
     best = None
@@ -239,30 +281,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
         if best is None or value < best[0]:
             best = (value, perm, coef, g, h)
     value, order, coef, g, h = best
-
-    zeros = [0] * network.vertex_count
-    chosen = []
-    todo = [(full, 0)]
-    while todo:
-        mask, v = todo.pop()
-        low = mask & -mask
-        if not coef[mask]:
-            v = h[mask].index(min(h[mask]))
-        else:
-            # walk down to the vertex where the set splits (or to its endpoint)
-            floor = zeros if mask == low else h[mask]
-            walked, v = _descend(network, g[mask], v, coef[mask], floor)
-            chosen += walked
-        if mask == low:
-            continue
-        rest = mask ^ low
-        part = rest
-        while part:
-            part = (part - 1) & rest
-            if g[low | part][v] + g[rest ^ part][v] == h[mask][v]:
-                break
-        todo.append((low | part, v))
-        todo.append((rest ^ part, v))
+    chosen = _read_back(network, coef, g, h, full)
     return value, order, _forest_paths(network, chosen, (p.key for p in instance.pairs))
 
 
@@ -361,6 +380,93 @@ def _lateness_tables(
     return g, h
 
 
+def _grown_forest(
+    instance: Instance, by_due: Sequence[int], walks: Iterable[Iterable[int]]
+) -> tuple[list[int], list[int]]:
+    """The forest of the edge ids in ``walks``, taken in turn, less each edge
+    that closes a cycle and then each that lies on no pair's path: its edge
+    ids, and the length built through each step when the pairs are served in
+    the order ``by_due``.
+
+    An edge lies on the paths of the pairs with exactly one end below it in
+    the rooted forest, and the first of them in ``by_due`` builds it.
+    """
+    network = instance.network
+    edges = network.edges
+    joined = UnionFind(network.vertex_count)
+    kept = [e for e in itertools.chain.from_iterable(walks) if joined.union(*edges[e][:2])]
+    parent, up, _, order = network.root_forest(kept)
+    below = [0] * network.vertex_count  # per vertex: the steps with one end below it
+    for step, i in enumerate(by_due):
+        below[instance.pairs[i].u] ^= 1 << step
+        below[instance.pairs[i].v] ^= 1 << step
+    for x in reversed(order):  # children first
+        if up[x] >= 0:
+            below[parent[x]] ^= below[x]
+    used = []
+    added = [0] * len(by_due)
+    for x in order:
+        if up[x] >= 0 and below[x]:
+            used.append(up[x])
+            added[(below[x] & -below[x]).bit_length() - 1] += edges[up[x]][2]
+    return used, list(itertools.accumulate(added))
+
+
+def _lateness_bound(
+    instance: Instance, dist: Sequence[list[int]], by_due: Sequence[int]
+) -> tuple[int, list[int] | None]:
+    """An upper bound on the maxlat optimum, with the pairs served in the
+    order ``by_due``, and the edge ids of a forest worth it if the
+    Steiner-forest lower bound proves that forest optimal (else None).
+
+    Let P_k be the first k+1 pairs by due date, d_k the due date of the last
+    of them, and SF(P_k) the least length of a forest joining them.  Any
+    schedule joins all of P_k no earlier than SF(P_k), and the one of P_k it
+    joins last is due no later than d_k, so max_k(SF(P_k) - d_k) bounds the
+    optimum from below.  Three forests are tried against it, cheapest first:
+
+    1. The pairs' shortest paths in due order.  Let k be the first prefix at
+       which this forest reaches its value.  For k = 0 its value is
+       SF(P_0) - d_0: optimal.
+    2. Otherwise one scalar ``_subset_tables`` run over P_k's endpoints, with
+       coefficient 1 for each endpoint set that separates a pair of P_k and 0
+       for the rest, gives SF(P_k).  If that is the forest's prefix k, its
+       value is SF(P_k) - d_k: optimal.
+    3. Otherwise the least forest joining P_k (``_read_back``) and then the
+       shortest paths of the later pairs in due order.  It is optimal if it is
+       worth SF(P_k) - d_k.
+
+    When the bound falls short, the better of the two forests' values is
+    returned.
+    """
+    network = instance.network
+    pairs = instance.pairs
+    dues = [pairs[i].due for i in by_due]
+    where = {x: i for i, x in enumerate(instance.terminals)}
+    zeros = [0] * network.vertex_count
+    walks = [_descend(network, dist[where[pairs[i].u]], pairs[i].v, 1, zeros)[0] for i in by_due]
+    used, built = _grown_forest(instance, by_due, walks)
+    lateness = list(map(sub, built, dues))
+    value = max(lateness)
+    k = lateness.index(value)
+    if k == 0:
+        return value, used
+    served = [pairs[i].key for i in by_due[: k + 1]]
+    ends = sorted({x for key in served for x in key})
+    coef = [1 if pairs_crossed else 0 for pairs_crossed in _crossing(ends, served)]
+    g, h = _subset_tables(network, [dist[where[x]] for x in ends], coef)
+    full = len(coef) - 1
+    least = min(h[full])
+    if least == built[k]:
+        return value, used
+    walks[: k + 1] = [_read_back(network, coef, g, h, full)]
+    steiner, grown = _grown_forest(instance, by_due, walks)
+    steiner_value = max(map(sub, grown, dues))
+    if steiner_value == least - dues[k]:
+        return steiner_value, steiner
+    return min(value, steiner_value), None
+
+
 def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     """The maxlat optimum over all forests, the pair order (by due date) and
     one forest that attain it; ``dist`` as for ``_subset_forest``.
@@ -369,9 +475,10 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     (Lawler's exchange argument): moving the pair due last to the end leaves
     it charged at the full length, like whichever pair was last, and charges
     every other pair at most as late.  So prefix k is the k-th pair by due
-    date, and ``first[S]`` is the first such position of a pair S separates.
-    The forest that adds the pairs' shortest paths in that order bounds the
-    optimum, so a label worth more is dropped.
+    date.  ``_lateness_bound`` proves most optima with a Steiner-forest lower
+    bound.  Only when it falls short do the Pareto tables run, with
+    ``first[S]`` the first such position of a pair S separates; the better
+    forest the bound tried caps them, so a label worth more is dropped.
 
     The read-back takes the least (value, label) of the full set.  Then, at
     each set, it takes the lowest root (for a set that separates no pair),
@@ -388,19 +495,15 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     network = instance.network
     pairs = instance.pairs
     r = len(pairs)
-    terminals = instance.terminals
+    keys = [p.key for p in pairs]
     by_due = tuple(sorted(range(r), key=lambda i: pairs[i].due))
+    bound, proven = _lateness_bound(instance, dist, by_due)
+    if proven is not None:
+        return bound, by_due, _forest_paths(network, proven, keys)
     dues = [pairs[i].due for i in by_due]
-    first = _first_steps(_crossing(instance), by_due)
-    where = {x: i for i, x in enumerate(terminals)}
+    first = _first_steps(_crossing(instance.terminals, keys), by_due)
     zeros = [0] * network.vertex_count
-    built: set[int] = set()
-    late = []
-    for i in by_due:
-        walked, _ = _descend(network, dist[where[pairs[i].u]], pairs[i].v, 1, zeros)
-        built.update(walked)
-        late.append(sum(network.edges[e][2] for e in built) - pairs[i].due)
-    g, h = _lateness_tables(network, dist, first, [max(late) + due for due in dues])
+    g, h = _lateness_tables(network, dist, first, [bound + due for due in dues])
     full = len(first) - 1
     value, label = min((max(map(sub, p, dues)), p) for p in g[full][0])
 
@@ -444,7 +547,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
                 break
         todo.append((low | part, v, split[0]))
         todo.append((rest ^ part, v, split[1]))
-    return value, by_due, _forest_paths(network, chosen, (p.key for p in instance.pairs))
+    return value, by_due, _forest_paths(network, chosen, keys)
 
 
 def enumerate_candidate_forests(
@@ -534,7 +637,10 @@ def solve_fixed_r(
     essential = evaluation.edge_order
     used = set(essential)
     sequence = essential + tuple(e for e in range(instance.network.edge_count) if e not in used)
-    report = evaluate_sequence(instance, sequence)
+    try:
+        report = evaluate_sequence(instance, sequence)
+    except SequenceError as exc:  # the solver built it, so the fault is the solver's
+        raise NetconError(f"internal inconsistency: {exc}") from exc
     if report.objective != evaluation.value:
         raise NetconError(
             f"internal inconsistency: replay {report.objective} != "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import chains
-from .errors import GuardExceededError, NetconError, UnsupportedInstanceError
+from .errors import GuardExceededError, NetconError, SequenceError, UnsupportedInstanceError
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
 from .model import Instance, Network, Objective, RelevantPair
 
@@ -305,7 +305,10 @@ def solve_tree(
     full = (1 << network.edge_count) - 1
     value = records[full].value
     seq = subtree_sequence(records, catalog, full)
-    report = evaluate_sequence(instance, seq)
+    try:
+        report = evaluate_sequence(instance, seq)
+    except SequenceError as exc:  # the solver built it, so the fault is the solver's
+        raise NetconError(f"internal inconsistency: {exc}") from exc
     if report.objective != value:
         raise NetconError(f"internal inconsistency: dp value {value} != replay {report.objective}")
     return seq, report

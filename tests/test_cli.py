@@ -6,6 +6,7 @@ import re
 import pytest
 
 import netcon.metric_solver
+import netcon.tree_solver
 from netcon import (
     Instance,
     NetconError,
@@ -386,6 +387,34 @@ def test_a_read_back_that_joins_no_pair_exits_4(capsys, monkeypatch):
     status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
     assert (status, out) == (4, "")
     assert "internal error: internal inconsistency: forest does not connect" in err
+
+
+def test_a_fixed_r_sequence_with_a_repeated_edge_exits_4(capsys, monkeypatch):
+    # the solver's own sequence failing its replay is an internal error, not a bad input
+    original = netcon.metric_solver.project_to_graph
+
+    def repeated(*args):
+        evaluation = original(*args)
+        order = evaluation.edge_order
+        return dataclasses.replace(evaluation, edge_order=order + order[:1])
+
+    monkeypatch.setattr(netcon.metric_solver, "project_to_graph", repeated)
+    status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
+    assert (status, out) == (4, "")
+    assert "internal error: internal inconsistency: duplicate edge id" in err
+
+
+def test_a_tree_sequence_with_a_repeated_edge_exits_4(capsys, monkeypatch):
+    original = netcon.tree_solver.subtree_sequence
+
+    def repeated(*args):
+        sequence = original(*args)
+        return sequence + sequence[:1]
+
+    monkeypatch.setattr(netcon.tree_solver, "subtree_sequence", repeated)
+    status, out, err = run(capsys, "solve", "--backend", "tree", str(FIXTURES / "tree8.ncn"))
+    assert (status, out) == (4, "")
+    assert "internal error: internal inconsistency: duplicate edge id" in err
 
 
 def test_auto_backend_routes_by_shape(capsys, tmp_path, monkeypatch):

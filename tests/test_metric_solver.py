@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -749,3 +750,154 @@ def test_maxlat_dp_reaches_six_depot_pairs():
         )
         assert inst.common_pair_vertex() == hub
         _check_against_subset_dp(inst)
+
+
+# --- maxlat: the Steiner-forest bound proves most optima ------------------------
+
+# a 4-cycle: the pairs' shortest paths give 8, the least forest joining both
+# pairs gives 7, and the bound max_k(SF(P_k) - d_k) is only 6
+_BOUND_MISS = _inst(
+    [(0, 1, 5), (0, 2, 2), (1, 3, 3), (2, 3, 2)], [(0, 1, 1, 0), (0, 3, 1, 1)], "maxlat"
+)
+BOUND_CASES = {
+    # the pair due first is the latest: its shortest path is optimal
+    "step 1": (_inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 0), (1, 2, 1, 10)], "maxlat"), 1, {}),
+    # the shortest paths already make a least forest for the prefix that is latest
+    "step 2": (
+        _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 0), (0, 2, 1, 0)], "maxlat"),
+        2,
+        {"_subset_tables": 1},
+    ),
+    # the direct edges 0-1 and 0-2 (10) lose to the star through 3 (9)
+    "step 3": (
+        _inst(
+            [(0, 1, 5), (0, 2, 5), (0, 3, 3), (1, 3, 3), (2, 3, 3)],
+            [(0, 1, 1, 0), (0, 2, 1, 0)],
+            "maxlat",
+        ),
+        9,
+        {"_subset_tables": 1, "_read_back": 1},
+    ),
+    "pareto dp": (_BOUND_MISS, 7, {"_subset_tables": 1, "_read_back": 1, "_lateness_tables": 1}),
+}
+
+
+def _count_bound_calls(monkeypatch):
+    """Count the scalar DP runs, Steiner-forest read-backs and Pareto DP runs,
+    and record each cap the Pareto DP gets."""
+    calls = Counter()
+    caps = []
+    for name in ("_subset_tables", "_read_back", "_lateness_tables"):
+        original = getattr(netcon.metric_solver, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            if _name == "_lateness_tables":
+                caps.append(list(args[3]))
+            return _original(*args)
+
+        monkeypatch.setattr(netcon.metric_solver, name, counted)
+    return calls, caps
+
+
+@pytest.mark.parametrize("case", list(BOUND_CASES))
+def test_each_proof_step_and_the_fallback_against_the_oracle(monkeypatch, case):
+    inst, optimum, ran = BOUND_CASES[case]
+    assert subset_dp(inst)[0] == optimum
+    calls, _ = _count_bound_calls(monkeypatch)
+    ((value, order, forest),) = _stream(inst)
+    assert dict(calls) == ran
+    assert value == optimum == evaluate_rforest(forest, inst, order).value
+    _assert_forest(forest, inst)
+    _check_against_subset_dp(inst)
+
+
+def test_the_pareto_dp_runs_only_on_a_miss_capped_by_the_better_forest(monkeypatch):
+    calls, caps = _count_bound_calls(monkeypatch)
+    for case, (inst, _, ran) in BOUND_CASES.items():
+        solve_fixed_r(inst)
+        assert calls.pop("_lateness_tables", 0) == ran.get("_lateness_tables", 0), case
+    # the least forest joining both pairs (worth 7: pair (0, 1), due 0, joined
+    # at 7) caps the labels, not the shortest paths (8 = 9 - 1 at pair (0, 3))
+    assert caps == [[7 + 0, 7 + 1]]
+    dist = build_metric_closure(_BOUND_MISS.network, _BOUND_MISS.terminals)
+    assert netcon.metric_solver._lateness_bound(_BOUND_MISS, dist, (0, 1)) == (7, None)
+
+
+def test_grown_forest_drops_edges_that_close_a_cycle_or_join_no_pair():
+    # pair (0, 2) takes 0-1-2; pair (0, 4) then walks 0-3-2-4, where 3-2
+    # closes a cycle, which leaves 0-3 on no pair's path
+    inst = _inst(
+        [(0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1)],  # edge ids 0-4
+        [(0, 2, 1, 0), (0, 4, 1, 5)],
+        "maxlat",
+    )
+    used, built = netcon.metric_solver._grown_forest(inst, (0, 1), [[0, 2], [1, 3, 4]])
+    assert sorted(used) == [0, 2, 4]
+    assert built == [2, 3]
+
+
+def _steiner_forest_lengths(inst, by_due):
+    """By brute force over edge subsets: per k, the least length of edges that
+    join the first k + 1 pairs of ``by_due``."""
+    edges = inst.network.edges
+    pairs = [inst.pairs[i] for i in by_due]
+    best = [None] * len(pairs)
+    for mask in range(1 << len(edges)):
+        uf = UnionFind(inst.network.vertex_count)
+        length = 0
+        for e, (u, v, c) in enumerate(edges):
+            if mask >> e & 1:
+                uf.union(u, v)
+                length += c
+        joined = 0
+        while joined < len(pairs) and uf.connected(pairs[joined].u, pairs[joined].v):
+            joined += 1
+        # a set that joins a longer prefix joins every shorter one
+        for k in range(joined):
+            if best[k] is None or length < best[k]:
+                best[k] = length
+    return best
+
+
+def test_the_bound_brackets_the_optimum_on_random_maxlat_graphs(monkeypatch):
+    # max_k(SF(P_k) - d_k) <= optimum <= the bound's forest, and a proved
+    # forest meets the lower bound
+    calls, _ = _count_bound_calls(monkeypatch)
+    rng = random.Random(149)
+    proved = Counter()
+    depots = shared = 0
+    for trial in range(320):
+        n = rng.randint(3, 8)
+        if trial % 4 == 0 and n >= 4:
+            hub, *others = rng.sample(range(n), rng.randint(3, n - 1) if n > 4 else 3)
+            inst = generate(
+                "random_graph",
+                n,
+                seed=rng.randrange(1 << 30),
+                edge_count=rng.randint(n - 1, min(10, n * (n - 1) // 2)),
+                pairs=[(min(hub, x), max(hub, x), 1, rng.randint(0, 40)) for x in others],
+                length_range=(1, 20),
+                objective="maxlat",
+            )
+            depots += 1
+        else:
+            with_shared = rng.random() < 0.4
+            r = rng.randint(1, min(4, n * (n - 1) // 2, n - 1 if with_shared else n // 2))
+            inst = _oracle_instance(rng, n, r, with_shared, (1, 20), 10, _due_dates(rng))
+        shared += len(inst.terminals) < 2 * inst.pair_count
+        by_due = tuple(sorted(range(inst.pair_count), key=lambda i: inst.pairs[i].due))
+        dues = [inst.pairs[i].due for i in by_due]
+        lower = max(map(operator.sub, _steiner_forest_lengths(inst, by_due), dues))
+        optimum = subset_dp(inst, force=True)[0]
+        dist = build_metric_closure(inst.network, inst.terminals)
+        calls.clear()
+        upper, proven = netcon.metric_solver._lateness_bound(inst, dist, by_due)
+        assert lower <= optimum <= upper
+        if proven is not None:
+            assert upper == lower
+        proved[(calls["_subset_tables"], calls["_read_back"], proven is not None)] += 1
+        _check_against_subset_dp(inst, force=True)
+    assert depots >= 60 and shared >= 60
+    # step 1, step 2, step 3 and a miss each happen
+    assert all(proved[key] >= 10 for key in ((0, 0, True), (1, 0, True), (1, 1, True), (1, 1, False)))
