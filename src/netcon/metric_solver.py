@@ -25,22 +25,29 @@ on any forest.  Let P_k be the first k+1 pairs by due date and d_k the due
 date of the last of them.  Any schedule joins all of P_k no earlier than
 SF(P_k), the least length of a forest joining them, and the one of P_k it
 joins last is due no later than d_k; so max_k(SF(P_k) - d_k) bounds the
-optimum from below.  ``_lateness_bound`` tries to meet that bound, cheapest
-first: with the pairs' shortest paths in due order (optimal when the pair due
-first is the latest), then with SF of the prefix where that forest is latest
+optimum from below, and SF(P_k) is at least the longest distance between
+the ends of a pair of P_k.  ``_lateness_bound`` tries to meet that bound,
+cheapest first: with the pairs' shortest paths in due order against the
+distances alone, then against SF of the prefix where that forest is latest
 (one scalar subset DP with coefficient 1 on the endpoint sets that separate a
-pair of the prefix), then with that least forest followed by the later
+pair of the prefix, rooted at its last endpoint so that only the sets without
+it are tabled, and spreading only costs that can still end below the
+forest's length there), then with that least forest followed by the later
 pairs' shortest paths.
 
-Only when the bound falls short does the Pareto DP run.  A label is the
-vector of prefix lengths P_0..P_{r-1} built through each step: an edge first
-needed at step j adds its length to P_j..P_{r-1}, and the value is
+Only when the bound falls short does the Pareto DP run, and it looks only
+for a forest that beats the better of the two the bound tried.  A label is
+the vector of prefix lengths P_0..P_{r-1} built through each step: an edge
+first needed at step j adds its length to P_j..P_{r-1}, and the value is
 max_k(P_k - d_k).  Each table holds a Pareto set of such vectors
 (multi-objective label setting, Martins 1984).  Comparing prefix sums is
 exact: a later edge adds the same amount to the prefixes of both labels, so
-one that is nowhere larger never does worse.  Labels worth more than the
-better of the bound's two forests are dropped (``_lateness_tables``).  Work
-grows with the Pareto labels kept over the 2^t endpoint sets.
+one that is nowhere larger never does worse.  A label is dropped once the
+paths the rest of any forest must still hold make it too late
+(``_room``), and a set with no label left is skipped.  Each label is one
+int (``_Packing``), so a sum or a comparison of two is one integer
+operation.  Work grows with the Pareto labels kept over the 2^(t-1)
+endpoint sets without the root.
 
 The winner is read back from the labels as network edge ids that use no edge
 twice and close no cycle: they are the forest, kept as its pair paths.  The
@@ -51,9 +58,11 @@ DP's value, then checks that its build sequence replays to exactly that value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from itertools import repeat
+from operator import add, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
@@ -71,9 +80,18 @@ def _dijkstra(
     """Lowest labels from the labelled vertices along edges costing ``factor``
     times their length, for every vertex (the network is connected).
     ``labels`` is lowered in place."""
+    return _dijkstra_below(network, labels, factor, [math.inf] * network.vertex_count)
+
+
+def _dijkstra_below(
+    network: Network, labels: dict[int, int], factor: int, below: Sequence[float]
+) -> list[int]:
+    """``_dijkstra`` that keeps each vertex v's label only once it is below
+    ``below[v]``: those labels come out exact, and every other one stays as
+    given or lowered, at least ``below[v]``."""
     adjacency = network.adjacency
     edges = network.edges
-    heap = [(d, v) for v, d in labels.items()]
+    heap = [(d, v) for v, d in labels.items() if d < below[v]]
     heapify(heap)
     while heap:
         d, x = heappop(heap)
@@ -81,7 +99,7 @@ def _dijkstra(
             continue  # a stale entry
         for y, eid in adjacency[x]:
             alt = d + factor * edges[eid][2]
-            if y not in labels or alt < labels[y]:
+            if alt < below[y] and (y not in labels or alt < labels[y]):
                 labels[y] = alt
                 heappush(heap, (alt, y))
     return [labels[v] for v in range(network.vertex_count)]
@@ -175,11 +193,37 @@ def _first_steps(crossing: Sequence[int], order: Sequence[int]) -> list[int]:
     return [step[c] for c in crossing]
 
 
+def _needs(
+    dist: Sequence[list[int]], spans: Sequence[tuple[int, int, int]], mask: int
+) -> Iterator[list[int]]:
+    """Per step, per vertex v: at least the length that the rest of any
+    forest holds on the paths of the pairs served by then, once a tree that
+    hangs from it at v alone joins v to the endpoint set ``mask``.
+
+    ``spans`` holds, per step, the pair's two endpoint indices (into
+    ``dist``) and their distance.  The rest holds a path from v to the far
+    end of each pair the set separates, and the whole path of each pair with
+    no end in the set.  Paths overlap, so it holds at least the longest.
+    """
+    need = [0] * len(dist[0])
+    for a, b, span in spans:
+        inside = (mask >> a & 1) + (mask >> b & 1)
+        if inside == 0:
+            need = list(map(max, need, repeat(span)))
+        elif inside == 1:
+            need = list(map(max, need, dist[a if mask >> b & 1 else b]))
+        yield need
+
+
 # --- scalar labels: Steiner forests, and wct with one DP per pair order ---------
 
 
 def _subset_tables(
-    network: Network, dist: Sequence[list[int]], coef: Sequence[int]
+    network: Network,
+    dist: Sequence[list[int]],
+    coef: Sequence[int],
+    limit: float = math.inf,
+    spans: Sequence[tuple[int, int, int]] = (),
 ) -> tuple[list, list]:
     """Dreyfus-Wagner tables under one pair order, for endpoint sets S as bit
     masks: ``g[S][v]`` is the least cost of a tree that joins v to S, each
@@ -188,6 +232,13 @@ def _subset_tables(
 
     A set that separates no pair costs nothing to carry (coef 0), so its ``g``
     is its best ``h`` at every vertex: that is how a forest's components join.
+
+    Only what can end below ``limit`` is spread (``_dijkstra_below``): a cost
+    at v, plus at least what the rest of a forest through v holds on the
+    paths of the pairs in ``spans`` (the last of ``_needs``; for coefficients
+    0 and 1 only).  Each entry that can is exact, and each other one is still
+    the cost of some tree, so the least forest comes out exact when it is
+    below ``limit`` and at least ``limit`` otherwise.
     """
     full = len(coef) - 1
     n = network.vertex_count
@@ -208,20 +259,27 @@ def _subset_tables(
             row = list(split) if row is None else list(map(min, row, split))
         h[mask] = row
         if coef[mask]:
-            g[mask] = _dijkstra(network, dict(enumerate(row)), coef[mask])
+            below = [limit] * n
+            if spans:
+                *_, need = _needs(dist, spans, mask)
+                below = list(map(sub, below, need))
+            g[mask] = _dijkstra_below(network, dict(enumerate(row)), coef[mask], below)
         else:
             g[mask] = [min(row)] * n
     return g, h
 
 
-def _read_back(network: Network, coef: Sequence[int], g: Sequence, h: Sequence, full: int) -> list[int]:
-    """The edge ids of one least forest in the ``_subset_tables`` tables of the
-    endpoint set ``full``: each choice goes to the first candidate that
-    attains the label (the lowest root for a set that separates no pair, the
-    first split, the first neighbour)."""
+def _read_back(
+    network: Network, coef: Sequence[int], g: Sequence, h: Sequence, full: int, root: int = 0
+) -> list[int]:
+    """The edge ids of one least forest in the ``_subset_tables`` tables that
+    joins ``root`` to the endpoint set ``full``, as ``g[full][root]`` prices
+    it: each choice goes to the first candidate that attains the label (the
+    lowest root for a set that separates no pair, where ``root`` is ignored,
+    the first split, the first neighbour)."""
     zeros = [0] * network.vertex_count
     chosen = []
-    todo = [(full, 0)]  # the full set separates no pair, so its root is chosen below
+    todo = [(full, root)]
     while todo:
         mask, v = todo.pop()
         low = mask & -mask
@@ -288,69 +346,131 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
 
 
-def _dominated(kept: Sequence[tuple[int, ...]], label: tuple[int, ...]) -> bool:
+@dataclass(frozen=True)
+class _Packing:
+    """A label of r prefix lengths as one int: prefix k in the ``width`` bits
+    from bit k * width, the top one of them a guard kept clear.
+
+    Every prefix stays below 2^(width - 2), so adding two labels, or an
+    edge's length to a label, never carries into a guard.  Then a is nowhere
+    larger than b exactly when ``(b | guards) - a`` keeps every guard.  The
+    last prefix is the most significant, so a label that dominates another
+    is the smaller int.
+    """
+
+    width: int
+    units: tuple[int, ...]  # per step s: 1 in each prefix from s on
+    guards: int
+
+    @classmethod
+    def fitting(cls, r: int, top: int) -> _Packing:
+        """The packing of r prefixes that each stay at most ``top``."""
+        width = max(top, 1).bit_length() + 2
+        units = tuple(sum(1 << width * k for k in range(step, r)) for step in range(r + 1))
+        return cls(width, units, units[0] << width - 1)
+
+    def pack(self, prefixes: Sequence[int]) -> int:
+        return sum(p << self.width * k for k, p in enumerate(prefixes))
+
+    def unpack(self, label: int) -> list[int]:
+        ones = (1 << self.width) - 1
+        return [label >> self.width * k & ones for k in range(len(self.units) - 1)]
+
+
+def _dominated(kept: Sequence[int], label: int, guards: int) -> bool:
     """Whether some kept label is nowhere larger than ``label``."""
-    return any(all(map(le, other, label)) for other in kept)
+    label |= guards
+    for other in kept:
+        if (label - other) & guards == guards:
+            return True
+    return False
 
 
-def _pop_key(label: tuple[int, ...]) -> tuple:
-    # a label that dominates another sorts and pops first
-    return label[-1], label
-
-
-def _pareto(labels: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The labels that no other one dominates, each once, in ``_pop_key`` order."""
-    kept: list[tuple[int, ...]] = []
-    for label in sorted(labels, key=_pop_key):
-        if not _dominated(kept, label):
+def _pareto(labels: Iterable[int], guards: int) -> list[int]:
+    """The labels that no other one dominates, each once, in increasing order."""
+    kept: list[int] = []
+    for label in sorted(labels):
+        if not _dominated(kept, label, guards):
             kept.append(label)
     return kept
 
 
 def _label_setting(
-    network: Network, start: Sequence[list], step: int, cap: Sequence[int]
-) -> list[list[tuple[int, ...]]]:
+    network: Network, start: Sequence[list[int]], unit: int, room: Sequence[int | None], guards: int
+) -> list[list[int]]:
     """Per vertex, the Pareto set of the labels reached from the ``start``
-    labels, an edge adding its length to the prefixes from ``step`` on.
+    labels, an edge adding its length times ``unit`` (its length to each
+    prefix from its step on).
 
-    Labels pop by ``_pop_key``; every edge raises the last prefix, so a label
-    that dominates another pops before it, and each vertex's settled labels
-    are final.  Labels above ``cap`` anywhere are dropped.
+    Labels pop in increasing order; every edge raises the last prefix, so a
+    label that dominates another pops before it, and each vertex's settled
+    labels are final.  A label above its vertex's ``room`` (guards set; None
+    for no room) anywhere is dropped.
     """
     adjacency = network.adjacency
     edges = network.edges
-    settled: list[list[tuple[int, ...]]] = [[] for _ in start]
-    heap = [(*_pop_key(label), v) for v, labels in enumerate(start) for label in labels]
+    settled: list[list[int]] = [[] for _ in start]
+    heap = [(label, v) for v, labels in enumerate(start) for label in labels]
     heapify(heap)
     while heap:
-        _, label, x = heappop(heap)
-        if _dominated(settled[x], label):
+        label, x = heappop(heap)
+        if _dominated(settled[x], label, guards):
             continue
         settled[x].append(label)
-        head, tail = label[:step], label[step:]
         for y, eid in adjacency[x]:
-            length = edges[eid][2]
-            grown = head + tuple(p + length for p in tail)
-            if all(map(le, grown, cap)) and not _dominated(settled[y], grown):
-                heappush(heap, (*_pop_key(grown), y))
+            limit = room[y]
+            grown = label + edges[eid][2] * unit
+            if limit is None or (limit - grown) & guards != guards:
+                continue
+            if not _dominated(settled[y], grown, guards):
+                heappush(heap, (grown, y))
     return settled
 
 
+def _room(
+    dist: Sequence[list[int]],
+    spans: Sequence[tuple[int, int, int]],
+    mask: int,
+    cap: Sequence[int],
+    packing: _Packing,
+) -> list[int | None]:
+    """Per vertex v, ``cap`` less what the rest of any forest adds at least
+    to each prefix once a tree joins v to the endpoint set ``mask``
+    (``_needs``): packed, with the guards set, or None where that leaves a
+    prefix below 0."""
+    total = [0] * len(dist[0])
+    for k, (need, limit) in enumerate(zip(_needs(dist, spans, mask), cap)):
+        # past limit + 1, a prefix has no room whatever it needs
+        clamped = map(min, need, repeat(limit + 1))
+        total = list(map(add, total, map(lshift, clamped, repeat(packing.width * k))))
+    guards = packing.guards
+    left = map(sub, repeat(packing.pack(cap) | guards), total)
+    return [x if x & guards == guards else None for x in left]
+
+
 def _lateness_tables(
-    network: Network, dist: Sequence[list[int]], first: Sequence[int], cap: Sequence[int]
-) -> tuple[list, list]:
+    network: Network,
+    dist: Sequence[list[int]],
+    first: Sequence[int],
+    cap: Sequence[int],
+    spans: Sequence[tuple[int, int, int]],
+) -> tuple[list, list, _Packing]:
     """Pareto tables of prefix-length labels for endpoint sets S as bit masks:
     ``g[S][v]`` for trees that join v to S, and ``h[S][v]`` (for two or more
-    endpoints) for those whose root v splits S.  An edge with S below it adds
-    its length to the prefixes from ``first[S]`` on.
+    endpoints) for those whose root v splits S, with their ``_Packing``.  An
+    edge with S below it adds its length to the prefixes from ``first[S]`` on.
 
     ``first[S]`` is r for a set that separates no pair.  Such a set costs
     nothing to carry, so one Pareto set of its ``h`` over every vertex serves
     as its ``g`` at every vertex.  Every other set runs one
-    ``_label_setting`` from its ``h``.  Labels above ``cap`` anywhere are
-    dropped.
+    ``_label_setting`` from its ``h``.  A label that no forest within ``cap``
+    can grow from is dropped (``_room``, with ``spans`` per step), and a set
+    with no label left is skipped.
     """
     r = len(cap)
+    top = max(*cap, *(length for _, _, length in network.edges))
+    packing = _Packing.fitting(r, top)
+    guards = packing.guards
     full = len(first) - 1
     g: list = [None] * (full + 1)
     h: list = [None] * (full + 1)
@@ -358,26 +478,47 @@ def _lateness_tables(
         low = mask & -mask
         step = first[mask]
         if mask == low:
-            g[mask] = [[(0,) * step + (d,) * (r - step)] for d in dist[low.bit_length() - 1]]
+            # a path of length d adds d to each prefix from step on
+            unit = packing.units[step]
+            room = _room(dist, spans, mask, cap, packing)
+            g[mask] = [
+                [d * unit]
+                if limit is not None and d <= top and (limit - d * unit) & guards == guards
+                else []
+                for d, limit in zip(dist[low.bit_length() - 1], room)
+            ]
             continue
         rest = mask ^ low
-        sums: list[list] = [[] for _ in range(network.vertex_count)]
+        # the splits low|part and rest^part, as in _subset_tables, less those
+        # with a side that no label is left in
+        splits = []
         part = rest
-        # the splits low|part and rest^part, as in _subset_tables
         while part:
             part = (part - 1) & rest
-            for found, left, right in zip(sums, g[low | part], g[rest ^ part]):
+            if any(g[low | part]) and any(g[rest ^ part]):
+                splits.append(part)
+        if not splits:
+            h[mask] = g[mask] = [[]] * network.vertex_count
+            continue
+        room = _room(dist, spans, mask, cap, packing)
+        sums: list[list[int]] = [[] for _ in range(network.vertex_count)]
+        for part in splits:
+            for found, left, right, limit in zip(sums, g[low | part], g[rest ^ part], room):
+                if limit is None:
+                    continue
                 for a in left:
                     for b in right:
-                        label = tuple(map(add, a, b))
-                        if all(map(le, label, cap)):
-                            found.append(label)
-        h[mask] = [_pareto(found) for found in sums]
-        if step == r:
-            g[mask] = [_pareto(itertools.chain.from_iterable(h[mask]))] * network.vertex_count
+                        if (limit - a - b) & guards == guards:
+                            found.append(a + b)
+        h[mask] = [_pareto(found, guards) if len(found) > 1 else found for found in sums]
+        if not any(h[mask]):
+            g[mask] = h[mask]
+        elif step == r:
+            kept = _pareto(itertools.chain.from_iterable(h[mask]), guards)
+            g[mask] = [kept] * network.vertex_count
         else:
-            g[mask] = _label_setting(network, h[mask], step, cap)
-    return g, h
+            g[mask] = _label_setting(network, h[mask], packing.units[step], room, guards)
+    return g, h, packing
 
 
 def _grown_forest(
@@ -414,30 +555,31 @@ def _grown_forest(
 
 def _lateness_bound(
     instance: Instance, dist: Sequence[list[int]], by_due: Sequence[int]
-) -> tuple[int, list[int] | None]:
-    """An upper bound on the maxlat optimum, with the pairs served in the
-    order ``by_due``, and the edge ids of a forest worth it if the
-    Steiner-forest lower bound proves that forest optimal (else None).
+) -> tuple[int, list[int], bool]:
+    """The best of up to two forests tried against the Steiner-forest lower
+    bound on the maxlat optimum, with the pairs served in the order
+    ``by_due``: its value, its edge ids, and whether the bound proves it
+    optimal.
 
     Let P_k be the first k+1 pairs by due date, d_k the due date of the last
     of them, and SF(P_k) the least length of a forest joining them.  Any
     schedule joins all of P_k no earlier than SF(P_k), and the one of P_k it
     joins last is due no later than d_k, so max_k(SF(P_k) - d_k) bounds the
-    optimum from below.  Three forests are tried against it, cheapest first:
+    optimum from below.  SF(P_k) is at least the longest distance between
+    the ends of a pair of P_k, which bounds it for free.  Two forests are
+    tried against the bound, cheapest first:
 
-    1. The pairs' shortest paths in due order.  Let k be the first prefix at
-       which this forest reaches its value.  For k = 0 its value is
-       SF(P_0) - d_0: optimal.
-    2. Otherwise one scalar ``_subset_tables`` run over P_k's endpoints, with
+    1. The pairs' shortest paths in due order.  It is optimal if it is worth
+       the free bound.
+    2. Otherwise let k be the first prefix at which it reaches its value.
+       One scalar ``_subset_tables`` run over P_k's endpoints, with
        coefficient 1 for each endpoint set that separates a pair of P_k and 0
-       for the rest, gives SF(P_k).  If that is the forest's prefix k, its
-       value is SF(P_k) - d_k: optimal.
-    3. Otherwise the least forest joining P_k (``_read_back``) and then the
-       shortest paths of the later pairs in due order.  It is optimal if it is
-       worth SF(P_k) - d_k.
-
-    When the bound falls short, the better of the two forests' values is
-    returned.
+       for the rest, gives SF(P_k): rooted at the last endpoint q, the forest
+       is ``g[S][q]`` for S the other endpoints, so only the sets without q
+       are tabled.  If SF(P_k) - d_k meets the forest's value, it is optimal.
+    3. Otherwise the least forest joining P_k (``_read_back`` from q) and then
+       the shortest paths of the later pairs in due order.  It is optimal if
+       it is worth the raised bound.
     """
     network = instance.network
     pairs = instance.pairs
@@ -448,23 +590,30 @@ def _lateness_bound(
     used, built = _grown_forest(instance, by_due, walks)
     lateness = list(map(sub, built, dues))
     value = max(lateness)
+    longest = itertools.accumulate((dist[where[pairs[i].u]][pairs[i].v] for i in by_due), max)
+    lower = max(map(sub, longest, dues))
+    if value == lower:
+        return value, used, True
     k = lateness.index(value)
-    if k == 0:
-        return value, used
     served = [pairs[i].key for i in by_due[: k + 1]]
     ends = sorted({x for key in served for x in key})
-    coef = [1 if pairs_crossed else 0 for pairs_crossed in _crossing(ends, served)]
-    g, h = _subset_tables(network, [dist[where[x]] for x in ends], coef)
-    full = len(coef) - 1
-    least = min(h[full])
-    if least == built[k]:
-        return value, used
-    walks[: k + 1] = [_read_back(network, coef, g, h, full)]
+    *others, q = ends
+    full = (1 << len(others)) - 1
+    coef = [1 if pairs_crossed else 0 for pairs_crossed in _crossing(ends, served)[: full + 1]]
+    at = {x: i for i, x in enumerate(ends)}
+    spans = [(at[u], at[v], dist[where[u]][v]) for u, v in served]
+    # a forest joining P_k is no longer than the shortest paths' prefix k, so
+    # only costs below that one decide whether it is the least
+    g, h = _subset_tables(network, [dist[where[x]] for x in ends], coef, built[k], spans)
+    lower = max(lower, min(g[full][q], built[k]) - dues[k])
+    if value == lower:
+        return value, used, True
+    walks[: k + 1] = [_read_back(network, coef, g, h, full, q)]
     steiner, grown = _grown_forest(instance, by_due, walks)
     steiner_value = max(map(sub, grown, dues))
-    if steiner_value == least - dues[k]:
-        return steiner_value, steiner
-    return min(value, steiner_value), None
+    if steiner_value < value:
+        return steiner_value, steiner, steiner_value == lower
+    return value, used, False
 
 
 def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
@@ -477,10 +626,14 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     every other pair at most as late.  So prefix k is the k-th pair by due
     date.  ``_lateness_bound`` proves most optima with a Steiner-forest lower
     bound.  Only when it falls short do the Pareto tables run, with
-    ``first[S]`` the first such position of a pair S separates; the better
-    forest the bound tried caps them, so a label worth more is dropped.
+    ``first[S]`` the first such position of a pair S separates.  Rooted at
+    the last endpoint q, a forest is a tree joining q to the set S of all the
+    other endpoints, so only the sets without q are tabled.  The tables look
+    only for a forest that beats the better one the bound tried: a label
+    worth as much or more is dropped, and when none is left at q that
+    forest is optimal.
 
-    The read-back takes the least (value, label) of the full set.  Then, at
+    The read-back takes the least (value, label) at q.  Then, at
     each set, it takes the lowest root (for a set that separates no pair),
     the first split, and the first neighbour in adjacency order whose label
     matches exactly.  What is read back uses no network edge twice, closes no
@@ -488,7 +641,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     by the step that first needs them and dropping each that closes a cycle
     or lies on no pair's path would join every pair served by step k within
     P_k, and strictly within the last prefix: a forest whose label dominates
-    the one read back, which is in the full set's Pareto set.  So the edges
+    the one read back, which is in the Pareto set at q.  So the edges
     read back are the forest, returned as its pair paths; its value is the
     DP's, which the solver checks by replaying it.
     """
@@ -497,20 +650,27 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     r = len(pairs)
     keys = [p.key for p in pairs]
     by_due = tuple(sorted(range(r), key=lambda i: pairs[i].due))
-    bound, proven = _lateness_bound(instance, dist, by_due)
-    if proven is not None:
-        return bound, by_due, _forest_paths(network, proven, keys)
+    bound, best, proven = _lateness_bound(instance, dist, by_due)
+    if proven:
+        return bound, by_due, _forest_paths(network, best, keys)
     dues = [pairs[i].due for i in by_due]
     first = _first_steps(_crossing(instance.terminals, keys), by_due)
+    # rooted at the last endpoint q, the forest is g[S][q] for S the others
+    q = instance.terminals[-1]
+    full = (len(first) >> 1) - 1
     zeros = [0] * network.vertex_count
-    g, h = _lateness_tables(network, dist, first, [bound + due for due in dues])
-    full = len(first) - 1
-    value, label = min((max(map(sub, p, dues)), p) for p in g[full][0])
+    where = {x: i for i, x in enumerate(instance.terminals)}
+    spans = [(where[p.u], where[p.v], dist[where[p.u]][p.v]) for p in (pairs[i] for i in by_due)]
+    cap = [bound - 1 + due for due in dues]
+    g, h, packing = _lateness_tables(network, dist, first[: full + 1], cap, spans)
+    if not g[full][q]:  # no forest beats the better one the bound tried
+        return bound, by_due, _forest_paths(network, best, keys)
+    value, label = min((max(map(sub, packing.unpack(p), dues)), p) for p in g[full][q])
 
     adjacency = network.adjacency
     edges = network.edges
     chosen = []
-    todo = [(full, 0, label)]
+    todo = [(full, q, label)]
     while todo:
         mask, v, label = todo.pop()
         low = mask & -mask
@@ -524,8 +684,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
         while label not in h[mask][v]:
             # walk down to the vertex where the set splits
             for y, eid in adjacency[v]:
-                length = edges[eid][2]
-                lower = label[:step] + tuple(p - length for p in label[step:])
+                lower = label - edges[eid][2] * packing.units[step]
                 if lower in g[mask][y]:
                     break
             chosen.append(eid)
@@ -539,7 +698,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
                     (a, b)
                     for a in g[low | part][v]
                     for b in g[rest ^ part][v]
-                    if tuple(map(add, a, b)) == label
+                    if a + b == label
                 ),
                 None,
             )

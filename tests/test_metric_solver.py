@@ -759,12 +759,24 @@ def test_maxlat_dp_reaches_six_depot_pairs():
 _BOUND_MISS = _inst(
     [(0, 1, 5), (0, 2, 2), (1, 3, 3), (2, 3, 2)], [(0, 1, 1, 0), (0, 3, 1, 1)], "maxlat"
 )
+# two least forests join both pairs (20): the one read back routes pair (0, 2)
+# the long way, 0-1-3-2, and only the Pareto DP finds the other one, which
+# joins it by 16 (optimum 12 against 16)
+_DP_BEATS_THE_BOUND = _inst(
+    [(0, 1, 7), (1, 2, 9), (1, 3, 9), (2, 3, 4)], [(0, 2, 6, 4), (1, 3, 2, 9)], "maxlat"
+)
 BOUND_CASES = {
     # the pair due first is the latest: its shortest path is optimal
     "step 1": (_inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 0), (1, 2, 1, 10)], "maxlat"), 1, {}),
+    # the latest pair's shortest path is the whole forest: no forest joins it sooner
+    "step 1, later pair": (
+        _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 0), (0, 2, 1, 0)], "maxlat"),
+        2,
+        {},
+    ),
     # the shortest paths already make a least forest for the prefix that is latest
     "step 2": (
-        _inst([(0, 1, 1), (1, 2, 1)], [(0, 1, 1, 0), (0, 2, 1, 0)], "maxlat"),
+        _inst([(0, 1, 1), (1, 2, 1), (2, 3, 1)], [(0, 1, 1, 0), (2, 3, 1, 0)], "maxlat"),
         2,
         {"_subset_tables": 1},
     ),
@@ -778,7 +790,14 @@ BOUND_CASES = {
         9,
         {"_subset_tables": 1, "_read_back": 1},
     ),
+    # the Pareto DP finds no forest below the least one (7) and keeps it
     "pareto dp": (_BOUND_MISS, 7, {"_subset_tables": 1, "_read_back": 1, "_lateness_tables": 1}),
+    # the Pareto DP finds a forest below both that the bound tried
+    "pareto dp, better forest": (
+        _DP_BEATS_THE_BOUND,
+        12,
+        {"_subset_tables": 1, "_read_back": 1, "_lateness_tables": 1},
+    ),
 }
 
 
@@ -817,11 +836,73 @@ def test_the_pareto_dp_runs_only_on_a_miss_capped_by_the_better_forest(monkeypat
     for case, (inst, _, ran) in BOUND_CASES.items():
         solve_fixed_r(inst)
         assert calls.pop("_lateness_tables", 0) == ran.get("_lateness_tables", 0), case
-    # the least forest joining both pairs (worth 7: pair (0, 1), due 0, joined
-    # at 7) caps the labels, not the shortest paths (8 = 9 - 1 at pair (0, 3))
-    assert caps == [[7 + 0, 7 + 1]]
+    # the labels must beat the better forest tried: the least forest joining
+    # both pairs of _BOUND_MISS (worth 7: pair (0, 1), due 0, joined at 7), not
+    # the shortest paths (8 = 9 - 1 at pair (0, 3)); the shortest paths of
+    # _DP_BEATS_THE_BOUND (16 at pair (0, 2), due 4), not its least forest
+    assert caps == [[6 + 0, 6 + 1], [15 + 4, 15 + 9]]
     dist = build_metric_closure(_BOUND_MISS.network, _BOUND_MISS.terminals)
-    assert netcon.metric_solver._lateness_bound(_BOUND_MISS, dist, (0, 1)) == (7, None)
+    value, kept, proven = netcon.metric_solver._lateness_bound(_BOUND_MISS, dist, (0, 1))
+    assert (value, proven) == (7, False)
+    forest = _forest_paths(_BOUND_MISS.network, kept, _keys(_BOUND_MISS))
+    assert evaluate_rforest(forest, _BOUND_MISS, (0, 1)).value == 7
+
+
+def test_the_pareto_dp_alone_matches_the_oracle(monkeypatch):
+    # with the bound proving nothing, the Pareto DP runs on every instance and
+    # must beat the bound's forest or find nothing better than it
+    original = netcon.metric_solver._lateness_bound
+    bounds = []
+
+    def unproven(*args):
+        value, kept, _ = original(*args)
+        bounds.append(value)
+        return value, kept, False
+
+    monkeypatch.setattr(netcon.metric_solver, "_lateness_bound", unproven)
+    rng = random.Random(151)
+    outcomes = Counter()
+    for trial in range(240):
+        n = rng.randint(3, 8)
+        with_shared = rng.random() < 0.4
+        r = rng.randint(1, min(4, n * (n - 1) // 2, n - 1 if with_shared else n // 2))
+        lengths = rng.choice([(1, 1), (1, 3), (1, 20)])
+        inst = _oracle_instance(rng, n, r, with_shared, lengths, 12, _due_dates(rng))
+        bounds.clear()
+        _check_against_subset_dp(inst, force=True)
+        outcomes[subset_dp(inst, force=True)[0] < bounds[0]] += 1
+    assert outcomes[False] >= 100
+
+
+def test_room_is_the_cap_less_what_the_rest_of_a_forest_must_add():
+    # path 0-1-2-3 of unit edges, terminals 0-3 (their own indices); step 0
+    # serves pair (0, 3), step 1 pair (1, 2)
+    dist = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
+    spans = [(0, 3, 3), (1, 2, 1)]
+    packing = netcon.metric_solver._Packing.fitting(2, 20)
+    room = netcon.metric_solver._room(dist, spans, 0b0001, [10, 20], packing)
+    # a tree joining v to endpoint 0: the rest still joins v to 3 by step 0,
+    # and also 1 to 2 by step 1
+    unpacked = [packing.unpack(x ^ packing.guards) for x in room]
+    assert unpacked == [[7, 17], [8, 18], [9, 19], [10, 19]]
+    # no room where the rest alone is already later than the cap
+    tight = netcon.metric_solver._room(dist, spans, 0b0001, [2, 20], packing)
+    assert tight[0] is None
+    assert packing.unpack(tight[1] ^ packing.guards) == [0, 18]
+
+
+def test_packed_labels_add_and_compare_prefix_by_prefix():
+    packing = netcon.metric_solver._Packing.fitting(3, 40)
+    a, b = packing.pack([1, 5, 9]), packing.pack([2, 5, 30])
+    assert packing.unpack(a + b) == [3, 10, 39]
+    assert packing.unpack(a + 4 * packing.units[1]) == [1, 9, 13]
+    guards = packing.guards
+    assert netcon.metric_solver._dominated([a], b, guards)
+    assert not netcon.metric_solver._dominated([b], a, guards)
+    assert not netcon.metric_solver._dominated([packing.pack([0, 6, 9])], a, guards)
+    assert netcon.metric_solver._pareto([b, a, a, packing.pack([0, 6, 9])], guards) == sorted(
+        [a, packing.pack([0, 6, 9])]
+    )
 
 
 def test_grown_forest_drops_edges_that_close_a_cycle_or_join_no_pair():
@@ -892,12 +973,16 @@ def test_the_bound_brackets_the_optimum_on_random_maxlat_graphs(monkeypatch):
         optimum = subset_dp(inst, force=True)[0]
         dist = build_metric_closure(inst.network, inst.terminals)
         calls.clear()
-        upper, proven = netcon.metric_solver._lateness_bound(inst, dist, by_due)
+        upper, kept, proven = netcon.metric_solver._lateness_bound(inst, dist, by_due)
         assert lower <= optimum <= upper
-        if proven is not None:
+        forest = _forest_paths(inst.network, kept, _keys(inst))
+        assert evaluate_rforest(forest, inst, by_due).value == upper
+        if proven:
             assert upper == lower
-        proved[(calls["_subset_tables"], calls["_read_back"], proven is not None)] += 1
+        proved[(calls["_subset_tables"], calls["_read_back"], proven)] += 1
         _check_against_subset_dp(inst, force=True)
     assert depots >= 60 and shared >= 60
-    # step 1, step 2, step 3 and a miss each happen
-    assert all(proved[key] >= 10 for key in ((0, 0, True), (1, 0, True), (1, 1, True), (1, 1, False)))
+    # step 1, step 2, step 3 and a miss each happen; the free bound from the
+    # pairs' own distances leaves few misses
+    assert all(proved[key] >= 10 for key in ((0, 0, True), (1, 0, True), (1, 1, True)))
+    assert proved[(1, 1, False)] >= 5
