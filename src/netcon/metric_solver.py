@@ -17,8 +17,18 @@ no all-pairs work is done.  Each DP's one optimal forest is streamed by
 ``enumerate_candidate_forests``.
 
 Weighted sum (wct): an edge costs its length times the weight of the steps
-from the first one that needs it.  For each of the r! pair orders the labels
-are scalars (``_subset_tables``).  Work is O(r! * (3^t * n + 2^t * m log n)).
+from the first one that needs it, so each pair order has its own DP, with
+scalar labels (``_subset_tables``).  The orders are searched under a bound
+(Held and Karp 1962): step k of any order has built a forest joining the
+pairs served by then, so sum_k w_k * SF(P_k) bounds an order from below, with
+SF the least Steiner forest from one more DP with every coefficient 1.  The
+pairs' shortest paths, joined into one forest and priced in its best order,
+bound the optimum from above.  An order runs its DP only when its bound is
+below the best value so far (the upper bound + 1 before any), with its tables
+capped there; a later order loses a tie, so the winner and its forest are
+those of the first order with the least value.  Work is at most r! DPs,
+O(r! * (3^t * n + 2^t * m log n)); from three pairs on, the bound skips
+most of them.
 
 Maximum lateness (maxlat): the pairs are served by due date, which is optimal
 on any forest.  Let P_k be the first k+1 pairs by due date and d_k the due
@@ -62,7 +72,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, lshift, sub
+from operator import add, lshift, mul, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
@@ -193,6 +203,18 @@ def _first_steps(crossing: Sequence[int], order: Sequence[int]) -> list[int]:
     return [step[c] for c in crossing]
 
 
+def _order_coefficients(
+    instance: Instance, crossing: Sequence[int], order: Sequence[int]
+) -> list[int]:
+    """Per endpoint set, the wct cost of an edge with it below, per unit of
+    length, when the pairs are served in ``order``: the weight of the step
+    that first needs the edge and of every later step (0 for a set that
+    separates no pair); ``crossing`` from ``_crossing``."""
+    weights = (instance.pairs[i].weight for i in reversed(order))
+    suffix = list(itertools.accumulate(weights, initial=0))[::-1]
+    return [suffix[step] for step in _first_steps(crossing, order)]
+
+
 def _needs(
     dist: Sequence[list[int]], spans: Sequence[tuple[int, int, int]], mask: int
 ) -> Iterator[list[int]]:
@@ -215,7 +237,7 @@ def _needs(
         yield need
 
 
-# --- scalar labels: Steiner forests, and wct with one DP per pair order ---------
+# --- scalar labels: Steiner forests, and wct with one DP per pair order tried ---
 
 
 def _subset_tables(
@@ -238,7 +260,9 @@ def _subset_tables(
     paths of the pairs in ``spans`` (the last of ``_needs``; for coefficients
     0 and 1 only).  Each entry that can is exact, and each other one is still
     the cost of some tree, so the least forest comes out exact when it is
-    below ``limit`` and at least ``limit`` otherwise.
+    below ``limit`` and at least ``limit`` otherwise.  Without ``spans`` that
+    holds at every entry: one whose least cost is below ``limit`` is exact,
+    and every other one is at least ``limit``.
     """
     full = len(coef) - 1
     n = network.vertex_count
@@ -303,15 +327,160 @@ def _read_back(
     return chosen
 
 
+def _grown_forest(
+    instance: Instance, walks: Iterable[Iterable[int]]
+) -> tuple[list[int], dict[int, int]]:
+    """The forest of the edge ids in ``walks``, taken in turn, less each edge
+    that closes a cycle and then each that lies on no pair's path: its edge
+    ids, and per set of pairs (a bit mask over ``instance.pairs``) the length
+    of its edges that lie on the paths of exactly that set (for ``_built``).
+
+    An edge lies on the paths of the pairs with exactly one end below it in
+    the rooted forest.
+    """
+    network = instance.network
+    edges = network.edges
+    joined = UnionFind(network.vertex_count)
+    kept = [e for e in itertools.chain.from_iterable(walks) if joined.union(*edges[e][:2])]
+    parent, up, _, order = network.root_forest(kept)
+    below = [0] * network.vertex_count  # per vertex: the pairs with one end below it
+    for i, pair in enumerate(instance.pairs):
+        below[pair.u] ^= 1 << i
+        below[pair.v] ^= 1 << i
+    for x in reversed(order):  # children first
+        if up[x] >= 0:
+            below[parent[x]] ^= below[x]
+    used = []
+    lengths: dict[int, int] = {}
+    for x in order:
+        if up[x] >= 0 and below[x]:
+            used.append(up[x])
+            lengths[below[x]] = lengths.get(below[x], 0) + edges[up[x]][2]
+    return used, lengths
+
+
+def _built(lengths: dict[int, int], served: int) -> int:
+    """The length of a ``_grown_forest`` forest on the paths of the pairs in
+    ``served``: in any pair order, what is built once those pairs are."""
+    return sum(length for on, length in lengths.items() if on & served)
+
+
+def _prefixes(order: Iterable[int]) -> list[int]:
+    """The sets of pairs served through each step of the pair order
+    ``order``, as bit masks."""
+    return list(itertools.accumulate((1 << i for i in order), or_))
+
+
+def _steiner_forests(instance: Instance, dist: Sequence[list[int]]) -> list[int]:
+    """Per set of pairs (a bit mask over ``instance.pairs``), SF: the least
+    length of a forest that joins each pair of the set; ``dist`` as for
+    ``_subset_forest``.
+
+    One ``_subset_tables`` run with every coefficient 1 prices the least
+    tree ST(S) that joins each endpoint set S.  Rooted at the last endpoint
+    q, only the sets without q are tabled: ST(S) is the least ``g[S]``, and
+    ST(S + q) is ``g[S][q]``.  SF(P) is then the best partition of P into
+    groups, each priced at ST of its endpoints: a 3^r convolution over the
+    sets of pairs.
+    """
+    network = instance.network
+    *others, q = instance.terminals
+    where = {x: i for i, x in enumerate(instance.terminals)}
+    g, _ = _subset_tables(network, dist[: len(others)], [1] * (1 << len(others)))
+    rooted = 1 << len(others)
+    trees = []  # per set of pairs: ST of its endpoints
+    for pairs in range(1 << instance.pair_count):
+        ends = 0
+        for i, pair in enumerate(instance.pairs):
+            if pairs >> i & 1:
+                ends |= 1 << where[pair.u] | 1 << where[pair.v]
+        if not ends:
+            trees.append(0)
+        elif ends & rooted:
+            trees.append(g[ends ^ rooted][q] if ends ^ rooted else 0)
+        else:
+            trees.append(min(g[ends]))
+    forests = [0] * len(trees)
+    for pairs in range(1, len(trees)):
+        low = pairs & -pairs
+        rest = pairs ^ low
+        least = trees[pairs]
+        part = rest
+        # the group with the lowest pair is low|part, the rest a forest
+        while part:
+            part = (part - 1) & rest
+            least = min(least, trees[low | part] + forests[rest ^ part])
+        forests[pairs] = least
+    return forests
+
+
+def _order_bounds(
+    instance: Instance, dist: Sequence[list[int]]
+) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """An upper bound UB on the wct optimum, and per pair order (in
+    ``itertools.permutations`` order) a lower bound LB on its DP value;
+    ``dist`` as for ``_subset_forest``.
+
+    UB: the pairs' shortest paths joined into one forest (``_grown_forest``),
+    built in its best pair order.  Served in order pi, step k has built
+    that forest's length on the paths of P_k = {pi_0..pi_k}, so pi prices it
+    at sum_k w_{pi_k} * reach(P_k), and the least price is a forest's value.
+
+    LB(pi) = sum_k w_{pi_k} * SF(P_k): whatever the forest, step k has built
+    one joining every pair of P_k.  For three or more pairs SF comes from
+    ``_steiner_forests``.  Two pairs have only two orders, and both share SF
+    of the two; there the longest distance between the ends of a pair of P
+    bounds SF(P) from below at no cost.
+    """
+    network = instance.network
+    pairs = instance.pairs
+    r = len(pairs)
+    where = {x: i for i, x in enumerate(instance.terminals)}
+    zeros = [0] * network.vertex_count
+    walks = [_descend(network, dist[where[p.u]], p.v, 1, zeros)[0] for p in pairs]
+    _, lengths = _grown_forest(instance, walks)
+    reach = [_built(lengths, served) for served in range(1 << r)]
+    if r >= 3:
+        forests = _steiner_forests(instance, dist)
+    else:
+        spans = [dist[where[p.u]][p.v] for p in pairs]
+        forests = [
+            max((spans[i] for i in range(r) if served >> i & 1), default=0)
+            for served in range(1 << r)
+        ]
+    upper = None
+    bounds = []
+    for perm in itertools.permutations(range(r)):
+        steps = _prefixes(perm)
+        weights = [pairs[i].weight for i in perm]
+        price = sum(map(mul, weights, (reach[served] for served in steps)))
+        upper = price if upper is None else min(upper, price)
+        bounds.append((perm, sum(map(mul, weights, (forests[served] for served in steps)))))
+    return upper, bounds
+
+
 def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     """The wct optimum over all forests, the pair order and one forest that
     attain it; ``dist[i]`` holds the distances from ``instance.terminals[i]``.
 
-    For each pair order (in ``itertools.permutations`` order), ``_subset_tables``
-    prices every forest rooted at a vertex; the first order with the least
-    value wins.  Its forest is read back from the labels, each choice going to
-    the first candidate that attains the label: the lowest root, the first
-    split, the first neighbour.
+    For a pair order, ``_subset_tables`` prices every forest rooted at a
+    vertex; the first order (in ``itertools.permutations`` order) with the
+    least value wins.  Its forest is read back from the labels, each choice
+    going to the first candidate that attains the label: the lowest root, the
+    first split, the first neighbour.
+
+    The orders are searched under a bound (Held and Karp 1962).  With UB and
+    each order's LB from ``_order_bounds``, an order runs its DP only when LB
+    is below the limit: UB + 1 before any order has a value, then the best
+    value so far, since a later order loses a tie.  Its tables are capped at
+    that limit, and its value counts only when below it.  That is at most r!
+    DPs; from three pairs on, the bound skips most of them.
+
+    The answer is the one a DP for every order gives.  No skipped order can
+    beat the winner or tie it ahead of it.  Capped tables are exact below the
+    limit and at least the limit elsewhere, and the read-back only meets
+    labels at most the winner's value, which is below it; so each first
+    candidate that attains a label is the one the uncapped tables give.
 
     What is read back uses no network edge twice and closes no cycle.  If it
     did, adding its edges in the order the winning pair order first needs
@@ -326,21 +495,21 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     full = (1 << len(terminals)) - 1
     crossing = _crossing(terminals, (p.key for p in instance.pairs))
 
-    r = instance.pair_count
+    upper, bounds = _order_bounds(instance, dist)
+    limit = upper + 1
     best = None
-    for perm in itertools.permutations(range(r)):
-        # per endpoint set: the weight of the step that first needs its edge
-        # and of every later step (0 for a set that separates no pair)
-        weights = (instance.pairs[i].weight for i in reversed(perm))
-        suffix = list(itertools.accumulate(weights, initial=0))[::-1]
-        coef = [suffix[step] for step in _first_steps(crossing, perm)]
-        g, h = _subset_tables(network, dist, coef)
+    for perm, lower in bounds:
+        if lower >= limit:
+            continue
+        coef = _order_coefficients(instance, crossing, perm)
+        g, h = _subset_tables(network, dist, coef, limit)
         value = min(h[full])
-        if best is None or value < best[0]:
-            best = (value, perm, coef, g, h)
-    value, order, coef, g, h = best
+        if value < limit:
+            limit = value
+            best = (perm, coef, g, h)
+    order, coef, g, h = best
     chosen = _read_back(network, coef, g, h, full)
-    return value, order, _forest_paths(network, chosen, (p.key for p in instance.pairs))
+    return limit, order, _forest_paths(network, chosen, (p.key for p in instance.pairs))
 
 
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
@@ -521,38 +690,6 @@ def _lateness_tables(
     return g, h, packing
 
 
-def _grown_forest(
-    instance: Instance, by_due: Sequence[int], walks: Iterable[Iterable[int]]
-) -> tuple[list[int], list[int]]:
-    """The forest of the edge ids in ``walks``, taken in turn, less each edge
-    that closes a cycle and then each that lies on no pair's path: its edge
-    ids, and the length built through each step when the pairs are served in
-    the order ``by_due``.
-
-    An edge lies on the paths of the pairs with exactly one end below it in
-    the rooted forest, and the first of them in ``by_due`` builds it.
-    """
-    network = instance.network
-    edges = network.edges
-    joined = UnionFind(network.vertex_count)
-    kept = [e for e in itertools.chain.from_iterable(walks) if joined.union(*edges[e][:2])]
-    parent, up, _, order = network.root_forest(kept)
-    below = [0] * network.vertex_count  # per vertex: the steps with one end below it
-    for step, i in enumerate(by_due):
-        below[instance.pairs[i].u] ^= 1 << step
-        below[instance.pairs[i].v] ^= 1 << step
-    for x in reversed(order):  # children first
-        if up[x] >= 0:
-            below[parent[x]] ^= below[x]
-    used = []
-    added = [0] * len(by_due)
-    for x in order:
-        if up[x] >= 0 and below[x]:
-            used.append(up[x])
-            added[(below[x] & -below[x]).bit_length() - 1] += edges[up[x]][2]
-    return used, list(itertools.accumulate(added))
-
-
 def _lateness_bound(
     instance: Instance, dist: Sequence[list[int]], by_due: Sequence[int]
 ) -> tuple[int, list[int], bool]:
@@ -587,7 +724,9 @@ def _lateness_bound(
     where = {x: i for i, x in enumerate(instance.terminals)}
     zeros = [0] * network.vertex_count
     walks = [_descend(network, dist[where[pairs[i].u]], pairs[i].v, 1, zeros)[0] for i in by_due]
-    used, built = _grown_forest(instance, by_due, walks)
+    steps = _prefixes(by_due)
+    used, lengths = _grown_forest(instance, walks)
+    built = [_built(lengths, served) for served in steps]
     lateness = list(map(sub, built, dues))
     value = max(lateness)
     longest = itertools.accumulate((dist[where[pairs[i].u]][pairs[i].v] for i in by_due), max)
@@ -609,8 +748,8 @@ def _lateness_bound(
     if value == lower:
         return value, used, True
     walks[: k + 1] = [_read_back(network, coef, g, h, full, q)]
-    steiner, grown = _grown_forest(instance, by_due, walks)
-    steiner_value = max(map(sub, grown, dues))
+    steiner, lengths = _grown_forest(instance, walks)
+    steiner_value = max(_built(lengths, served) - due for served, due in zip(steps, dues))
     if steiner_value < value:
         return steiner_value, steiner, steiner_value == lower
     return value, used, False
@@ -719,15 +858,16 @@ def enumerate_candidate_forests(
 
     Unless ``force`` is set, more than ``PAIR_BOUND_DEPOT`` pairs are refused
     when all pairs share a vertex, and more than ``PAIR_BOUND`` otherwise.
-    For t pair endpoints the bound caps the r! * 3^t work of wct and the
-    Pareto labels over 2^t endpoint sets of maxlat.
+    For t pair endpoints the bound caps the up to r! subset DPs of 3^t * n
+    work that wct runs (its bounds skip most) and the Pareto labels over 2^t
+    endpoint sets of maxlat.
     """
     r = instance.pair_count
     weighted = instance.objective is Objective.WEIGHTED_SUM
     bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
     if r > bound and not force:
         work = (
-            "the wct subset DP does r! * 3^t work"
+            "the wct solver runs up to r! subset DPs of 3^t * n work"
             if weighted
             else "the maxlat subset DP keeps Pareto labels over 2^t endpoint sets"
         )

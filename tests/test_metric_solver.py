@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import operator
 import random
 from collections import Counter
@@ -352,7 +353,8 @@ def test_pair_guard():
     net = generate("random_graph", 8, seed=5, pair_count=1).network
     pairs = tuple(RelevantPair(u, v, 1) for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     inst = Instance(net, pairs)
-    with pytest.raises(GuardExceededError, match=r"wct subset DP does r! \* 3\^t work"):
+    wct_work = r"wct solver runs up to r! subset DPs of 3\^t \* n work"
+    with pytest.raises(GuardExceededError, match=wct_work):
         solve_fixed_r(inst)
     with pytest.raises(GuardExceededError, match=r"maxlat subset DP keeps Pareto labels over 2\^t"):
         solve_fixed_r(_as_maxlat(inst))
@@ -913,9 +915,11 @@ def test_grown_forest_drops_edges_that_close_a_cycle_or_join_no_pair():
         [(0, 2, 1, 0), (0, 4, 1, 5)],
         "maxlat",
     )
-    used, built = netcon.metric_solver._grown_forest(inst, (0, 1), [[0, 2], [1, 3, 4]])
+    used, lengths = netcon.metric_solver._grown_forest(inst, [[0, 2], [1, 3, 4]])
     assert sorted(used) == [0, 2, 4]
-    assert built == [2, 3]
+    # 0-1-2 lies on both pairs' paths, 2-4 on pair (0, 4)'s alone
+    assert lengths == {0b11: 2, 0b10: 1}
+    assert [netcon.metric_solver._built(lengths, served) for served in range(4)] == [0, 2, 3, 3]
 
 
 def _steiner_forest_lengths(inst, by_due):
@@ -986,3 +990,199 @@ def test_the_bound_brackets_the_optimum_on_random_maxlat_graphs(monkeypatch):
     # pairs' own distances leaves few misses
     assert all(proved[key] >= 10 for key in ((0, 0, True), (1, 0, True), (1, 1, True)))
     assert proved[(1, 1, False)] >= 5
+
+
+# --- wct: pair orders searched under a Held-Karp bound --------------------------
+
+
+def _tie_prone_instance(rng, n, r, depot=False, max_edges=16, weights=(1, 2)):
+    """A random wct graph with r pairs and lengths 1-3, so that forests and
+    pair orders often tie; at a depot every pair shares one vertex."""
+    if depot:
+        hub, *others = rng.sample(range(n), r + 1)
+        ends = [(hub, x) for x in others]
+    else:
+        flat = rng.sample(range(n), 2 * r)
+        ends = list(zip(flat[::2], flat[1::2]))
+    return generate(
+        "random_graph",
+        n,
+        seed=rng.randrange(1 << 30),
+        edge_count=rng.randint(n - 1, min(max_edges, n * (n - 1) // 2)),
+        pairs=[(min(p), max(p), rng.randint(*weights)) for p in ends],
+        length_range=(1, 3),
+    )
+
+
+def _closure(inst):
+    return build_metric_closure(inst.network, inst.terminals)
+
+
+def _order_dp(inst, dist, perm, limit=math.inf):
+    """One pair order's subset DP: its coefficients and tables."""
+    ms = netcon.metric_solver
+    coef = ms._order_coefficients(inst, ms._crossing(inst.terminals, _keys(inst)), perm)
+    return coef, *ms._subset_tables(inst.network, dist, coef, limit)
+
+
+def _every_order_forest(inst, dist):
+    """The exhaustive reference: an uncapped DP for every pair order, and the
+    forest read back from the first order with the least value."""
+    full = (1 << len(inst.terminals)) - 1
+    best = None
+    for perm in itertools.permutations(range(inst.pair_count)):
+        coef, g, h = _order_dp(inst, dist, perm)
+        if best is None or min(h[full]) < best[0]:
+            best = (min(h[full]), perm, coef, g, h)
+    value, perm, coef, g, h = best
+    chosen = netcon.metric_solver._read_back(inst.network, coef, g, h, full)
+    return value, perm, _forest_paths(inst.network, chosen, _keys(inst))
+
+
+def _count_order_dps(monkeypatch):
+    calls = Counter()
+    original = netcon.metric_solver._subset_tables
+
+    def counted(*args):
+        calls["_subset_tables"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(netcon.metric_solver, "_subset_tables", counted)
+    return calls
+
+
+def test_the_pruned_order_search_matches_a_dp_for_every_order(monkeypatch):
+    # same value, same winning order (the first of those tied) and the same
+    # forest, read back from capped tables
+    calls = _count_order_dps(monkeypatch)
+    rng = random.Random(163)
+    counts = ((2, 10), (3, 10), (4, 6))
+    cases = [(rng.randint(2 * r, 9), r, False) for r, count in counts for _ in range(count)]
+    cases += [(rng.randint(r + 1, 9), r, True) for r in (2, 3, 4) for _ in range(6)]
+    cases += [(8, 5, True)] * 3 + [(7, 6, True)]
+    oracle = orders = 0
+    for n, r, depot in cases:
+        inst = _tie_prone_instance(rng, n, r, depot, max_edges=14 if r < 5 else 16)
+        dist = _closure(inst)
+        want = _every_order_forest(inst, dist)
+        calls.clear()
+        assert netcon.metric_solver._subset_forest(inst, dist) == want
+        orders += calls["_subset_tables"]
+        if inst.network.edge_count <= 16:
+            _check_against_subset_dp(inst, force=True)
+            oracle += 1
+    assert oracle >= 45
+    # the bound skips most orders: 24 of them at four pairs, 720 at six
+    assert orders < sum(math.factorial(r) for _, r, _ in cases) // 4
+
+
+def test_capped_tables_are_exact_below_the_limit_and_at_least_it_elsewhere():
+    # an entry whose uncapped value is below the limit keeps it, and every
+    # other entry is at least the limit: the wct read-back and maxlat's
+    # Steiner-forest step both rest on this
+    rng = random.Random(167)
+    seen = Counter()
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        r = rng.randint(2, min(4, n // 2))
+        inst = _tie_prone_instance(rng, n, r, weights=(1, 9))
+        dist = _closure(inst)
+        perm = tuple(rng.sample(range(r), r))
+        coef, g, h = _order_dp(inst, dist, perm)
+        value = min(h[-1])
+        for limit in (rng.randint(1, value), value, value + 1):
+            _, capped_g, capped_h = _order_dp(inst, dist, perm, limit)
+            for exact, capped in zip(g + h, capped_g + capped_h):
+                if exact is None:
+                    assert capped is None
+                    continue
+                for want, got in zip(exact, capped):
+                    seen[want < limit] += 1
+                    assert got == want if want < limit else got >= limit
+    assert seen[True] >= 1000 and seen[False] >= 1000
+
+
+def _least_forests(inst):
+    """By brute force over edge subsets: per set of pairs (a bit mask over
+    ``inst.pairs``), the least length of edges that join each pair of it."""
+    edges = inst.network.edges
+    r = inst.pair_count
+    best = [0] + [None] * ((1 << r) - 1)
+    for mask in range(1 << len(edges)):
+        uf = UnionFind(inst.network.vertex_count)
+        length = 0
+        for e, (u, v, c) in enumerate(edges):
+            if mask >> e & 1:
+                uf.union(u, v)
+                length += c
+        joined = sum(1 << i for i, p in enumerate(inst.pairs) if uf.connected(p.u, p.v))
+        for pairs in range(1, 1 << r):
+            if pairs & joined == pairs and (best[pairs] is None or length < best[pairs]):
+                best[pairs] = length
+    return best
+
+
+def _least_tree(inst, pairs):
+    """By brute force: the least length of one connected edge set joining
+    every endpoint of the pairs in the bit mask ``pairs``."""
+    edges = inst.network.edges
+    first, *ends = {x for i, p in enumerate(inst.pairs) if pairs >> i & 1 for x in p.key}
+    best = None
+    for mask in range(1 << len(edges)):
+        uf = UnionFind(inst.network.vertex_count)
+        length = 0
+        for e, (u, v, c) in enumerate(edges):
+            if mask >> e & 1:
+                uf.union(u, v)
+                length += c
+        if all(uf.connected(first, x) for x in ends) and (best is None or length < best):
+            best = length
+    return best
+
+
+def test_steiner_forests_match_the_least_edge_sets():
+    rng = random.Random(173)
+    split = 0
+    for trial in range(60):
+        n = rng.randint(4, 8)
+        depot = trial % 3 == 0
+        r = rng.randint(1, min(4, n - 1 if depot else n // 2))
+        inst = _tie_prone_instance(rng, n, r, depot, max_edges=10)
+        forests = netcon.metric_solver._steiner_forests(inst, _closure(inst))
+        assert forests == _least_forests(inst)
+        # sometimes a forest of two or more trees is cheaper than any one tree
+        split += any(forests[pairs] < _least_tree(inst, pairs) for pairs in range(1, 1 << r))
+    assert split >= 5
+
+
+def test_order_bounds_bracket_each_order_and_the_optimum():
+    # LB(pi) <= the DP value of pi, and the optimum <= UB
+    rng = random.Random(179)
+    skipped = 0
+    for trial in range(48):
+        depot = trial % 4 == 0
+        r = 1 + trial % 4 if not depot else rng.randint(2, 5)
+        n = rng.randint(r + 1 if depot else 2 * r, 9)
+        inst = _tie_prone_instance(rng, n, r, depot, weights=(1, 9))
+        dist = _closure(inst)
+        upper, bounds = netcon.metric_solver._order_bounds(inst, dist)
+        perms = list(itertools.permutations(range(r)))
+        assert [perm for perm, _ in bounds] == perms
+        values = [min(_order_dp(inst, dist, perm)[2][-1]) for perm in perms]
+        assert all(lower <= value for (_, lower), value in zip(bounds, values))
+        optimum = min(values)
+        assert optimum <= upper
+        skipped += sum(lower > upper for _, lower in bounds)
+    assert skipped >= 50
+
+
+def test_six_depot_pairs_run_few_of_the_720_order_dps(monkeypatch):
+    # six pairs at a depot are within PAIR_BOUND_DEPOT; force changes nothing
+    calls = _count_order_dps(monkeypatch)
+    rng = random.Random(181)
+    for _ in range(3):
+        inst = _tie_prone_instance(rng, 12, 6, True, max_edges=24, weights=(1, 9))
+        assert inst.common_pair_vertex() is not None
+        solve_fixed_r(inst, force=True)
+    # one Steiner-forest DP per solve and the order DPs the bound leaves
+    assert 3 < calls["_subset_tables"] < 3 * 720 // 20
