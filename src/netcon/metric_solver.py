@@ -59,10 +59,23 @@ int (``_Packing``), so a sum or a comparison of two is one integer
 operation.  Work grows with the Pareto labels kept over the 2^(t-1)
 endpoint sets without the root.
 
-The winner is read back from the labels as network edge ids that use no edge
-twice and close no cycle: they are the forest, kept as its pair paths.  The
-solver builds it in the pair order the DP optimised (``evaluate_rforest``) to the
-DP's value, then checks that its build sequence replays to exactly that value.
+Both DPs read their winner back from the tables with one walk
+(``_read_back``), from the set of all endpoints down, each choice going to
+the first candidate that attains the label: a set that separates no pair
+takes the lowest root whose ``h`` holds the label; any other set walks down
+to the vertex where it splits, each step to the first neighbour in adjacency
+order whose ``g`` holds the label less the edge's cost; a split is the first
+one, with the first two labels that sum to the label; and a single endpoint
+walks its own distance row.  The edge ids read back use no edge twice, close
+no cycle and each lie on a pair's path.  If they did not, adding them by the
+step that first needs them and dropping each that closes a cycle or lies on
+no pair's path would join every pair served by step k with no more length
+through step k, and with less at the last step: a cheaper forest under wct,
+and under maxlat one whose label dominates the one read back, which is in
+the Pareto set.  So they are the forest, kept as its pair paths.  The solver
+builds it in the pair order the DP optimised (``evaluate_rforest``) to the
+DP's value, then checks that its build sequence replays to exactly that
+value.
 """
 
 from __future__ import annotations
@@ -73,7 +86,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import add, lshift, mul, or_, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
 from .evaluator import BuildSequence, ConnectionReport, _objective_value, evaluate_sequence
@@ -85,20 +98,13 @@ PAIR_BOUND_DEPOT = 6
 
 
 def _dijkstra(
-    network: Network, labels: dict[int, int], factor: int
-) -> list[int]:
-    """Lowest labels from the labelled vertices along edges costing ``factor``
-    times their length, for every vertex (the network is connected).
-    ``labels`` is lowered in place."""
-    return _dijkstra_below(network, labels, factor, [math.inf] * network.vertex_count)
-
-
-def _dijkstra_below(
     network: Network, labels: dict[int, int], factor: int, below: Sequence[float]
 ) -> list[int]:
-    """``_dijkstra`` that keeps each vertex v's label only once it is below
-    ``below[v]``: those labels come out exact, and every other one stays as
-    given or lowered, at least ``below[v]``."""
+    """Lowest labels from the labelled vertices along edges costing ``factor``
+    times their length, for every vertex (the network is connected), keeping
+    each vertex v's label only once it is below ``below[v]``: those labels
+    come out exact, and every other one stays as given or lowered, at least
+    ``below[v]``.  ``labels`` is lowered in place."""
     adjacency = network.adjacency
     edges = network.edges
     heap = [(d, v) for v, d in labels.items() if d < below[v]]
@@ -115,31 +121,41 @@ def _dijkstra_below(
     return [labels[v] for v in range(network.vertex_count)]
 
 
-def _descend(
-    network: Network, labels: Sequence[int], v: int, factor: int, floor: Sequence[int]
-) -> tuple[list[int], int]:
-    """Walk from v down ``labels`` (from ``_dijkstra`` with ``factor``) until a
-    vertex x with ``labels[x] == floor[x]``; return the edge ids walked and x.
+def _descend(network: Network, dist: Sequence[int], v: int) -> list[int]:
+    """The edge ids of a shortest path from v down the distance row ``dist``
+    (from ``build_metric_closure``) to its source.
 
-    Each step takes the first neighbour, in adjacency order, whose label plus
-    the edge's cost is the current label.
+    Each step takes the first neighbour, in adjacency order, whose distance
+    plus the edge's length is the current distance.
     """
     adjacency = network.adjacency
     edges = network.edges
     walked = []
-    while labels[v] != floor[v]:
+    while dist[v]:
         for y, eid in adjacency[v]:
-            if labels[y] + factor * edges[eid][2] == labels[v]:
+            if dist[y] + edges[eid][2] == dist[v]:
                 break
         walked.append(eid)
         v = y
-    return walked, v
+    return walked
+
+
+def _shortest_paths(
+    instance: Instance, dist: Sequence[list[int]], order: Iterable[int]
+) -> list[list[int]]:
+    """Per pair of ``instance.pairs`` in ``order``, the edge ids of its
+    shortest path that ``_descend`` walks, from its v to its u; ``dist[i]``
+    holds the distances from ``instance.terminals[i]``."""
+    where = {x: i for i, x in enumerate(instance.terminals)}
+    pairs = instance.pairs
+    return [_descend(instance.network, dist[where[pairs[i].u]], pairs[i].v) for i in order]
 
 
 def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[int]]:
     """Shortest distances from each source to every vertex: one Dijkstra per
     source, exact integers."""
-    return [_dijkstra(network, {s: 0}, 1) for s in sources]
+    unbounded = [math.inf] * network.vertex_count
+    return [_dijkstra(network, {s: 0}, 1, unbounded) for s in sources]
 
 
 # A forest joining every pair: per pair in ``instance.pairs`` order, its
@@ -237,6 +253,67 @@ def _needs(
         yield need
 
 
+def _read_back(
+    network: Network,
+    dist: Sequence[list[int]],
+    g: Sequence,
+    h: Sequence,
+    unit: Sequence[int],
+    held: Callable[[object], Sequence[int]],
+    full: int,
+    root: int,
+    label: int,
+) -> list[int]:
+    """The edge ids of one forest in the subset tables ``g`` and ``h`` that
+    joins ``root`` to the endpoint set ``full`` at ``label``, a label
+    ``g[full][root]`` holds: the scalar tables of ``_subset_tables`` or the
+    Pareto tables of ``_lateness_tables``.
+
+    ``held`` gives the labels one table entry holds (its one cost, or its
+    Pareto set), and an edge with the endpoint set S below it adds its length
+    times ``unit[S]`` to a label (0 for a set that separates no pair, where
+    ``root`` is ignored).  ``dist[i]`` holds the distances from endpoint i.
+    The choices it makes, and why the edges are a forest, are in the module
+    docstring.
+    """
+    adjacency = network.adjacency
+    edges = network.edges
+    chosen = []
+    todo = [(full, root, label)]
+    while todo:
+        mask, v, label = todo.pop()
+        low = mask & -mask
+        if mask == low:
+            chosen += _descend(network, dist[low.bit_length() - 1], v)
+            continue
+        if not unit[mask]:
+            v = next(u for u, entry in enumerate(h[mask]) if label in held(entry))
+        while label not in held(h[mask][v]):
+            # walk down to the vertex where the set splits
+            for y, eid in adjacency[v]:
+                lower = label - edges[eid][2] * unit[mask]
+                if lower in held(g[mask][y]):
+                    break
+            chosen.append(eid)
+            v, label = y, lower
+        rest = mask ^ low
+        part = rest
+        while part:
+            part = (part - 1) & rest
+            right = held(g[rest ^ part][v])
+            left = [a for a in held(g[low | part][v]) if label - a in right]
+            if left:
+                break
+        todo.append((low | part, v, left[0]))
+        todo.append((rest ^ part, v, label - left[0]))
+    return chosen
+
+
+def _one_label(cost: int) -> tuple[int]:
+    """The labels of a scalar table entry: its one cost."""
+    return (cost,)
+
+
 # --- scalar labels: Steiner forests, and wct with one DP per pair order tried ---
 
 
@@ -255,7 +332,7 @@ def _subset_tables(
     A set that separates no pair costs nothing to carry (coef 0), so its ``g``
     is its best ``h`` at every vertex: that is how a forest's components join.
 
-    Only what can end below ``limit`` is spread (``_dijkstra_below``): a cost
+    Only what can end below ``limit`` is spread (``_dijkstra``): a cost
     at v, plus at least what the rest of a forest through v holds on the
     paths of the pairs in ``spans`` (the last of ``_needs``; for coefficients
     0 and 1 only).  Each entry that can is exact, and each other one is still
@@ -287,44 +364,10 @@ def _subset_tables(
             if spans:
                 *_, need = _needs(dist, spans, mask)
                 below = list(map(sub, below, need))
-            g[mask] = _dijkstra_below(network, dict(enumerate(row)), coef[mask], below)
+            g[mask] = _dijkstra(network, dict(enumerate(row)), coef[mask], below)
         else:
             g[mask] = [min(row)] * n
     return g, h
-
-
-def _read_back(
-    network: Network, coef: Sequence[int], g: Sequence, h: Sequence, full: int, root: int = 0
-) -> list[int]:
-    """The edge ids of one least forest in the ``_subset_tables`` tables that
-    joins ``root`` to the endpoint set ``full``, as ``g[full][root]`` prices
-    it: each choice goes to the first candidate that attains the label (the
-    lowest root for a set that separates no pair, where ``root`` is ignored,
-    the first split, the first neighbour)."""
-    zeros = [0] * network.vertex_count
-    chosen = []
-    todo = [(full, root)]
-    while todo:
-        mask, v = todo.pop()
-        low = mask & -mask
-        if not coef[mask]:
-            v = h[mask].index(min(h[mask]))
-        else:
-            # walk down to the vertex where the set splits (or to its endpoint)
-            floor = zeros if mask == low else h[mask]
-            walked, v = _descend(network, g[mask], v, coef[mask], floor)
-            chosen += walked
-        if mask == low:
-            continue
-        rest = mask ^ low
-        part = rest
-        while part:
-            part = (part - 1) & rest
-            if g[low | part][v] + g[rest ^ part][v] == h[mask][v]:
-                break
-        todo.append((low | part, v))
-        todo.append((rest ^ part, v))
-    return chosen
 
 
 def _grown_forest(
@@ -432,17 +475,14 @@ def _order_bounds(
     of the two; there the longest distance between the ends of a pair of P
     bounds SF(P) from below at no cost.
     """
-    network = instance.network
     pairs = instance.pairs
     r = len(pairs)
-    where = {x: i for i, x in enumerate(instance.terminals)}
-    zeros = [0] * network.vertex_count
-    walks = [_descend(network, dist[where[p.u]], p.v, 1, zeros)[0] for p in pairs]
-    _, lengths = _grown_forest(instance, walks)
+    _, lengths = _grown_forest(instance, _shortest_paths(instance, dist, range(r)))
     reach = [_built(lengths, served) for served in range(1 << r)]
     if r >= 3:
         forests = _steiner_forests(instance, dist)
     else:
+        where = {x: i for i, x in enumerate(instance.terminals)}
         spans = [dist[where[p.u]][p.v] for p in pairs]
         forests = [
             max((spans[i] for i in range(r) if served >> i & 1), default=0)
@@ -465,9 +505,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
 
     For a pair order, ``_subset_tables`` prices every forest rooted at a
     vertex; the first order (in ``itertools.permutations`` order) with the
-    least value wins.  Its forest is read back from the labels, each choice
-    going to the first candidate that attains the label: the lowest root, the
-    first split, the first neighbour.
+    least value wins, and its forest is read back (``_read_back``).
 
     The orders are searched under a bound (Held and Karp 1962).  With UB and
     each order's LB from ``_order_bounds``, an order runs its DP only when LB
@@ -481,14 +519,6 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     limit and at least the limit elsewhere, and the read-back only meets
     labels at most the winner's value, which is below it; so each first
     candidate that attains a label is the one the uncapped tables give.
-
-    What is read back uses no network edge twice and closes no cycle.  If it
-    did, adding its edges in the order the winning pair order first needs
-    them and skipping each that closes a cycle would join every pair served
-    by step k with edges no longer than the DP charged through step k, and
-    strictly shorter at the last step: a forest cheaper than the optimum.  So
-    the edges read back are the forest, returned as its pair paths; its value
-    is the DP's, which the solver checks by replaying it.
     """
     network = instance.network
     terminals = instance.terminals
@@ -508,7 +538,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
             limit = value
             best = (perm, coef, g, h)
     order, coef, g, h = best
-    chosen = _read_back(network, coef, g, h, full)
+    chosen = _read_back(network, dist, g, h, coef, _one_label, full, 0, limit)
     return limit, order, _forest_paths(network, chosen, (p.key for p in instance.pairs))
 
 
@@ -722,8 +752,7 @@ def _lateness_bound(
     pairs = instance.pairs
     dues = [pairs[i].due for i in by_due]
     where = {x: i for i, x in enumerate(instance.terminals)}
-    zeros = [0] * network.vertex_count
-    walks = [_descend(network, dist[where[pairs[i].u]], pairs[i].v, 1, zeros)[0] for i in by_due]
+    walks = _shortest_paths(instance, dist, by_due)
     steps = _prefixes(by_due)
     used, lengths = _grown_forest(instance, walks)
     built = [_built(lengths, served) for served in steps]
@@ -743,11 +772,12 @@ def _lateness_bound(
     spans = [(at[u], at[v], dist[where[u]][v]) for u, v in served]
     # a forest joining P_k is no longer than the shortest paths' prefix k, so
     # only costs below that one decide whether it is the least
-    g, h = _subset_tables(network, [dist[where[x]] for x in ends], coef, built[k], spans)
+    rows = [dist[where[x]] for x in ends]
+    g, h = _subset_tables(network, rows, coef, built[k], spans)
     lower = max(lower, min(g[full][q], built[k]) - dues[k])
     if value == lower:
         return value, used, True
-    walks[: k + 1] = [_read_back(network, coef, g, h, full, q)]
+    walks[: k + 1] = [_read_back(network, rows, g, h, coef, _one_label, full, q, g[full][q])]
     steiner, lengths = _grown_forest(instance, walks)
     steiner_value = max(_built(lengths, served) - due for served, due in zip(steps, dues))
     if steiner_value < value:
@@ -770,19 +800,8 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     other endpoints, so only the sets without q are tabled.  The tables look
     only for a forest that beats the better one the bound tried: a label
     worth as much or more is dropped, and when none is left at q that
-    forest is optimal.
-
-    The read-back takes the least (value, label) at q.  Then, at
-    each set, it takes the lowest root (for a set that separates no pair),
-    the first split, and the first neighbour in adjacency order whose label
-    matches exactly.  What is read back uses no network edge twice, closes no
-    cycle and has every edge on some pair's path.  If it did not, adding its edges
-    by the step that first needs them and dropping each that closes a cycle
-    or lies on no pair's path would join every pair served by step k within
-    P_k, and strictly within the last prefix: a forest whose label dominates
-    the one read back, which is in the Pareto set at q.  So the edges
-    read back are the forest, returned as its pair paths; its value is the
-    DP's, which the solver checks by replaying it.
+    forest is optimal.  Otherwise the forest of the least (value, label)
+    at q is read back (``_read_back``).
     """
     network = instance.network
     pairs = instance.pairs
@@ -797,7 +816,6 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     # rooted at the last endpoint q, the forest is g[S][q] for S the others
     q = instance.terminals[-1]
     full = (len(first) >> 1) - 1
-    zeros = [0] * network.vertex_count
     where = {x: i for i, x in enumerate(instance.terminals)}
     spans = [(where[p.u], where[p.v], dist[where[p.u]][p.v]) for p in (pairs[i] for i in by_due)]
     cap = [bound - 1 + due for due in dues]
@@ -805,46 +823,8 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     if not g[full][q]:  # no forest beats the better one the bound tried
         return bound, by_due, _forest_paths(network, best, keys)
     value, label = min((max(map(sub, packing.unpack(p), dues)), p) for p in g[full][q])
-
-    adjacency = network.adjacency
-    edges = network.edges
-    chosen = []
-    todo = [(full, q, label)]
-    while todo:
-        mask, v, label = todo.pop()
-        low = mask & -mask
-        step = first[mask]
-        if mask == low:
-            walked, _ = _descend(network, dist[low.bit_length() - 1], v, 1, zeros)
-            chosen += walked
-            continue
-        if step == r:
-            v = next(u for u, labels in enumerate(h[mask]) if label in labels)
-        while label not in h[mask][v]:
-            # walk down to the vertex where the set splits
-            for y, eid in adjacency[v]:
-                lower = label - edges[eid][2] * packing.units[step]
-                if lower in g[mask][y]:
-                    break
-            chosen.append(eid)
-            v, label = y, lower
-        rest = mask ^ low
-        part = rest
-        while part:
-            part = (part - 1) & rest
-            split = next(
-                (
-                    (a, b)
-                    for a in g[low | part][v]
-                    for b in g[rest ^ part][v]
-                    if a + b == label
-                ),
-                None,
-            )
-            if split:
-                break
-        todo.append((low | part, v, split[0]))
-        todo.append((rest ^ part, v, split[1]))
+    unit = [packing.units[step] for step in first]
+    chosen = _read_back(network, dist, g, h, unit, lambda labels: labels, full, q, label)
     return value, by_due, _forest_paths(network, chosen, keys)
 
 

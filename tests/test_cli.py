@@ -32,6 +32,8 @@ FIXTURE_OBJECTIVES = {
     "star_ola.ncn": 22,
     "tree8.ncn": 36,
     "graph7.ncn": 18,
+    "maxlat_step3.ncn": 9,
+    "maxlat_pareto.ncn": 12,
 }
 
 

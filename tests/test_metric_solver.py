@@ -145,7 +145,12 @@ def test_closure_matches_exhaustive_path_enumeration():
 def _walk(network, dist, u, v):
     """Edge ids of the shortest path from v down to u that ``_descend`` walks
     along u's distance row."""
-    walked, end = _descend(network, dist[u], v, 1, [0] * network.vertex_count)
+    walked = _descend(network, dist[u], v)
+    end = v
+    for e in walked:
+        a, b, _ = network.edges[e]
+        assert end in (a, b)
+        end = b if end == a else a
     assert end == u
     return walked
 
@@ -378,10 +383,10 @@ def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     sources = []
     original = netcon.metric_solver._dijkstra
 
-    def recorded(network, labels, factor):
+    def recorded(network, labels, factor, below):
         if len(labels) == 1:
             sources.extend(labels)
-        return original(network, labels, factor)
+        return original(network, labels, factor, below)
 
     monkeypatch.setattr(netcon.metric_solver, "_dijkstra", recorded)
     for twin, want in ((inst, 7), (_as_maxlat(inst), 3)):
@@ -424,9 +429,11 @@ def test_forest_paths_of_any_edge_list_are_a_forest_of_pair_paths():
         _assert_forest(_forest_paths(inst.network, ids, _keys(inst)), inst)
 
 
-def test_every_read_back_is_the_forest(monkeypatch):
-    # the edge ids either DP reads back repeat none, close no cycle and each
-    # lie on a returned pair path, which replay to the DP's value
+def _check_read_backs(monkeypatch, cases, count):
+    """Solve ``count`` random instances per (objective, depot) case and check
+    that the edge ids the DP reads back repeat none, close no cycle and each
+    lie on a returned pair path, which replay to the DP's value; return the
+    values."""
     read_backs = []
     original = netcon.metric_solver._forest_paths
 
@@ -435,10 +442,10 @@ def test_every_read_back_is_the_forest(monkeypatch):
         return original(network, kept, pairs)
 
     monkeypatch.setattr(netcon.metric_solver, "_forest_paths", captured)
-    checked = 0
-    for objective, depot in (("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)):
+    values = []
+    for objective, depot in cases:
         rng = random.Random(f"read-back/{objective}/{depot}")
-        for _ in range(12):
+        for _ in range(count):
             inst = _stream_instance(rng, objective, depot)
             read_backs.clear()
             ((value, order, forest),) = _stream(inst)
@@ -447,8 +454,31 @@ def test_every_read_back_is_the_forest(monkeypatch):
             assert set(kept) == _forest_edges(forest)
             _assert_forest(forest, inst)
             assert evaluate_rforest(forest, inst, order).value == value
-            checked += 1
-    assert checked == 48
+            values.append(value)
+    return values
+
+
+def test_every_read_back_is_the_forest(monkeypatch):
+    cases = [("wct", False), ("maxlat", False), ("wct", True), ("maxlat", True)]
+    assert len(_check_read_backs(monkeypatch, cases, 12)) == 48
+
+
+def test_every_pareto_read_back_is_the_forest(monkeypatch):
+    # a bound that proves nothing and is one worse than the forest it tried
+    # leaves that forest within the Pareto DP's cap, so on every maxlat case
+    # the Pareto DP runs and its forest is read back from its tables
+    original = netcon.metric_solver._lateness_bound
+    bounds = []
+
+    def unproven(*args):
+        value, kept, _ = original(*args)
+        bounds.append(value + 1)
+        return value + 1, kept, False
+
+    monkeypatch.setattr(netcon.metric_solver, "_lateness_bound", unproven)
+    values = _check_read_backs(monkeypatch, [("maxlat", False), ("maxlat", True)], 12)
+    assert len(values) == len(bounds) == 24
+    assert all(map(operator.lt, values, bounds))
 
 
 def test_solution_is_deterministic():
@@ -798,7 +828,7 @@ BOUND_CASES = {
     "pareto dp, better forest": (
         _DP_BEATS_THE_BOUND,
         12,
-        {"_subset_tables": 1, "_read_back": 1, "_lateness_tables": 1},
+        {"_subset_tables": 1, "_read_back": 2, "_lateness_tables": 1},
     ),
 }
 
@@ -1035,7 +1065,8 @@ def _every_order_forest(inst, dist):
         if best is None or min(h[full]) < best[0]:
             best = (min(h[full]), perm, coef, g, h)
     value, perm, coef, g, h = best
-    chosen = netcon.metric_solver._read_back(inst.network, coef, g, h, full)
+    ms = netcon.metric_solver
+    chosen = ms._read_back(inst.network, dist, g, h, coef, ms._one_label, full, 0, value)
     return value, perm, _forest_paths(inst.network, chosen, _keys(inst))
 
 
