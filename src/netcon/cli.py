@@ -35,6 +35,7 @@ from .errors import (
 from .evaluator import ConnectionReport, format_report, validate_sequence
 from .metric_solver import solve_fixed_r
 from .model import (
+    GENERATOR_KINDS,
     Instance,
     Objective,
     _content_lines,
@@ -197,12 +198,9 @@ def _scale(text: str) -> float:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     results = selftest.run_all(scale=args.scale)
-    failed = False
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"criterion {result.number} [{status}] {result.name}: {result.detail} ({result.seconds:.1f}s)")
-        failed = failed or not result.passed
-    return 1 if failed else 0
+        print(result.line())
+    return 0 if all(result.passed for result in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=_cmd_oracle)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--kind", choices=("random_tree", "star", "path", "random_graph"), required=True)
+    gen.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--edges", type=int, default=None, help="edge count (random_graph only)")

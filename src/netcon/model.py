@@ -130,27 +130,10 @@ class Network:
             raise InvalidInstanceError("network is not connected")
 
     def _is_connected(self) -> bool:
-        n = self.vertex_count
-        if n > len(self.edges) + 1:
+        if self.vertex_count > len(self.edges) + 1:
             return False  # fewer than n - 1 edges; decided before any per-vertex list
-        if n == 1:
-            return True
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v, _ in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in neighbors[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        return count == n
+        parent = self.root_forest()[0]
+        return all(parent[x] != x for x in range(1, self.vertex_count))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -41,6 +41,11 @@ class CheckResult:
     detail: str
     seconds: float
 
+    def line(self) -> str:
+        """The one-line report ``netcon selftest`` prints for this criterion."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"criterion {self.number} [{status}] {self.name}: {self.detail} ({self.seconds:.1f}s)"
+
 
 def _scaled(trials: int, scale: float) -> int:
     return max(1, round(trials * scale))

@@ -1,17 +1,19 @@
 """Exact solver on trees: dynamic programming over all subtrees.
 
 Every connected edge subset (subtree) gets an optimal build order, computed
-bottom-up by edge count: for each subtree and each candidate last edge, the
-orders of the two remaining components are interleaved as a two-chain
-scheduling problem (one job per edge, processing time = edge length, weight =
-pair weight connected when that edge completes), then the last edge picks up
-the weight of every pair whose path crosses it.  Subtrees are keyed by edge
-bitmask; the two components left by deleting an edge are obtained with O(1)
-mask intersections against the edge's precomputed sides in the full tree.
+in ascending order of its edge bitmask, so both components left by deleting
+an edge (submasks, hence smaller) are solved first: for each subtree and each
+candidate last edge, the orders of the two remaining components are
+interleaved as a two-chain scheduling problem (one job per edge, processing
+time = edge length, weight = pair weight connected when that edge completes),
+then the last edge picks up the weight of every pair whose path crosses it.
+The two components are obtained with O(1) mask intersections against the
+edge's precomputed sides in the full tree.
 
 The catalog generates each subtree exactly once, grown from its lowest edge
 by edges of higher id only, and keeps the one-edge-smaller subtree it grew
-from; pair weights and lengths are sums over that single step.
+from (the empty one for a single edge); pair weights and lengths are sums
+over that single step.
 
 A subtree's record keeps only what later merges read: its value, the density
 decomposition (blocks) of its optimal job chain, and its last edge.  The
@@ -35,18 +37,19 @@ LEAF_BOUND = 6
 
 @dataclass(frozen=True)
 class SubtreeCatalog:
-    """Every connected edge subset of a tree, grouped by edge count.
+    """Every connected edge subset of a tree, keyed by its edge bitmask.
 
-    ``levels[p]`` lists the edge bitmasks of all subtrees with p edges in
-    ascending order (``levels[0]`` is empty).  ``split`` yields the keys of
-    the two components left after deleting one edge, 0 marking a component
-    that is a single vertex.
+    ``keys`` lists every subtree's mask in ascending order.  ``growth[key]``
+    is the one-edge-smaller subtree it grew from, that subtree's vertex mask
+    and the vertex the new edge adds; a single edge (u, v) grows from 0, with
+    mask ``1 << u`` and vertex v.  ``split`` yields the keys of the two
+    components left after deleting one edge, 0 marking a component that is a
+    single vertex.
     """
 
-    levels: tuple[tuple[int, ...], ...]
-    vertex_masks: Mapping[int, int]
+    keys: tuple[int, ...]
     sides: tuple[tuple[int, int], ...]
-    growth: Mapping[int, tuple[int, int]]  # mask -> (parent mask, vertex added)
+    growth: Mapping[int, tuple[int, int, int]]  # mask -> (parent mask, its vertex mask, vertex added)
 
     def split(self, key: int, edge_id: int) -> tuple[int, int]:
         side_u, side_v = self.sides[edge_id]
@@ -54,7 +57,7 @@ class SubtreeCatalog:
 
     @property
     def subtree_count(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -98,47 +101,32 @@ def enumerate_subtrees(network: Network) -> SubtreeCatalog:
     vertex's other edges above r, so the edges before it are never offered
     again below that child (extension sets, as in Wernicke's ESU).  In a tree
     every offered edge brings exactly one new vertex, and every subtree is
-    reached exactly once, from the parent recorded in ``growth``.
+    reached exactly once, from the parent recorded in ``growth`` (0 for a
+    single edge).
     """
     if not network.is_tree:
         raise UnsupportedInstanceError("subtree enumeration needs a tree network")
-    m = network.edge_count
     edges = network.edges
     incident = [[eid for _, eid in around] for around in network.adjacency]
 
-    vertex_masks: dict[int, int] = {}
-    growth: dict[int, tuple[int, int]] = {}
-    levels: list[list[int]] = [[] for _ in range(max(m, 1) + 1)]  # levels[1] even without edges
+    growth: dict[int, tuple[int, int, int]] = {}
     for root, (u, v, _) in enumerate(edges):
         key = 1 << root
-        vmask = (1 << u) | (1 << v)
-        vertex_masks[key] = vmask
-        levels[1].append(key)
+        growth[key] = (0, 1 << u, v)
         extension = [e for e in incident[u] + incident[v] if e > root]
-        stack = [(key, vmask, 1, extension)] if extension else []
+        stack = [(key, 1 << u | 1 << v, extension)]
         while stack:
-            key, vmask, size, extension = stack.pop()
-            level = levels[size + 1]
+            key, vmask, extension = stack.pop()
             for i, eid in enumerate(extension):
                 a, b, _ = edges[eid]
                 vertex = b if vmask >> a & 1 else a
                 new_key = key | 1 << eid
-                new_vmask = vmask | 1 << vertex
-                vertex_masks[new_key] = new_vmask
-                growth[new_key] = (key, vertex)
-                level.append(new_key)
+                growth[new_key] = (key, vmask, vertex)
                 later = extension[i + 1 :] + [e for e in incident[vertex] if e > root and e != eid]
                 if later:
-                    stack.append((new_key, new_vmask, size + 1, later))
-    for level in levels:
-        level.sort()
+                    stack.append((new_key, vmask | 1 << vertex, later))
 
-    return SubtreeCatalog(
-        levels=tuple(tuple(level) for level in levels),
-        vertex_masks=vertex_masks,
-        sides=_edge_side_masks(network),
-        growth=growth,
-    )
+    return SubtreeCatalog(keys=tuple(sorted(growth)), sides=_edge_side_masks(network), growth=growth)
 
 
 def pair_weight_tables(
@@ -150,22 +138,15 @@ def pair_weight_tables(
     weight of every pair {v, x} with x already inside.
     """
     by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(network.vertex_count)]
-    pair_of_edge: dict[tuple[int, int], int] = {}
     for pair in pairs:
         by_vertex[pair.u].append((pair.v, pair.weight))
         by_vertex[pair.v].append((pair.u, pair.weight))
-        pair_of_edge[(pair.u, pair.v)] = pair.weight
 
     weights: dict[int, int] = {0: 0}
-    for key in catalog.levels[1]:
-        u, v, _ = network.edges[key.bit_length() - 1]
-        weights[key] = pair_of_edge.get((u, v), 0)
-    for level in catalog.levels[2:]:
-        for key in level:
-            parent, vertex = catalog.growth[key]
-            inside = catalog.vertex_masks[parent]
-            gained = sum(w for other, w in by_vertex[vertex] if inside >> other & 1)
-            weights[key] = weights[parent] + gained
+    for key in catalog.keys:
+        parent, inside, vertex = catalog.growth[key]
+        gained = sum(w for other, w in by_vertex[vertex] if inside >> other & 1)
+        weights[key] = weights[parent] + gained
     return weights
 
 
@@ -182,64 +163,56 @@ def subtree_records(
     """
     edges = network.edges
     sides = catalog.sides
+    growth = catalog.growth
     merge_value = chains.merge_value
     append_block = chains.append_block
 
     lengths: dict[int, int] = {0: 0}
     records: dict[int, SubtreeRecord | None] = {0: None}
-    for key in catalog.levels[1]:
-        eid = key.bit_length() - 1
-        c = edges[eid][2]
-        w = weights[key]
-        lengths[key] = c
-        records[key] = SubtreeRecord(c * w, ((w, c, c * w, 0, 1),), eid)
+    for key in catalog.keys:
+        parent = growth[key][0]
+        total_length = lengths[parent] + edges[(key ^ parent).bit_length() - 1][2]
+        lengths[key] = total_length
+        w_key = weights[key]
 
-    for level in catalog.levels[2:]:
-        for key in level:
-            parent, _ = catalog.growth[key]
-            new_edge = (key ^ parent).bit_length() - 1
-            total_length = lengths[parent] + edges[new_edge][2]
-            lengths[key] = total_length
-            w_key = weights[key]
+        best_value = None
+        best_edge = -1
+        best_parts = (0, 0)
+        probe = key
+        while probe:
+            low = probe & -probe
+            probe ^= low
+            eid = low.bit_length() - 1
+            side_u, side_v = sides[eid]
+            part_a = key & side_u
+            part_b = key & side_v
+            rec_a = records[part_a]
+            rec_b = records[part_b]
+            # a lone component's merge cost is its own optimal value
+            if rec_a is None:
+                value = rec_b.value if rec_b else 0
+            elif rec_b is None:
+                value = rec_a.value
+            else:
+                value = merge_value(rec_a.blocks, rec_b.blocks, rec_a.value, rec_b.value)
+            value += total_length * (w_key - weights[part_a] - weights[part_b])
+            if best_value is None or value < best_value:
+                best_value = value
+                best_edge = eid
+                best_parts = (part_a, part_b)
 
-            best_value = None
-            best_edge = -1
-            best_parts = (0, 0)
-            probe = key
-            while probe:
-                low = probe & -probe
-                probe ^= low
-                eid = low.bit_length() - 1
-                side_u, side_v = sides[eid]
-                part_a = key & side_u
-                part_b = key & side_v
-                rec_a = records[part_a]
-                rec_b = records[part_b]
-                # a lone component's merge cost is its own optimal value
-                if rec_a is None:
-                    value = rec_b.value if rec_b else 0
-                elif rec_b is None:
-                    value = rec_a.value
-                else:
-                    value = merge_value(rec_a.blocks, rec_b.blocks, rec_a.value, rec_b.value)
-                value += total_length * (w_key - weights[part_a] - weights[part_b])
-                if best_value is None or value < best_value:
-                    best_value = value
-                    best_edge = eid
-                    best_parts = (part_a, part_b)
-
-            part_a, part_b = best_parts
-            blocks: list[chains.BlockSummary] = []
-            at = 0
-            for _, (w, p, inner, start, end) in chains.interleave(
-                _blocks_of(records[part_a]), _blocks_of(records[part_b])
-            ):
-                append_block(blocks, (w, p, inner, at, at + end - start))
-                at += end - start
-            w = w_key - weights[part_a] - weights[part_b]
-            c = edges[best_edge][2]
-            append_block(blocks, (w, c, w * c, at, at + 1))
-            records[key] = SubtreeRecord(best_value, tuple(blocks), best_edge)
+        part_a, part_b = best_parts
+        blocks: list[chains.BlockSummary] = []
+        at = 0
+        for _, (w, p, inner, start, end) in chains.interleave(
+            _blocks_of(records[part_a]), _blocks_of(records[part_b])
+        ):
+            append_block(blocks, (w, p, inner, at, at + end - start))
+            at += end - start
+        w = w_key - weights[part_a] - weights[part_b]
+        c = edges[best_edge][2]
+        append_block(blocks, (w, c, w * c, at, at + 1))
+        records[key] = SubtreeRecord(best_value, tuple(blocks), best_edge)
     return records
 
 

@@ -10,11 +10,7 @@ from netcon import selftest
 
 
 def _report(result):
-    status = "PASS" if result.passed else "FAIL"
-    print(
-        f"criterion {result.number} [{status}] {result.name}: "
-        f"{result.detail} ({result.seconds:.1f}s)"
-    )
+    print(result.line())
     return result
 
 

@@ -302,6 +302,14 @@ def test_too_few_edges_are_refused_before_any_per_vertex_work():
     assert peak < 1 << 20
 
 
+def test_enough_edges_but_a_vertex_cut_off_is_not_connected():
+    # n - 1 edges or more pass the edge-count refusal, so the traversal decides
+    for n, edges in ((4, ((0, 1), (0, 2), (1, 2))), (5, ((1, 2), (1, 3), (1, 4), (2, 3)))):
+        with pytest.raises(InvalidInstanceError, match="not connected"):
+            Network(n, tuple((u, v, 1) for u, v in edges))
+    assert Network(3, ((0, 2, 1), (1, 2, 1))).is_tree
+
+
 def test_network_invariants():
     with pytest.raises(InvalidInstanceError):
         Network(2, ((0, 0, 1),))

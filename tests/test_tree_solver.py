@@ -36,18 +36,46 @@ def _inst(edges, pairs, objective="wct"):
 PATH3 = _inst([(0, 1, 1), (1, 2, 2)], [(0, 1, 3), (1, 2, 1), (0, 2, 1)])
 
 
+def _by_size(catalog):
+    """The catalog's keys grouped by edge count: entry p lists the p-edge
+    subtrees in ascending order (entry 0 is empty)."""
+    sizes = [bin(key).count("1") for key in catalog.keys]
+    return tuple(
+        tuple(key for key, size in zip(catalog.keys, sizes) if size == p)
+        for p in range(max(sizes, default=0) + 1)
+    )
+
+
+def _vertex_mask(catalog, key):
+    """A subtree's vertex set, from its growth step: the parent's vertices
+    plus the one the last edge adds."""
+    _, inside, vertex = catalog.growth[key]
+    return inside | 1 << vertex
+
+
+def _edge_vertices(net, key):
+    """A subtree's vertex set, from its edges."""
+    vertices = 0
+    for e in range(net.edge_count):
+        if key >> e & 1:
+            u, v, _ = net.edges[e]
+            vertices |= 1 << u | 1 << v
+    return vertices
+
+
 def test_enumerate_path_subtrees():
     catalog = enumerate_subtrees(PATH3.network)
     assert catalog.subtree_count == 3
-    assert catalog.levels[1] == (0b01, 0b10)
-    assert catalog.levels[2] == (0b11,)
+    assert catalog.keys == (0b01, 0b10, 0b11)
+    assert _by_size(catalog)[1] == (0b01, 0b10)
+    assert _by_size(catalog)[2] == (0b11,)
 
 
 def test_enumerate_star_subtrees():
     star = Network(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1)))
     catalog = enumerate_subtrees(star)
     assert catalog.subtree_count == 7  # 3 singles + 3 pairs + the full star
-    assert [len(level) for level in catalog.levels[1:]] == [3, 3, 1]
+    assert [len(level) for level in _by_size(catalog)[1:]] == [3, 3, 1]
 
 
 def test_enumerate_single_edge():
@@ -77,24 +105,37 @@ def test_enumerate_generates_each_subtree_once_from_a_smaller_one():
         expected = [[] for _ in range(m + 1)]
         vertex_masks = {}
         for mask in range(1, 1 << m):
-            vertices = 0
-            for e in range(m):
-                if mask >> e & 1:
-                    u, v, _ = net.edges[e]
-                    vertices |= 1 << u | 1 << v
+            vertices = _edge_vertices(net, mask)
             size = bin(mask).count("1")
             if size == bin(vertices).count("1") - 1:  # connected in a tree
                 expected[size].append(mask)
                 vertex_masks[mask] = vertices
-        # each subtree exactly once, at its level, in ascending order
-        assert catalog.levels == tuple(map(tuple, expected))
-        assert catalog.vertex_masks == vertex_masks
-        assert set(catalog.growth) == {key for level in expected[2:] for key in level}
-        for key, (parent, vertex) in catalog.growth.items():
-            assert parent in catalog.levels[bin(key).count("1") - 1]
+        # each subtree exactly once, in ascending order, so also at its size
+        assert catalog.keys == tuple(sorted(vertex_masks))
+        assert _by_size(catalog) == tuple(map(tuple, expected))
+        assert {key: _vertex_mask(catalog, key) for key in catalog.keys} == vertex_masks
+        assert set(catalog.growth) == set(vertex_masks)
+        for key, (parent, inside, vertex) in catalog.growth.items():
+            assert parent in (0,) + _by_size(catalog)[bin(key).count("1") - 1]
             assert parent & key == parent
-            assert not catalog.vertex_masks[parent] >> vertex & 1
-            assert catalog.vertex_masks[parent] | 1 << vertex == catalog.vertex_masks[key]
+            assert not inside >> vertex & 1
+            assert inside == (_vertex_mask(catalog, parent) if parent else inside & -inside)
+            assert inside | 1 << vertex == vertex_masks[key]
+
+
+def test_keys_come_after_their_split_parts_and_growth_rebuilds_vertices():
+    for net in _catalog_test_networks():
+        catalog = enumerate_subtrees(net)
+        position = {key: i for i, key in enumerate(catalog.keys)}
+        for key in catalog.keys:
+            for e in range(net.edge_count):
+                if key >> e & 1:
+                    for part in catalog.split(key, e):
+                        assert part == 0 or position[part] < position[key]
+            # one-edge subtrees grow from 0 too
+            parent, inside, vertex = catalog.growth[key]
+            assert parent == 0 or position[parent] < position[key]
+            assert inside | 1 << vertex == _edge_vertices(net, key)
 
 
 def _reachable_edges(net, start, blocked):
@@ -153,13 +194,10 @@ def test_pair_weight_table_properties():
         full = (1 << inst.network.edge_count) - 1
         assert weights[full] == sum(p.weight for p in inst.pairs)
         # brute check on every subtree
-        for level in catalog.levels:
-            for key in level:
-                vmask = catalog.vertex_masks[key]
-                want = sum(
-                    p.weight for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1
-                )
-                assert weights[key] == want
+        for key in catalog.keys:
+            vmask = _vertex_mask(catalog, key)
+            want = sum(p.weight for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1)
+            assert weights[key] == want
 
 
 def test_crossing_weights_on_path():
@@ -279,32 +317,31 @@ def test_record_consistency():
         weights = pair_weight_tables(net, inst.pairs, catalog)
         records = subtree_records(net, catalog, weights)
         assert records[0] is None
-        for level in catalog.levels[1:]:
-            for key in level:
-                rec = records[key]
-                seq = subtree_sequence(records, catalog, key)
-                assert sorted(seq) == [e for e in range(net.edge_count) if key >> e & 1]
-                assert seq[-1] == rec.last
-                ps = tuple(net.edges[e][2] for e in seq)
-                vmask = catalog.vertex_masks[key]
-                inner = [p for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1]
-                if not inner:
-                    assert weights[key] == 0
-                    assert rec.blocks == block_summaries(ps, (0,) * len(seq))
-                    assert rec.value == 0
-                    continue
-                sub = Instance(net, tuple(inner))
-                report = evaluate_sequence(sub, seq)
-                # connect[i] is the weight first connected when seq[i] completes
-                done = 0
-                connect = []
-                for c in ps:
-                    done += c
-                    times = zip(sub.pairs, report.times)
-                    connect.append(sum(p.weight for p, t in times if t == done))
-                assert sum(connect) == weights[key]
-                assert rec.blocks == block_summaries(ps, connect)
-                assert report.objective == rec.value == subset_dp(sub)[0]
+        for key in catalog.keys:
+            rec = records[key]
+            seq = subtree_sequence(records, catalog, key)
+            assert sorted(seq) == [e for e in range(net.edge_count) if key >> e & 1]
+            assert seq[-1] == rec.last
+            ps = tuple(net.edges[e][2] for e in seq)
+            vmask = _vertex_mask(catalog, key)
+            inner = [p for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1]
+            if not inner:
+                assert weights[key] == 0
+                assert rec.blocks == block_summaries(ps, (0,) * len(seq))
+                assert rec.value == 0
+                continue
+            sub = Instance(net, tuple(inner))
+            report = evaluate_sequence(sub, seq)
+            # connect[i] is the weight first connected when seq[i] completes
+            done = 0
+            connect = []
+            for c in ps:
+                done += c
+                times = zip(sub.pairs, report.times)
+                connect.append(sum(p.weight for p, t in times if t == done))
+            assert sum(connect) == weights[key]
+            assert rec.blocks == block_summaries(ps, connect)
+            assert report.objective == rec.value == subset_dp(sub)[0]
         full = (1 << net.edge_count) - 1
         _, report = solve_tree(inst, force=True)
         assert records[full].value == report.objective
