@@ -24,21 +24,23 @@ All densities are compared exactly by integer cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
+from .frozen import Frozen
 
-@dataclass(frozen=True)
-class Job:
-    processing: int
-    weight: int
-    tag: Any = None
 
-    def __post_init__(self):
-        if type(self.processing) is not int or self.processing < 1:
-            raise ValueError(f"job processing time must be a positive integer: {self.processing!r}")
-        if type(self.weight) is not int or self.weight < 0:
-            raise ValueError(f"job weight must be a non-negative integer: {self.weight!r}")
+class Job(Frozen):
+    __slots__ = _fields = ("processing", "weight", "tag")
+
+    def __init__(self, processing: int, weight: int, tag: Any = None) -> None:
+        if type(processing) is not int or processing < 1:
+            raise ValueError(f"job processing time must be a positive integer: {processing!r}")
+        if type(weight) is not int or weight < 0:
+            raise ValueError(f"job weight must be a non-negative integer: {weight!r}")
+        init = object.__setattr__
+        init(self, "processing", processing)
+        init(self, "weight", weight)
+        init(self, "tag", tag)
 
 
 Chain = Sequence[Job]

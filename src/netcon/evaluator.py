@@ -10,8 +10,7 @@ one line ``pair <u> <v> t=<time>`` per pair in canonical order, then a final
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SequenceError
 from .model import Instance, Objective
@@ -20,16 +19,14 @@ from .unionfind import UnionFind
 BuildSequence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConnectionReport:
+class ConnectionReport(NamedTuple):
     """Connection time per pair (aligned with instance.pairs) and objective."""
 
     times: tuple[int, ...]
     objective: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     discrepancies: tuple[str, ...] = ()
 

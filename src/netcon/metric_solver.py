@@ -82,11 +82,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import add, lshift, mul, or_, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
 from .evaluator import BuildSequence, ConnectionReport, _objective_value, evaluate_sequence
@@ -165,8 +164,7 @@ Forest = tuple[tuple[int, ...], ...]
 Optimum = tuple[int, tuple[int, ...], Forest]
 
 
-@dataclass(frozen=True)
-class ForestEvaluation:
+class ForestEvaluation(NamedTuple):
     """A forest built pair by pair in one pair order: its value and build order."""
 
     value: int
@@ -545,8 +543,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
 
 
-@dataclass(frozen=True)
-class _Packing:
+class _Packing(NamedTuple):
     """A label of r prefix lengths as one int: prefix k in the ``width`` bits
     from bit k * width, the top one of them a guard kept clear.
 

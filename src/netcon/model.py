@@ -22,6 +22,12 @@ and sorted, as the canonical writer emits them, so
 rule, each written once here.  The parsers check only the file syntax and
 prefix whatever a constructor raises with the line it came from, so the
 library and the files give the same messages.
+
+The types are ``frozen.Frozen`` classes: each ``__init__`` runs the rules on
+its arguments and stores the normalized values, and no attribute can be
+assigned afterwards, so every value that exists has passed them.  Equality
+and hashing read the fields alone, not what the constructor caches beside
+them (a network's adjacency and rooting, an instance's terminals).
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import isqrt
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InstanceFormatError, InvalidInstanceError
+from .frozen import Frozen
 
 
 class Objective(enum.Enum):
@@ -89,84 +96,106 @@ def _add_key(what: str, key: tuple[int, int], n: int, seen: set) -> None:
     seen.add(key)
 
 
+def _checked_edge(edge, index: int, n: int, arity: int, seen: set) -> tuple:
+    """One edge through every rule in turn, so the first one it breaks is the
+    one reported; ``_edge_list`` sends here each edge it does not admit inline."""
+    try:
+        if len(edge) != arity:
+            raise InvalidInstanceError(f"edge must have {arity} fields, got {edge!r}")
+        key = _ends("edge", edge[0], edge[1])
+        if arity == 3 and not (type(edge[2]) is int and edge[2] >= 1):
+            raise InvalidInstanceError(
+                f"non-integer or non-positive edge length {edge[2]!r} on edge {key}"
+            )
+        _add_key("edge", key, n, seen)
+    except InvalidInstanceError as exc:
+        raise _invalid(str(exc), "edge", index) from None
+    return key if arity == 2 else (*key, edge[2])
+
+
 def _edge_list(edges, n: int, arity: int) -> tuple:
     """Checked edges, oriented u < v and sorted: (u, v, length) for a
-    network (arity 3), (u, v) for an arrangement input (arity 2)."""
+    network (arity 3), (u, v) for an arrangement input (arity 2).  A tuple
+    that keeps every rule, as the parsers and generators build them, is
+    admitted inline; any other edge goes through ``_checked_edge``."""
     seen: set[tuple[int, int]] = set()
     out = []
     for index, edge in enumerate(edges):
-        try:
-            if len(edge) != arity:
-                raise InvalidInstanceError(f"edge must have {arity} fields, got {edge!r}")
-            key = _ends("edge", edge[0], edge[1])
-            if arity == 3 and not (type(edge[2]) is int and edge[2] >= 1):
-                raise InvalidInstanceError(
-                    f"non-integer or non-positive edge length {edge[2]!r} on edge {key}"
-                )
-            _add_key("edge", key, n, seen)
-            out.append(key if arity == 2 else (*key, edge[2]))
-        except InvalidInstanceError as exc:
-            raise _invalid(str(exc), "edge", index) from None
+        if type(edge) is tuple and len(edge) == arity:
+            u, v, length = edge if arity == 3 else (*edge, 1)
+            if type(u) is int and type(v) is int and type(length) is int:
+                if u > v:
+                    u, v = v, u
+                key = (u, v)
+                if 0 <= u < v < n and length >= 1 and key not in seen:
+                    seen.add(key)
+                    out.append((u, v, length) if arity == 3 else key)
+                    continue
+        out.append(_checked_edge(edge, index, n, arity, seen))
     out.sort()
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Network:
+def _root(adjacency, kept: set[int] | None) -> tuple[list[int], ...]:
+    """Root each component of the edge ids ``kept`` (every edge when None) at
+    its lowest vertex, by one breadth-first traversal; see ``root_forest``."""
+    n = len(adjacency)
+    parent, up, depth = [-1] * n, [-1] * n, [0] * n
+    order: list[int] = []
+    for root in range(n):
+        if parent[root] < 0:
+            parent[root] = root
+            reached = [root]
+            for x in reached:
+                for y, e in adjacency[x]:
+                    if parent[y] < 0 and (kept is None or e in kept):
+                        parent[y], up[y], depth[y] = x, e, depth[x] + 1
+                        reached.append(y)
+            order += reached
+    return parent, up, depth, order
+
+
+class Network(Frozen):
     """Connected undirected network with positive integer edge lengths.
 
     Vertices are 0..vertex_count-1.  Edges are stored canonically: each
     endpoint pair oriented with u < v and the list sorted by (u, v).  Edge
-    ids used throughout the package are positions in ``edges``.
+    ids used throughout the package are positions in ``edges``.  The
+    constructor also builds ``adjacency`` and the full rooting, which
+    decides connectivity and is what ``root_forest()`` returns.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = ("vertex_count", "edges", "adjacency", "_rooting")
+    _fields = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        _check_vertex_count(self.vertex_count)
-        object.__setattr__(self, "edges", _edge_list(self.edges, self.vertex_count, 3))
-        if not self._is_connected():
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> None:
+        _check_vertex_count(vertex_count)
+        edges = _edge_list(edges, vertex_count, 3)
+        if vertex_count > len(edges) + 1:  # fewer than n - 1 edges: no traversal needed
             raise InvalidInstanceError("network is not connected")
+        around: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+        for i, (u, v, _) in enumerate(edges):
+            around[u].append((v, i))
+            around[v].append((u, i))
+        adjacency = tuple(map(tuple, around))
+        rooting = _root(adjacency, None)
+        if rooting[1].count(-1) > 1:  # a second root starts a second component
+            raise InvalidInstanceError("network is not connected")
+        init = object.__setattr__
+        init(self, "vertex_count", vertex_count)
+        init(self, "edges", edges)
+        init(self, "adjacency", adjacency)  # per vertex: tuple of (neighbor, edge id)
+        init(self, "_rooting", tuple(map(tuple, rooting)))
 
-    def _is_connected(self) -> bool:
-        if self.vertex_count > len(self.edges) + 1:
-            return False  # fewer than n - 1 edges; decided before any per-vertex list
-        parent = self.root_forest()[0]
-        return all(parent[x] != x for x in range(1, self.vertex_count))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: tuple of (neighbor, edge id)."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v, _) in enumerate(self.edges):
-            out[u].append((v, i))
-            out[v].append((u, i))
-        return tuple(tuple(a) for a in out)
-
-    def root_forest(self, kept: Iterable[int] | None = None) -> tuple[list[int], ...]:
+    def root_forest(self, kept: Iterable[int] | None = None) -> tuple[Sequence[int], ...]:
         """Root each component of the edge ids ``kept`` (every edge when None)
         at its lowest vertex, by one breadth-first traversal.  Returns each
         vertex's parent (a root is its own), the edge id up to it (-1 at a
-        root), its depth, and the vertices in visit order, parents first."""
-        n = self.vertex_count
-        adjacency = self.adjacency
-        keep = range(len(self.edges)) if kept is None else set(kept)
-        parent, up, depth = [-1] * n, [-1] * n, [0] * n
-        order: list[int] = []
-        for root in range(n):
-            if parent[root] < 0:
-                parent[root] = root
-                reached = [root]
-                for x in reached:
-                    for y, e in adjacency[x]:
-                        if parent[y] < 0 and e in keep:
-                            parent[y], up[y], depth[y] = x, e, depth[x] + 1
-                            reached.append(y)
-                order += reached
-        return parent, up, depth, order
+        root), its depth, and the vertices in visit order, parents first.
+        Every edge gives the rooting made at construction."""
+        return self._rooting if kept is None else _root(self.adjacency, set(kept))
 
-    @cached_property
+    @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.adjacency))
 
@@ -180,50 +209,55 @@ class Network:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for d in self.degrees if d == 1)
+        return sum(1 for around in self.adjacency if len(around) == 1)
 
 
-@dataclass(frozen=True)
-class RelevantPair:
+class RelevantPair(Frozen):
     """Weighted vertex pair whose connection time enters the objective."""
 
-    u: int
-    v: int
-    weight: int
-    due: int | None = None
+    __slots__ = _fields = ("u", "v", "weight", "due")
 
-    def __post_init__(self):
-        u, v = _ends("pair", self.u, self.v)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        if type(self.weight) is not int or self.weight < 1:
+    def __init__(self, u: int, v: int, weight: int, due: int | None = None) -> None:
+        u, v = _ends("pair", u, v)
+        if type(weight) is not int or weight < 1:
             raise InvalidInstanceError(
-                f"non-integer or non-positive pair weight {self.weight!r} on pair ({u}, {v})"
+                f"non-integer or non-positive pair weight {weight!r} on pair ({u}, {v})"
             )
-        if self.due is not None and type(self.due) is not int:
-            raise InvalidInstanceError(
-                f"pair ({u}, {v}) due date must be an integer, got {self.due!r}"
-            )
+        if due is not None and type(due) is not int:
+            raise InvalidInstanceError(f"pair ({u}, {v}) due date must be an integer, got {due!r}")
+        init = object.__setattr__
+        init(self, "u", u)
+        init(self, "v", v)
+        init(self, "weight", weight)
+        init(self, "due", due)
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A network, relevant pairs, and the objective to minimize."""
+_BY_ENDS = attrgetter("u", "v")
 
-    network: Network
-    pairs: tuple[RelevantPair, ...]
-    objective: Objective = Objective.WEIGHTED_SUM
 
-    def __post_init__(self):
-        objective = _as_objective(self.objective)
-        pairs = tuple(self.pairs)
+class Instance(Frozen):
+    """A network, relevant pairs, and the objective to minimize.
+
+    ``terminals`` lists every pair endpoint once, ascending."""
+
+    __slots__ = ("network", "pairs", "objective", "terminals")
+    _fields = ("network", "pairs", "objective")
+
+    def __init__(
+        self,
+        network: Network,
+        pairs: Iterable[RelevantPair],
+        objective: "Objective | str" = Objective.WEIGHTED_SUM,
+    ) -> None:
+        objective = _as_objective(objective)
+        pairs = tuple(pairs)
         if not pairs:
             raise InvalidInstanceError("instance has no relevant pairs")
-        n = self.network.vertex_count
+        n = network.vertex_count
         maxlat = objective is Objective.MAX_LATENESS
         seen: set[tuple[int, int]] = set()
         for index, pair in enumerate(pairs):
@@ -238,16 +272,15 @@ class Instance:
                     )
             except InvalidInstanceError as exc:
                 raise _invalid(str(exc), "pair", index) from None
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "pairs", tuple(sorted(pairs, key=lambda p: p.key)))
+        init = object.__setattr__
+        init(self, "network", network)
+        init(self, "pairs", tuple(sorted(pairs, key=_BY_ENDS)))
+        init(self, "objective", objective)
+        init(self, "terminals", tuple(sorted({x for key in seen for x in key})))
 
     @property
     def pair_count(self) -> int:
         return len(self.pairs)
-
-    @cached_property
-    def terminals(self) -> tuple[int, ...]:
-        return tuple(sorted({x for p in self.pairs for x in p.key}))
 
     def common_pair_vertex(self) -> int | None:
         """Smallest vertex shared by every pair, or None."""
@@ -257,21 +290,21 @@ class Instance:
         return min(shared) if shared else None
 
 
-@dataclass(frozen=True)
-class OlaInput:
+class OlaInput(Frozen):
     """Simple graph plus threshold for the linear-arrangement reduction."""
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    threshold: int
+    __slots__ = _fields = ("vertex_count", "edges", "threshold")
 
-    def __post_init__(self):
-        _check_vertex_count(self.vertex_count)
-        if type(self.threshold) is not int or self.threshold < 0:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]], threshold: int) -> None:
+        _check_vertex_count(vertex_count)
+        if type(threshold) is not int or threshold < 0:
             raise _invalid(
-                f"threshold must be a non-negative integer, got {self.threshold!r}", "threshold"
+                f"threshold must be a non-negative integer, got {threshold!r}", "threshold"
             )
-        object.__setattr__(self, "edges", _edge_list(self.edges, self.vertex_count, 2))
+        init = object.__setattr__
+        init(self, "vertex_count", vertex_count)
+        init(self, "edges", _edge_list(edges, vertex_count, 2))
+        init(self, "threshold", threshold)
 
 
 # --- text format -----------------------------------------------------------
@@ -287,10 +320,13 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    r"""Each line's tokens, comment dropped, with the line's number.  Lines
+    end at ``\n`` alone (``str.splitlines`` would also end one at a form
+    feed or a Unicode separator); a ``\r`` before it is whitespace."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _build(cls, lines: dict, line: int | None, *args):
@@ -342,19 +378,24 @@ def parse_instance(text: str) -> Instance:
             if tokens != ["netcon", "1"]:
                 raise InstanceFormatError("expected header 'netcon 1'", lineno)
             header_seen = True
-        elif keyword in ("objective", "vertices"):
-            _singleton(tokens, lineno, lines, values)
-        elif keyword == "edge":
+        elif keyword == "edge":  # most lines: tested first
             if "vertices" not in lines:
                 raise InstanceFormatError("edge line before vertices line", lineno)
             if len(tokens) != 4:
                 raise InstanceFormatError("expected 'edge <u> <v> <length>'", lineno)
-            edges.append((
-                _parse_int(tokens[1], "edge endpoint", lineno),
-                _parse_int(tokens[2], "edge endpoint", lineno),
-                _parse_int(tokens[3], "edge length", lineno),
-            ))
+            _, u, v, length = tokens
+            digits = u + v + length
+            if digits.isdigit() and digits.isascii():  # all three pass _parse_int
+                edges.append((int(u), int(v), int(length)))
+            else:
+                edges.append((
+                    _parse_int(u, "edge endpoint", lineno),
+                    _parse_int(v, "edge endpoint", lineno),
+                    _parse_int(length, "edge length", lineno),
+                ))
             lines["edge"].append(lineno)
+        elif keyword in ("objective", "vertices"):
+            _singleton(tokens, lineno, lines, values)
         elif keyword == "pair":
             if "vertices" not in lines:
                 raise InstanceFormatError("pair line before vertices line", lineno)
@@ -362,7 +403,11 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("pair line before objective line", lineno)
             if len(tokens) not in (4, 5):
                 raise InstanceFormatError("expected 'pair <u> <v> <weight> [<due>]'", lineno)
-            fields = [_parse_int(t, what, lineno) for t, what in zip(tokens[1:], _PAIR_FIELDS)]
+            digits = "".join(tokens[1:])
+            if digits.isdigit() and digits.isascii():  # as for an edge line
+                fields = list(map(int, tokens[1:]))
+            else:
+                fields = [_parse_int(t, what, lineno) for t, what in zip(tokens[1:], _PAIR_FIELDS)]
             pairs.append(_build(RelevantPair, {}, lineno, *fields))
             lines["pair"].append(lineno)
         else:

@@ -8,14 +8,13 @@ runs; the full suite uses scale=1.0.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import Job, density_decomposition, merge_two_chains
 from .errors import NetconError
@@ -33,8 +32,7 @@ from .oracle import interleaving_oracle, subset_dp
 from .tree_solver import solve_tree
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool
@@ -116,7 +114,7 @@ def _fixed_r_instances(rng: random.Random, trials: int):
         else:
             pairs = _random_pairs(rng, n, r)
         if maxlat:
-            pairs = [dataclasses.replace(p, due=rng.randint(0, 30)) for p in pairs]
+            pairs = [RelevantPair(p.u, p.v, p.weight, rng.randint(0, 30)) for p in pairs]
         objective = "maxlat" if maxlat else "wct"
         yield trial, Instance(base.network, tuple(pairs), objective)
 

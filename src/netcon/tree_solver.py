@@ -24,19 +24,18 @@ the build order itself once, at the end, by following the last edges down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import chains
 from .errors import GuardExceededError, NetconError, SequenceError, UnsupportedInstanceError
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
+from .frozen import Frozen
 from .model import Instance, Network, Objective, RelevantPair
 
 LEAF_BOUND = 6
 
 
-@dataclass(frozen=True)
-class SubtreeCatalog:
+class SubtreeCatalog(NamedTuple):
     """Every connected edge subset of a tree, keyed by its edge bitmask.
 
     ``keys`` lists every subtree's mask in ascending order.  ``growth[key]``
@@ -60,19 +59,24 @@ class SubtreeCatalog:
         return len(self.keys)
 
 
-@dataclass(frozen=True)
-class SubtreeRecord:
+class SubtreeRecord(Frozen):
     """Optimal solution of one subtree, kept only as far as merges need it.
 
     ``blocks`` is the density decomposition of the subtree's optimal job chain
     (one job per edge, weighted by the pairs that edge connects), with
     ``start``/``end`` indexing its build order; ``last`` is the edge built
-    last.  ``subtree_sequence`` rebuilds the order itself on demand.
+    last.  ``subtree_sequence`` rebuilds the order itself on demand.  Slots,
+    not a tuple: the DP reads ``value`` and ``blocks`` at every merge, and a
+    slot is read faster than a named tuple's field.
     """
 
-    value: int
-    blocks: tuple[chains.BlockSummary, ...]
-    last: int
+    __slots__ = _fields = ("value", "blocks", "last")
+
+    def __init__(self, value: int, blocks: tuple[chains.BlockSummary, ...], last: int) -> None:
+        init = object.__setattr__
+        init(self, "value", value)
+        init(self, "blocks", blocks)
+        init(self, "last", last)
 
 
 def _edge_side_masks(network: Network) -> tuple[tuple[int, int], ...]:
@@ -142,9 +146,10 @@ def pair_weight_tables(
         by_vertex[pair.u].append((pair.v, pair.weight))
         by_vertex[pair.v].append((pair.u, pair.weight))
 
+    growth = catalog.growth
     weights: dict[int, int] = {0: 0}
     for key in catalog.keys:
-        parent, inside, vertex = catalog.growth[key]
+        parent, inside, vertex = growth[key]
         gained = sum(w for other, w in by_vertex[vertex] if inside >> other & 1)
         weights[key] = weights[parent] + gained
     return weights

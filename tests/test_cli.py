@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import pathlib
 import re
 
@@ -356,7 +355,7 @@ def test_a_replay_that_disagrees_with_the_table_value_exits_4(capsys, monkeypatc
 
     def off_by_one(*args):
         evaluation = original(*args)
-        return dataclasses.replace(evaluation, value=evaluation.value + 1)
+        return evaluation._replace(value=evaluation.value + 1)
 
     monkeypatch.setattr(netcon.metric_solver, "evaluate_rforest", off_by_one)
     status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
@@ -370,7 +369,7 @@ def test_a_sequence_replay_below_the_forest_value_exits_4(capsys, monkeypatch):
 
     def one_too_high(*args):
         evaluation = original(*args)
-        return dataclasses.replace(evaluation, value=evaluation.value + 1)
+        return evaluation._replace(value=evaluation.value + 1)
 
     monkeypatch.setattr(netcon.metric_solver, "project_to_graph", one_too_high)
     status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
@@ -398,7 +397,7 @@ def test_a_fixed_r_sequence_with_a_repeated_edge_exits_4(capsys, monkeypatch):
     def repeated(*args):
         evaluation = original(*args)
         order = evaluation.edge_order
-        return dataclasses.replace(evaluation, edge_order=order + order[:1])
+        return evaluation._replace(edge_order=order + order[:1])
 
     monkeypatch.setattr(netcon.metric_solver, "project_to_graph", repeated)
     status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(FIXTURES / "graph7.ncn"))
@@ -435,7 +434,7 @@ def test_auto_backend_routes_by_shape(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, recording(name))
     path3 = parse_instance((FIXTURES / "path3.ncn").read_text())
     maxlat_tree = tmp_path / "path3_maxlat.ncn"
-    maxlat_pairs = tuple(dataclasses.replace(p, due=3) for p in path3.pairs)
+    maxlat_pairs = tuple(RelevantPair(p.u, p.v, p.weight, 3) for p in path3.pairs)
     maxlat_tree.write_text(write_instance(Instance(path3.network, maxlat_pairs, "maxlat")))
     star = tmp_path / "star.ncn"  # wct, one leaf past the leaf bound
     at_bound = tmp_path / "star_at_bound.ncn"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import operator
@@ -47,7 +46,7 @@ SQUARE = _inst(
 
 def _as_maxlat(inst):
     """The same network and pairs under maxlat; a pair with no due date is due at 0."""
-    pairs = tuple(dataclasses.replace(p, due=p.due or 0) for p in inst.pairs)
+    pairs = tuple(RelevantPair(p.u, p.v, p.weight, p.due or 0) for p in inst.pairs)
     return Instance(inst.network, pairs, "maxlat")
 
 
@@ -229,7 +228,7 @@ def test_evaluate_rforest_weighted_sum():
     assert evaluation.edge_order == (0, 1)
     assert evaluate_sequence(inst, evaluation.edge_order).objective == evaluation.value
     # the other order charges (0,1) only when its own block completes: 2 + 2
-    assert dataclasses.astuple(evaluate_rforest(((0,), (0, 1)), inst, (1, 0))) == (4, (0, 1))
+    assert tuple(evaluate_rforest(((0,), (0, 1)), inst, (1, 0))) == (4, (0, 1))
 
 
 def test_evaluate_rforest_single_pair():

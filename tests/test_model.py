@@ -1,23 +1,34 @@
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import netcon
 from netcon import (
+    ConnectionReport,
     Instance,
     InstanceFormatError,
     InvalidInstanceError,
+    Job,
     Network,
     Objective,
     OlaInput,
     RelevantPair,
+    Verdict,
     generate,
     parse_instance,
     parse_ola_input,
     reduce_ola,
     subset_dp,
     write_instance,
+    write_ola_input,
 )
+from netcon.cli import parse_solution
 from netcon.unionfind import UnionFind
 
 MINIMAL = """\
@@ -468,3 +479,99 @@ def test_instance_helpers():
     assert inst.common_pair_vertex() is None
     depot = Instance(inst.network, (RelevantPair(0, 1, 1), RelevantPair(0, 3, 1)))
     assert depot.common_pair_vertex() == 0
+
+
+# str.splitlines() also ends a line at each of these; the text formats end one at "\n" alone
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("mark", NOT_LINE_ENDS, ids=[hex(ord(c)) for c in NOT_LINE_ENDS])
+def test_line_numbers_count_only_newlines(mark):
+    text = f"netcon 1\nobjective wct{mark}\nvertices 2\nedge 0 1 1\npair 0 1 x\n"
+    with pytest.raises(InstanceFormatError, match="^line 5: pair weight must be an integer"):
+        parse_instance(text)
+    ola = f"ola 1\nvertices 2{mark}\nthreshold 0\nedge 0 x\n"
+    with pytest.raises(InstanceFormatError, match="^line 4: edge endpoint must be an integer"):
+        parse_ola_input(ola)
+    instance = parse_instance(MINIMAL)
+    solution = f"pair 0 1 t=4{mark}\nobjective 8\nsequence\nx\n"
+    with pytest.raises(InstanceFormatError, match="^line 4: edge id must be an integer"):
+        parse_solution(instance, solution)
+
+
+def test_crlf_line_ends_still_parse_with_the_same_line_numbers():
+    assert parse_instance(PATH4.replace("\n", "\r\n")) == parse_instance(PATH4)
+    with pytest.raises(InstanceFormatError, match="^line 6: "):
+        parse_instance(PATH4.replace("edge 2 3 3", "edge 2 3 x").replace("\n", "\r\n"))
+
+
+def _public_values():
+    """Per public value type: a builder (called twice, for two equal values)
+    and a value of the same type with one field changed."""
+    network = Network(3, ((0, 1, 2), (1, 2, 3)))
+    return [
+        (lambda: Network(3, ((1, 0, 2), (1, 2, 3))), Network(3, ((0, 1, 2), (1, 2, 4)))),
+        (lambda: RelevantPair(2, 0, 1, 5), RelevantPair(0, 2, 1, 6)),
+        (lambda: Instance(network, (RelevantPair(0, 2, 1),)), Instance(network, (RelevantPair(0, 1, 1),))),
+        (lambda: OlaInput(3, ((1, 0),), 2), OlaInput(3, ((0, 1),), 3)),
+        (lambda: Job(2, 3, "t"), Job(2, 4, "t")),
+        (lambda: ConnectionReport((1, 2), 3), ConnectionReport((1, 2), 4)),
+        (lambda: Verdict(True), Verdict(False)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, other", _public_values(), ids=[type(other).__name__ for _, other in _public_values()]
+)
+def test_public_value_types_are_immutable_values(build, other):
+    value, twin = build(), build()
+    assert value is not twin
+    assert value == twin and hash(value) == hash(twin)
+    assert value != other and type(other) is type(value)
+    assert pickle.loads(pickle.dumps(value)) == value
+    name = type(value).__name__
+    assert repr(value).startswith(f"{name}(")
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other, field))
+    assert value == twin
+
+
+def test_every_public_value_type_is_covered():
+    covered = {type(other) for _, other in _public_values()}
+    assert covered == {Network, RelevantPair, Instance, OlaInput, Job, ConnectionReport, Verdict}
+
+
+def test_texts_read_back_to_equal_values():
+    rng = random.Random(23)
+    for objective in ("wct", "maxlat"):
+        for kind in ("path", "random_graph"):
+            inst = generate(kind, 7, seed=rng.randrange(1 << 30), pair_count=4, objective=objective)
+            again = parse_instance(write_instance(inst))
+            assert again == inst and hash(again) == hash(inst)
+    ola = OlaInput(4, ((2, 0), (1, 3), (0, 1)), 5)
+    assert parse_ola_input(write_ola_input(ola)) == ola
+
+
+def test_an_edge_given_as_a_list_is_admitted_as_its_tuple():
+    as_lists = Network(3, ([2, 1, 4], [0, 1, 2]))
+    assert as_lists == Network(3, ((1, 2, 4), (0, 1, 2)))
+    assert as_lists.edges == ((0, 1, 2), (1, 2, 4))
+    assert OlaInput(3, ([1, 0],), 0).edges == ((0, 1),)
+
+
+def test_importing_the_package_and_its_cli_imports_no_dataclasses():
+    # in a fresh interpreter, so no earlier import in this process counts
+    src = str(pathlib.Path(netcon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; before = 'dataclasses' in sys.modules; import netcon, netcon.cli; "
+        "print(before, 'dataclasses' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    before, after = done.stdout.split()
+    if before == "True":
+        pytest.skip("this interpreter imports dataclasses before netcon")
+    assert after == "False"

@@ -8,8 +8,6 @@ vertices changes no objective, and the shortest-path distances the fixed-r
 DPs start from are the graph's (checked against scipy).
 """
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -38,7 +36,7 @@ def _small_graph(seed, objective):
 
 
 def _shift_dues(instance, shift):
-    pairs = tuple(dataclasses.replace(p, due=p.due + shift) for p in instance.pairs)
+    pairs = tuple(RelevantPair(p.u, p.v, p.weight, p.due + shift) for p in instance.pairs)
     return Instance(instance.network, pairs, instance.objective)
 
 
@@ -73,7 +71,7 @@ def test_length_scaling_scales_wct(seed, k):
 @given(seed=SEEDS, k=st.integers(1, 1 << 62))
 def test_length_and_due_scaling_scales_maxlat(seed, k):
     inst = _small_graph(seed, "maxlat")
-    pairs = tuple(dataclasses.replace(p, due=p.due * k) for p in inst.pairs)
+    pairs = tuple(RelevantPair(p.u, p.v, p.weight, p.due * k) for p in inst.pairs)
     scaled = _scale_lengths(Instance(inst.network, pairs, inst.objective), k)
     want = subset_dp(inst)[0]
     assert solve_fixed_r(inst)[1].objective == want
@@ -107,7 +105,7 @@ def test_fixed_r_handles_a_2_pow_60_edge():
 
 def _relabel(instance, perm):
     edges = tuple((perm[u], perm[v], c) for u, v, c in instance.network.edges)
-    pairs = tuple(dataclasses.replace(p, u=perm[p.u], v=perm[p.v]) for p in instance.pairs)
+    pairs = tuple(RelevantPair(perm[p.u], perm[p.v], p.weight, p.due) for p in instance.pairs)
     return Instance(Network(instance.network.vertex_count, edges), pairs, instance.objective)
 
 

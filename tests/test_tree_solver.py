@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import netcon.model
 from netcon import (
     GuardExceededError,
     Instance,
@@ -17,8 +18,10 @@ from netcon import (
     reduce_ola,
     solve_tree,
     subset_dp,
+    write_instance,
 )
 from netcon.chains import block_summaries
+from netcon.cli import main
 from netcon.tree_solver import (
     _edge_side_masks,
     enumerate_subtrees,
@@ -393,3 +396,26 @@ def test_leaf_guard():
     with pytest.raises(GuardExceededError):
         solve_tree(star)
     assert solve_tree(star, force=True)[1].objective == subset_dp(star)[0]
+
+
+def test_a_tree_solve_roots_the_network_once(monkeypatch, tmp_path, capsys):
+    # the rooting made when the network is built decides connectivity and
+    # gives the tree solver its edge sides; nothing roots every edge again
+    full = []
+    original = netcon.model._root
+
+    def counting(adjacency, kept):
+        if kept is None:
+            full.append(len(adjacency))
+        return original(adjacency, kept)
+
+    monkeypatch.setattr(netcon.model, "_root", counting)
+    instance = generate("path", 9, seed=2, pair_count=4)
+    assert full == [9]
+    solve_tree(instance)
+    assert full == [9]
+    path = tmp_path / "path9.ncn"
+    path.write_text(write_instance(instance))
+    assert main(["solve", "--backend", "tree", str(path)]) == 0
+    assert "objective" in capsys.readouterr().out
+    assert full == [9, 9]  # the file's network, read back once
