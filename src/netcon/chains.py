@@ -9,10 +9,11 @@ highest-density front block, preferring the first chain on ties
 (``interleave``).
 
 Every block is a plain ``(weight, processing, inner, start, end)`` tuple, and
-``append_block`` is the one fusing rule: it appends a block and fuses it with
-its predecessors while their density is not higher.  ``block_summaries``
-folds it over single jobs; the tree solver folds it over two interleaved
-decompositions plus one job, so no subtree's job list is ever rebuilt.
+``merged_blocks`` holds the one fusing rule: it takes two decompositions'
+blocks in interleaving order, then one more job, and fuses each with its
+predecessors while their density is not higher.  ``block_summaries`` feeds it
+single jobs; the tree solver feeds it two subtrees' blocks and the last edge's
+job, so no subtree's job list is ever rebuilt.
 
 A chain whose first block has no weight has none at all: densities fall
 strictly and weights are non-negative, so it is that one block or nothing.
@@ -52,24 +53,45 @@ Chain = Sequence[Job]
 BlockSummary = tuple[int, int, int, int, int]
 
 
-def append_block(blocks: list[BlockSummary], block: BlockSummary) -> None:
-    """Append ``block`` to a decomposition, fusing it backwards while its density is not lower.
+def merged_blocks(
+    s1: Sequence[BlockSummary], s2: Sequence[BlockSummary], weight: int, processing: int
+) -> tuple[BlockSummary, ...]:
+    """Decomposition of the optimal interleaving of ``s1`` and ``s2`` followed
+    by one job of ``weight`` and ``processing``, each block re-based onto the
+    merged order.
 
-    This is the one fusing rule: a fused block's jobs in the later part finish
-    ``p0`` later, which adds ``w * p0`` to its inner cost.
+    One loop takes the blocks in ``interleave`` order, then the job, and fuses
+    each with its predecessors while their density is not higher: this is the
+    one fusing rule.  A fused block's jobs in the later part finish ``p0``
+    later, which adds ``w * p0`` to its inner cost.
     """
-    w, p, inner, start, end = block
-    while blocks and blocks[-1][0] * p <= w * blocks[-1][1]:
-        w0, p0, inner0, start, _ = blocks.pop()
-        w, p, inner = w0 + w, p0 + p, inner0 + inner + w * p0
-    blocks.append((w, p, inner, start, end))
+    blocks: list[BlockSummary] = []
+    n1 = len(s1)
+    n2 = len(s2)
+    i = j = at = 0
+    for _ in range(n1 + n2 + 1):
+        if i < n1 and (j == n2 or s1[i][0] * s2[j][1] >= s2[j][0] * s1[i][1]):
+            w, p, inner, start, end = s1[i]
+            i += 1
+        elif j < n2:
+            w, p, inner, start, end = s2[j]
+            j += 1
+        else:
+            w, p, inner, start, end = weight, processing, weight * processing, 0, 1
+        start, at = at, at + end - start
+        while blocks and blocks[-1][0] * p <= w * blocks[-1][1]:
+            w0, p0, inner0, start, _ = blocks.pop()
+            w, p, inner = w0 + w, p0 + p, inner0 + inner + w * p0
+        blocks.append((w, p, inner, start, at))
+    return tuple(blocks)
 
 
 def block_summaries(ps: Sequence[int], ws: Sequence[int]) -> tuple[BlockSummary, ...]:
-    blocks: list[BlockSummary] = []
-    for i, (p, w) in enumerate(zip(ps, ws)):
-        append_block(blocks, (w, p, w * p, i, i + 1))
-    return tuple(blocks)
+    jobs = [(w, p, w * p, i, i + 1) for i, (p, w) in enumerate(zip(ps, ws))]
+    if not jobs:
+        return ()
+    w, p, _, _, _ = jobs.pop()
+    return merged_blocks(jobs, (), w, p)
 
 
 def density_decomposition(chain: Chain) -> list[BlockSummary]:

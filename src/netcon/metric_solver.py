@@ -83,8 +83,8 @@ from __future__ import annotations
 import itertools
 import math
 from heapq import heapify, heappop, heappush
-from itertools import repeat
-from operator import add, lshift, mul, or_, sub
+from itertools import compress, count, repeat
+from operator import add, lshift, lt, mul, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
@@ -97,16 +97,18 @@ PAIR_BOUND_DEPOT = 6
 
 
 def _dijkstra(
-    network: Network, labels: dict[int, int], factor: int, below: Sequence[float]
-) -> list[int]:
+    network: Network, labels: list[float], factor: int, below: Sequence[float]
+) -> list[float]:
     """Lowest labels from the labelled vertices along edges costing ``factor``
     times their length, for every vertex (the network is connected), keeping
     each vertex v's label only once it is below ``below[v]``: those labels
     come out exact, and every other one stays as given or lowered, at least
-    ``below[v]``.  ``labels`` is lowered in place."""
+    ``below[v]``.  ``labels`` holds one label per vertex (``inf`` for none),
+    is lowered in place and returned; the search starts from the vertices
+    whose label is below ``below``."""
     adjacency = network.adjacency
     edges = network.edges
-    heap = [(d, v) for v, d in labels.items() if d < below[v]]
+    heap = list(compress(zip(labels, count()), map(lt, labels, below)))
     heapify(heap)
     while heap:
         d, x = heappop(heap)
@@ -114,10 +116,10 @@ def _dijkstra(
             continue  # a stale entry
         for y, eid in adjacency[x]:
             alt = d + factor * edges[eid][2]
-            if alt < below[y] and (y not in labels or alt < labels[y]):
+            if alt < below[y] and alt < labels[y]:
                 labels[y] = alt
                 heappush(heap, (alt, y))
-    return [labels[v] for v in range(network.vertex_count)]
+    return labels
 
 
 def _descend(network: Network, dist: Sequence[int], v: int) -> list[int]:
@@ -154,7 +156,12 @@ def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[
     """Shortest distances from each source to every vertex: one Dijkstra per
     source, exact integers."""
     unbounded = [math.inf] * network.vertex_count
-    return [_dijkstra(network, {s: 0}, 1, unbounded) for s in sources]
+    rows = []
+    for s in sources:
+        row = unbounded.copy()
+        row[s] = 0
+        rows.append(_dijkstra(network, row, 1, unbounded))
+    return rows
 
 
 # A forest joining every pair: per pair in ``instance.pairs`` order, its
@@ -362,7 +369,7 @@ def _subset_tables(
             if spans:
                 *_, need = _needs(dist, spans, mask)
                 below = list(map(sub, below, need))
-            g[mask] = _dijkstra(network, dict(enumerate(row)), coef[mask], below)
+            g[mask] = _dijkstra(network, list(row), coef[mask], below)  # a copy: h[mask] keeps row
         else:
             g[mask] = [min(row)] * n
     return g, h

@@ -15,11 +15,15 @@ by edges of higher id only, and keeps the one-edge-smaller subtree it grew
 from (the empty one for a single edge); pair weights and lengths are sums
 over that single step.
 
-A subtree's record keeps only what later merges read: its value, the density
-decomposition (blocks) of its optimal job chain, and its last edge.  The
-blocks come from the two parts' blocks, interleaved and followed by the last
-edge's job, through ``chains.append_block``.  ``subtree_sequence`` rebuilds
-the build order itself once, at the end, by following the last edges down.
+A subtree's record is one plain tuple of what later merges read: its value,
+the density decomposition (blocks) of its optimal job chain, its pair weight
+and its last edge; the empty subtree 0 is ``(0, (), 0, -1)``.  A trial reads
+both parts' records and scores the merge less L times their weights, and the
+winner adds L times its own weight once, which moves no value and no tie.  The
+winner's blocks come from the two parts' blocks, interleaved and followed by
+the last edge's job, through ``chains.merged_blocks``.  ``subtree_sequence``
+rebuilds the build order itself once, at the end, by following the last edges
+down.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from typing import Iterable, Mapping, NamedTuple
 from . import chains
 from .errors import GuardExceededError, NetconError, SequenceError, UnsupportedInstanceError
 from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
-from .frozen import Frozen
 from .model import Instance, Network, Objective, RelevantPair
 
 LEAF_BOUND = 6
@@ -59,24 +62,12 @@ class SubtreeCatalog(NamedTuple):
         return len(self.keys)
 
 
-class SubtreeRecord(Frozen):
-    """Optimal solution of one subtree, kept only as far as merges need it.
-
-    ``blocks`` is the density decomposition of the subtree's optimal job chain
-    (one job per edge, weighted by the pairs that edge connects), with
-    ``start``/``end`` indexing its build order; ``last`` is the edge built
-    last.  ``subtree_sequence`` rebuilds the order itself on demand.  Slots,
-    not a tuple: the DP reads ``value`` and ``blocks`` at every merge, and a
-    slot is read faster than a named tuple's field.
-    """
-
-    __slots__ = _fields = ("value", "blocks", "last")
-
-    def __init__(self, value: int, blocks: tuple[chains.BlockSummary, ...], last: int) -> None:
-        init = object.__setattr__
-        init(self, "value", value)
-        init(self, "blocks", blocks)
-        init(self, "last", last)
+# A subtree's optimal solution, as far as merges need it: (value, blocks,
+# pair weight, last edge).  ``blocks`` is the density decomposition of its
+# optimal job chain (one job per edge, weighted by the pairs that edge
+# connects), with ``start``/``end`` indexing its build order;
+# ``subtree_sequence`` rebuilds the order itself on demand.
+SubtreeRecord = tuple[int, tuple[chains.BlockSummary, ...], int, int]
 
 
 def _edge_side_masks(network: Network) -> tuple[tuple[int, int], ...]:
@@ -157,76 +148,58 @@ def pair_weight_tables(
 
 def subtree_records(
     network: Network, catalog: SubtreeCatalog, weights: Mapping[int, int]
-) -> dict[int, SubtreeRecord | None]:
-    """Optimal record of every subtree, keyed by edge mask (0 maps to None).
+) -> dict[int, SubtreeRecord]:
+    """Optimal record of every subtree, keyed by edge mask (0 maps to ``(0, (), 0, -1)``).
 
     Each subtree tries every edge as its last one: the two components left by
     deleting it are merged as two chains, then the edge connects every pair
-    whose path crosses it.  The winner's blocks are the two parts' blocks,
-    interleaved and re-based onto the merged order, then the last edge as one
-    job, all folded through ``chains.append_block``.
+    whose path crosses it.  The lowest edge wins a tie.
     """
     edges = network.edges
-    sides = catalog.sides
+    side_u = [u for u, _ in catalog.sides]
+    side_v = [v for _, v in catalog.sides]
     growth = catalog.growth
     merge_value = chains.merge_value
-    append_block = chains.append_block
+    merged_blocks = chains.merged_blocks
 
     lengths: dict[int, int] = {0: 0}
-    records: dict[int, SubtreeRecord | None] = {0: None}
+    records: dict[int, SubtreeRecord] = {0: (0, (), 0, -1)}
     for key in catalog.keys:
         parent = growth[key][0]
         total_length = lengths[parent] + edges[(key ^ parent).bit_length() - 1][2]
         lengths[key] = total_length
-        w_key = weights[key]
 
         best_value = None
         best_edge = -1
-        best_parts = (0, 0)
         probe = key
         while probe:
             low = probe & -probe
             probe ^= low
             eid = low.bit_length() - 1
-            side_u, side_v = sides[eid]
-            part_a = key & side_u
-            part_b = key & side_v
-            rec_a = records[part_a]
-            rec_b = records[part_b]
-            # a lone component's merge cost is its own optimal value
-            if rec_a is None:
-                value = rec_b.value if rec_b else 0
-            elif rec_b is None:
-                value = rec_a.value
+            value_a, blocks_a, weight_a, _ = records[key & side_u[eid]]
+            value_b, blocks_b, weight_b, _ = records[key & side_v[eid]]
+            # beside an empty part, a component's merge cost is its own value
+            if blocks_a and blocks_b:
+                value = merge_value(blocks_a, blocks_b, value_a, value_b)
             else:
-                value = merge_value(rec_a.blocks, rec_b.blocks, rec_a.value, rec_b.value)
-            value += total_length * (w_key - weights[part_a] - weights[part_b])
+                value = value_a + value_b
+            # the last edge connects w_key - weight_a - weight_b at time L;
+            # L * w_key, the same for every trial, is added to the winner
+            value -= total_length * (weight_a + weight_b)
             if best_value is None or value < best_value:
                 best_value = value
                 best_edge = eid
-                best_parts = (part_a, part_b)
 
-        part_a, part_b = best_parts
-        blocks: list[chains.BlockSummary] = []
-        at = 0
-        for _, (w, p, inner, start, end) in chains.interleave(
-            _blocks_of(records[part_a]), _blocks_of(records[part_b])
-        ):
-            append_block(blocks, (w, p, inner, at, at + end - start))
-            at += end - start
-        w = w_key - weights[part_a] - weights[part_b]
-        c = edges[best_edge][2]
-        append_block(blocks, (w, c, w * c, at, at + 1))
-        records[key] = SubtreeRecord(best_value, tuple(blocks), best_edge)
+        w_key = weights[key]
+        _, blocks_a, weight_a, _ = records[key & side_u[best_edge]]
+        _, blocks_b, weight_b, _ = records[key & side_v[best_edge]]
+        blocks = merged_blocks(blocks_a, blocks_b, w_key - weight_a - weight_b, edges[best_edge][2])
+        records[key] = (best_value + total_length * w_key, blocks, w_key, best_edge)
     return records
 
 
-def _blocks_of(record: SubtreeRecord | None) -> tuple[chains.BlockSummary, ...]:
-    return record.blocks if record else ()
-
-
 def subtree_sequence(
-    records: Mapping[int, SubtreeRecord | None], catalog: SubtreeCatalog, key: int
+    records: Mapping[int, SubtreeRecord], catalog: SubtreeCatalog, key: int
 ) -> tuple[int, ...]:
     """Optimal build order of subtree ``key``, rebuilt from the records.
 
@@ -241,18 +214,17 @@ def subtree_sequence(
         k = stack.pop()
         if k:
             reached.append(k)
-            stack.extend(catalog.split(k, records[k].last))
+            stack.extend(catalog.split(k, records[k][3]))
     orders: dict[int, tuple[int, ...]] = {}
     for k in reversed(reached):
-        record = records[k]
-        part_a, part_b = catalog.split(k, record.last)
+        last = records[k][3]
+        part_a, part_b = catalog.split(k, last)
         sides = (orders.pop(part_a, ()), orders.pop(part_b, ()))
         seq: list[int] = []
-        for side, (_, _, _, start, end) in chains.interleave(
-            _blocks_of(records[part_a]), _blocks_of(records[part_b])
-        ):
+        blocks = chains.interleave(records[part_a][1], records[part_b][1])
+        for side, (_, _, _, start, end) in blocks:
             seq.extend(sides[side][start:end])
-        seq.append(record.last)
+        seq.append(last)
         orders[k] = tuple(seq)
     return orders.get(key, ())
 
@@ -281,7 +253,7 @@ def solve_tree(
     weights = pair_weight_tables(network, instance.pairs, catalog)
     records = subtree_records(network, catalog, weights)
     full = (1 << network.edge_count) - 1
-    value = records[full].value
+    value = records[full][0]
     seq = subtree_sequence(records, catalog, full)
     try:
         report = evaluate_sequence(instance, seq)

@@ -30,6 +30,7 @@ FIXTURE_OBJECTIVES = {
     "square_maxlat.ncn": 0,
     "star_ola.ncn": 22,
     "tree8.ncn": 36,
+    "spider3.ncn": 341,
     "graph7.ncn": 18,
     "maxlat_step3.ncn": 9,
     "maxlat_pareto.ncn": 12,

@@ -383,8 +383,10 @@ def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     original = netcon.metric_solver._dijkstra
 
     def recorded(network, labels, factor, below):
-        if len(labels) == 1:
-            sources.extend(labels)
+        # a single-source run labels its source 0 and every other vertex inf
+        finite = [v for v, label in enumerate(labels) if label != math.inf]
+        if len(finite) == 1 and labels[finite[0]] == 0:
+            sources.extend(finite)
         return original(network, labels, factor, below)
 
     monkeypatch.setattr(netcon.metric_solver, "_dijkstra", recorded)

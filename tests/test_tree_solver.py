@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import netcon.chains
 import netcon.model
 from netcon import (
     GuardExceededError,
@@ -221,18 +222,63 @@ def test_subtree_records_on_path3():
     catalog = enumerate_subtrees(PATH3.network)
     weights = pair_weight_tables(PATH3.network, PATH3.pairs, catalog)
     records = subtree_records(PATH3.network, catalog, weights)
-    assert records[0] is None
-    lone = records[0b01]
-    assert (lone.value, lone.last) == (3, 0)  # length 1 times weight 3
-    assert lone.blocks == block_summaries((1,), (3,))
-    assert (records[0b10].value, records[0b10].last) == (2, 1)
+    assert records[0] == (0, (), 0, -1)
+    value, blocks, weight, last = records[0b01]
+    assert (value, last) == (3, 0)  # length 1 times weight 3
+    assert blocks == block_summaries((1,), (3,))
+    assert weight == 3
+    value, _, _, last = records[0b10]
+    assert (value, last) == (2, 1)
     # ending with edge 1 costs 9, ending with edge 0 would cost 14
-    full = records[0b11]
-    assert (full.value, full.last) == (9, 1)
-    assert full.blocks == block_summaries((1, 2), (3, 2))  # edge 0 connects 3, edge 1 then 2
+    value, blocks, weight, last = records[0b11]
+    assert (value, last) == (9, 1)
+    assert blocks == block_summaries((1, 2), (3, 2))  # edge 0 connects 3, edge 1 then 2
+    assert weight == 5
     orders = [subtree_sequence(records, catalog, key) for key in (0b01, 0b10, 0b11)]
     assert orders == [(0,), (1,), (0, 1)]
     assert evaluate_sequence(PATH3, (1, 0)).objective == 14
+
+
+def _merge_count_instances():
+    """Random spiders with 2-4 legs and random trees, n <= 12, random pairs."""
+    rng = random.Random(47)
+    for _ in range(12):
+        n = rng.randint(4, 12)
+        legs = rng.randint(2, 4)
+        edges = []
+        for v in range(1, n):
+            edges.append((0 if v <= legs else v - legs, v, rng.randint(1, 5)))
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], rng.randint(1, 5))
+        yield _inst(edges, [(u, v, rng.randint(1, 4)) for u, v in pairs])
+    for _ in range(12):
+        n = rng.randint(2, 12)
+        yield generate("random_tree", n, seed=rng.randrange(1 << 30), pair_count=rng.randint(1, n - 1))
+
+
+def test_subtree_records_merges_once_per_two_sided_trial(monkeypatch):
+    # every last-edge trial with two non-empty parts costs one merge_value
+    # call; a trial with an empty part is priced without one
+    original = netcon.chains.merge_value
+    calls = []
+
+    def counted(s1, s2, own1, own2):
+        assert s1 and s2
+        calls.append(1)
+        return original(s1, s2, own1, own2)
+
+    monkeypatch.setattr(netcon.chains, "merge_value", counted)
+    for inst in _merge_count_instances():
+        catalog = enumerate_subtrees(inst.network)
+        weights = pair_weight_tables(inst.network, inst.pairs, catalog)
+        expected = 0
+        for key in catalog.keys:
+            for eid in range(inst.network.edge_count):
+                if key >> eid & 1:
+                    part_a, part_b = catalog.split(key, eid)
+                    expected += bool(part_a and part_b)
+        calls.clear()
+        subtree_records(inst.network, catalog, weights)
+        assert len(calls) == expected
 
 
 def test_solve_path3():
@@ -319,19 +365,20 @@ def test_record_consistency():
         catalog = enumerate_subtrees(net)
         weights = pair_weight_tables(net, inst.pairs, catalog)
         records = subtree_records(net, catalog, weights)
-        assert records[0] is None
+        assert records[0] == (0, (), 0, -1)
         for key in catalog.keys:
-            rec = records[key]
+            value, blocks, weight, last = records[key]
+            assert weight == weights[key]
             seq = subtree_sequence(records, catalog, key)
             assert sorted(seq) == [e for e in range(net.edge_count) if key >> e & 1]
-            assert seq[-1] == rec.last
+            assert seq[-1] == last
             ps = tuple(net.edges[e][2] for e in seq)
             vmask = _vertex_mask(catalog, key)
             inner = [p for p in inst.pairs if vmask >> p.u & 1 and vmask >> p.v & 1]
             if not inner:
                 assert weights[key] == 0
-                assert rec.blocks == block_summaries(ps, (0,) * len(seq))
-                assert rec.value == 0
+                assert blocks == block_summaries(ps, (0,) * len(seq))
+                assert value == 0
                 continue
             sub = Instance(net, tuple(inner))
             report = evaluate_sequence(sub, seq)
@@ -343,11 +390,11 @@ def test_record_consistency():
                 times = zip(sub.pairs, report.times)
                 connect.append(sum(p.weight for p, t in times if t == done))
             assert sum(connect) == weights[key]
-            assert rec.blocks == block_summaries(ps, connect)
-            assert report.objective == rec.value == subset_dp(sub)[0]
+            assert blocks == block_summaries(ps, connect)
+            assert report.objective == value == subset_dp(sub)[0]
         full = (1 << net.edge_count) - 1
         _, report = solve_tree(inst, force=True)
-        assert records[full].value == report.objective
+        assert records[full][0] == report.objective
 
 
 def test_wspt_on_depot_star():
