@@ -59,14 +59,20 @@ int (``_Packing``), so a sum or a comparison of two is one integer
 operation.  Work grows with the Pareto labels kept over the 2^(t-1)
 endpoint sets without the root.
 
-Both DPs read their winner back from the tables with one walk
-(``_read_back``), from the set of all endpoints down, each choice going to
-the first candidate that attains the label: a set that separates no pair
-takes the lowest root whose ``h`` holds the label; any other set walks down
-to the vertex where it splits, each step to the first neighbour in adjacency
-order whose ``g`` holds the label less the edge's cost; a split is the first
-one, with the first two labels that sum to the label; and a single endpoint
-walks its own distance row.  The edge ids read back use no edge twice, close
+Every subset DP, and the Steiner-forest partition over sets of pairs, splits
+a set in one order (``_splits``): the part with the set's lowest member
+first, the other part's subsets from the largest down.  Both DPs read
+their winner back from the tables with one walk (``_read_back``), from the
+set of all endpoints down, each choice going to the first candidate that
+attains the label: a set that separates no pair takes the lowest root whose
+``h`` holds the label; any other set walks down to the vertex where it
+splits, each step to the first neighbour in adjacency order whose ``g``
+holds the label less the edge's cost; a split is the first one in that
+order, with the first two labels that sum to the label; and a single
+endpoint walks its own distance row.  So that order decides which of two
+tied forests is read back.  A root, step or split that no candidate attains
+is a fault of the solver's own tables: it raises ``NetconError`` (exit 4
+on the command line).  The edge ids read back use no edge twice, close
 no cycle and each lie on a pair's path.  If they did not, adding them by the
 step that first needs them and dropping each that closes a cycle or lies on
 no pair's path would join every pair served by step k with no more length
@@ -167,8 +173,9 @@ def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[
 # A forest joining every pair: per pair in ``instance.pairs`` order, its
 # unique path as network edge ids from its u to its v.
 Forest = tuple[tuple[int, ...], ...]
-# A DP's result: its exact value, the order of ``instance.pairs`` it optimised, its forest.
-Optimum = tuple[int, tuple[int, ...], Forest]
+# A DP's result: its exact value, the order of ``instance.pairs`` it
+# optimised, and its forest's network edge ids.
+Optimum = tuple[int, tuple[int, ...], list[int]]
 
 
 class ForestEvaluation(NamedTuple):
@@ -258,6 +265,19 @@ def _needs(
         yield need
 
 
+def _splits(mask: int) -> Iterator[tuple[int, int]]:
+    """The two-part splits of the set ``mask`` (two or more members, as a bit
+    mask): the part with its lowest member first, the other part's subsets
+    from the largest down.  Every subset DP and its read-back split in this
+    one order, and the read-back's first fit decides which tied forest wins."""
+    low = mask & -mask
+    rest = mask ^ low
+    part = rest
+    while part:
+        part = (part - 1) & rest
+        yield low | part, rest ^ part
+
+
 def _read_back(
     network: Network,
     dist: Sequence[list[int]],
@@ -279,7 +299,8 @@ def _read_back(
     times ``unit[S]`` to a label (0 for a set that separates no pair, where
     ``root`` is ignored).  ``dist[i]`` holds the distances from endpoint i.
     The choices it makes, and why the edges are a forest, are in the module
-    docstring.
+    docstring.  A label that no root, step or split attains is a solver
+    fault, not a bad input.
     """
     adjacency = network.adjacency
     edges = network.edges
@@ -292,25 +313,28 @@ def _read_back(
             chosen += _descend(network, dist[low.bit_length() - 1], v)
             continue
         if not unit[mask]:
-            v = next(u for u, entry in enumerate(h[mask]) if label in held(entry))
+            v = next((u for u, entry in enumerate(h[mask]) if label in held(entry)), None)
+            if v is None:
+                raise NetconError(f"internal inconsistency: read-back finds no root of {label}")
         while label not in held(h[mask][v]):
             # walk down to the vertex where the set splits
             for y, eid in adjacency[v]:
                 lower = label - edges[eid][2] * unit[mask]
                 if lower in held(g[mask][y]):
                     break
+            else:
+                raise NetconError(f"internal inconsistency: read-back finds no step from {v}")
             chosen.append(eid)
             v, label = y, lower
-        rest = mask ^ low
-        part = rest
-        while part:
-            part = (part - 1) & rest
-            right = held(g[rest ^ part][v])
-            left = [a for a in held(g[low | part][v]) if label - a in right]
+        for one, other in _splits(mask):
+            right = held(g[other][v])
+            left = [a for a in held(g[one][v]) if label - a in right]
             if left:
                 break
-        todo.append((low | part, v, left[0]))
-        todo.append((rest ^ part, v, label - left[0]))
+        else:
+            raise NetconError(f"internal inconsistency: read-back finds no split at {v}")
+        todo.append((one, v, left[0]))
+        todo.append((other, v, label - left[0]))
     return chosen
 
 
@@ -355,15 +379,9 @@ def _subset_tables(
         if mask == low:
             g[mask] = [coef[mask] * d for d in dist[low.bit_length() - 1]]
             continue
-        rest = mask ^ low
-        part = rest
-        row = None
-        # the splits low|part and rest^part, part from rest's largest proper subset down
-        while part:
-            part = (part - 1) & rest
-            split = map(add, g[low | part], g[rest ^ part])
-            row = list(split) if row is None else list(map(min, row, split))
-        h[mask] = row
+        # per vertex, the least sum over the set's splits (one split has nothing to compare)
+        splits = [map(add, g[one], g[other]) for one, other in _splits(mask)]
+        h[mask] = row = list(map(min, *splits) if len(splits) > 1 else splits[0])
         if coef[mask]:
             below = [limit] * n
             if spans:
@@ -431,34 +449,21 @@ def _steiner_forests(instance: Instance, dist: Sequence[list[int]]) -> list[int]
     groups, each priced at ST of its endpoints: a 3^r convolution over the
     sets of pairs.
     """
-    network = instance.network
     *others, q = instance.terminals
     where = {x: i for i, x in enumerate(instance.terminals)}
-    g, _ = _subset_tables(network, dist[: len(others)], [1] * (1 << len(others)))
+    g, _ = _subset_tables(instance.network, dist[: len(others)], [1] * (1 << len(others)))
     rooted = 1 << len(others)
-    trees = []  # per set of pairs: ST of its endpoints
-    for pairs in range(1 << instance.pair_count):
-        ends = 0
-        for i, pair in enumerate(instance.pairs):
-            if pairs >> i & 1:
-                ends |= 1 << where[pair.u] | 1 << where[pair.v]
-        if not ends:
-            trees.append(0)
-        elif ends & rooted:
-            trees.append(g[ends ^ rooted][q] if ends ^ rooted else 0)
-        else:
-            trees.append(min(g[ends]))
-    forests = [0] * len(trees)
-    for pairs in range(1, len(trees)):
+    own = [1 << where[p.u] | 1 << where[p.v] for p in instance.pairs]
+    ends = [0] * (1 << len(own))  # per set of pairs: its endpoints, by _crossing's recurrence
+    trees = [0] * len(ends)  # per set of pairs: ST of its endpoints
+    forests = [0] * len(ends)
+    for pairs in range(1, len(ends)):
         low = pairs & -pairs
-        rest = pairs ^ low
-        least = trees[pairs]
-        part = rest
-        # the group with the lowest pair is low|part, the rest a forest
-        while part:
-            part = (part - 1) & rest
-            least = min(least, trees[low | part] + forests[rest ^ part])
-        forests[pairs] = least
+        ends[pairs] = mask = ends[pairs ^ low] | own[low.bit_length() - 1]
+        trees[pairs] = g[mask ^ rooted][q] if mask & rooted else min(g[mask])
+        # one tree, or the group with the lowest pair and then the rest as a forest
+        splits = (trees[one] + forests[other] for one, other in _splits(pairs))
+        forests[pairs] = min([trees[pairs], *splits])
     return forests
 
 
@@ -543,8 +548,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
             limit = value
             best = (perm, coef, g, h)
     order, coef, g, h = best
-    chosen = _read_back(network, dist, g, h, coef, _one_label, full, 0, limit)
-    return limit, order, _forest_paths(network, chosen, (p.key for p in instance.pairs))
+    return limit, order, _read_back(network, dist, g, h, coef, _one_label, full, 0, limit)
 
 
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
@@ -691,22 +695,15 @@ def _lateness_tables(
                 for d, limit in zip(dist[low.bit_length() - 1], room)
             ]
             continue
-        rest = mask ^ low
-        # the splits low|part and rest^part, as in _subset_tables, less those
-        # with a side that no label is left in
-        splits = []
-        part = rest
-        while part:
-            part = (part - 1) & rest
-            if any(g[low | part]) and any(g[rest ^ part]):
-                splits.append(part)
+        # the splits, less those with a side that no label is left in
+        splits = [(one, other) for one, other in _splits(mask) if any(g[one]) and any(g[other])]
         if not splits:
             h[mask] = g[mask] = [[]] * network.vertex_count
             continue
         room = _room(dist, spans, mask, cap, packing)
         sums: list[list[int]] = [[] for _ in range(network.vertex_count)]
-        for part in splits:
-            for found, left, right, limit in zip(sums, g[low | part], g[rest ^ part], room):
+        for one, other in splits:
+            for found, left, right, limit in zip(sums, g[one], g[other], room):
                 if limit is None:
                     continue
                 for a in left:
@@ -810,13 +807,12 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     network = instance.network
     pairs = instance.pairs
     r = len(pairs)
-    keys = [p.key for p in pairs]
     by_due = tuple(sorted(range(r), key=lambda i: pairs[i].due))
     bound, best, proven = _lateness_bound(instance, dist, by_due)
     if proven:
-        return bound, by_due, _forest_paths(network, best, keys)
+        return bound, by_due, best
     dues = [pairs[i].due for i in by_due]
-    first = _first_steps(_crossing(instance.terminals, keys), by_due)
+    first = _first_steps(_crossing(instance.terminals, (p.key for p in pairs)), by_due)
     # rooted at the last endpoint q, the forest is g[S][q] for S the others
     q = instance.terminals[-1]
     full = (len(first) >> 1) - 1
@@ -825,18 +821,19 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     cap = [bound - 1 + due for due in dues]
     g, h, packing = _lateness_tables(network, dist, first[: full + 1], cap, spans)
     if not g[full][q]:  # no forest beats the better one the bound tried
-        return bound, by_due, _forest_paths(network, best, keys)
+        return bound, by_due, best
     value, label = min((max(map(sub, packing.unpack(p), dues)), p) for p in g[full][q])
     unit = [packing.units[step] for step in first]
     chosen = _read_back(network, dist, g, h, unit, lambda labels: labels, full, q, label)
-    return value, by_due, _forest_paths(network, chosen, keys)
+    return value, by_due, chosen
 
 
 def enumerate_candidate_forests(
     instance: Instance, dist: Sequence[list[int]], *, force: bool = False
-) -> Iterator[Optimum]:
+) -> Iterator[tuple[int, tuple[int, ...], Forest]]:
     """Stream the DP's one optimal forest, as (exact value, pair order, forest):
-    ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat.
+    ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat, with
+    the edge ids they read back kept as pair paths (``_forest_paths``).
     ``dist[i]`` holds the distances from ``instance.terminals[i]``
     (``build_metric_closure``).
 
@@ -859,7 +856,8 @@ def enumerate_candidate_forests(
             f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "
             "pass force=True (--force on the command line) to run anyway"
         )
-    yield (_subset_forest if weighted else _lateness_forest)(instance, dist)
+    value, order, kept = (_subset_forest if weighted else _lateness_forest)(instance, dist)
+    yield value, order, _forest_paths(instance.network, kept, (p.key for p in instance.pairs))
 
 
 # --- the network forest and the full solve ------------------------------------

@@ -196,10 +196,6 @@ class Network(Frozen):
         return self._rooting if kept is None else _root(self.adjacency, set(kept))
 
     @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self.adjacency))
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 

@@ -3,11 +3,17 @@
 Each criterion function returns a CheckResult; ``run_all`` executes the whole
 suite.  ``scale`` shrinks trial counts (and the budget-run sizes) for smoke
 runs; the full suite uses scale=1.0.
+
+Criteria 1-6 are sweeps over seeded instances: each collects one message per
+failure, and ``_result`` reports how many there were and quotes the first.
+Criterion 7 lists each budget run's time and objective, and criterion 8 each
+fixture whose repeated ``solve`` output differs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import os
@@ -49,12 +55,21 @@ def _scaled(trials: int, scale: float) -> int:
     return max(1, round(trials * scale))
 
 
-def _random_pairs(rng: random.Random, n: int, count: int, weight_hi: int = 5):
+def _result(
+    number: int, name: str, start: float, subject: str, failures: list[str], noun: str = "mismatches"
+) -> CheckResult:
+    """The result of a sweep begun at ``start`` over ``subject`` (what it
+    checked, counted): it passes with no failure messages, and a fail quotes
+    the first."""
+    detail = f"{subject}, {len(failures)} {noun}"
+    if failures:
+        detail += "; first: " + failures[0]
+    return CheckResult(number, name, not failures, detail, time.perf_counter() - start)
+
+
+def _random_pairs(rng: random.Random, n: int, count: int):
     population = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return [
-        RelevantPair(u, v, rng.randint(1, weight_hi))
-        for u, v in rng.sample(population, count)
-    ]
+    return [RelevantPair(u, v, rng.randint(1, 5)) for u, v in rng.sample(population, count)]
 
 
 def criterion_tree_exactness(scale: float = 1.0) -> CheckResult:
@@ -78,11 +93,7 @@ def criterion_tree_exactness(scale: float = 1.0) -> CheckResult:
         want, _ = subset_dp(instance)
         if report.objective != want:
             failures.append(f"trial {trial}: solver {report.objective} != oracle {want}")
-    elapsed = time.perf_counter() - start
-    detail = f"{trials} random trees, {len(failures)} mismatches"
-    if failures:
-        detail += "; first: " + failures[0]
-    return CheckResult(1, "tree solver exactness", not failures, detail, elapsed)
+    return _result(1, "tree solver exactness", start, f"{trials} random trees", failures)
 
 
 def _fixed_r_instances(rng: random.Random, trials: int):
@@ -126,31 +137,23 @@ def criterion_fixed_r_exactness(scale: float = 1.0) -> tuple[CheckResult, CheckR
     trials = _scaled(100, scale)
     start = time.perf_counter()
     mismatches = []
-    replay_mismatches = 0
+    faults = []  # the solves that raised: a replay differed from the value it checks
     for trial, instance in _fixed_r_instances(rng, trials):
         want, _ = subset_dp(instance)
         try:
-            # the solve raises when a replay differs from the value it checks
             _, report = solve_fixed_r(instance)
         except NetconError as exc:
-            mismatches.append(f"trial {trial}: {exc}")
-            replay_mismatches += 1
+            faults.append(f"trial {trial}: {exc}")
+            mismatches.append(faults[-1])
             continue
         if report.objective != want:
             mismatches.append(f"trial {trial}: solver {report.objective} != oracle {want}")
-    elapsed = time.perf_counter() - start
-    detail = f"{trials} random graphs, wct and maxlat, {len(mismatches)} mismatches"
-    if mismatches:
-        detail += "; first: " + mismatches[0]
-    exactness = CheckResult(2, "fixed-r solver exactness", not mismatches, detail, elapsed)
-    replay = CheckResult(
-        6,
-        "replayed objective equals the forest optimum",
-        replay_mismatches == 0,
-        f"{trials} winning forests replayed, {replay_mismatches} mismatches",
-        elapsed,
+    graphs = f"{trials} random graphs, wct and maxlat"
+    replayed = f"{trials} winning forests replayed"
+    return (
+        _result(2, "fixed-r solver exactness", start, graphs, mismatches),
+        _result(6, "replayed objective equals the forest optimum", start, replayed, faults),
     )
-    return exactness, replay
 
 
 def _random_chain(rng: random.Random, size: int) -> list[Job]:
@@ -162,23 +165,17 @@ def criterion_merge_optimality(scale: float = 1.0) -> CheckResult:
     rng = random.Random(733313)
     trials = _scaled(500, scale)
     start = time.perf_counter()
-    failures = 0
-    for _ in range(trials):
+    failures = []
+    for trial in range(trials):
         total = rng.randint(0, 12)
         n1 = rng.randint(0, total)
         c1 = _random_chain(rng, n1)
         c2 = _random_chain(rng, total - n1)
         _, got = merge_two_chains(c1, c2)
-        if got != interleaving_oracle(c1, c2):
-            failures += 1
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        3,
-        "two-chain merge optimality",
-        failures == 0,
-        f"{trials} random chain pairs, {failures} mismatches",
-        elapsed,
-    )
+        want = interleaving_oracle(c1, c2)
+        if got != want:
+            failures.append(f"trial {trial}: merge {got} != oracle {want}")
+    return _result(3, "two-chain merge optimality", start, f"{trials} random chain pairs", failures)
 
 
 def _decomposition_flaw(chain: list[Job]) -> str | None:
@@ -207,19 +204,13 @@ def criterion_density_decomposition(scale: float = 1.0) -> CheckResult:
     rng = random.Random(911177)
     trials = _scaled(500, scale)
     start = time.perf_counter()
-    failures = 0
-    first = ""
-    for _ in range(trials):
-        chain = _random_chain(rng, rng.randint(0, 12))
-        flaw = _decomposition_flaw(chain)
+    failures = []
+    for trial in range(trials):
+        flaw = _decomposition_flaw(_random_chain(rng, rng.randint(0, 12)))
         if flaw:
-            failures += 1
-            first = first or flaw
-    elapsed = time.perf_counter() - start
-    detail = f"{trials} random chains, {failures} flawed decompositions"
-    if first:
-        detail += "; first: " + first
-    return CheckResult(4, "density decomposition correctness", failures == 0, detail, elapsed)
+            failures.append(f"trial {trial}: {flaw}")
+    subject = f"{trials} random chains"
+    return _result(4, "density decomposition correctness", start, subject, failures, "flawed decompositions")
 
 
 def _graphs_up_to_iso(n: int):
@@ -261,85 +252,44 @@ def criterion_reduction_identity(scale: float = 1.0) -> CheckResult:
             want = _ola_brute_force(n, edges) + n * n * (n + 1) // 2
             if got != want:
                 failures.append(f"n={n} edges={edges}: star optimum {got} != {want}")
-    elapsed = time.perf_counter() - start
-    detail = f"{checked} graphs up to isomorphism, {len(failures)} mismatches"
-    if failures:
-        detail += "; first: " + failures[0]
-    return CheckResult(5, "star reduction identity", not failures, detail, elapsed)
+    return _result(5, "star reduction identity", start, f"{checked} graphs up to isomorphism", failures)
 
 
-def spider(n: int, legs: int = 3, seed: int = 0, pair_count: int = 4) -> Instance:
-    """Tree with ``legs`` leaves: paths of near-equal length glued at vertex 0."""
+def spider(n: int, seed: int) -> Instance:
+    """Tree with 3 leaves, paths of near-equal length glued at vertex 0, and 4 pairs."""
     rng = random.Random(seed)
     edges = []
-    ends = []
     vertex = 1
-    for leg in range(legs):
-        size = (n - 1) // legs + (1 if leg < (n - 1) % legs else 0)
+    for leg in range(3):
         prev = 0
-        for _ in range(size):
+        for _ in range((n - 1) // 3 + (leg < (n - 1) % 3)):
             edges.append((prev, vertex, rng.randint(1, 10)))
             prev = vertex
             vertex += 1
-        ends.append(prev)
-    population = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pairs = [
-        RelevantPair(u, v, rng.randint(1, 5))
-        for u, v in rng.sample(population, pair_count)
-    ]
-    return Instance(Network(n, tuple(edges)), tuple(pairs))
+    return Instance(Network(n, tuple(edges)), tuple(_random_pairs(rng, n, 4)))
 
 
 def criterion_budget_runs(scale: float = 1.0) -> CheckResult:
     """7: fixed-size runs finish inside their wall-clock budgets."""
-    small = scale < 1.0
+    path_n, spider_n, graph_n, graph_m = (60, 24, 40, 90) if scale < 1.0 else (200, 60, 150, 400)
+    tree = functools.partial(solve_tree, force=True)
+    graph = generate("random_graph", graph_n, seed=13, edge_count=graph_m, pair_count=2)
     runs = [
-        (
-            "path n=200" if not small else "path n=60",
-            generate("path", 60 if small else 200, seed=7, pair_count=6),
-            dict(kind="tree"),
-            30.0,
-        ),
-        (
-            "3-leaf tree n=60" if not small else "3-leaf tree n=24",
-            spider(24 if small else 60, seed=11),
-            dict(kind="tree"),
-            60.0,
-        ),
-        (
-            "fixed-r n=150 r=2" if not small else "fixed-r n=40 r=2",
-            generate(
-                "random_graph",
-                40 if small else 150,
-                seed=13,
-                edge_count=90 if small else 400,
-                pair_count=2,
-            ),
-            dict(kind="fixed-r"),
-            60.0,
-        ),
+        (f"path n={path_n}", generate("path", path_n, seed=7, pair_count=6), tree, 30.0),
+        (f"3-leaf tree n={spider_n}", spider(spider_n, seed=11), tree, 60.0),
+        (f"fixed-r n={graph_n} r=2", graph, solve_fixed_r, 60.0),
     ]
     start = time.perf_counter()
     failures = []
     details = []
-    for label, instance, opts, budget in runs:
+    for label, instance, solve, budget in runs:
         t0 = time.perf_counter()
-        if opts["kind"] == "tree":
-            _, report = solve_tree(instance, force=True)
-        else:
-            _, report = solve_fixed_r(instance)
+        _, report = solve(instance)
         took = time.perf_counter() - t0
         details.append(f"{label}: {took:.2f}s (budget {budget:.0f}s, objective {report.objective})")
         if took >= budget:
             failures.append(label)
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        7,
-        "budget runs",
-        not failures,
-        "; ".join(details),
-        elapsed,
-    )
+    return CheckResult(7, "budget runs", not failures, "; ".join(details), time.perf_counter() - start)
 
 
 def _determinism_fixtures(directory: str) -> list[tuple[str, list[str]]]:
@@ -384,24 +334,20 @@ def criterion_determinism(scale: float = 1.0) -> CheckResult:
                 outputs.append(buffer.getvalue())
             if len(set(outputs)) != 1:
                 failures.append(f"{os.path.basename(path)}: outputs differ across runs")
-    elapsed = time.perf_counter() - start
-    return CheckResult(
-        8,
-        "deterministic solver output",
-        not failures,
-        "5 fixtures x 3 runs" + ("" if not failures else "; " + "; ".join(failures)),
-        elapsed,
-    )
+    detail = "; ".join(["5 fixtures x 3 runs", *failures])
+    return CheckResult(8, "deterministic solver output", not failures, detail, time.perf_counter() - start)
 
 
 def run_all(scale: float = 1.0) -> list[CheckResult]:
-    results = [criterion_tree_exactness(scale)]
+    tree = criterion_tree_exactness(scale)
     exactness, replay = criterion_fixed_r_exactness(scale)
-    results.append(exactness)
-    results.append(criterion_merge_optimality(scale))
-    results.append(criterion_density_decomposition(scale))
-    results.append(criterion_reduction_identity(scale))
-    results.append(replay)
-    results.append(criterion_budget_runs(scale))
-    results.append(criterion_determinism(scale))
-    return results
+    return [
+        tree,
+        exactness,
+        criterion_merge_optimality(scale),
+        criterion_density_decomposition(scale),
+        criterion_reduction_identity(scale),
+        replay,
+        criterion_budget_runs(scale),
+        criterion_determinism(scale),
+    ]

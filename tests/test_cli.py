@@ -12,6 +12,7 @@ from netcon import (
     Network,
     RelevantPair,
     cli,
+    generate,
     parse_instance,
     selftest,
     subset_dp,
@@ -341,6 +342,116 @@ def test_validate_takes_only_ascii_integer_tokens(capsys, tmp_path, token, line,
     assert f"line {row + 1}: {what} must be an integer" in err
 
 
+def _write_lines(path, spec):
+    """Write ``spec``, its lines separated by "; ", as a text file."""
+    path.write_text(spec.replace("; ", "\n") + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            "pair 0 1 t=1; pair 0 2 t=3; pair 1 2 t=3; objective 9; sequence; 0 1",
+            "line 6: expected one edge id per line",
+        ),
+        (
+            "pair 0 1 t=1; pair 1 0 t=1; pair 0 2 t=3; pair 1 2 t=3; objective 9; sequence; 0; 1",
+            "line 2: duplicate pair line for (0, 1)",
+        ),
+        (
+            "pair 0 1 1; pair 0 2 t=3; pair 1 2 t=3; objective 9; sequence; 0; 1",
+            "line 1: unexpected line 'pair 0 1 1'",
+        ),
+        ("pair 0 1 t=1; pair 0 2 t=3; pair 1 2 t=3; sequence; 0; 1", "solution has no objective line"),
+        ("pair 0 1 t=1; pair 0 2 t=3; pair 1 2 t=3; objective 9", "solution has no sequence section"),
+        ("pair 0 1 t=1; pair 0 2 t=3; objective 9; sequence; 0; 1", "solution misses pair (1, 2)"),
+        (
+            "pair 0 3 t=3; pair 0 1 t=1; pair 0 2 t=3; pair 1 2 t=3; objective 9; sequence; 0; 1",
+            "solution reports unknown pair (0, 3)",
+        ),
+    ],
+    ids=[
+        "two-edge-ids", "duplicate-pair", "unexpected", "no-objective", "no-sequence", "missing", "unknown"
+    ],
+)
+def test_validate_rejects_a_malformed_solution_file(capsys, tmp_path, spec, message):
+    solution = _write_lines(tmp_path / "solution.txt", spec)
+    status, out, err = run(capsys, "validate", str(FIXTURES / "path3.ncn"), solution)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            "netcon 1; objective best; vertices 3; edge 0 1 1; edge 1 2 1; pair 0 2 1",
+            "line 2: objective must be 'wct' or 'maxlat', got 'best'",
+        ),
+        (
+            "netcon 1; objective wct; vertices 3 4; edge 0 1 1; edge 1 2 1; pair 0 2 1",
+            "line 3: expected 'vertices <n>'",
+        ),
+        (
+            "netcon 1; objective wct; edge 0 1 1; vertices 3; edge 1 2 1; pair 0 2 1",
+            "line 3: edge line before vertices line",
+        ),
+        (
+            "netcon 1; objective wct; vertices 3; edge 0 1; edge 1 2 1; pair 0 2 1",
+            "line 4: expected 'edge <u> <v> <length>'",
+        ),
+        (
+            "netcon 1; objective wct; pair 0 2 1; vertices 3; edge 0 1 1; edge 1 2 1",
+            "line 3: pair line before vertices line",
+        ),
+        (
+            "netcon 1; vertices 3; edge 0 1 1; edge 1 2 1; pair 0 2 1; objective wct",
+            "line 5: pair line before objective line",
+        ),
+        (
+            "netcon 1; objective wct; vertices 3; edge 0 1 1; edge 1 2 1; pair 0 2",
+            "line 6: expected 'pair <u> <v> <weight> [<due>]'",
+        ),
+        ("# no header", "missing 'netcon 1' header"),
+    ],
+    ids=[
+        "objective", "singleton", "edge-first", "edge-arity", "pair-first", "objective-last", "pair-arity",
+        "header",
+    ],
+)
+def test_solve_rejects_a_malformed_instance_file(capsys, tmp_path, spec, message):
+    status, out, err = run(capsys, "solve", _write_lines(tmp_path / "instance.ncn", spec))
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("ola 2; vertices 3; threshold 1", "line 1: expected header 'ola 1'"),
+        ("ola 1; vertices 3; threshold 1; edge 0", "line 4: malformed line 'edge 0'"),
+        ("# no header", "missing 'ola 1' header"),
+    ],
+    ids=["bad-header", "malformed", "no-header"],
+)
+def test_reduce_ola_rejects_a_malformed_input_file(capsys, tmp_path, spec, message):
+    status, out, err = run(capsys, "reduce-ola", _write_lines(tmp_path / "input.ola", spec))
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "path", "--n", "1"], "generator needs at least 2 vertices"),
+        (["--kind", "path", "--n", "3", "--length-range", "0", "5"], "bad length range (0, 5)"),
+        (["--kind", "path", "--n", "4", "--edges", "4"], "path generator always has n-1 edges"),
+    ],
+    ids=["one-vertex", "length-range", "edges-on-a-path"],
+)
+def test_gen_rejects_bad_parameters(capsys, args, message):
+    status, out, err = run(capsys, "gen", *args)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise NetconError("replay disagrees with the forest value")
@@ -391,6 +502,25 @@ def test_a_read_back_that_joins_no_pair_exits_4(capsys, monkeypatch):
     assert "internal error: internal inconsistency: forest does not connect" in err
 
 
+def test_a_read_back_from_tables_that_hold_no_forest_exits_4(capsys, tmp_path, monkeypatch):
+    # tables that claim every forest one cheaper than it is: the read-back
+    # finds no split that attains the label, and exits 4 rather than crashing
+    original = netcon.metric_solver._subset_tables
+
+    def lowered(network, dist, *args):
+        g, h = original(network, dist, *args)
+        if len(dist) >= 4:
+            h[-1] = [cost - 1 for cost in h[-1]]
+        return g, h
+
+    monkeypatch.setattr(netcon.metric_solver, "_subset_tables", lowered)
+    path = tmp_path / "r3.ncn"
+    path.write_text(write_instance(generate("random_graph", 9, seed=3, edge_count=14, pair_count=3)))
+    status, out, err = run(capsys, "solve", str(path))
+    assert (status, out) == (4, "")
+    assert "internal error: internal inconsistency: read-back finds no split" in err
+
+
 def test_a_fixed_r_sequence_with_a_repeated_edge_exits_4(capsys, monkeypatch):
     # the solver's own sequence failing its replay is an internal error, not a bad input
     original = netcon.metric_solver.project_to_graph
@@ -417,6 +547,20 @@ def test_a_tree_sequence_with_a_repeated_edge_exits_4(capsys, monkeypatch):
     status, out, err = run(capsys, "solve", "--backend", "tree", str(FIXTURES / "tree8.ncn"))
     assert (status, out) == (4, "")
     assert "internal error: internal inconsistency: duplicate edge id" in err
+
+
+def test_a_tree_dp_value_its_replay_disagrees_with_exits_4(capsys, monkeypatch):
+    original = netcon.tree_solver.evaluate_sequence
+
+    def one_more(*args):
+        report = original(*args)
+        return report._replace(objective=report.objective + 1)
+
+    monkeypatch.setattr(netcon.tree_solver, "evaluate_sequence", one_more)
+    status, out, err = run(capsys, "solve", "--backend", "tree", str(FIXTURES / "tree8.ncn"))
+    want = FIXTURE_OBJECTIVES["tree8.ncn"]
+    assert (status, out) == (4, "")
+    assert err == f"internal error: internal inconsistency: dp value {want} != replay {want + 1}\n"
 
 
 def test_auto_backend_routes_by_shape(capsys, tmp_path, monkeypatch):
@@ -523,6 +667,22 @@ def test_selftest_counts_an_inconsistent_solve_as_a_mismatch(capsys, monkeypatch
     assert [l.split()[1] for l in failed] == ["2", "6"]
     assert "trial 0: internal inconsistency" in failed[0]
     assert "1 mismatches" in failed[1]
+    assert "1 mismatches; first: trial 0: internal inconsistency: replay 8" in failed[1]
+
+
+@pytest.mark.parametrize(
+    "criterion, name, broken, first",
+    [
+        ("criterion_merge_optimality", "merge_two_chains", lambda *chains: ((), -1), "merge -1 != oracle"),
+        ("criterion_density_decomposition", "density_decomposition", lambda _: [], "blocks do not cover"),
+    ],
+    ids=["3", "4"],
+)
+def test_a_failed_sweep_quotes_its_first_failure(monkeypatch, criterion, name, broken, first):
+    monkeypatch.setattr(selftest, name, broken)
+    result = getattr(selftest, criterion)(0.02)
+    assert not result.passed
+    assert re.search(f"; first: trial [0-9]+: {first}", result.detail), result.detail
 
 
 def test_help_exits_cleanly(capsys):

@@ -87,6 +87,12 @@ def test_validate_rejects_off_by_one_and_names_pair():
     assert any("pair (0, 1)" in d for d in verdict.discrepancies)
 
 
+def test_validate_rejects_a_claim_with_the_wrong_number_of_pair_times():
+    report = evaluate_sequence(PATH3, (0, 1))
+    verdict = validate_sequence(PATH3, (0, 1), ConnectionReport(report.times[:2], report.objective))
+    assert verdict == (False, ("claim has 2 pair times, instance has 3",))
+
+
 def test_validate_rejects_bad_sequence():
     report = evaluate_sequence(PATH3, (0, 1))
     verdict = validate_sequence(PATH3, (0,), report)

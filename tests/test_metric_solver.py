@@ -482,6 +482,26 @@ def test_every_pareto_read_back_is_the_forest(monkeypatch):
     assert all(map(operator.lt, values, bounds))
 
 
+@pytest.mark.parametrize("fault", ["root", "step", "split"])
+def test_a_label_the_tables_do_not_attain_is_a_read_back_fault(fault):
+    # each of the read-back's three searches raises a solver fault instead of
+    # reading past its end or walking on
+    ms = netcon.metric_solver
+    inst = generate("random_graph", 9, seed=3, edge_count=14, pair_count=3)
+    dist = build_metric_closure(inst.network, inst.terminals)
+    unit = [1] * (1 << len(inst.terminals))
+    g, h = ms._subset_tables(inst.network, dist, unit)
+    full = len(unit) - 1
+    label = g[full][0] - 1  # below every tree that joins vertex 0 to all endpoints
+    if fault == "root":  # a set that separates no pair: no vertex's h holds the label
+        unit = [0] * len(unit)
+        label = min(h[full]) - 1
+    elif fault == "split":  # vertex 0's h claims the label, but no split sums to it
+        h[full][0] = label
+    with pytest.raises(NetconError, match=f"^internal inconsistency: read-back finds no {fault} "):
+        ms._read_back(inst.network, dist, g, h, unit, ms._one_label, full, 0, label)
+
+
 def test_solution_is_deterministic():
     assert solve_fixed_r(SQUARE) == solve_fixed_r(SQUARE)
     assert list(_stream(SQUARE)) == list(_stream(SQUARE))
@@ -496,7 +516,7 @@ def _pendant_junction_instance():
 
 def test_pendant_only_neighbours_never_make_a_junction():
     inst = _pendant_junction_instance()
-    assert inst.network.degrees[4] == 3
+    assert len(inst.network.adjacency[4]) == 3
     for twin in (inst, _as_maxlat(inst)):
         ((_, _, forest),) = _stream(twin)
         assert 4 not in _forest_vertices(forest, twin)
@@ -1058,7 +1078,8 @@ def _order_dp(inst, dist, perm, limit=math.inf):
 
 def _every_order_forest(inst, dist):
     """The exhaustive reference: an uncapped DP for every pair order, and the
-    forest read back from the first order with the least value."""
+    edge ids of the forest read back from the first order with the least
+    value."""
     full = (1 << len(inst.terminals)) - 1
     best = None
     for perm in itertools.permutations(range(inst.pair_count)):
@@ -1067,8 +1088,7 @@ def _every_order_forest(inst, dist):
             best = (min(h[full]), perm, coef, g, h)
     value, perm, coef, g, h = best
     ms = netcon.metric_solver
-    chosen = ms._read_back(inst.network, dist, g, h, coef, ms._one_label, full, 0, value)
-    return value, perm, _forest_paths(inst.network, chosen, _keys(inst))
+    return value, perm, ms._read_back(inst.network, dist, g, h, coef, ms._one_label, full, 0, value)
 
 
 def _count_order_dps(monkeypatch):

@@ -154,7 +154,7 @@ def test_generate_path_with_explicit_pair():
 def test_generate_star_shape():
     inst = generate("star", 4, length_range=(1, 1), pairs=[(1, 2, 1)])
     assert inst.network.edges == ((0, 1, 1), (0, 2, 1), (0, 3, 1))
-    assert inst.network.degrees[0] == 3
+    assert len(inst.network.adjacency[0]) == 3
 
 
 def test_generate_is_deterministic_per_seed():
@@ -531,9 +531,12 @@ def test_public_value_types_are_immutable_values(build, other):
     assert pickle.loads(pickle.dumps(value)) == value
     name = type(value).__name__
     assert repr(value).startswith(f"{name}(")
+    assert all(value != rival for _, rival in _public_values() if type(rival) is not type(value))
     for field in value._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
     assert value == twin
 
 

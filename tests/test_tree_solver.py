@@ -433,6 +433,8 @@ def test_rejects_non_tree_and_maxlat():
     square = _inst([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)], [(0, 2, 1)])
     with pytest.raises(UnsupportedInstanceError):
         solve_tree(square)
+    with pytest.raises(UnsupportedInstanceError, match="^subtree enumeration needs a tree network$"):
+        enumerate_subtrees(square.network)
     lateness = _inst([(0, 1, 1)], [(0, 1, 1, 5)], "maxlat")
     with pytest.raises(UnsupportedInstanceError):
         solve_tree(lateness)
