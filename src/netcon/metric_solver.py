@@ -26,9 +26,13 @@ pairs' shortest paths, joined into one forest and priced in its best order,
 bound the optimum from above.  An order runs its DP only when its bound is
 below the best value so far (the upper bound + 1 before any), with its tables
 capped there; a later order loses a tie, so the winner and its forest are
-those of the first order with the least value.  Work is at most r! DPs,
-O(r! * (3^t * n + 2^t * m log n)); from three pairs on, the bound skips
-most of them.
+those of the first order with the least value.  Each order's DP is rooted at
+the last endpoint q, like the Steiner-forest DP and maxlat's: an edge's
+coefficient is the same with the endpoint set on either side of it, so a
+forest is a tree joining q to every other endpoint, and only the sets
+without q are tabled.  Work is at most r! DPs,
+O(r! * (3^(t-1) * n + 2^(t-1) * m log n)); from three pairs on, the bound
+skips most of them.
 
 Maximum lateness (maxlat): the pairs are served by due date, which is optimal
 on any forest.  Let P_k be the first k+1 pairs by due date and d_k the due
@@ -63,17 +67,17 @@ Every subset DP, and the Steiner-forest partition over sets of pairs, splits
 a set in one order (``_splits``): the part with the set's lowest member
 first, the other part's subsets from the largest down.  Both DPs read
 their winner back from the tables with one walk (``_read_back``), from the
-set of all endpoints down, each choice going to the first candidate that
-attains the label: a set that separates no pair takes the lowest root whose
-``h`` holds the label; any other set walks down to the vertex where it
-splits, each step to the first neighbour in adjacency order whose ``g``
-holds the label less the edge's cost; a split is the first one in that
-order, with the first two labels that sum to the label; and a single
-endpoint walks its own distance row.  So that order decides which of two
-tied forests is read back.  A root, step or split that no candidate attains
-is a fault of the solver's own tables: it raises ``NetconError`` (exit 4
-on the command line).  The edge ids read back use no edge twice, close
-no cycle and each lie on a pair's path.  If they did not, adding them by the
+last endpoint and the set of all the others down, each choice going to the
+first candidate that attains the label: a set that separates no pair takes
+the lowest root whose ``h`` holds the label; any other set walks down to
+the vertex where it splits, each step to the first neighbour in adjacency
+order whose ``g`` holds the label less the edge's cost; a split is the
+first one in that order, with the first two labels that sum to the label;
+and a single endpoint walks its own distance row.  So that order decides
+which of two tied forests is read back.  A root, step or split that no
+candidate attains is a fault of the solver's own tables: it raises
+``NetconError`` (exit 4 on the command line).  The edge ids read back use
+no edge twice, close no cycle and each lie on a pair's path.  If they did not, adding them by the
 step that first needs them and dropping each that closes a cycle or lies on
 no pair's path would join every pair served by step k with no more length
 through step k, and with less at the last step: a cheaper forest under wct,
@@ -513,9 +517,14 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     """The wct optimum over all forests, the pair order and one forest that
     attain it; ``dist[i]`` holds the distances from ``instance.terminals[i]``.
 
-    For a pair order, ``_subset_tables`` prices every forest rooted at a
-    vertex; the first order (in ``itertools.permutations`` order) with the
-    least value wins, and its forest is read back (``_read_back``).
+    For a pair order, ``_subset_tables`` prices every forest rooted at the
+    last endpoint q: an edge's coefficient is the same with the endpoint set
+    on either side of it, so such a forest is a tree joining q to the set S
+    of all the other endpoints, and its least cost is ``g[S][q]``, with only
+    the sets without q tabled.  A set that separates no pair is free to
+    carry, and those join the forest's components.  The first order (in
+    ``itertools.permutations`` order) with the least value wins, and its
+    forest is read back from S at q (``_read_back``).
 
     The orders are searched under a bound (Held and Karp 1962).  With UB and
     each order's LB from ``_order_bounds``, an order runs its DP only when LB
@@ -532,7 +541,8 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     """
     network = instance.network
     terminals = instance.terminals
-    full = (1 << len(terminals)) - 1
+    q = terminals[-1]
+    top = (1 << (len(terminals) - 1)) - 1
     crossing = _crossing(terminals, (p.key for p in instance.pairs))
 
     upper, bounds = _order_bounds(instance, dist)
@@ -542,13 +552,13 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
         if lower >= limit:
             continue
         coef = _order_coefficients(instance, crossing, perm)
-        g, h = _subset_tables(network, dist, coef, limit)
-        value = min(h[full])
+        g, h = _subset_tables(network, dist[:-1], coef[: top + 1], limit)
+        value = g[top][q]
         if value < limit:
             limit = value
             best = (perm, coef, g, h)
     order, coef, g, h = best
-    return limit, order, _read_back(network, dist, g, h, coef, _one_label, full, 0, limit)
+    return limit, order, _read_back(network, dist, g, h, coef, _one_label, top, q, limit)
 
 
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
@@ -839,18 +849,18 @@ def enumerate_candidate_forests(
 
     Unless ``force`` is set, more than ``PAIR_BOUND_DEPOT`` pairs are refused
     when all pairs share a vertex, and more than ``PAIR_BOUND`` otherwise.
-    For t pair endpoints the bound caps the up to r! subset DPs of 3^t * n
-    work that wct runs (its bounds skip most) and the Pareto labels over 2^t
-    endpoint sets of maxlat.
+    For t pair endpoints the bound caps the up to r! subset DPs of
+    3^(t-1) * n work that wct runs (its bounds skip most) and the Pareto
+    labels over 2^(t-1) endpoint sets of maxlat.
     """
     r = instance.pair_count
     weighted = instance.objective is Objective.WEIGHTED_SUM
     bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
     if r > bound and not force:
         work = (
-            "the wct solver runs up to r! subset DPs of 3^t * n work"
+            "the wct solver runs up to r! subset DPs of 3^(t-1) * n work"
             if weighted
-            else "the maxlat subset DP keeps Pareto labels over 2^t endpoint sets"
+            else "the maxlat subset DP keeps Pareto labels over 2^(t-1) endpoint sets"
         )
         raise GuardExceededError(
             f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "

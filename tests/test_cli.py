@@ -503,13 +503,15 @@ def test_a_read_back_that_joins_no_pair_exits_4(capsys, monkeypatch):
 
 
 def test_a_read_back_from_tables_that_hold_no_forest_exits_4(capsys, tmp_path, monkeypatch):
-    # tables that claim every forest one cheaper than it is: the read-back
-    # finds no split that attains the label, and exits 4 rather than crashing
+    # order DPs (the ones passed a limit) whose tables claim every forest one
+    # cheaper than it is: the read-back finds no split that attains the
+    # label, and exits 4 rather than crashing
     original = netcon.metric_solver._subset_tables
 
     def lowered(network, dist, *args):
         g, h = original(network, dist, *args)
-        if len(dist) >= 4:
+        if len(args) >= 2:
+            g[-1] = [cost - 1 for cost in g[-1]]
             h[-1] = [cost - 1 for cost in h[-1]]
         return g, h
 

@@ -357,10 +357,11 @@ def test_pair_guard():
     net = generate("random_graph", 8, seed=5, pair_count=1).network
     pairs = tuple(RelevantPair(u, v, 1) for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     inst = Instance(net, pairs)
-    wct_work = r"wct solver runs up to r! subset DPs of 3\^t \* n work"
+    wct_work = r"wct solver runs up to r! subset DPs of 3\^\(t-1\) \* n work"
     with pytest.raises(GuardExceededError, match=wct_work):
         solve_fixed_r(inst)
-    with pytest.raises(GuardExceededError, match=r"maxlat subset DP keeps Pareto labels over 2\^t"):
+    maxlat_work = r"maxlat subset DP keeps Pareto labels over 2\^\(t-1\)"
+    with pytest.raises(GuardExceededError, match=maxlat_work):
         solve_fixed_r(_as_maxlat(inst))
     depot_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 6))
     depot_inst = Instance(net, depot_pairs)
@@ -1070,25 +1071,69 @@ def _closure(inst):
 
 
 def _order_dp(inst, dist, perm, limit=math.inf):
-    """One pair order's subset DP: its coefficients and tables."""
+    """One pair order's subset DP over every endpoint set: its coefficients
+    and tables."""
     ms = netcon.metric_solver
     coef = ms._order_coefficients(inst, ms._crossing(inst.terminals, _keys(inst)), perm)
     return coef, *ms._subset_tables(inst.network, dist, coef, limit)
 
 
+def _rooted_order_dp(inst, dist, perm, limit=math.inf):
+    """One pair order's subset DP rooted at the last endpoint q, as the
+    solver runs it: its coefficients, its tables over the sets without q, and
+    the set of all the others."""
+    ms = netcon.metric_solver
+    coef = ms._order_coefficients(inst, ms._crossing(inst.terminals, _keys(inst)), perm)
+    top = (1 << (len(inst.terminals) - 1)) - 1
+    g, h = ms._subset_tables(inst.network, dist[:-1], coef[: top + 1], limit)
+    return coef, g, h, top
+
+
 def _every_order_forest(inst, dist):
-    """The exhaustive reference: an uncapped DP for every pair order, and the
-    edge ids of the forest read back from the first order with the least
-    value."""
-    full = (1 << len(inst.terminals)) - 1
+    """The exhaustive reference: an uncapped rooted DP for every pair order,
+    and the edge ids of the forest read back from the first order with the
+    least value."""
+    q = inst.terminals[-1]
     best = None
     for perm in itertools.permutations(range(inst.pair_count)):
-        coef, g, h = _order_dp(inst, dist, perm)
-        if best is None or min(h[full]) < best[0]:
-            best = (min(h[full]), perm, coef, g, h)
+        coef, g, h, top = _rooted_order_dp(inst, dist, perm)
+        if best is None or g[top][q] < best[0]:
+            best = (g[top][q], perm, coef, g, h)
     value, perm, coef, g, h = best
     ms = netcon.metric_solver
-    return value, perm, ms._read_back(inst.network, dist, g, h, coef, ms._one_label, full, 0, value)
+    return value, perm, ms._read_back(inst.network, dist, g, h, coef, ms._one_label, top, q, value)
+
+
+def test_a_dp_rooted_at_the_last_endpoint_prices_the_least_forest():
+    # for every pair order, g[others][q] of the rooted tables is the least
+    # h[all endpoints] of the tables over every endpoint set, uncapped; capped
+    # at any limit, both are that value below the limit and at least it
+    # otherwise
+    rng = random.Random(191)
+    seen = Counter()
+    for trial in range(40):
+        depot = trial % 3 == 0
+        r = rng.randint(2 if depot else 1, 4)
+        n = rng.randint(r + 1 if depot else 2 * r, 9)
+        inst = _tie_prone_instance(rng, n, r, depot, weights=(1, 9))
+        seen["shared"] += len(inst.terminals) < 2 * r
+        dist = _closure(inst)
+        q = inst.terminals[-1]
+        for perm in itertools.permutations(range(r)):
+            _, _, h = _order_dp(inst, dist, perm)
+            _, g, _, top = _rooted_order_dp(inst, dist, perm)
+            value = min(h[-1])
+            assert g[top][q] == value
+            for limit in (rng.randint(1, value), value, value + 1):
+                _, _, capped_h = _order_dp(inst, dist, perm, limit)
+                _, capped_g, _, _ = _rooted_order_dp(inst, dist, perm, limit)
+                rooted, everywhere = capped_g[top][q], min(capped_h[-1])
+                seen[value < limit] += 1
+                if value < limit:
+                    assert rooted == everywhere == value
+                else:
+                    assert rooted >= limit and everywhere >= limit
+    assert seen["shared"] >= 10 and seen[True] >= 200 and seen[False] >= 400
 
 
 def _count_order_dps(monkeypatch):
