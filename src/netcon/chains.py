@@ -15,10 +15,13 @@ predecessors while their density is not higher.  ``block_summaries`` feeds it
 single jobs; the tree solver feeds it two subtrees' blocks and the last edge's
 job, so no subtree's job list is ever rebuilt.
 
-A chain whose first block has no weight has none at all: densities fall
-strictly and weights are non-negative, so it is that one block or nothing.
-``merge_value`` takes each chain's own objective and returns the other's when
-one side is weightless, without walking any block.
+``merge_value`` prices a merge without building it, in delay form: from the
+two chains' own objectives, each block taken in ``interleave`` order adds its
+processing time times the weight the other chain has left.  The total only
+grows, so a caller that only asks whether the merge beats a ``limit`` lets
+the walk stop there: the result is exact below ``limit`` and some value no
+less than it otherwise.  The walk reads weights and processing times only,
+never a block's ``inner`` cost.
 
 All densities are compared exactly by integer cross-multiplication.
 """
@@ -131,51 +134,52 @@ def merge_plan(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> list[i
 
 
 def merge_value(
-    s1: Sequence[BlockSummary], s2: Sequence[BlockSummary], own1: int, own2: int
+    s1: Sequence[BlockSummary],
+    s2: Sequence[BlockSummary],
+    own1: int,
+    own2: int,
+    weight1: int,
+    weight2: int,
+    limit: int | None = None,
 ) -> int:
-    """Objective of the optimal interleaving, from block summaries.
+    """Objective of the optimal interleaving, from block summaries, or a
+    value no less than ``limit`` when the objective is not below it.
 
-    ``own1`` and ``own2`` are the chains' objectives when each runs alone.  A
-    chain that is empty or starts with a weightless block carries no weight,
-    since block densities fall and no weight is negative; it runs after every
-    weighted block of the other chain, so the merge costs just the other
-    chain's own objective and no block is walked.
+    ``own1`` and ``own2`` are the chains' objectives when each runs alone and
+    ``weight1`` and ``weight2`` their total weights, the sums of their block
+    weights.  The walk is in delay form: it starts at ``own1 + own2``, and
+    each block it takes in ``interleave`` order delays whatever weight the
+    other chain has left by the block's processing time.  The total only
+    grows, so the walk returns as soon as it reaches ``limit`` (``None``: no
+    limit).  Block densities fall and no weight is negative, so once one
+    chain's weight is used up, every block still to come adds nothing: a
+    weightless chain returns at once, and no block's ``inner`` is read.
     """
-    if not s2 or not s2[0][0]:
-        return own1
-    if not s1 or not s1[0][0]:
-        return own2
-    total = 0
-    elapsed = 0
+    if not weight1 or not weight2:
+        return own1 + own2
+    total = own1 + own2
+    if limit is not None and total >= limit:
+        return total
     i = j = 0
-    n1 = len(s1)
-    n2 = len(s2)
-    w1, p1, inner1, _, _ = s1[0]
-    w2, p2, inner2, _, _ = s2[0]
+    w1, p1, _, _, _ = s1[0]
+    w2, p2, _, _, _ = s2[0]
     while True:
         if w1 * p2 >= w2 * p1:
-            total += inner1 + elapsed * w1
-            elapsed += p1
+            total += p1 * weight2
+            weight1 -= w1
+            if not weight1:
+                return total
             i += 1
-            if i == n1:
-                break
-            w1, p1, inner1, _, _ = s1[i]
+            w1, p1, _, _, _ = s1[i]
         else:
-            total += inner2 + elapsed * w2
-            elapsed += p2
+            total += p2 * weight1
+            weight2 -= w2
+            if not weight2:
+                return total
             j += 1
-            if j == n2:
-                break
-            w2, p2, inner2, _, _ = s2[j]
-    for k in range(i, n1):
-        w, p, inner, _, _ = s1[k]
-        total += inner + elapsed * w
-        elapsed += p
-    for k in range(j, n2):
-        w, p, inner, _, _ = s2[k]
-        total += inner + elapsed * w
-        elapsed += p
-    return total
+            w2, p2, _, _, _ = s2[j]
+        if limit is not None and total >= limit:
+            return total
 
 
 def merge_two_chains(c1: Chain, c2: Chain) -> tuple[list[Any], int]:

@@ -19,9 +19,17 @@ A subtree's record is one plain tuple of what later merges read: its value,
 the density decomposition (blocks) of its optimal job chain, its pair weight
 and its last edge; the empty subtree 0 is ``(0, (), 0, -1)``.  A trial reads
 both parts' records and scores the merge less L times their weights, and the
-winner adds L times its own weight once, which moves no value and no tie.  The
-winner's blocks come from the two parts' blocks, interleaved and followed by
-the last edge's job, through ``chains.merged_blocks``.  ``subtree_sequence``
+winner adds L times its own weight once, which moves no value and no tie.
+
+The trials are a branch and bound over the same merges.  A subtree first
+tries the last edge of the subtree it grew from, which wins most often, then
+the other edges in ascending order; the lowest edge of least value wins
+whatever the visiting order.  A later trial passes ``chains.merge_value`` the
+limit its merge must stay below to win, so most walks stop early, yet each
+two-sided trial still costs exactly one call.
+
+The winner's blocks come from the two parts' blocks, interleaved and followed
+by the last edge's job, through ``chains.merged_blocks``.  ``subtree_sequence``
 rebuilds the build order itself once, at the end, by following the last edges
 down.
 """
@@ -153,7 +161,12 @@ def subtree_records(
 
     Each subtree tries every edge as its last one: the two components left by
     deleting it are merged as two chains, then the edge connects every pair
-    whose path crosses it.  The lowest edge wins a tie.
+    whose path crosses it.  The first trial is the parent's last edge (for a
+    single edge, the edge itself), the rest follow in ascending order.  The
+    lowest edge of least value wins, so an edge below the incumbent's needs a
+    value no higher and one above it a lower value.  A later trial whose parts
+    both carry weight passes its merge the limit that it has to stay below to
+    win, and the merge stops once it reaches it.
     """
     edges = network.edges
     side_u = [u for u, _ in catalog.sides]
@@ -166,29 +179,43 @@ def subtree_records(
     records: dict[int, SubtreeRecord] = {0: (0, (), 0, -1)}
     for key in catalog.keys:
         parent = growth[key][0]
-        total_length = lengths[parent] + edges[(key ^ parent).bit_length() - 1][2]
+        added = (key ^ parent).bit_length() - 1
+        total_length = lengths[parent] + edges[added][2]
         lengths[key] = total_length
 
+        # the parent's last edge first (a single edge tries itself): it most
+        # often wins, and its value bounds the merges of the trials after it
+        eid = records[parent][3] if parent else added
         best_value = None
         best_edge = -1
-        probe = key
-        while probe:
+        probe = key ^ 1 << eid
+        while True:
+            value_a, blocks_a, weight_a, _ = records[key & side_u[eid]]
+            value_b, blocks_b, weight_b, _ = records[key & side_v[eid]]
+            # the last edge connects w_key - weight_a - weight_b at time L;
+            # L * w_key, the same for every trial, is added to the winner
+            shift = total_length * (weight_a + weight_b)
+            # beside an empty part, a component's merge cost is its own value;
+            # a merge that cannot win by the rule below may stop at the limit,
+            # and one with a weightless part returns at once, needing none
+            if blocks_a and blocks_b:
+                value = merge_value(
+                    blocks_a, blocks_b, value_a, value_b, weight_a, weight_b,
+                    best_value + (eid < best_edge) + shift
+                    if weight_a and weight_b and best_value is not None
+                    else None,
+                ) - shift
+            else:
+                value = value_a + value_b - shift
+            # the lowest edge of least value wins, whatever the visiting order
+            if best_value is None or value < best_value or value == best_value and eid < best_edge:
+                best_value = value
+                best_edge = eid
+            if not probe:
+                break
             low = probe & -probe
             probe ^= low
             eid = low.bit_length() - 1
-            value_a, blocks_a, weight_a, _ = records[key & side_u[eid]]
-            value_b, blocks_b, weight_b, _ = records[key & side_v[eid]]
-            # beside an empty part, a component's merge cost is its own value
-            if blocks_a and blocks_b:
-                value = merge_value(blocks_a, blocks_b, value_a, value_b)
-            else:
-                value = value_a + value_b
-            # the last edge connects w_key - weight_a - weight_b at time L;
-            # L * w_key, the same for every trial, is added to the winner
-            value -= total_length * (weight_a + weight_b)
-            if best_value is None or value < best_value:
-                best_value = value
-                best_edge = eid
 
         w_key = weights[key]
         _, blocks_a, weight_a, _ = records[key & side_u[best_edge]]

@@ -119,10 +119,12 @@ def test_merge_value_agrees_with_expanded_walk():
 
 
 def _merge_value(c1, c2):
-    """``merge_value`` on two job chains, each with its objective run alone."""
+    """``merge_value`` on two job chains, each with its objective run alone and
+    its total weight."""
     s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
     s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
-    return merge_value(s1, s2, merge_two_chains(c1, [])[1], merge_two_chains(c2, [])[1])
+    own1, own2 = merge_two_chains(c1, [])[1], merge_two_chains(c2, [])[1]
+    return merge_value(s1, s2, own1, own2, sum(j.weight for j in c1), sum(j.weight for j in c2))
 
 
 def _chain(rng, kind):
@@ -177,3 +179,36 @@ def test_scaling_weights_preserves_order():
         order7, objective7 = merge_two_chains(scaled1, scaled2)
         assert order7 == order
         assert objective7 == 7 * objective
+
+
+def _limit_cases():
+    """Chains with zero weights, density ties and numbers up to 2^62."""
+    rng = random.Random(53)
+    for _ in range(300):
+        top = rng.choice([2, 9, 1 << 62])
+        # small numbers tie densities across the chains; huge ones exercise exact arithmetic
+        pick = lambda lo: rng.choice([lo, 1, 2, top, rng.randint(lo, top)])
+        c1, c2 = (
+            jobs(*[(pick(1), pick(0) * rng.randint(0, 1)) for _ in range(rng.randint(0, 6))])
+            for _ in range(2)
+        )
+        yield c1, c2
+
+
+def test_merge_value_limit_contract():
+    # below the limit the result is the exact objective; otherwise it is any
+    # value no less than the limit, and ``None`` means no limit at all
+    for c1, c2 in _limit_cases():
+        s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
+        s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
+        args = (s1, s2, merge_two_chains(c1, [])[1], merge_two_chains(c2, [])[1])
+        weights = (sum(w for w, _, _, _, _ in s1), sum(w for w, _, _, _, _ in s2))
+        assert weights == (sum(j.weight for j in c1), sum(j.weight for j in c2))
+        objective = merge_two_chains(c1, c2)[1]
+        assert merge_value(*args, *weights) == merge_value(*args, *weights, None) == objective
+        for above in (1, 2, objective + 1, 1 << 63):
+            assert merge_value(*args, *weights, objective + above) == objective
+        own = args[2] + args[3]
+        for limit in {objective, objective - 1, own + 1, own, own - 1, objective // 2, 0, -(1 << 62)}:
+            if limit <= objective:
+                assert merge_value(*args, *weights, limit) >= limit

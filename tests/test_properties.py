@@ -3,9 +3,10 @@
 Shifting every due date by s moves the maximum lateness by exactly -s, and
 scaling every length by k scales every connection time, and so the weighted
 sum, by k; scaling the due dates by k as well scales the maximum lateness by
-k.  None of these may depend on how large the numbers get.  Renaming the
-vertices changes no objective, and the shortest-path distances the fixed-r
-DPs start from are the graph's (checked against scipy).
+k.  Scaling every pair weight by k scales the weighted sum by k and keeps the
+tree solver's build order.  None of these may depend on how large the numbers
+get.  Renaming the vertices changes no objective, and the shortest-path
+distances the fixed-r DPs start from are the graph's (checked against scipy).
 """
 
 from hypothesis import given, settings
@@ -87,6 +88,19 @@ def test_length_scaling_scales_wct_on_trees(seed, k):
     inst = generate("random_tree", 7, seed=seed, pair_count=3)
     want = solve_tree(inst)[1].objective
     assert solve_tree(_scale_lengths(inst, k))[1].objective == k * want
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 1 << 62))
+def test_weight_scaling_scales_the_tree_optimum_and_keeps_its_order(seed, k):
+    # small lengths and weights tie many trials; scaled, every trial's value
+    # is k times as large, so the merge limits must pick the same edges
+    inst = generate("random_tree", 8, seed=seed, pair_count=5, length_range=(1, 2), weight_range=(1, 2))
+    pairs = tuple(RelevantPair(p.u, p.v, p.weight * k) for p in inst.pairs)
+    seq, report = solve_tree(inst, force=True)
+    scaled_seq, scaled_report = solve_tree(Instance(inst.network, pairs), force=True)
+    assert scaled_report.objective == k * report.objective
+    assert scaled_seq == seq
 
 
 def test_fixed_r_handles_a_2_pow_60_edge():

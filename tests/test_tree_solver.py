@@ -261,10 +261,10 @@ def test_subtree_records_merges_once_per_two_sided_trial(monkeypatch):
     original = netcon.chains.merge_value
     calls = []
 
-    def counted(s1, s2, own1, own2):
+    def counted(s1, s2, own1, own2, weight1, weight2, limit=None):
         assert s1 and s2
         calls.append(1)
-        return original(s1, s2, own1, own2)
+        return original(s1, s2, own1, own2, weight1, weight2, limit)
 
     monkeypatch.setattr(netcon.chains, "merge_value", counted)
     for inst in _merge_count_instances():
@@ -279,6 +279,71 @@ def test_subtree_records_merges_once_per_two_sided_trial(monkeypatch):
         calls.clear()
         subtree_records(inst.network, catalog, weights)
         assert len(calls) == expected
+
+
+def _ascending_records(network, catalog, weights):
+    """The subtree DP with the plain trial loop: every edge in ascending order,
+    each merge priced exactly, the first edge of least value kept."""
+    edges = network.edges
+    lengths = {0: 0}
+    records = {0: (0, (), 0, -1)}
+    for key in catalog.keys:
+        parent = catalog.growth[key][0]
+        total_length = lengths[parent] + edges[(key ^ parent).bit_length() - 1][2]
+        lengths[key] = total_length
+        best_value = None
+        best_edge = -1
+        for eid in range(network.edge_count):
+            if not key >> eid & 1:
+                continue
+            part_a, part_b = catalog.split(key, eid)
+            value_a, blocks_a, weight_a, _ = records[part_a]
+            value_b, blocks_b, weight_b, _ = records[part_b]
+            if blocks_a and blocks_b:
+                value = netcon.chains.merge_value(blocks_a, blocks_b, value_a, value_b, weight_a, weight_b)
+            else:
+                value = value_a + value_b
+            value -= total_length * (weight_a + weight_b)
+            if best_value is None or value < best_value:
+                best_value = value
+                best_edge = eid
+        w_key = weights[key]
+        part_a, part_b = catalog.split(key, best_edge)
+        _, blocks_a, weight_a, _ = records[part_a]
+        _, blocks_b, weight_b, _ = records[part_b]
+        blocks = netcon.chains.merged_blocks(blocks_a, blocks_b, w_key - weight_a - weight_b, edges[best_edge][2])
+        records[key] = (best_value + total_length * w_key, blocks, w_key, best_edge)
+    return records
+
+
+def _tie_prone_instances():
+    """Random trees and spiders with lengths and weights 1-2, so trials tie often."""
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        yield generate(
+            "random_tree", n, seed=rng.randrange(1 << 30), pair_count=rng.randint(1, n * (n - 1) // 2),
+            length_range=(1, 2), weight_range=(1, 2),
+        )
+    for _ in range(60):
+        n = rng.randint(4, 11)
+        legs = rng.randint(2, 4)
+        edges = [(0 if v <= legs else v - legs, v, rng.randint(1, 2)) for v in range(1, n)]
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], rng.randint(1, n + 2))
+        yield _inst(edges, [(u, v, rng.randint(1, 2)) for u, v in pairs])
+
+
+def test_trial_order_and_limits_keep_the_ascending_scan_records():
+    # starting from the parent's last edge, with limits on the merges, picks
+    # the same record for every subtree as trying each edge in ascending order
+    for inst in _tie_prone_instances():
+        catalog = enumerate_subtrees(inst.network)
+        weights = pair_weight_tables(inst.network, inst.pairs, catalog)
+        records = subtree_records(inst.network, catalog, weights)
+        assert records == _ascending_records(inst.network, catalog, weights)
+        # the walk's stopping rule reads pair weights as block weight sums
+        for _, blocks, weight, _ in records.values():
+            assert weight == sum(w for w, _, _, _, _ in blocks)
 
 
 def test_solve_path3():
