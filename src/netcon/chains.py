@@ -8,26 +8,27 @@ one longest block.  Two chains merge optimally by repeatedly emitting the
 highest-density front block, preferring the first chain on ties
 (``interleave``).
 
-Every block is a plain ``(weight, processing, inner, start, end)`` tuple, and
-``merged_blocks`` holds the one fusing rule: it takes two decompositions'
-blocks in interleaving order, then one more job, and fuses each with its
-predecessors while their density is not higher.  ``block_summaries`` feeds it
-single jobs; the tree solver feeds it two subtrees' blocks and the last edge's
-job, so no subtree's job list is ever rebuilt.
+A block is a plain ``(weight, processing, jobs)`` tuple with no position, so
+merges share their parts' blocks; each block's ``jobs`` taken from its own
+chain in interleaving order rebuild the merged order.  ``merged_blocks``
+holds the one fusing rule: it takes two decompositions' blocks in that order,
+then one more job, fusing each with its predecessors while their density is
+not higher.  ``block_summaries`` feeds it single jobs, the tree solver two
+subtrees' blocks and the last edge's job.
 
 ``merge_value`` prices a merge without building it, in delay form: from the
 two chains' own objectives, each block taken in ``interleave`` order adds its
 processing time times the weight the other chain has left.  The total only
 grows, so a caller that only asks whether the merge beats a ``limit`` lets
 the walk stop there: the result is exact below ``limit`` and some value no
-less than it otherwise.  The walk reads weights and processing times only,
-never a block's ``inner`` cost.
+less than it otherwise.
 
 All densities are compared exactly by integer cross-multiplication.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Iterator, Sequence
 
 from .frozen import Frozen
@@ -50,58 +51,56 @@ class Job(Frozen):
 Chain = Sequence[Job]
 
 
-# Block summaries are (weight, processing, inner, start, end) tuples, where
-# inner is the weighted completion cost of the block run in isolation and the
-# block covers jobs [start, end) of its chain.
-BlockSummary = tuple[int, int, int, int, int]
+# Block summaries are (weight, processing, jobs) tuples: a block's total
+# weight and processing time and the number of consecutive jobs it covers.
+BlockSummary = tuple[int, int, int]
 
 
 def merged_blocks(
     s1: Sequence[BlockSummary], s2: Sequence[BlockSummary], weight: int, processing: int
 ) -> tuple[BlockSummary, ...]:
     """Decomposition of the optimal interleaving of ``s1`` and ``s2`` followed
-    by one job of ``weight`` and ``processing``, each block re-based onto the
-    merged order.
+    by one job of ``weight`` and ``processing``.
 
     One loop takes the blocks in ``interleave`` order, then the job, and fuses
     each with its predecessors while their density is not higher: this is the
-    one fusing rule.  A fused block's jobs in the later part finish ``p0``
-    later, which adds ``w * p0`` to its inner cost.
+    one fusing rule.  A fuse adds the three fields; a block that fuses with
+    nothing is kept as the same tuple.
     """
     blocks: list[BlockSummary] = []
     n1 = len(s1)
     n2 = len(s2)
-    i = j = at = 0
+    i = j = 0
     for _ in range(n1 + n2 + 1):
         if i < n1 and (j == n2 or s1[i][0] * s2[j][1] >= s2[j][0] * s1[i][1]):
-            w, p, inner, start, end = s1[i]
+            block = s1[i]
             i += 1
         elif j < n2:
-            w, p, inner, start, end = s2[j]
+            block = s2[j]
             j += 1
         else:
-            w, p, inner, start, end = weight, processing, weight * processing, 0, 1
-        start, at = at, at + end - start
+            block = (weight, processing, 1)
+        w, p, k = block
         while blocks and blocks[-1][0] * p <= w * blocks[-1][1]:
-            w0, p0, inner0, start, _ = blocks.pop()
-            w, p, inner = w0 + w, p0 + p, inner0 + inner + w * p0
-        blocks.append((w, p, inner, start, at))
+            w0, p0, k0 = blocks.pop()
+            block = w, p, k = w0 + w, p0 + p, k0 + k
+        blocks.append(block)
     return tuple(blocks)
 
 
 def block_summaries(ps: Sequence[int], ws: Sequence[int]) -> tuple[BlockSummary, ...]:
-    jobs = [(w, p, w * p, i, i + 1) for i, (p, w) in enumerate(zip(ps, ws))]
+    jobs = [(w, p, 1) for p, w in zip(ps, ws)]
     if not jobs:
         return ()
-    w, p, _, _, _ = jobs.pop()
+    w, p, _ = jobs.pop()
     return merged_blocks(jobs, (), w, p)
 
 
 def density_decomposition(chain: Chain) -> list[BlockSummary]:
     """Split a chain into maximum-density initial blocks of successive residuals.
 
-    Each block is a ``(weight, processing, inner, start, end)`` tuple covering
-    ``chain[start:end]``.
+    Each block is a ``(weight, processing, jobs)`` tuple covering the next
+    ``jobs`` jobs of the chain, so the blocks cover it in order.
     """
     return list(block_summaries([j.processing for j in chain], [j.weight for j in chain]))
 
@@ -153,7 +152,7 @@ def merge_value(
     grows, so the walk returns as soon as it reaches ``limit`` (``None``: no
     limit).  Block densities fall and no weight is negative, so once one
     chain's weight is used up, every block still to come adds nothing: a
-    weightless chain returns at once, and no block's ``inner`` is read.
+    weightless chain returns at once.
     """
     if not weight1 or not weight2:
         return own1 + own2
@@ -161,8 +160,8 @@ def merge_value(
     if limit is not None and total >= limit:
         return total
     i = j = 0
-    w1, p1, _, _, _ = s1[0]
-    w2, p2, _, _, _ = s2[0]
+    w1, p1, _ = s1[0]
+    w2, p2, _ = s2[0]
     while True:
         if w1 * p2 >= w2 * p1:
             total += p1 * weight2
@@ -170,14 +169,14 @@ def merge_value(
             if not weight1:
                 return total
             i += 1
-            w1, p1, _, _, _ = s1[i]
+            w1, p1, _ = s1[i]
         else:
             total += p2 * weight1
             weight2 -= w2
             if not weight2:
                 return total
             j += 1
-            w2, p2, _, _, _ = s2[j]
+            w2, p2, _ = s2[j]
         if limit is not None and total >= limit:
             return total
 
@@ -189,8 +188,9 @@ def merge_two_chains(c1: Chain, c2: Chain) -> tuple[list[Any], int]:
     completion time, minimal over all order-preserving interleavings.
     """
     merged: list[Job] = []
-    for side, (_, _, _, a, b) in interleave(density_decomposition(c1), density_decomposition(c2)):
-        merged.extend((c1, c2)[side][a:b])
+    sides = (iter(c1), iter(c2))
+    for side, (_, _, jobs) in interleave(density_decomposition(c1), density_decomposition(c2)):
+        merged.extend(islice(sides[side], jobs))
     elapsed = 0
     objective = 0
     for job in merged:

@@ -99,7 +99,10 @@ def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tup
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -262,12 +265,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # exact numbers of any length: lift the int-string digit limit (3.10.7 on) for this call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = _shared_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse exits on --help and usage errors
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -280,6 +286,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NetconError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

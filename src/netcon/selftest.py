@@ -180,13 +180,14 @@ def criterion_merge_optimality(scale: float = 1.0) -> CheckResult:
 
 def _decomposition_flaw(chain: list[Job]) -> str | None:
     blocks = density_decomposition(chain)
-    if [j for _, _, _, a, b in blocks for j in chain[a:b]] != list(chain):
+    starts = list(itertools.accumulate((jobs for _, _, jobs in blocks), initial=0))
+    if any(a >= b for a, b in zip(starts, starts[1:])) or starts[-1] != len(chain):
         return "blocks do not cover the chain in order"
-    for (w1, p1, *_), (w2, p2, *_) in zip(blocks, blocks[1:]):
+    for (w1, p1, _), (w2, p2, _) in zip(blocks, blocks[1:]):
         if w1 * p2 <= w2 * p1:
             return "densities not strictly decreasing"
     # quadratic scan: every block is a maximum-density initial block of its residual
-    for weight, processing, _, start, end in blocks:
+    for (weight, processing, _), start, end in zip(blocks, starts, starts[1:]):
         x = y = 0
         for job in chain[start:]:
             x += job.processing

@@ -36,6 +36,7 @@ down.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Mapping, NamedTuple
 
 from . import chains
@@ -73,7 +74,8 @@ class SubtreeCatalog(NamedTuple):
 # A subtree's optimal solution, as far as merges need it: (value, blocks,
 # pair weight, last edge).  ``blocks`` is the density decomposition of its
 # optimal job chain (one job per edge, weighted by the pairs that edge
-# connects), with ``start``/``end`` indexing its build order;
+# connects): its job counts cut the build order into consecutive runs, and it
+# shares each block that did not fuse with its parts' records.
 # ``subtree_sequence`` rebuilds the order itself on demand.
 SubtreeRecord = tuple[int, tuple[chains.BlockSummary, ...], int, int]
 
@@ -246,11 +248,10 @@ def subtree_sequence(
     for k in reversed(reached):
         last = records[k][3]
         part_a, part_b = catalog.split(k, last)
-        sides = (orders.pop(part_a, ()), orders.pop(part_b, ()))
+        sides = (iter(orders.pop(part_a, ())), iter(orders.pop(part_b, ())))
         seq: list[int] = []
-        blocks = chains.interleave(records[part_a][1], records[part_b][1])
-        for side, (_, _, _, start, end) in blocks:
-            seq.extend(sides[side][start:end])
+        for side, (_, _, jobs) in chains.interleave(records[part_a][1], records[part_b][1]):
+            seq.extend(islice(sides[side], jobs))
         seq.append(last)
         orders[k] = tuple(seq)
     return orders.get(key, ())

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
 
 from netcon import Job, density_decomposition, interleaving_oracle, merge_two_chains
-from netcon.chains import block_summaries, merge_value
+from netcon.chains import block_summaries, interleave, merge_value, merged_blocks
 
 
 def jobs(*pw):
@@ -43,15 +44,18 @@ def test_falling_weights_split():
 def test_equal_density_segments_fuse_into_longest_block():
     blocks = density_decomposition(jobs((1, 2), (2, 4), (3, 6)))
     assert len(blocks) == 1
-    assert blocks[0][3:] == (0, 3)  # (start, end)
+    assert blocks[0][2] == 3  # jobs
 
 
 def _brute_decomposition_ok(chain):
     blocks = density_decomposition(chain)
-    assert [j for _, _, _, a, b in blocks for j in chain[a:b]] == list(chain)
-    densities = [Fraction(w, p) for w, p, _, _, _ in blocks]
+    # running offsets: each block covers the next ``jobs`` jobs of the chain
+    starts = list(accumulate((n for _, _, n in blocks), initial=0))
+    assert all(n >= 1 for _, _, n in blocks) and starts[-1] == len(chain)
+    assert [j for a, b in zip(starts, starts[1:]) for j in chain[a:b]] == list(chain)
+    densities = [Fraction(w, p) for w, p, _ in blocks]
     assert densities == sorted(set(densities), reverse=True)
-    for (_, _, _, start, _), density in zip(blocks, densities):
+    for start, density in zip(starts, densities):
         x = y = 0
         for job in chain[start:]:
             x += job.processing
@@ -64,6 +68,38 @@ def test_decomposition_property_random():
     for _ in range(200):
         chain = jobs(*[(rng.randint(1, 9), rng.randint(0, 9)) for _ in range(rng.randint(0, 12))])
         _brute_decomposition_ok(chain)
+
+
+def _summaries(chain):
+    return block_summaries([j.processing for j in chain], [j.weight for j in chain])
+
+
+def test_merged_blocks_decompose_the_interleaving_then_the_job():
+    # weights 0..2 over lengths 1..3 tie densities across the two chains often
+    rng = random.Random(61)
+    ties = 0
+    for _ in range(400):
+        c1, c2 = (
+            jobs(*[(rng.randint(1, 3), rng.randint(0, 2)) for _ in range(rng.randint(0, 6))]) for _ in range(2)
+        )
+        weight, processing = rng.randint(0, 2), rng.randint(1, 3)
+        s1, s2 = _summaries(c1), _summaries(c2)
+        ties += any(w1 * p2 == w2 * p1 for w1, p1, _ in s1 for w2, p2, _ in s2)
+        sides = (iter(c1), iter(c2))
+        order = [job for side, (_, _, n) in interleave(s1, s2) for job in islice(sides[side], n)]
+        blocks = merged_blocks(s1, s2, weight, processing)
+        assert blocks == _summaries(order + [Job(processing, weight)])
+        assert all(n >= 1 for _, _, n in blocks)
+        assert sum(n for _, _, n in blocks) == len(c1) + len(c2) + 1
+        assert all(w1 * p2 > w2 * p1 for (w1, p1, _), (w2, p2, _) in zip(blocks, blocks[1:]))
+    assert ties >= 50  # cross-chain fuses are exercised, not just possible
+
+
+def test_merged_blocks_share_the_blocks_that_do_not_fuse():
+    s1 = _summaries(jobs((1, 5), (2, 3), (1, 1)))
+    blocks = merged_blocks(s1, (), 0, 1)  # a weightless job fuses with no weighted block
+    assert blocks[:3] == s1 and all(a is b for a, b in zip(blocks, s1))
+    assert blocks[3] == (0, 1, 1)
 
 
 def test_merge_single_chain_passthrough():
@@ -121,8 +157,7 @@ def test_merge_value_agrees_with_expanded_walk():
 def _merge_value(c1, c2):
     """``merge_value`` on two job chains, each with its objective run alone and
     its total weight."""
-    s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
-    s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
+    s1, s2 = _summaries(c1), _summaries(c2)
     own1, own2 = merge_two_chains(c1, [])[1], merge_two_chains(c2, [])[1]
     return merge_value(s1, s2, own1, own2, sum(j.weight for j in c1), sum(j.weight for j in c2))
 
@@ -199,10 +234,9 @@ def test_merge_value_limit_contract():
     # below the limit the result is the exact objective; otherwise it is any
     # value no less than the limit, and ``None`` means no limit at all
     for c1, c2 in _limit_cases():
-        s1 = block_summaries([j.processing for j in c1], [j.weight for j in c1])
-        s2 = block_summaries([j.processing for j in c2], [j.weight for j in c2])
+        s1, s2 = _summaries(c1), _summaries(c2)
         args = (s1, s2, merge_two_chains(c1, [])[1], merge_two_chains(c2, [])[1])
-        weights = (sum(w for w, _, _, _, _ in s1), sum(w for w, _, _, _, _ in s2))
+        weights = (sum(w for w, _, _ in s1), sum(w for w, _, _ in s2))
         assert weights == (sum(j.weight for j in c1), sum(j.weight for j in c2))
         objective = merge_two_chains(c1, c2)[1]
         assert merge_value(*args, *weights) == merge_value(*args, *weights, None) == objective

@@ -1,6 +1,7 @@
 import argparse
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from netcon import (
     generate,
     parse_instance,
     selftest,
+    solve_tree,
     subset_dp,
     write_instance,
 )
@@ -217,6 +219,40 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     bad.write_text("netcon 1\nobjective wct\nvertices 2\nedge 0 0 1\npair 0 1 1\n")
     assert run(capsys, "solve", str(bad))[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "validate", "oracle", "reduce-ola"])
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    bad = tmp_path / "bad.ncn"
+    bad.write_bytes(b"netcon 1\n\xff\n")
+    files = [str(bad), str(bad)] if command == "validate" else [str(bad)]
+    status, out, err = run(capsys, command, *files)
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} is not UTF-8 text") and "Traceback" not in err
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_numbers_past_the_int_string_digit_limit_stay_exact(capsys, tmp_path):
+    # a 5000-digit length, past the 4300 digits Python converts by default
+    length = 10**4999 + 7
+    length_text = "1" + "0" * 4998 + "7"
+    objective_text = "3" + "0" * 4997 + "21"  # 3 * length
+    instance = Instance(Network(2, ((0, 1, length),)), (RelevantPair(0, 1, 3),))
+    assert solve_tree(instance)[1].objective == 3 * length
+    path = tmp_path / "long.ncn"
+    path.write_text(f"netcon 1\nobjective wct\nvertices 2\nedge 0 1 {length_text}\npair 0 1 3\n")
+    limit = _int_digit_limit()
+    status, out, err = run(capsys, "solve", str(path), "-o", str(tmp_path / "long.out"))
+    assert (status, err) == (0, "")
+    assert out == f"pair 0 1 t={length_text}\nobjective {objective_text}\nsequence\n0\n"
+    assert run(capsys, "validate", str(path), str(tmp_path / "long.out")) == (0, "ok\n", "")
+    assert run(capsys, "oracle", str(path)) == (0, f"objective {objective_text}\n", "")
+    # the interpreter's limit is back once each call returns
+    assert _int_digit_limit() == limit
 
 
 def test_guard_exceeded_exits_3(capsys, tmp_path):

@@ -343,7 +343,7 @@ def test_trial_order_and_limits_keep_the_ascending_scan_records():
         assert records == _ascending_records(inst.network, catalog, weights)
         # the walk's stopping rule reads pair weights as block weight sums
         for _, blocks, weight, _ in records.values():
-            assert weight == sum(w for w, _, _, _, _ in blocks)
+            assert weight == sum(w for w, _, _ in blocks)
 
 
 def test_solve_path3():
