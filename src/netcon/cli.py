@@ -40,6 +40,7 @@ from .model import (
     Objective,
     _content_lines,
     _parse_int,
+    exact_digits,
     generate,
     parse_instance,
     parse_ola_input,
@@ -56,6 +57,7 @@ def format_solution(instance: Instance, report: ConnectionReport, seq: Sequence[
     return "\n".join(lines) + "\n"
 
 
+@exact_digits
 def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tuple[int, ...]]:
     """Read a solve-format solution file back into a claim and a sequence."""
     times: dict[tuple[int, int], int] = {}
@@ -264,11 +266,8 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@exact_digits
 def main(argv: Sequence[str] | None = None) -> int:
-    # exact numbers of any length: lift the int-string digit limit (3.10.7 on) for this call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
@@ -286,9 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NetconError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

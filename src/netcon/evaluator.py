@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import SequenceError
-from .model import Instance, Objective
+from .model import Instance, Objective, exact_digits
 from .unionfind import UnionFind
 
 BuildSequence = tuple[int, ...]
@@ -48,6 +48,7 @@ def evaluate_sequence(instance: Instance, seq: Sequence[int]) -> ConnectionRepor
             raise SequenceError(f"duplicate edge id {eid}")
         seen.add(eid)
 
+    # the replay stops at the edge that joins the last pair
     uf = UnionFind(network.vertex_count)
     pending = list(range(len(instance.pairs)))
     times: list[int | None] = [None] * len(instance.pairs)
@@ -55,8 +56,7 @@ def evaluate_sequence(instance: Instance, seq: Sequence[int]) -> ConnectionRepor
     for eid in seq:
         u, v, c = edges[eid]
         elapsed += c
-        uf.union(u, v)
-        if pending:
+        if uf.union(u, v):  # an edge that joins nothing new connects no pair
             still = []
             for idx in pending:
                 pair = instance.pairs[idx]
@@ -65,6 +65,8 @@ def evaluate_sequence(instance: Instance, seq: Sequence[int]) -> ConnectionRepor
                 else:
                     still.append(idx)
             pending = still
+            if not pending:
+                break
     if pending:
         missing = ", ".join(
             f"({instance.pairs[i].u}, {instance.pairs[i].v})" for i in pending
@@ -107,6 +109,7 @@ def validate_sequence(
     return Verdict(not problems, tuple(problems))
 
 
+@exact_digits
 def format_report(instance: Instance, report: ConnectionReport) -> str:
     lines = [
         f"pair {pair.u} {pair.v} t={t}"

@@ -12,9 +12,12 @@ order it is first needed by the earliest step that serves such a pair.  Per
 endpoint set, the DP takes the best split at each vertex, then runs one
 multi-source Dijkstra from those labels.  A set that separates no pair costs
 nothing to carry: that is how a forest's components join.  The only distances
-the DP needs are those from the pair endpoints (``build_metric_closure``), so
-no all-pairs work is done.  Each DP's one optimal forest is streamed by
-``enumerate_candidate_forests``.
+the DP needs are those from the pair endpoints (``build_metric_closure``),
+and each of those rows is computed on demand: only when it is read, and for
+a pair's shortest path only until the pair's far end is settled, a search
+that a later full read resumes.  So no all-pairs work is done, and a row
+nothing reads (under wct, the last endpoint's) is never computed.  Each DP's
+one optimal forest is streamed by ``enumerate_candidate_forests``.
 
 Weighted sum (wct): an edge costs its length times the weight of the steps
 from the first one that needs it, so each pair order has its own DP, with
@@ -107,7 +110,12 @@ PAIR_BOUND_DEPOT = 6
 
 
 def _dijkstra(
-    network: Network, labels: list[float], factor: int, below: Sequence[float]
+    network: Network,
+    labels: list[float],
+    factor: int,
+    below: Sequence[float],
+    heap: list[tuple[float, int]] | None = None,
+    stop: int = -1,
 ) -> list[float]:
     """Lowest labels from the labelled vertices along edges costing ``factor``
     times their length, for every vertex (the network is connected), keeping
@@ -115,29 +123,41 @@ def _dijkstra(
     come out exact, and every other one stays as given or lowered, at least
     ``below[v]``.  ``labels`` holds one label per vertex (``inf`` for none),
     is lowered in place and returned; the search starts from the vertices
-    whose label is below ``below``."""
+    whose label is below ``below``.
+
+    A search can be cut short and resumed: given ``heap``, it goes on from
+    those (label, vertex) entries, which it pops and pushes in place, and it
+    returns once the vertex ``stop`` is popped.  At that point every vertex
+    closer than ``stop`` is popped with its exact label, and every label not
+    popped is at least the least label left in ``heap``."""
     adjacency = network.adjacency
     edges = network.edges
-    heap = list(compress(zip(labels, count()), map(lt, labels, below)))
-    heapify(heap)
+    if heap is None:
+        heap = list(compress(zip(labels, count()), map(lt, labels, below)))
+        heapify(heap)
     while heap:
         d, x = heappop(heap)
         if d != labels[x]:
             continue  # a stale entry
         for y, eid in adjacency[x]:
             alt = d + factor * edges[eid][2]
-            if alt < below[y] and alt < labels[y]:
+            if alt < labels[y] and alt < below[y]:
                 labels[y] = alt
                 heappush(heap, (alt, y))
+        if x == stop:
+            break
     return labels
 
 
 def _descend(network: Network, dist: Sequence[int], v: int) -> list[int]:
     """The edge ids of a shortest path from v down the distance row ``dist``
-    (from ``build_metric_closure``) to its source.
+    (from ``DistanceRows``) to its source.
 
     Each step takes the first neighbour, in adjacency order, whose distance
-    plus the edge's length is the current distance.
+    plus the edge's length is the current distance.  A row settled only as
+    far as v (``DistanceRows.through``) gives the same walk: every neighbour
+    closer than the current vertex is settled with its exact distance, and
+    every other label is at least v's distance, so it never fits.
     """
     adjacency = network.adjacency
     edges = network.edges
@@ -152,26 +172,77 @@ def _descend(network: Network, dist: Sequence[int], v: int) -> list[int]:
 
 
 def _shortest_paths(
-    instance: Instance, dist: Sequence[list[int]], order: Iterable[int]
+    instance: Instance, dist: DistanceRows, order: Iterable[int]
 ) -> list[list[int]]:
     """Per pair of ``instance.pairs`` in ``order``, the edge ids of its
     shortest path that ``_descend`` walks, from its v to its u; ``dist[i]``
-    holds the distances from ``instance.terminals[i]``."""
+    holds the distances from ``instance.terminals[i]``, each row settled only
+    as far as the pair's v."""
     where = {x: i for i, x in enumerate(instance.terminals)}
-    pairs = instance.pairs
-    return [_descend(instance.network, dist[where[pairs[i].u]], pairs[i].v) for i in order]
+    walks = []
+    for i in order:
+        u, v = instance.pairs[i].key
+        walks.append(_descend(instance.network, dist.through(where[u], v), v))
+    return walks
 
 
-def build_metric_closure(network: Network, sources: Iterable[int]) -> list[list[int]]:
-    """Shortest distances from each source to every vertex: one Dijkstra per
-    source, exact integers."""
+def _span(instance: Instance, dist: DistanceRows, pair: int) -> int:
+    """The distance between the ends of pair ``pair`` of ``instance.pairs``,
+    from its u's row settled only as far as its v."""
+    u, v = instance.pairs[pair].key
+    return dist.through(instance.terminals.index(u), v)[v]
+
+
+class DistanceRows(Sequence):
+    """Shortest distances from each of some sources to every vertex: row i
+    holds those from the i-th source, as exact integers.  A row is computed
+    (one ``_dijkstra``) only when it is read, and ``through`` settles it only
+    as far as one vertex; a later read resumes that same search, whose final
+    labels are the distances."""
+
+    __slots__ = ("network", "_rows", "_unbounded")
+
+    def __init__(self, network: Network, rows: list[tuple[list, list]], unbounded: list) -> None:
+        self.network = network
+        self._rows = rows  # per source: its labels and the heap its search resumes from
+        self._unbounded = unbounded
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> list[float]:
+        labels, heap = self._rows[index]
+        if heap:
+            _dijkstra(self.network, labels, 1, self._unbounded, heap)
+        return labels
+
+    def through(self, index: int, v: int) -> list[float]:
+        """Row ``index`` settled at least as far as vertex v: exact at v and
+        at every vertex closer to the source, and at least v's distance
+        everywhere else.  A label no larger than every one the search has
+        yet to pop is already exact (the search's own invariant)."""
+        labels, heap = self._rows[index]
+        if heap and labels[v] > heap[0][0]:
+            _dijkstra(self.network, labels, 1, self._unbounded, heap, v)
+        return labels
+
+    def select(self, indices: Iterable[int]) -> DistanceRows:
+        """The rows at ``indices``, in that order, sharing their searches
+        with these."""
+        return DistanceRows(self.network, [self._rows[i] for i in indices], self._unbounded)
+
+
+def build_metric_closure(network: Network, sources: Iterable[int]) -> DistanceRows:
+    """Shortest distances from each source to every vertex, as exact
+    integers: one Dijkstra per source, run only as far as the rows are read
+    (``DistanceRows``)."""
     unbounded = [math.inf] * network.vertex_count
     rows = []
     for s in sources:
-        row = unbounded.copy()
-        row[s] = 0
-        rows.append(_dijkstra(network, row, 1, unbounded))
-    return rows
+        labels = unbounded.copy()
+        labels[s] = 0
+        rows.append((labels, [(0, s)]))
+    return DistanceRows(network, rows, unbounded)
 
 
 # A forest joining every pair: per pair in ``instance.pairs`` order, its
@@ -248,18 +319,19 @@ def _order_coefficients(
 
 
 def _needs(
-    dist: Sequence[list[int]], spans: Sequence[tuple[int, int, int]], mask: int
+    n: int, dist: Sequence[list[int]], spans: Sequence[tuple[int, int, int]], mask: int
 ) -> Iterator[list[int]]:
     """Per step, per vertex v: at least the length that the rest of any
     forest holds on the paths of the pairs served by then, once a tree that
-    hangs from it at v alone joins v to the endpoint set ``mask``.
+    hangs from it at v alone joins v to the endpoint set ``mask``, for the
+    n vertices.
 
     ``spans`` holds, per step, the pair's two endpoint indices (into
     ``dist``) and their distance.  The rest holds a path from v to the far
     end of each pair the set separates, and the whole path of each pair with
     no end in the set.  Paths overlap, so it holds at least the longest.
     """
-    need = [0] * len(dist[0])
+    need = [0] * n
     for a, b, span in spans:
         inside = (mask >> a & 1) + (mask >> b & 1)
         if inside == 0:
@@ -389,7 +461,7 @@ def _subset_tables(
         if coef[mask]:
             below = [limit] * n
             if spans:
-                *_, need = _needs(dist, spans, mask)
+                *_, need = _needs(n, dist, spans, mask)
                 below = list(map(sub, below, need))
             g[mask] = _dijkstra(network, list(row), coef[mask], below)  # a copy: h[mask] keeps row
         else:
@@ -455,7 +527,7 @@ def _steiner_forests(instance: Instance, dist: Sequence[list[int]]) -> list[int]
     """
     *others, q = instance.terminals
     where = {x: i for i, x in enumerate(instance.terminals)}
-    g, _ = _subset_tables(instance.network, dist[: len(others)], [1] * (1 << len(others)))
+    g, _ = _subset_tables(instance.network, dist, [1] * (1 << len(others)))
     rooted = 1 << len(others)
     own = [1 << where[p.u] | 1 << where[p.v] for p in instance.pairs]
     ends = [0] * (1 << len(own))  # per set of pairs: its endpoints, by _crossing's recurrence
@@ -472,7 +544,7 @@ def _steiner_forests(instance: Instance, dist: Sequence[list[int]]) -> list[int]
 
 
 def _order_bounds(
-    instance: Instance, dist: Sequence[list[int]]
+    instance: Instance, dist: DistanceRows
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """An upper bound UB on the wct optimum, and per pair order (in
     ``itertools.permutations`` order) a lower bound LB on its DP value;
@@ -496,8 +568,7 @@ def _order_bounds(
     if r >= 3:
         forests = _steiner_forests(instance, dist)
     else:
-        where = {x: i for i, x in enumerate(instance.terminals)}
-        spans = [dist[where[p.u]][p.v] for p in pairs]
+        spans = [_span(instance, dist, i) for i in range(r)]
         forests = [
             max((spans[i] for i in range(r) if served >> i & 1), default=0)
             for served in range(1 << r)
@@ -513,7 +584,7 @@ def _order_bounds(
     return upper, bounds
 
 
-def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
+def _subset_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     """The wct optimum over all forests, the pair order and one forest that
     attain it; ``dist[i]`` holds the distances from ``instance.terminals[i]``.
 
@@ -552,7 +623,7 @@ def _subset_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
         if lower >= limit:
             continue
         coef = _order_coefficients(instance, crossing, perm)
-        g, h = _subset_tables(network, dist[:-1], coef[: top + 1], limit)
+        g, h = _subset_tables(network, dist, coef[: top + 1], limit)
         value = g[top][q]
         if value < limit:
             limit = value
@@ -645,18 +716,19 @@ def _label_setting(
 
 
 def _room(
+    n: int,
     dist: Sequence[list[int]],
     spans: Sequence[tuple[int, int, int]],
     mask: int,
     cap: Sequence[int],
     packing: _Packing,
 ) -> list[int | None]:
-    """Per vertex v, ``cap`` less what the rest of any forest adds at least
-    to each prefix once a tree joins v to the endpoint set ``mask``
+    """Per vertex v of the n, ``cap`` less what the rest of any forest adds
+    at least to each prefix once a tree joins v to the endpoint set ``mask``
     (``_needs``): packed, with the guards set, or None where that leaves a
     prefix below 0."""
-    total = [0] * len(dist[0])
-    for k, (need, limit) in enumerate(zip(_needs(dist, spans, mask), cap)):
+    total = [0] * n
+    for k, (need, limit) in enumerate(zip(_needs(n, dist, spans, mask), cap)):
         # past limit + 1, a prefix has no room whatever it needs
         clamped = map(min, need, repeat(limit + 1))
         total = list(map(add, total, map(lshift, clamped, repeat(packing.width * k))))
@@ -697,7 +769,7 @@ def _lateness_tables(
         if mask == low:
             # a path of length d adds d to each prefix from step on
             unit = packing.units[step]
-            room = _room(dist, spans, mask, cap, packing)
+            room = _room(network.vertex_count, dist, spans, mask, cap, packing)
             g[mask] = [
                 [d * unit]
                 if limit is not None and d <= top and (limit - d * unit) & guards == guards
@@ -710,7 +782,7 @@ def _lateness_tables(
         if not splits:
             h[mask] = g[mask] = [[]] * network.vertex_count
             continue
-        room = _room(dist, spans, mask, cap, packing)
+        room = _room(network.vertex_count, dist, spans, mask, cap, packing)
         sums: list[list[int]] = [[] for _ in range(network.vertex_count)]
         for one, other in splits:
             for found, left, right, limit in zip(sums, g[one], g[other], room):
@@ -732,7 +804,7 @@ def _lateness_tables(
 
 
 def _lateness_bound(
-    instance: Instance, dist: Sequence[list[int]], by_due: Sequence[int]
+    instance: Instance, dist: DistanceRows, by_due: Sequence[int]
 ) -> tuple[int, list[int], bool]:
     """The best of up to two forests tried against the Steiner-forest lower
     bound on the maxlat optimum, with the pairs served in the order
@@ -769,21 +841,22 @@ def _lateness_bound(
     built = [_built(lengths, served) for served in steps]
     lateness = list(map(sub, built, dues))
     value = max(lateness)
-    longest = itertools.accumulate((dist[where[pairs[i].u]][pairs[i].v] for i in by_due), max)
+    longest = itertools.accumulate((_span(instance, dist, i) for i in by_due), max)
     lower = max(map(sub, longest, dues))
     if value == lower:
         return value, used, True
     k = lateness.index(value)
-    served = [pairs[i].key for i in by_due[: k + 1]]
-    ends = sorted({x for key in served for x in key})
+    served = by_due[: k + 1]
+    ends = sorted({x for i in served for x in pairs[i].key})
     *others, q = ends
     full = (1 << len(others)) - 1
-    coef = [1 if pairs_crossed else 0 for pairs_crossed in _crossing(ends, served)[: full + 1]]
+    crossing = _crossing(ends, (pairs[i].key for i in served))
+    coef = [1 if pairs_crossed else 0 for pairs_crossed in crossing[: full + 1]]
     at = {x: i for i, x in enumerate(ends)}
-    spans = [(at[u], at[v], dist[where[u]][v]) for u, v in served]
+    spans = [(at[pairs[i].u], at[pairs[i].v], _span(instance, dist, i)) for i in served]
     # a forest joining P_k is no longer than the shortest paths' prefix k, so
     # only costs below that one decide whether it is the least
-    rows = [dist[where[x]] for x in ends]
+    rows = dist.select(where[x] for x in ends)
     g, h = _subset_tables(network, rows, coef, built[k], spans)
     lower = max(lower, min(g[full][q], built[k]) - dues[k])
     if value == lower:
@@ -796,7 +869,7 @@ def _lateness_bound(
     return value, used, False
 
 
-def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
+def _lateness_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     """The maxlat optimum over all forests, the pair order (by due date) and
     one forest that attain it; ``dist`` as for ``_subset_forest``.
 
@@ -827,7 +900,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
     q = instance.terminals[-1]
     full = (len(first) >> 1) - 1
     where = {x: i for i, x in enumerate(instance.terminals)}
-    spans = [(where[p.u], where[p.v], dist[where[p.u]][p.v]) for p in (pairs[i] for i in by_due)]
+    spans = [(where[pairs[i].u], where[pairs[i].v], _span(instance, dist, i)) for i in by_due]
     cap = [bound - 1 + due for due in dues]
     g, h, packing = _lateness_tables(network, dist, first[: full + 1], cap, spans)
     if not g[full][q]:  # no forest beats the better one the bound tried
@@ -839,7 +912,7 @@ def _lateness_forest(instance: Instance, dist: Sequence[list[int]]) -> Optimum:
 
 
 def enumerate_candidate_forests(
-    instance: Instance, dist: Sequence[list[int]], *, force: bool = False
+    instance: Instance, dist: DistanceRows, *, force: bool = False
 ) -> Iterator[tuple[int, tuple[int, ...], Forest]]:
     """Stream the DP's one optimal forest, as (exact value, pair order, forest):
     ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat, with

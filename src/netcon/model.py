@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import enum
 import random
+import sys
 from bisect import bisect_right
-from functools import partial
+from functools import partial, wraps
 from math import isqrt
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -136,9 +137,10 @@ def _edge_list(edges, n: int, arity: int) -> tuple:
     return tuple(out)
 
 
-def _root(adjacency, kept: set[int] | None) -> tuple[list[int], ...]:
-    """Root each component of the edge ids ``kept`` (every edge when None) at
-    its lowest vertex, by one breadth-first traversal; see ``root_forest``."""
+def _root(adjacency: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], ...]:
+    """Root each component of the graph ``adjacency`` (per vertex, its
+    neighbours and the edge ids to them) at its lowest vertex, by one
+    breadth-first traversal; see ``root_forest``."""
     n = len(adjacency)
     parent, up, depth = [-1] * n, [-1] * n, [0] * n
     order: list[int] = []
@@ -148,7 +150,7 @@ def _root(adjacency, kept: set[int] | None) -> tuple[list[int], ...]:
             reached = [root]
             for x in reached:
                 for y, e in adjacency[x]:
-                    if parent[y] < 0 and (kept is None or e in kept):
+                    if parent[y] < 0:
                         parent[y], up[y], depth[y] = x, e, depth[x] + 1
                         reached.append(y)
             order += reached
@@ -178,7 +180,7 @@ class Network(Frozen):
             around[u].append((v, i))
             around[v].append((u, i))
         adjacency = tuple(map(tuple, around))
-        rooting = _root(adjacency, None)
+        rooting = _root(adjacency)
         if rooting[1].count(-1) > 1:  # a second root starts a second component
             raise InvalidInstanceError("network is not connected")
         init = object.__setattr__
@@ -192,8 +194,17 @@ class Network(Frozen):
         at its lowest vertex, by one breadth-first traversal.  Returns each
         vertex's parent (a root is its own), the edge id up to it (-1 at a
         root), its depth, and the vertices in visit order, parents first.
-        Every edge gives the rooting made at construction."""
-        return self._rooting if kept is None else _root(self.adjacency, set(kept))
+        Every edge gives the rooting made at construction; otherwise only
+        the kept edges are walked, each vertex's in id order, as it meets
+        them in ``adjacency``."""
+        if kept is None:
+            return self._rooting
+        around: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for e in sorted(kept):
+            u, v, _ = self.edges[e]
+            around[u].append((v, e))
+            around[v].append((u, e))
+        return _root(around)
 
     @property
     def edge_count(self) -> int:
@@ -305,6 +316,29 @@ class OlaInput(Frozen):
 
 # --- text format -----------------------------------------------------------
 
+# CPython caps int-string conversions at 4300 digits by default (3.10.7 on)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def exact_digits(fn):
+    """``fn`` with the int-string digit limit lifted while it runs, so that
+    numbers of any length are read and printed exactly; the process's own
+    limit is put back afterwards, however ``fn`` ends.  Every reader and
+    writer of the text formats, and ``cli.main``, run this way."""
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        limit = _digit_limit()
+        if not limit:  # already lifted, or no limit in this Python
+            return fn(*args, **kwargs)
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return call
+
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
     """The one integer-token rule of every text format: ASCII ``-?[0-9]+``.
@@ -360,6 +394,7 @@ def _require(lines: dict, *keywords: str) -> None:
 _PAIR_FIELDS = ("pair endpoint", "pair endpoint", "pair weight", "pair due date")
 
 
+@exact_digits
 def parse_instance(text: str) -> Instance:
     """Parse instance text, reporting violations with their line number."""
     header_seen = False
@@ -417,6 +452,7 @@ def parse_instance(text: str) -> Instance:
     return _build(Instance, lines, None, network, tuple(pairs), values["objective"])
 
 
+@exact_digits
 def write_instance(instance: Instance) -> str:
     """Canonical text for an instance; inverse of parse_instance."""
     lines = [
@@ -434,6 +470,7 @@ def write_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+@exact_digits
 def parse_ola_input(text: str) -> OlaInput:
     """Parse arrangement-input text, reporting violations with their line number."""
     header_seen = False
@@ -463,6 +500,7 @@ def parse_ola_input(text: str) -> OlaInput:
     return _build(OlaInput, lines, None, vertices, tuple(edges), threshold)
 
 
+@exact_digits
 def write_ola_input(ola: OlaInput) -> str:
     lines = ["ola 1", f"vertices {ola.vertex_count}", f"threshold {ola.threshold}"]
     lines.extend(f"edge {u} {v}" for u, v in ola.edges)

@@ -183,6 +183,11 @@ def _decomposition_flaw(chain: list[Job]) -> str | None:
     starts = list(itertools.accumulate((jobs for _, _, jobs in blocks), initial=0))
     if any(a >= b for a, b in zip(starts, starts[1:])) or starts[-1] != len(chain):
         return "blocks do not cover the chain in order"
+    for (weight, processing, _), start, end in zip(blocks, starts, starts[1:]):
+        jobs = chain[start:end]
+        sums = (sum(job.weight for job in jobs), sum(job.processing for job in jobs))
+        if (weight, processing) != sums:
+            return f"block [{start}:{end}] is {weight}/{processing}, its jobs sum to {sums[0]}/{sums[1]}"
     for (w1, p1, _), (w2, p2, _) in zip(blocks, blocks[1:]):
         if w1 * p2 <= w2 * p1:
             return "densities not strictly decreasing"
@@ -201,7 +206,8 @@ def _decomposition_flaw(chain: list[Job]) -> str | None:
 
 
 def criterion_density_decomposition(scale: float = 1.0) -> CheckResult:
-    """4: decomposition blocks cover, decrease, and dominate all prefixes."""
+    """4: decomposition blocks cover, sum their jobs, decrease, and dominate
+    all prefixes."""
     rng = random.Random(911177)
     trials = _scaled(500, scale)
     start = time.perf_counter()

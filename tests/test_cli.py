@@ -723,5 +723,19 @@ def test_a_failed_sweep_quotes_its_first_failure(monkeypatch, criterion, name, b
     assert re.search(f"; first: trial [0-9]+: {first}", result.detail), result.detail
 
 
+def test_criterion_4_checks_that_each_block_sums_its_jobs(monkeypatch):
+    # doubled weights keep the blocks covering, decreasing and dominating
+    # every prefix, so only the sums give them away
+    original = selftest.density_decomposition
+
+    def doubled(chain):
+        return [(2 * weight, processing, jobs) for weight, processing, jobs in original(chain)]
+
+    monkeypatch.setattr(selftest, "density_decomposition", doubled)
+    result = selftest.criterion_density_decomposition(0.2)
+    assert not result.passed
+    assert re.search(r"; first: trial [0-9]+: block \[0:[0-9]+\] is [0-9]+/[0-9]+, its jobs sum to", result.detail)
+
+
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == 0

@@ -15,6 +15,7 @@ from netcon import (
     permutation_oracle,
     validate_sequence,
 )
+from netcon.unionfind import UnionFind
 
 
 def _inst(edges, pairs, objective="wct"):
@@ -167,3 +168,54 @@ def test_report_text_format():
         "pair 1 2 t=3",
         "objective 9",
     ]
+
+
+def test_ids_after_the_last_join_are_still_checked():
+    # the one pair is joined by edge 0; every id after it is still checked
+    inst = _inst([(0, 1, 1), (1, 2, 2), (0, 2, 5)], [(0, 1, 1)])
+    assert evaluate_sequence(inst, (0, 1, 2)).times == (1,)
+    for tail, message in (
+        ((7,), "invalid edge id 7"),
+        ((-1,), "invalid edge id -1"),
+        ((True,), "invalid edge id True"),
+        ((0,), "duplicate edge id 0"),
+        ((2, 1, 2), "duplicate edge id 2"),
+    ):
+        with pytest.raises(SequenceError, match=message):
+            evaluate_sequence(inst, (0, *tail))
+
+
+def _full_replay(instance, seq):
+    """Each pair's time by a union-find replay over the whole sequence."""
+    joined = UnionFind(instance.network.vertex_count)
+    times = [None] * instance.pair_count
+    elapsed = 0
+    for eid in seq:
+        u, v, length = instance.network.edges[eid]
+        elapsed += length
+        joined.union(u, v)
+        for i, pair in enumerate(instance.pairs):
+            if times[i] is None and joined.connected(pair.u, pair.v):
+                times[i] = elapsed
+    return tuple(times)
+
+
+def test_replay_times_match_a_full_union_find_replay():
+    rng = random.Random(163)
+    for trial in range(150):
+        n = rng.randint(2, 10)
+        inst = generate(
+            "random_graph",
+            n,
+            seed=trial,
+            edge_count=rng.randint(n - 1, n * (n - 1) // 2),
+            pair_count=rng.randint(1, min(4, n * (n - 1) // 2)),
+            objective=rng.choice(["wct", "maxlat"]),
+        )
+        seq = rng.sample(range(inst.network.edge_count), inst.network.edge_count)
+        times = _full_replay(inst, seq)
+        assert evaluate_sequence(inst, seq).times == times
+        # a prefix cut anywhere after the edge that joins the last pair
+        elapsed = list(itertools.accumulate(inst.network.edges[e][2] for e in seq))
+        last = elapsed.index(max(times))
+        assert evaluate_sequence(inst, seq[: rng.randint(last + 1, len(seq))]).times == times

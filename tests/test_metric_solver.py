@@ -154,6 +154,39 @@ def _walk(network, dist, u, v):
     return walked
 
 
+@pytest.mark.parametrize("lengths", [(1, 2), (1, 30)], ids=["tie-prone", "spread"])
+def test_a_row_settled_through_a_target_walks_as_the_full_row(lengths):
+    # for every source and target: the row settled only as far as the target
+    # gives the full row's distance there and the same _descend edge ids; a
+    # row read in full afterwards, after any number of partial reads, equals
+    # a fresh _dijkstra row
+    ms = netcon.metric_solver
+    rng = random.Random(181)
+    for _ in range(25):
+        n = rng.randint(2, 10)
+        network = generate(
+            "random_graph",
+            n,
+            seed=rng.randrange(1 << 30),
+            edge_count=rng.randint(n - 1, min(3 * n, n * (n - 1) // 2)),
+            length_range=lengths,
+            pair_count=1,
+        ).network
+        unbounded = [math.inf] * n
+        fresh = [ms._dijkstra(network, [0 if x == s else math.inf for x in range(n)], 1, unbounded)
+                 for s in range(n)]
+        for s in range(n):
+            shared = build_metric_closure(network, [s])
+            for v in rng.sample(range(n), n):
+                alone = build_metric_closure(network, [s])
+                for rows in (alone, shared):
+                    row = rows.through(0, v)
+                    assert row[v] == fresh[s][v]
+                    assert _descend(network, row, v) == _descend(network, fresh[s], v)
+                assert alone[0] == fresh[s]  # resumed from where it stopped
+            assert shared[0] == fresh[s]
+
+
 def test_descend_walk_examples():
     net = Network(3, ((0, 1, 1), (1, 2, 1), (0, 2, 3)))
     dist = build_metric_closure(net, range(3))
@@ -375,7 +408,8 @@ def test_pair_guard():
 
 
 def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
-    # the only single-source Dijkstra runs start at the pair endpoints, once each
+    # the only single-source Dijkstra runs start at the pair endpoints, once
+    # each: a row settled only as far as one vertex resumes its own search
     inst = _inst(
         [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (3, 4, 1), (4, 5, 2), (2, 5, 1)],
         [(0, 2, 2), (1, 3, 1)],
@@ -383,18 +417,19 @@ def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     sources = []
     original = netcon.metric_solver._dijkstra
 
-    def recorded(network, labels, factor, below):
+    def recorded(network, labels, factor, below, *resume):
         # a single-source run labels its source 0 and every other vertex inf
         finite = [v for v, label in enumerate(labels) if label != math.inf]
         if len(finite) == 1 and labels[finite[0]] == 0:
             sources.extend(finite)
-        return original(network, labels, factor, below)
+        return original(network, labels, factor, below, *resume)
 
     monkeypatch.setattr(netcon.metric_solver, "_dijkstra", recorded)
-    for twin, want in ((inst, 7), (_as_maxlat(inst), 3)):
+    # wct never reads the last endpoint's row, so its search never starts
+    for twin, want, started in ((inst, 7, [0, 1, 2]), (_as_maxlat(inst), 3, [0, 1, 2, 3])):
         sources.clear()
         _, report = solve_fixed_r(twin)
-        assert sorted(sources) == [0, 1, 2, 3]
+        assert sorted(sources) == started
         assert report.objective == want
         ((value, order, forest),) = _stream(twin)
         assert evaluate_rforest(forest, twin, order).value == value == want
@@ -934,13 +969,13 @@ def test_room_is_the_cap_less_what_the_rest_of_a_forest_must_add():
     dist = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
     spans = [(0, 3, 3), (1, 2, 1)]
     packing = netcon.metric_solver._Packing.fitting(2, 20)
-    room = netcon.metric_solver._room(dist, spans, 0b0001, [10, 20], packing)
+    room = netcon.metric_solver._room(4, dist, spans, 0b0001, [10, 20], packing)
     # a tree joining v to endpoint 0: the rest still joins v to 3 by step 0,
     # and also 1 to 2 by step 1
     unpacked = [packing.unpack(x ^ packing.guards) for x in room]
     assert unpacked == [[7, 17], [8, 18], [9, 19], [10, 19]]
     # no room where the rest alone is already later than the cap
-    tight = netcon.metric_solver._room(dist, spans, 0b0001, [2, 20], packing)
+    tight = netcon.metric_solver._room(4, dist, spans, 0b0001, [2, 20], packing)
     assert tight[0] is None
     assert packing.unpack(tight[1] ^ packing.guards) == [0, 18]
 
@@ -1085,7 +1120,7 @@ def _rooted_order_dp(inst, dist, perm, limit=math.inf):
     ms = netcon.metric_solver
     coef = ms._order_coefficients(inst, ms._crossing(inst.terminals, _keys(inst)), perm)
     top = (1 << (len(inst.terminals) - 1)) - 1
-    g, h = ms._subset_tables(inst.network, dist[:-1], coef[: top + 1], limit)
+    g, h = ms._subset_tables(inst.network, dist, coef[: top + 1], limit)
     return coef, g, h, top
 
 

@@ -24,11 +24,12 @@ from netcon import (
     parse_instance,
     parse_ola_input,
     reduce_ola,
+    solve_fixed_r,
     subset_dp,
     write_instance,
     write_ola_input,
 )
-from netcon.cli import parse_solution
+from netcon.cli import format_solution, parse_solution
 from netcon.unionfind import UnionFind
 
 MINIMAL = """\
@@ -368,6 +369,65 @@ def test_root_forest_roots_each_component_at_its_lowest_vertex():
                     assert set(net.edges[up[x]][:2]) == {x, parent[x]}
                     assert depth[x] == depth[parent[x]] + 1
                     assert at[parent[x]] < at[x]
+
+
+def test_root_forest_walks_the_kept_edges_as_the_full_adjacency_meets_them():
+    # the rooting of a kept edge list is the one a traversal of the full
+    # adjacency gives when it skips every edge not kept, cycles and repeats included
+    def filtered(net, kept):
+        n = net.vertex_count
+        parent, up, depth, order = [-1] * n, [-1] * n, [0] * n, []
+        for root in range(n):
+            if parent[root] < 0:
+                parent[root] = root
+                reached = [root]
+                for x in reached:
+                    for y, e in net.adjacency[x]:
+                        if parent[y] < 0 and e in kept:
+                            parent[y], up[y], depth[y] = x, e, depth[x] + 1
+                            reached.append(y)
+                order += reached
+        return parent, up, depth, order
+
+    rng = random.Random(157)
+    for trial in range(80):
+        n = rng.randint(2, 12)
+        edge_count = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        net = generate("random_graph", n, seed=trial, edge_count=edge_count).network
+        kept = rng.choices(range(net.edge_count), k=rng.randint(0, 2 * net.edge_count))
+        assert tuple(net.root_forest(kept)) == filtered(net, set(kept))
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_numbers_past_the_int_string_digit_limit_stay_exact_in_the_library():
+    # a 5000-digit length, weight and due date, past the 4300 digits Python
+    # converts by default, without the command line lifting that limit
+    length, weight, due = 10**4999 + 7, 2 * 10**4999 + 1, -(3 * 10**4999 + 11)
+    limit = _digit_limit()
+    network = Network(3, ((0, 1, length), (1, 2, 1), (0, 2, length + 5)))
+    for pair, objective, want in (
+        (RelevantPair(0, 2, weight), "wct", weight * (length + 1)),
+        (RelevantPair(0, 2, weight, due), "maxlat", length + 1 - due),
+    ):
+        inst = Instance(network, (pair,), objective)
+        text = write_instance(inst)
+        assert len(text) > 3 * 5000
+        assert parse_instance(text) == inst
+        assert write_instance(parse_instance(text)) == text
+        seq, report = solve_fixed_r(inst)
+        assert report.objective == want
+        # the report is printed and read back exactly too
+        assert parse_solution(inst, format_solution(inst, report, seq)) == (report, seq)
+        assert _digit_limit() == limit
+    ola = OlaInput(2, ((0, 1),), 10**5000)
+    assert parse_ola_input(write_ola_input(ola)) == ola
+    # the limit is put back also when the call raises
+    with pytest.raises(InstanceFormatError, match="must be an integer"):
+        parse_instance(text.replace(" 1 ", " 1x ", 1))
+    assert _digit_limit() == limit
 
 
 def test_instance_rejects_out_of_range_pair_endpoints():

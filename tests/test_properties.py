@@ -110,7 +110,7 @@ def test_fixed_r_handles_a_2_pow_60_edge():
     assert report.objective == 3 * ((1 << 60) + 1)
     assert sorted(seq) == [0, 1]
     # the distances the DPs start from stay exact past 2^60
-    assert build_metric_closure(network, [0]) == [[0, 1 << 60, (1 << 60) + 1]]
+    assert list(build_metric_closure(network, [0])) == [[0, 1 << 60, (1 << 60) + 1]]
     maxlat = Instance(network, (RelevantPair(0, 2, 3, 7),), "maxlat")
     seq, report = solve_fixed_r(maxlat)
     assert report.objective == (1 << 60) + 1 - 7
@@ -158,4 +158,4 @@ def test_closure_distances_match_scipy(seed, n, extra):
     graph = csr_matrix((lengths, (rows, cols)), shape=(n, n))
     want = shortest_path(graph, directed=False)
     dist = build_metric_closure(network, range(n))
-    assert dist == [[int(d) for d in row] for row in want]
+    assert list(dist) == [[int(d) for d in row] for row in want]

@@ -518,10 +518,9 @@ def test_a_tree_solve_roots_the_network_once(monkeypatch, tmp_path, capsys):
     full = []
     original = netcon.model._root
 
-    def counting(adjacency, kept):
-        if kept is None:
-            full.append(len(adjacency))
-        return original(adjacency, kept)
+    def counting(adjacency):  # no tree solve roots a forest of kept edges either
+        full.append(len(adjacency))
+        return original(adjacency)
 
     monkeypatch.setattr(netcon.model, "_root", counting)
     instance = generate("path", 9, seed=2, pair_count=4)
