@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 validation/selftest failure, 2 usage error (bad
 arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
 inconsistency (a solver contradicted its own checks).  Each size guard is a
-fixed bound of its solver (the tree leaf bound, the fixed-r pair bound of 4
-in general and 6 when all pairs share a vertex, each oracle's edge bound),
-and ``--force`` is the one way past them.  ``solve --depot`` insists on a
-vertex shared by all pairs, whichever backend runs, and is a usage error
-without one.
+fixed bound of its solver (the tree leaf bound, the fixed-r bounds on pair
+endpoints and on pairs, each oracle's edge bound), and ``--force`` is the one
+way past them.  ``solve --depot`` insists on a vertex shared by all pairs,
+whichever backend runs, and is a usage error without one; it changes no
+bound.  ``solve -o`` writes the file before stdout, so a path it cannot
+write leaves stdout empty.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -135,10 +136,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         seq, report = solve_fixed_r(instance, force=args.force)
     text = format_solution(instance, report, seq)
-    sys.stdout.write(text)
-    if args.output:
+    if args.output:  # first, so that an unwritable path leaves stdout empty
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -105,8 +105,8 @@ from .evaluator import BuildSequence, ConnectionReport, _objective_value, evalua
 from .model import Instance, Network, Objective
 from .unionfind import UnionFind
 
-PAIR_BOUND = 4
-PAIR_BOUND_DEPOT = 6
+ENDPOINT_BOUND = 11
+PAIR_BOUND = 6
 
 
 def _dijkstra(
@@ -912,34 +912,16 @@ def _lateness_forest(instance: Instance, dist: DistanceRows) -> Optimum:
 
 
 def enumerate_candidate_forests(
-    instance: Instance, dist: DistanceRows, *, force: bool = False
+    instance: Instance, dist: DistanceRows
 ) -> Iterator[tuple[int, tuple[int, ...], Forest]]:
     """Stream the DP's one optimal forest, as (exact value, pair order, forest):
     ``_subset_forest`` under wct and ``_lateness_forest`` under maxlat, with
     the edge ids they read back kept as pair paths (``_forest_paths``).
     ``dist[i]`` holds the distances from ``instance.terminals[i]``
-    (``build_metric_closure``).
-
-    Unless ``force`` is set, more than ``PAIR_BOUND_DEPOT`` pairs are refused
-    when all pairs share a vertex, and more than ``PAIR_BOUND`` otherwise.
-    For t pair endpoints the bound caps the up to r! subset DPs of
-    3^(t-1) * n work that wct runs (its bounds skip most) and the Pareto
-    labels over 2^(t-1) endpoint sets of maxlat.
+    (``build_metric_closure``).  It guards nothing: ``solve_fixed_r`` does.
     """
-    r = instance.pair_count
-    weighted = instance.objective is Objective.WEIGHTED_SUM
-    bound = PAIR_BOUND if instance.common_pair_vertex() is None else PAIR_BOUND_DEPOT
-    if r > bound and not force:
-        work = (
-            "the wct solver runs up to r! subset DPs of 3^(t-1) * n work"
-            if weighted
-            else "the maxlat subset DP keeps Pareto labels over 2^(t-1) endpoint sets"
-        )
-        raise GuardExceededError(
-            f"{r} pairs exceeds the bound {bound}; {work} for t pair endpoints, "
-            "pass force=True (--force on the command line) to run anyway"
-        )
-    value, order, kept = (_subset_forest if weighted else _lateness_forest)(instance, dist)
+    solve = _subset_forest if instance.objective is Objective.WEIGHTED_SUM else _lateness_forest
+    value, order, kept = solve(instance, dist)
     yield value, order, _forest_paths(instance.network, kept, (p.key for p in instance.pairs))
 
 
@@ -989,9 +971,29 @@ def project_to_graph(forest: Forest, instance: Instance, order: Sequence[int]) -
 def solve_fixed_r(
     instance: Instance, *, force: bool = False
 ) -> tuple[BuildSequence, ConnectionReport]:
-    """Exact optimum for an instance with few pairs; any monotone objective."""
+    """Exact optimum for an instance with few pairs; any monotone objective.
+
+    Unless ``force`` is set, an instance with more than ``ENDPOINT_BOUND``
+    pair endpoints or more than ``PAIR_BOUND`` pairs is refused before any
+    distance is computed.  For t endpoints and r pairs, wct runs up to r!
+    subset DPs of 3^(t-1) * n work (its bounds skip most, but pricing the r!
+    orders is itself r! * r work), and maxlat keeps Pareto labels over the
+    2^(t-1) endpoint sets.  Both bounds come from the sweep in
+    ``SWEEP_fixed_r_guard.json``.
+    """
+    if not force and (len(instance.terminals) > ENDPOINT_BOUND or instance.pair_count > PAIR_BOUND):
+        work = (
+            "the wct solver runs up to r! subset DPs of 3^(t-1) * n work"
+            if instance.objective is Objective.WEIGHTED_SUM
+            else "the maxlat subset DP keeps Pareto labels over 2^(t-1) endpoint sets"
+        )
+        raise GuardExceededError(
+            f"t = {len(instance.terminals)} pair endpoints and r = {instance.pair_count} pairs "
+            f"exceed the bounds t <= {ENDPOINT_BOUND} and r <= {PAIR_BOUND}; {work}, "
+            "pass force=True (--force on the command line) to run anyway"
+        )
     dist = build_metric_closure(instance.network, instance.terminals)
-    ((value, order, forest),) = enumerate_candidate_forests(instance, dist, force=force)
+    ((value, order, forest),) = enumerate_candidate_forests(instance, dist)
     replayed = evaluate_rforest(forest, instance, order).value
     if replayed != value:
         raise NetconError(

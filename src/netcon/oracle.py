@@ -43,8 +43,9 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
     all_pairs_mask = (1 << r) - 1
     maximize_sum = instance.objective is Objective.WEIGHTED_SUM
 
-    # connected-pair bitmask per edge subset
+    # connected-pair bitmask and its weight per edge subset
     conn = [0] * (1 << m)
+    conn_weight = [0] * (1 << m)
     for mask in range(1, 1 << m):
         uf = UnionFind(network.vertex_count)
         rest = mask
@@ -53,17 +54,13 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
             u, v, _ = edges[low.bit_length() - 1]
             uf.union(u, v)
             rest ^= low
-        pm = 0
+        pm = weight = 0
         for i, pair in enumerate(pairs):
             if uf.connected(pair.u, pair.v):
                 pm |= 1 << i
+                weight += pair.weight
         conn[mask] = pm
-
-    # weight sum per pair bitmask
-    pair_sum = [0] * (1 << r)
-    for pm in range(1, 1 << r):
-        low = pm & -pm
-        pair_sum[pm] = pair_sum[pm ^ low] + pairs[low.bit_length() - 1].weight
+        conn_weight[mask] = weight
 
     length = [0] * (1 << m)
     for mask in range(1, 1 << m):
@@ -85,12 +82,11 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
             low = rest & -rest
             rest ^= low
             sub = mask ^ low
-            new = connected & ~conn[sub]
-            if maximize_sum:
-                cand = value[sub] + t * pair_sum[new]
+            if maximize_sum:  # conn[sub] is a subset of conn[mask]
+                cand = value[sub] + t * (conn_weight[mask] - conn_weight[sub])
             else:
                 cand = value[sub]
-                npm = new
+                npm = connected & ~conn[sub]
                 while npm:
                     nlow = npm & -npm
                     npm ^= nlow

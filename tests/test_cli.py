@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import pathlib
 import re
 import sys
@@ -8,6 +9,7 @@ import pytest
 import netcon.metric_solver
 import netcon.tree_solver
 from netcon import (
+    GuardExceededError,
     Instance,
     NetconError,
     Network,
@@ -16,11 +18,12 @@ from netcon import (
     generate,
     parse_instance,
     selftest,
+    solve_fixed_r,
     solve_tree,
     subset_dp,
     write_instance,
 )
-from netcon.metric_solver import PAIR_BOUND
+from netcon.metric_solver import ENDPOINT_BOUND, PAIR_BOUND
 from netcon.oracle import PERMUTATION_EDGE_LIMIT, SUBSET_EDGE_LIMIT
 from netcon.tree_solver import LEAF_BOUND
 
@@ -46,12 +49,20 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def _fixed_r_admits(instance):
+    try:
+        solve_fixed_r(instance)
+    except GuardExceededError:
+        return False
+    return True
+
+
 def _golden_runs():
-    """Every fixture under ``auto``, and under ``fixed-r`` within the pair bound."""
+    """Every fixture under ``auto``, and under ``fixed-r`` where its guard admits it."""
     runs = []
     for path in sorted(FIXTURES.glob("*.ncn")):
         runs.append((path.stem, "auto"))
-        if parse_instance(path.read_text()).pair_count <= PAIR_BOUND:
+        if _fixed_r_admits(parse_instance(path.read_text())):
             runs.append((path.stem, "fixed-r"))
     return runs
 
@@ -91,6 +102,15 @@ def test_solve_then_validate_round_trips(capsys, tmp_path, name):
     status, out, _ = run(capsys, "validate", str(FIXTURES / name), str(solution))
     assert status == 0
     assert "ok" in out
+
+
+def test_solve_to_an_unwritable_path_prints_nothing(capsys, tmp_path):
+    # the output file is written before stdout, so a usage error leaves stdout empty
+    target = tmp_path / "missing" / "square.out"
+    status, out, err = run(capsys, "solve", str(FIXTURES / "square.ncn"), "-o", str(target))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
 
 
 def test_validate_rejects_tampered_sequence(capsys, tmp_path):
@@ -262,14 +282,26 @@ def test_guard_exceeded_exits_3(capsys, tmp_path):
     assert run(capsys, "solve", "--backend", "tree", "--force", str(big))[0] == 0
 
 
+def _fixed_r_instance(t, r, objective="wct"):
+    """r pairs over the endpoints 0..t-1 of a unit cycle on t + 1 vertices: a
+    matching over the endpoints first, then the pairs of the lowest ones."""
+    n = t + 1
+    network = Network(n, tuple((v, (v + 1) % n, 1) for v in range(n)))
+    keys = [(v, v + 1) for v in range(0, t - 1, 2)] + [(t - 2, t - 1)] * (t % 2)
+    by_top = sorted(itertools.combinations(range(t), 2), key=lambda key: key[1])
+    keys += [key for key in by_top if key not in keys]
+    due = (0,) * (objective == "maxlat")
+    instance = Instance(network, tuple(RelevantPair(u, v, 1, *due) for u, v in keys[:r]), objective)
+    assert (len(instance.terminals), instance.pair_count) == (t, r)
+    return instance
+
+
 def test_guard_messages_name_the_force_flag(capsys, tmp_path):
     star = tmp_path / "star.ncn"
     run(capsys, "gen", "--kind", "star", "--n", "10", "--pairs", "3", "-o", str(star))
-    # five pairs on a path that share no vertex: one past the general pair bound
-    network = Network(6, tuple((v, v + 1, 1) for v in range(5)))
-    pairs = tuple(RelevantPair(v, v + 1, 1) for v in range(PAIR_BOUND + 1))
+    # one pair past the fixed-r pair bound, with the endpoints at theirs
     many_pairs = tmp_path / "pairs.ncn"
-    many_pairs.write_text(write_instance(Instance(network, pairs)))
+    many_pairs.write_text(write_instance(_fixed_r_instance(ENDPOINT_BOUND, PAIR_BOUND + 1)))
     for argv in (
         ("solve", "--backend", "fixed-r", str(many_pairs)),
         ("solve", "--backend", "tree", str(star)),
@@ -299,7 +331,60 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path):
+@pytest.mark.parametrize("objective", ["wct", "maxlat"])
+def test_one_past_each_fixed_r_bound_exits_3_with_the_library_message(capsys, tmp_path, objective):
+    if objective == "wct":
+        work = "the wct solver runs up to r! subset DPs of 3^(t-1) * n work"
+    else:
+        work = "the maxlat subset DP keeps Pareto labels over 2^(t-1) endpoint sets"
+    path = tmp_path / "past.ncn"
+    for t, r in ((ENDPOINT_BOUND + 1, PAIR_BOUND), (ENDPOINT_BOUND, PAIR_BOUND + 1)):
+        instance = _fixed_r_instance(t, r, objective)
+        with pytest.raises(GuardExceededError) as caught:
+            solve_fixed_r(instance)
+        message = str(caught.value)
+        assert message == (
+            f"t = {t} pair endpoints and r = {r} pairs exceed the bounds "
+            f"t <= {ENDPOINT_BOUND} and r <= {PAIR_BOUND}; {work}, "
+            "pass force=True (--force on the command line) to run anyway"
+        )
+        # the network is a cycle, so auto picks fixed-r too
+        path.write_text(write_instance(instance))
+        for backend in ("auto", "fixed-r"):
+            assert run(capsys, "solve", "--backend", backend, str(path)) == (3, "", f"error: {message}\n")
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_the_fixed_r_guard_admits_all_the_old_bounds_did_before_any_distance(monkeypatch):
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(netcon.metric_solver, "build_metric_closure", admitted)
+    hub = Network(7, tuple((0, v, 1) for v in range(1, 7)))
+    for objective in ("wct", "maxlat"):
+        due = (0,) * (objective == "maxlat")
+        # the old general bound (four pairs, eight endpoints), the old hub bound
+        # (six pairs at one vertex), and both new bounds at once
+        for instance in (
+            _fixed_r_instance(8, 4, objective),
+            Instance(hub, tuple(RelevantPair(0, v, 1, *due) for v in range(1, 7)), objective),
+            _fixed_r_instance(ENDPOINT_BOUND, PAIR_BOUND, objective),
+        ):
+            with pytest.raises(_Admitted):
+                solve_fixed_r(instance)
+        # one past either bound trips before any distance; force is the one way past
+        for t, r in ((ENDPOINT_BOUND + 1, PAIR_BOUND), (5, PAIR_BOUND + 1)):
+            instance = _fixed_r_instance(t, r, objective)
+            with pytest.raises(GuardExceededError):
+                solve_fixed_r(instance)
+            with pytest.raises(_Admitted):
+                solve_fixed_r(instance, force=True)
+
+
+def test_depot_flag_changes_no_verdict(capsys, tmp_path):
     # five pairs from hub 0; consecutive leaves also meet at a non-terminal
     edges = [(0, v, v) for v in range(1, 6)]
     edges += [(v, 5 + v, 2) for v in range(1, 5)] + [(v + 1, 5 + v, 3) for v in range(1, 5)]
@@ -310,22 +395,25 @@ def test_depot_flag_uses_the_depot_pair_bound(capsys, tmp_path):
     status, out, err = run(capsys, "solve", "--depot", "--backend", "fixed-r", str(path))
     assert status == 0, err
     assert f"objective {subset_dp(instance)[0]}" in out.splitlines()
-    # the shared vertex, not the flag, selects the depot bound of 6 pairs
+    # the flag only checks the shared vertex: the same solve runs without it
     assert run(capsys, "solve", "--backend", "fixed-r", str(path)) == (0, out, "")
     assert run(capsys, "solve", str(path)) == (0, out, "")
-    # five pairs without a shared vertex still meet the general bound of 4
+    # five pairs without a shared vertex meet the same bounds, and the flag refuses them
     general = tmp_path / "general.ncn"
     pairs = tuple(RelevantPair(v, v + 1, 1) for v in range(5))
     general.write_text(write_instance(Instance(network, pairs)))
-    assert run(capsys, "solve", "--backend", "fixed-r", str(general))[0] == 3
-    # seven pairs from hub 0 are one past the depot bound, with the flag or without
-    seven = tmp_path / "seven.ncn"
-    seven_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 8))
-    seven.write_text(write_instance(Instance(network, seven_pairs)))
+    status, out, err = run(capsys, "solve", "--backend", "fixed-r", str(general))
+    assert status == 0, err
+    assert f"objective {subset_dp(Instance(network, pairs))[0]}" in out.splitlines()
+    assert run(capsys, "solve", "--depot", "--backend", "fixed-r", str(general))[0] == 2
+    # pairs from hub 0 one past the pair bound are refused, with the flag or without
+    past = tmp_path / "past.ncn"
+    leaves = range(1, PAIR_BOUND + 2)
+    past.write_text(write_instance(Instance(network, tuple(RelevantPair(0, v, 1) for v in leaves))))
     for flags in (("--depot",), ()):
-        status, out, err = run(capsys, "solve", *flags, str(seven))
+        status, out, err = run(capsys, "solve", *flags, str(past))
         assert (status, out) == (3, ""), flags
-        assert "exceeds the bound 6" in err, flags
+        assert f"r = {PAIR_BOUND + 1} pairs exceed" in err, flags
 
 
 def test_depot_flag_needs_a_shared_vertex(capsys):

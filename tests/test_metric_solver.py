@@ -23,6 +23,8 @@ from netcon import (
 )
 import netcon.metric_solver
 from netcon.metric_solver import (
+    ENDPOINT_BOUND,
+    PAIR_BOUND,
     _descend,
     _forest_paths,
     build_metric_closure,
@@ -387,9 +389,11 @@ def test_matches_subset_dp_on_random_maxlat_instances():
 
 
 def test_pair_guard():
-    net = generate("random_graph", 8, seed=5, pair_count=1).network
-    pairs = tuple(RelevantPair(u, v, 1) for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    net = generate("random_graph", PAIR_BOUND + 2, seed=5, pair_count=1).network
+    # one pair past the pair bound, the endpoints within theirs
+    pairs = tuple(RelevantPair(v, v + 1, 1) for v in range(PAIR_BOUND + 1))
     inst = Instance(net, pairs)
+    assert len(inst.terminals) <= ENDPOINT_BOUND
     wct_work = r"wct solver runs up to r! subset DPs of 3\^\(t-1\) \* n work"
     with pytest.raises(GuardExceededError, match=wct_work):
         solve_fixed_r(inst)
@@ -398,11 +402,11 @@ def test_pair_guard():
         solve_fixed_r(_as_maxlat(inst))
     depot_pairs = tuple(RelevantPair(0, v, 1) for v in range(1, 6))
     depot_inst = Instance(net, depot_pairs)
-    # five pairs sharing vertex 0 fit under the wider depot bound, seven do not
+    # five pairs sharing vertex 0 are solved; a shared vertex widens no bound
     _, report = solve_fixed_r(depot_inst)
     assert report.objective == subset_dp(depot_inst)[0]
-    with pytest.raises(GuardExceededError, match="exceeds the bound 6"):
-        solve_fixed_r(Instance(net, tuple(RelevantPair(0, v, 1) for v in range(1, 8))))
+    with pytest.raises(GuardExceededError, match=f"r <= {PAIR_BOUND};"):
+        solve_fixed_r(Instance(net, tuple(RelevantPair(0, v, 1) for v in range(1, PAIR_BOUND + 2))))
     # force is the one way past either bound
     assert solve_fixed_r(inst, force=True)[1].objective == subset_dp(inst)[0]
 
@@ -838,6 +842,38 @@ def test_maxlat_dp_reaches_six_depot_pairs():
             objective="maxlat",
         )
         assert inst.common_pair_vertex() == hub
+        _check_against_subset_dp(inst)
+
+
+@pytest.mark.parametrize("objective", ["wct", "maxlat"])
+def test_shared_endpoints_past_the_old_pair_bound_match_the_oracle(objective):
+    # five or six pairs over four to eight endpoints, none common to all pairs:
+    # the old guard refused more than four such pairs, the new one solves them
+    rng = random.Random(f"newly-admitted/{objective}")
+    for trial in range(16):
+        r = 5 + trial % 2
+        t = rng.randint(4, 8)
+        n = rng.randint(max(t, 6), 9)
+        ends = rng.sample(range(n), t)
+        keys = {frozenset(ends[i : i + 2]) for i in range(0, t - 1, 2)}
+        keys |= {frozenset((ends[-1], ends[0]))} if t % 2 else set()
+        while len(keys) < r:
+            keys.add(frozenset(rng.sample(ends, 2)))
+        due = _due_dates(rng) if objective == "maxlat" else None
+        pairs = [
+            tuple(sorted(k)) + (rng.randint(1, 9),) + (() if due is None else (due(),))
+            for k in sorted(keys, key=sorted)
+        ]
+        inst = generate(
+            "random_graph",
+            n,
+            seed=rng.randrange(1 << 30),
+            edge_count=rng.randint(n - 1, min(16 if trial < 2 else 14, n * (n - 1) // 2)),
+            pairs=pairs,
+            length_range=rng.choice([(1, 2), (1, 20)]),
+            objective=objective,
+        )
+        assert len(inst.terminals) == t < 2 * r and inst.common_pair_vertex() is None
         _check_against_subset_dp(inst)
 
 
@@ -1309,7 +1345,7 @@ def test_order_bounds_bracket_each_order_and_the_optimum():
 
 
 def test_six_depot_pairs_run_few_of_the_720_order_dps(monkeypatch):
-    # six pairs at a depot are within PAIR_BOUND_DEPOT; force changes nothing
+    # six pairs at a depot (seven endpoints) are within both bounds; force changes nothing
     calls = _count_order_dps(monkeypatch)
     rng = random.Random(181)
     for _ in range(3):

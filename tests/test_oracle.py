@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from netcon import (
     generate,
     interleaving_oracle,
     permutation_oracle,
+    solve_tree,
     subset_dp,
 )
 
@@ -113,3 +116,26 @@ def test_guards_raise_without_force():
     assert subset_dp(big, force=True) == subset_dp(big)
     with pytest.raises(GuardExceededError, match="limited to 14 jobs.*force"):
         interleaving_oracle([Job(1, 1)] * 10, [Job(1, 1)] * 10)
+
+
+@pytest.mark.parametrize("objective", ["wct", "maxlat"])
+def test_subset_dp_tables_grow_with_the_edges_not_the_pairs(objective):
+    # a 7-edge star with 20 pairs: 2^7 edge subsets, where a table per pair
+    # set would hold 2^20 entries (8 MB of list alone)
+    rng = random.Random(f"star-pairs/{objective}")
+    keys = rng.sample(list(itertools.combinations(range(8), 2)), 20)
+    due = (lambda: (rng.randint(0, 30),)) if objective == "maxlat" else tuple
+    pairs = tuple(RelevantPair(u, v, rng.randint(1, 9), *due()) for u, v in keys)
+    star = Instance(Network(8, tuple((0, v, rng.randint(1, 9)) for v in range(1, 8))), pairs, objective)
+    tracemalloc.start()
+    try:
+        value, seq = subset_dp(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert value == evaluate_sequence(star, seq).objective
+    if objective == "wct":
+        assert value == solve_tree(star, force=True)[1].objective
+    else:
+        assert value == permutation_oracle(star)
