@@ -43,9 +43,9 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
     all_pairs_mask = (1 << r) - 1
     maximize_sum = instance.objective is Objective.WEIGHTED_SUM
 
-    # connected-pair bitmask and its weight per edge subset
+    # connected-pair bitmask per edge subset, and under wct its weight
     conn = [0] * (1 << m)
-    conn_weight = [0] * (1 << m)
+    conn_weight = [0] * (1 << m) if maximize_sum else []
     for mask in range(1, 1 << m):
         uf = UnionFind(network.vertex_count)
         rest = mask
@@ -60,7 +60,8 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
                 pm |= 1 << i
                 weight += pair.weight
         conn[mask] = pm
-        conn_weight[mask] = weight
+        if maximize_sum:
+            conn_weight[mask] = weight
 
     length = [0] * (1 << m)
     for mask in range(1, 1 << m):

@@ -50,11 +50,8 @@ def run(capsys, *argv):
 
 
 def _fixed_r_admits(instance):
-    try:
-        solve_fixed_r(instance)
-    except GuardExceededError:
-        return False
-    return True
+    # the rule solve_fixed_r checks first (its exit 3 cases are tested below)
+    return len(instance.terminals) <= ENDPOINT_BOUND and instance.pair_count <= PAIR_BOUND
 
 
 def _golden_runs():
