@@ -89,6 +89,11 @@ def merged_blocks(
 
 
 def block_summaries(ps: Sequence[int], ws: Sequence[int]) -> tuple[BlockSummary, ...]:
+    """The blocks of ``density_decomposition`` for the chain of processing
+    times ``ps`` and weights ``ws``.  It stays apart from that function only
+    because ``perfbench/layers.py`` wraps it by name and
+    ``test_tracer_puts_the_original_functions_back`` looks it up, until
+    ROADMAP item 1."""
     jobs = [(w, p, 1) for p, w in zip(ps, ws)]
     if not jobs:
         return ()
@@ -128,7 +133,10 @@ def interleave(
 
 
 def merge_plan(s1: Sequence[BlockSummary], s2: Sequence[BlockSummary]) -> list[int]:
-    """Source (0 or 1) of each block in the optimal interleaving order."""
+    """Source (0 or 1) of each block in the optimal interleaving order.  No
+    solver calls it: it stays only because ``perfbench/layers.py`` wraps it
+    by name and ``test_tracer_puts_the_original_functions_back`` looks it
+    up, until ROADMAP item 1."""
     return [side for side, _ in interleave(s1, s2)]
 
 

@@ -5,10 +5,12 @@ arguments, unreadable or malformed files), 3 size guard exceeded, 4 internal
 inconsistency (a solver contradicted its own checks).  Each size guard is a
 fixed bound of its solver (the tree leaf bound, the fixed-r bounds on pair
 endpoints and on pairs, each oracle's edge bound), and ``--force`` is the one
-way past them.  ``solve --depot`` insists on a vertex shared by all pairs,
-whichever backend runs, and is a usage error without one; it changes no
-bound.  ``solve -o`` writes the file before stdout, so a path it cannot
-write leaves stdout empty.
+way past them.  When ``solve`` under ``auto`` sends a ``wct`` tree past the
+leaf bound to fixed-r and fixed-r refuses it, the message also names
+``--backend tree --force``.  ``solve --depot`` insists on a vertex shared by
+all pairs, whichever backend runs, and is a usage error without one; it
+changes no bound.  ``solve -o`` writes the file before stdout, so a path it
+cannot write leaves stdout empty.
 
 ``solve`` output is line oriented and stable: the connection report (one
 ``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
@@ -134,7 +136,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if _pick_backend(instance, args.backend) == "tree":
         seq, report = solve_tree(instance, force=args.force)
     else:
-        seq, report = solve_fixed_r(instance, force=args.force)
+        try:
+            seq, report = solve_fixed_r(instance, force=args.force)
+        except GuardExceededError as exc:
+            # auto sends a wct tree to fixed-r only past the leaf bound: name the tree backend's way
+            wct_tree = instance.network.is_tree and instance.objective is Objective.WEIGHTED_SUM
+            if args.backend == "auto" and wct_tree:
+                raise GuardExceededError(
+                    f"{exc}; the tree has {instance.network.leaf_count} leaves (tree bound "
+                    f"{LEAF_BOUND}): --backend tree --force runs the subtree DP"
+                ) from None
+            raise
     text = format_solution(instance, report, seq)
     if args.output:  # first, so that an unwritable path leaves stdout empty
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -11,7 +11,9 @@ on pair i's path exactly when one end of pair i is in S, so under a fixed pair
 order it is first needed by the earliest step that serves such a pair.  Per
 endpoint set, the DP takes the best split at each vertex, then runs one
 multi-source Dijkstra from those labels.  A set that separates no pair costs
-nothing to carry: that is how a forest's components join.  The only distances
+nothing to carry: that is how a forest's components join.  Every DP, bound
+and read-back takes its endpoints as one frame (``_Endpoints``), which also
+states why each DP is rooted at the last endpoint.  The only distances
 the DP needs are those from the pair endpoints (``build_metric_closure``),
 and each of those rows is computed on demand: only when it is read, and for
 a pair's shortest path only until the pair's far end is settled, a search
@@ -29,11 +31,7 @@ pairs' shortest paths, joined into one forest and priced in its best order,
 bound the optimum from above.  An order runs its DP only when its bound is
 below the best value so far (the upper bound + 1 before any), with its tables
 capped there; a later order loses a tie, so the winner and its forest are
-those of the first order with the least value.  Each order's DP is rooted at
-the last endpoint q, like the Steiner-forest DP and maxlat's: an edge's
-coefficient is the same with the endpoint set on either side of it, so a
-forest is a tree joining q to every other endpoint, and only the sets
-without q are tabled.  Work is at most r! DPs,
+those of the first order with the least value.  Work is at most r! DPs,
 O(r! * (3^(t-1) * n + 2^(t-1) * m log n)); from three pairs on, the bound
 skips most of them.
 
@@ -47,8 +45,7 @@ the ends of a pair of P_k.  ``_lateness_bound`` tries to meet that bound,
 cheapest first: with the pairs' shortest paths in due order against the
 distances alone, then against SF of the prefix where that forest is latest
 (one scalar subset DP with coefficient 1 on the endpoint sets that separate a
-pair of the prefix, rooted at its last endpoint so that only the sets without
-it are tabled, and spreading only costs that can still end below the
+pair of the prefix, spreading only costs that can still end below the
 forest's length there), then with that least forest followed by the later
 pairs' shortest paths.
 
@@ -171,28 +168,6 @@ def _descend(network: Network, dist: Sequence[int], v: int) -> list[int]:
     return walked
 
 
-def _shortest_paths(
-    instance: Instance, dist: DistanceRows, order: Iterable[int]
-) -> list[list[int]]:
-    """Per pair of ``instance.pairs`` in ``order``, the edge ids of its
-    shortest path that ``_descend`` walks, from its v to its u; ``dist[i]``
-    holds the distances from ``instance.terminals[i]``, each row settled only
-    as far as the pair's v."""
-    where = {x: i for i, x in enumerate(instance.terminals)}
-    walks = []
-    for i in order:
-        u, v = instance.pairs[i].key
-        walks.append(_descend(instance.network, dist.through(where[u], v), v))
-    return walks
-
-
-def _span(instance: Instance, dist: DistanceRows, pair: int) -> int:
-    """The distance between the ends of pair ``pair`` of ``instance.pairs``,
-    from its u's row settled only as far as its v."""
-    u, v = instance.pairs[pair].key
-    return dist.through(instance.terminals.index(u), v)[v]
-
-
 class DistanceRows(Sequence):
     """Shortest distances from each of some sources to every vertex: row i
     holds those from the i-th source, as exact integers.  A row is computed
@@ -245,6 +220,53 @@ def build_metric_closure(network: Network, sources: Iterable[int]) -> DistanceRo
     return DistanceRows(network, rows, unbounded)
 
 
+class _Endpoints(NamedTuple):
+    """The endpoints of some pairs, as every subset DP, bound and read-back
+    of this module takes them: endpoint i is bit i of an endpoint set.
+
+    Each DP is rooted at the last endpoint, ``root``.  An edge lies on the
+    paths of the pairs that its endpoint set separates, a set separates the
+    same pairs as the set of the other endpoints, and every coefficient
+    depends only on the pairs a set separates (or is 1 throughout).  So an
+    edge costs the same with the endpoints on either side of it below it, and
+    a forest rooted at ``root`` is a tree joining ``root`` to the set ``full``
+    of every other endpoint, priced at ``g[full][root]``: only the sets
+    1..``full``, those without the root, are tabled."""
+
+    ends: tuple[int, ...]  # ascending
+    rows: DistanceRows  # rows[i]: the distances from ends[i]
+    root: int  # the last endpoint
+    full: int  # the set of every endpoint but the root
+    spans: list[tuple[int, int, int]]  # per pair: its u's and v's index in ends, their distance
+
+
+def _endpoints(instance: Instance, dist: DistanceRows, order: Iterable[int]) -> _Endpoints:
+    """The frame of the pairs of ``instance.pairs`` in ``order``, with their
+    spans in that order, each from its u's row settled only as far as its v;
+    ``dist[i]`` holds the distances from ``instance.terminals[i]``, and the
+    frame's rows share those searches."""
+    keys = [instance.pairs[i].key for i in order]
+    ends = tuple(sorted({x for key in keys for x in key}))
+    rows = dist
+    if len(ends) < len(instance.terminals):
+        kept = set(ends)
+        rows = dist.select(i for i, x in enumerate(instance.terminals) if x in kept)
+    where = {x: i for i, x in enumerate(ends)}
+    spans = [(where[u], where[v], rows.through(where[u], v)[v]) for u, v in keys]
+    return _Endpoints(ends, rows, ends[-1], (1 << (len(ends) - 1)) - 1, spans)
+
+
+def _shortest_paths(ends: _Endpoints) -> list[list[int]]:
+    """Per pair of the frame, in its order, the edge ids of its shortest path
+    that ``_descend`` walks, from its v to its u, down its u's row settled
+    only as far as v."""
+    network = ends.rows.network
+    return [
+        _descend(network, ends.rows.through(a, ends.ends[b]), ends.ends[b])
+        for a, b, _ in ends.spans
+    ]
+
+
 # A forest joining every pair: per pair in ``instance.pairs`` order, its
 # unique path as network edge ids from its u to its v.
 Forest = tuple[tuple[int, ...], ...]
@@ -280,19 +302,18 @@ def evaluate_rforest(forest: Forest, instance: Instance, order: Sequence[int]) -
     return ForestEvaluation(_objective_value(instance, times), tuple(built))
 
 
-def _crossing(terminals: Sequence[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Per endpoint set (a bit mask over ``terminals``), the pairs with exactly
-    one end in it (a bit mask over ``pairs``): the pairs whose paths cross an
-    edge with that set below it."""
-    where = {x: i for i, x in enumerate(terminals)}
-    ends = [0] * len(terminals)
-    for i, (u, v) in enumerate(pairs):
-        ends[where[u]] ^= 1 << i
-        ends[where[v]] ^= 1 << i
-    crossing = [0] * (1 << len(terminals))
+def _crossing(ends: _Endpoints) -> list[int]:
+    """Per endpoint set the frame ``ends`` tables (0..``full``), the pairs with
+    exactly one end in it (a bit mask over the frame's pairs, in its order):
+    the pairs whose paths cross an edge with that set below it."""
+    own = [0] * len(ends.ends)
+    for i, (a, b, _) in enumerate(ends.spans):
+        own[a] ^= 1 << i
+        own[b] ^= 1 << i
+    crossing = [0] * (ends.full + 1)
     for mask in range(1, len(crossing)):
         low = mask & -mask
-        crossing[mask] = crossing[mask ^ low] ^ ends[low.bit_length() - 1]
+        crossing[mask] = crossing[mask ^ low] ^ own[low.bit_length() - 1]
     return crossing
 
 
@@ -318,26 +339,23 @@ def _order_coefficients(
     return [suffix[step] for step in _first_steps(crossing, order)]
 
 
-def _needs(
-    n: int, dist: Sequence[list[int]], spans: Sequence[tuple[int, int, int]], mask: int
-) -> Iterator[list[int]]:
-    """Per step, per vertex v: at least the length that the rest of any
-    forest holds on the paths of the pairs served by then, once a tree that
-    hangs from it at v alone joins v to the endpoint set ``mask``, for the
-    n vertices.
+def _needs(ends: _Endpoints, mask: int) -> Iterator[list[int]]:
+    """Per step (a pair of the frame ``ends``, in its order), per vertex v: at
+    least the length that the rest of any forest holds on the paths of the
+    pairs served by then, once a tree that hangs from it at v alone joins v
+    to the endpoint set ``mask``.
 
-    ``spans`` holds, per step, the pair's two endpoint indices (into
-    ``dist``) and their distance.  The rest holds a path from v to the far
-    end of each pair the set separates, and the whole path of each pair with
-    no end in the set.  Paths overlap, so it holds at least the longest.
+    The rest holds a path from v to the far end of each pair the set
+    separates, and the whole path of each pair with no end in the set.  Paths
+    overlap, so it holds at least the longest.
     """
-    need = [0] * n
-    for a, b, span in spans:
+    need = [0] * ends.rows.network.vertex_count
+    for a, b, span in ends.spans:
         inside = (mask >> a & 1) + (mask >> b & 1)
         if inside == 0:
             need = list(map(max, need, repeat(span)))
         elif inside == 1:
-            need = list(map(max, need, dist[a if mask >> b & 1 else b]))
+            need = list(map(max, need, ends.rows[a if mask >> b & 1 else b]))
         yield need
 
 
@@ -355,38 +373,35 @@ def _splits(mask: int) -> Iterator[tuple[int, int]]:
 
 
 def _read_back(
-    network: Network,
-    dist: Sequence[list[int]],
+    ends: _Endpoints,
     g: Sequence,
     h: Sequence,
     unit: Sequence[int],
     held: Callable[[object], Sequence[int]],
-    full: int,
-    root: int,
     label: int,
 ) -> list[int]:
-    """The edge ids of one forest in the subset tables ``g`` and ``h`` that
-    joins ``root`` to the endpoint set ``full`` at ``label``, a label
-    ``g[full][root]`` holds: the scalar tables of ``_subset_tables`` or the
-    Pareto tables of ``_lateness_tables``.
+    """The edge ids of one forest in the subset tables ``g`` and ``h`` over
+    the frame ``ends`` that joins its root to its set ``full`` at ``label``,
+    a label ``g[full][root]`` holds: the scalar tables of ``_subset_tables``
+    or the Pareto tables of ``_lateness_tables``.
 
     ``held`` gives the labels one table entry holds (its one cost, or its
     Pareto set), and an edge with the endpoint set S below it adds its length
     times ``unit[S]`` to a label (0 for a set that separates no pair, where
-    ``root`` is ignored).  ``dist[i]`` holds the distances from endpoint i.
-    The choices it makes, and why the edges are a forest, are in the module
-    docstring.  A label that no root, step or split attains is a solver
-    fault, not a bad input.
+    the root is ignored).  The choices it makes, and why the edges are a
+    forest, are in the module docstring.  A label that no root, step or split
+    attains is a solver fault, not a bad input.
     """
+    network = ends.rows.network
     adjacency = network.adjacency
     edges = network.edges
     chosen = []
-    todo = [(full, root, label)]
+    todo = [(ends.full, ends.root, label)]
     while todo:
         mask, v, label = todo.pop()
         low = mask & -mask
         if mask == low:
-            chosen += _descend(network, dist[low.bit_length() - 1], v)
+            chosen += _descend(network, ends.rows[low.bit_length() - 1], v)
             continue
         if not unit[mask]:
             v = next((u for u, entry in enumerate(h[mask]) if label in held(entry)), None)
@@ -423,45 +438,42 @@ def _one_label(cost: int) -> tuple[int]:
 
 
 def _subset_tables(
-    network: Network,
-    dist: Sequence[list[int]],
-    coef: Sequence[int],
-    limit: float = math.inf,
-    spans: Sequence[tuple[int, int, int]] = (),
+    ends: _Endpoints, coef: Sequence[int], limit: float = math.inf, needs: bool = False
 ) -> tuple[list, list]:
-    """Dreyfus-Wagner tables under one pair order, for endpoint sets S as bit
-    masks: ``g[S][v]`` is the least cost of a tree that joins v to S, each
-    edge costing coef(endpoints below it) times its length, and ``h[S][v]``
-    (for two or more endpoints) the least cost of one whose root v splits S.
+    """Dreyfus-Wagner tables under one pair order, for the endpoint sets S
+    the frame ``ends`` tables, as bit masks: ``g[S][v]`` is the least cost of
+    a tree that joins v to S, each edge costing coef(endpoints below it)
+    times its length, and ``h[S][v]`` (for two or more endpoints) the least
+    cost of one whose root v splits S.
 
     A set that separates no pair costs nothing to carry (coef 0), so its ``g``
     is its best ``h`` at every vertex: that is how a forest's components join.
 
-    Only what can end below ``limit`` is spread (``_dijkstra``): a cost
-    at v, plus at least what the rest of a forest through v holds on the
-    paths of the pairs in ``spans`` (the last of ``_needs``; for coefficients
-    0 and 1 only).  Each entry that can is exact, and each other one is still
-    the cost of some tree, so the least forest comes out exact when it is
-    below ``limit`` and at least ``limit`` otherwise.  Without ``spans`` that
-    holds at every entry: one whose least cost is below ``limit`` is exact,
-    and every other one is at least ``limit``.
+    Only what can end below ``limit`` is spread (``_dijkstra``): a cost at v,
+    plus, with ``needs``, at least what the rest of a forest through v holds
+    on the paths of the frame's pairs (the last of ``_needs``; for
+    coefficients 0 and 1 only).  Each entry that can is exact, and each other
+    one is still the cost of some tree, so the least forest comes out exact
+    when it is below ``limit`` and at least ``limit`` otherwise.  Without
+    ``needs`` that holds at every entry: one whose least cost is below
+    ``limit`` is exact, and every other one is at least ``limit``.
     """
-    full = len(coef) - 1
+    network = ends.rows.network
     n = network.vertex_count
-    g: list = [None] * (full + 1)
-    h: list = [None] * (full + 1)
-    for mask in range(1, full + 1):
+    g: list = [None] * (ends.full + 1)
+    h: list = [None] * (ends.full + 1)
+    for mask in range(1, ends.full + 1):
         low = mask & -mask
         if mask == low:
-            g[mask] = [coef[mask] * d for d in dist[low.bit_length() - 1]]
+            g[mask] = [coef[mask] * d for d in ends.rows[low.bit_length() - 1]]
             continue
         # per vertex, the least sum over the set's splits (one split has nothing to compare)
         splits = [map(add, g[one], g[other]) for one, other in _splits(mask)]
         h[mask] = row = list(map(min, *splits) if len(splits) > 1 else splits[0])
         if coef[mask]:
             below = [limit] * n
-            if spans:
-                *_, need = _needs(n, dist, spans, mask)
+            if needs:
+                *_, need = _needs(ends, mask)
                 below = list(map(sub, below, need))
             g[mask] = _dijkstra(network, list(row), coef[mask], below)  # a copy: h[mask] keeps row
         else:
@@ -513,30 +525,25 @@ def _prefixes(order: Iterable[int]) -> list[int]:
     return list(itertools.accumulate((1 << i for i in order), or_))
 
 
-def _steiner_forests(instance: Instance, dist: Sequence[list[int]]) -> list[int]:
-    """Per set of pairs (a bit mask over ``instance.pairs``), SF: the least
-    length of a forest that joins each pair of the set; ``dist`` as for
-    ``_subset_forest``.
+def _steiner_forests(ends: _Endpoints) -> list[int]:
+    """Per set of the frame's pairs (a bit mask, in its order), SF: the least
+    length of a forest that joins each pair of the set.
 
     One ``_subset_tables`` run with every coefficient 1 prices the least
-    tree ST(S) that joins each endpoint set S.  Rooted at the last endpoint
-    q, only the sets without q are tabled: ST(S) is the least ``g[S]``, and
-    ST(S + q) is ``g[S][q]``.  SF(P) is then the best partition of P into
-    groups, each priced at ST of its endpoints: a 3^r convolution over the
-    sets of pairs.
+    tree ST(S) that joins each endpoint set S: the least ``g[S]`` for a set
+    without the root, ``g[S][root]`` for S and the root.  SF(P) is then the
+    best partition of P into groups, each priced at ST of its endpoints: a
+    3^r convolution over the sets of pairs.
     """
-    *others, q = instance.terminals
-    where = {x: i for i, x in enumerate(instance.terminals)}
-    g, _ = _subset_tables(instance.network, dist, [1] * (1 << len(others)))
-    rooted = 1 << len(others)
-    own = [1 << where[p.u] | 1 << where[p.v] for p in instance.pairs]
-    ends = [0] * (1 << len(own))  # per set of pairs: its endpoints, by _crossing's recurrence
-    trees = [0] * len(ends)  # per set of pairs: ST of its endpoints
-    forests = [0] * len(ends)
-    for pairs in range(1, len(ends)):
+    g, _ = _subset_tables(ends, [1] * (ends.full + 1))
+    own = [1 << a | 1 << b for a, b, _ in ends.spans]
+    sets = [0] * (1 << len(own))  # per set of pairs: its endpoints, by _crossing's recurrence
+    trees = [0] * len(sets)  # per set of pairs: ST of its endpoints
+    forests = [0] * len(sets)
+    for pairs in range(1, len(sets)):
         low = pairs & -pairs
-        ends[pairs] = mask = ends[pairs ^ low] | own[low.bit_length() - 1]
-        trees[pairs] = g[mask ^ rooted][q] if mask & rooted else min(g[mask])
+        sets[pairs] = mask = sets[pairs ^ low] | own[low.bit_length() - 1]
+        trees[pairs] = g[mask & ends.full][ends.root] if mask > ends.full else min(g[mask])
         # one tree, or the group with the lowest pair and then the rest as a forest
         splits = (trees[one] + forests[other] for one, other in _splits(pairs))
         forests[pairs] = min([trees[pairs], *splits])
@@ -544,11 +551,11 @@ def _steiner_forests(instance: Instance, dist: Sequence[list[int]]) -> list[int]
 
 
 def _order_bounds(
-    instance: Instance, dist: DistanceRows
+    instance: Instance, ends: _Endpoints
 ) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
     """An upper bound UB on the wct optimum, and per pair order (in
     ``itertools.permutations`` order) a lower bound LB on its DP value;
-    ``dist`` as for ``_subset_forest``.
+    ``ends`` the frame of every pair, in ``instance.pairs`` order.
 
     UB: the pairs' shortest paths joined into one forest (``_grown_forest``),
     built in its best pair order.  Served in order pi, step k has built
@@ -563,12 +570,12 @@ def _order_bounds(
     """
     pairs = instance.pairs
     r = len(pairs)
-    _, lengths = _grown_forest(instance, _shortest_paths(instance, dist, range(r)))
+    _, lengths = _grown_forest(instance, _shortest_paths(ends))
     reach = [_built(lengths, served) for served in range(1 << r)]
     if r >= 3:
-        forests = _steiner_forests(instance, dist)
+        forests = _steiner_forests(ends)
     else:
-        spans = [_span(instance, dist, i) for i in range(r)]
+        spans = [span for _, _, span in ends.spans]
         forests = [
             max((spans[i] for i in range(r) if served >> i & 1), default=0)
             for served in range(1 << r)
@@ -588,14 +595,11 @@ def _subset_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     """The wct optimum over all forests, the pair order and one forest that
     attain it; ``dist[i]`` holds the distances from ``instance.terminals[i]``.
 
-    For a pair order, ``_subset_tables`` prices every forest rooted at the
-    last endpoint q: an edge's coefficient is the same with the endpoint set
-    on either side of it, so such a forest is a tree joining q to the set S
-    of all the other endpoints, and its least cost is ``g[S][q]``, with only
-    the sets without q tabled.  A set that separates no pair is free to
-    carry, and those join the forest's components.  The first order (in
-    ``itertools.permutations`` order) with the least value wins, and its
-    forest is read back from S at q (``_read_back``).
+    For a pair order, ``_subset_tables`` over the frame of every pair prices
+    the least forest at ``g[full][root]`` (``_Endpoints``).  A set that
+    separates no pair is free to carry, and those join the forest's
+    components.  The first order (in ``itertools.permutations`` order) with
+    the least value wins, and its forest is read back (``_read_back``).
 
     The orders are searched under a bound (Held and Karp 1962).  With UB and
     each order's LB from ``_order_bounds``, an order runs its DP only when LB
@@ -610,26 +614,22 @@ def _subset_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     labels at most the winner's value, which is below it; so each first
     candidate that attains a label is the one the uncapped tables give.
     """
-    network = instance.network
-    terminals = instance.terminals
-    q = terminals[-1]
-    top = (1 << (len(terminals) - 1)) - 1
-    crossing = _crossing(terminals, (p.key for p in instance.pairs))
-
-    upper, bounds = _order_bounds(instance, dist)
+    ends = _endpoints(instance, dist, range(instance.pair_count))
+    crossing = _crossing(ends)
+    upper, bounds = _order_bounds(instance, ends)
     limit = upper + 1
     best = None
     for perm, lower in bounds:
         if lower >= limit:
             continue
         coef = _order_coefficients(instance, crossing, perm)
-        g, h = _subset_tables(network, dist, coef[: top + 1], limit)
-        value = g[top][q]
+        g, h = _subset_tables(ends, coef, limit)
+        value = g[ends.full][ends.root]
         if value < limit:
             limit = value
             best = (perm, coef, g, h)
     order, coef, g, h = best
-    return limit, order, _read_back(network, dist, g, h, coef, _one_label, top, q, limit)
+    return limit, order, _read_back(ends, g, h, coef, _one_label, limit)
 
 
 # --- maxlat: Pareto sets of prefix lengths ------------------------------------
@@ -715,20 +715,13 @@ def _label_setting(
     return settled
 
 
-def _room(
-    n: int,
-    dist: Sequence[list[int]],
-    spans: Sequence[tuple[int, int, int]],
-    mask: int,
-    cap: Sequence[int],
-    packing: _Packing,
-) -> list[int | None]:
-    """Per vertex v of the n, ``cap`` less what the rest of any forest adds
-    at least to each prefix once a tree joins v to the endpoint set ``mask``
-    (``_needs``): packed, with the guards set, or None where that leaves a
-    prefix below 0."""
-    total = [0] * n
-    for k, (need, limit) in enumerate(zip(_needs(n, dist, spans, mask), cap)):
+def _room(ends: _Endpoints, mask: int, cap: Sequence[int], packing: _Packing) -> list[int | None]:
+    """Per vertex v, ``cap`` less what the rest of any forest adds at least
+    to each prefix once a tree joins v to the endpoint set ``mask`` of the
+    frame ``ends`` (``_needs``): packed, with the guards set, or None where
+    that leaves a prefix below 0."""
+    total = [0] * ends.rows.network.vertex_count
+    for k, (need, limit) in enumerate(zip(_needs(ends, mask), cap)):
         # past limit + 1, a prefix has no room whatever it needs
         clamped = map(min, need, repeat(limit + 1))
         total = list(map(add, total, map(lshift, clamped, repeat(packing.width * k))))
@@ -738,43 +731,40 @@ def _room(
 
 
 def _lateness_tables(
-    network: Network,
-    dist: Sequence[list[int]],
-    first: Sequence[int],
-    cap: Sequence[int],
-    spans: Sequence[tuple[int, int, int]],
+    ends: _Endpoints, first: Sequence[int], cap: Sequence[int]
 ) -> tuple[list, list, _Packing]:
-    """Pareto tables of prefix-length labels for endpoint sets S as bit masks:
-    ``g[S][v]`` for trees that join v to S, and ``h[S][v]`` (for two or more
-    endpoints) for those whose root v splits S, with their ``_Packing``.  An
-    edge with S below it adds its length to the prefixes from ``first[S]`` on.
+    """Pareto tables of prefix-length labels for the endpoint sets S the
+    frame ``ends`` tables, as bit masks: ``g[S][v]`` for trees that join v to
+    S, and ``h[S][v]`` (for two or more endpoints) for those whose root v
+    splits S, with their ``_Packing``.  An edge with S below it adds its
+    length to the prefixes from ``first[S]`` on.
 
     ``first[S]`` is r for a set that separates no pair.  Such a set costs
     nothing to carry, so one Pareto set of its ``h`` over every vertex serves
     as its ``g`` at every vertex.  Every other set runs one
     ``_label_setting`` from its ``h``.  A label that no forest within ``cap``
-    can grow from is dropped (``_room``, with ``spans`` per step), and a set
-    with no label left is skipped.
+    can grow from is dropped (``_room``, the frame's pairs one per step), and
+    a set with no label left is skipped.
     """
+    network = ends.rows.network
     r = len(cap)
     top = max(*cap, *(length for _, _, length in network.edges))
     packing = _Packing.fitting(r, top)
     guards = packing.guards
-    full = len(first) - 1
-    g: list = [None] * (full + 1)
-    h: list = [None] * (full + 1)
-    for mask in range(1, full + 1):
+    g: list = [None] * (ends.full + 1)
+    h: list = [None] * (ends.full + 1)
+    for mask in range(1, ends.full + 1):
         low = mask & -mask
         step = first[mask]
         if mask == low:
             # a path of length d adds d to each prefix from step on
             unit = packing.units[step]
-            room = _room(network.vertex_count, dist, spans, mask, cap, packing)
+            room = _room(ends, mask, cap, packing)
             g[mask] = [
                 [d * unit]
                 if limit is not None and d <= top and (limit - d * unit) & guards == guards
                 else []
-                for d, limit in zip(dist[low.bit_length() - 1], room)
+                for d, limit in zip(ends.rows[low.bit_length() - 1], room)
             ]
             continue
         # the splits, less those with a side that no label is left in
@@ -782,7 +772,7 @@ def _lateness_tables(
         if not splits:
             h[mask] = g[mask] = [[]] * network.vertex_count
             continue
-        room = _room(network.vertex_count, dist, spans, mask, cap, packing)
+        room = _room(ends, mask, cap, packing)
         sums: list[list[int]] = [[] for _ in range(network.vertex_count)]
         for one, other in splits:
             for found, left, right, limit in zip(sums, g[one], g[other], room):
@@ -804,12 +794,12 @@ def _lateness_tables(
 
 
 def _lateness_bound(
-    instance: Instance, dist: DistanceRows, by_due: Sequence[int]
+    instance: Instance, ends: _Endpoints, by_due: Sequence[int]
 ) -> tuple[int, list[int], bool]:
     """The best of up to two forests tried against the Steiner-forest lower
     bound on the maxlat optimum, with the pairs served in the order
     ``by_due``: its value, its edge ids, and whether the bound proves it
-    optimal.
+    optimal; ``ends`` the frame of every pair, in that order.
 
     Let P_k be the first k+1 pairs by due date, d_k the due date of the last
     of them, and SF(P_k) the least length of a forest joining them.  Any
@@ -822,46 +812,37 @@ def _lateness_bound(
     1. The pairs' shortest paths in due order.  It is optimal if it is worth
        the free bound.
     2. Otherwise let k be the first prefix at which it reaches its value.
-       One scalar ``_subset_tables`` run over P_k's endpoints, with
+       One scalar ``_subset_tables`` run over the frame of P_k, with
        coefficient 1 for each endpoint set that separates a pair of P_k and 0
-       for the rest, gives SF(P_k): rooted at the last endpoint q, the forest
-       is ``g[S][q]`` for S the other endpoints, so only the sets without q
-       are tabled.  If SF(P_k) - d_k meets the forest's value, it is optimal.
-    3. Otherwise the least forest joining P_k (``_read_back`` from q) and then
+       for the rest, gives SF(P_k) at ``g[full][root]``.  If SF(P_k) - d_k
+       meets the forest's value, it is optimal.
+    3. Otherwise the least forest joining P_k (``_read_back``) and then
        the shortest paths of the later pairs in due order.  It is optimal if
        it is worth the raised bound.
     """
-    network = instance.network
     pairs = instance.pairs
     dues = [pairs[i].due for i in by_due]
-    where = {x: i for i, x in enumerate(instance.terminals)}
-    walks = _shortest_paths(instance, dist, by_due)
+    walks = _shortest_paths(ends)
     steps = _prefixes(by_due)
     used, lengths = _grown_forest(instance, walks)
     built = [_built(lengths, served) for served in steps]
     lateness = list(map(sub, built, dues))
     value = max(lateness)
-    longest = itertools.accumulate((_span(instance, dist, i) for i in by_due), max)
+    longest = itertools.accumulate((span for _, _, span in ends.spans), max)
     lower = max(map(sub, longest, dues))
     if value == lower:
         return value, used, True
     k = lateness.index(value)
-    served = by_due[: k + 1]
-    ends = sorted({x for i in served for x in pairs[i].key})
-    *others, q = ends
-    full = (1 << len(others)) - 1
-    crossing = _crossing(ends, (pairs[i].key for i in served))
-    coef = [1 if pairs_crossed else 0 for pairs_crossed in crossing[: full + 1]]
-    at = {x: i for i, x in enumerate(ends)}
-    spans = [(at[pairs[i].u], at[pairs[i].v], _span(instance, dist, i)) for i in served]
+    prefix = _endpoints(instance, ends.rows, by_due[: k + 1])
+    coef = [1 if pairs_crossed else 0 for pairs_crossed in _crossing(prefix)]
     # a forest joining P_k is no longer than the shortest paths' prefix k, so
     # only costs below that one decide whether it is the least
-    rows = dist.select(where[x] for x in ends)
-    g, h = _subset_tables(network, rows, coef, built[k], spans)
-    lower = max(lower, min(g[full][q], built[k]) - dues[k])
+    g, h = _subset_tables(prefix, coef, built[k], needs=True)
+    least = g[prefix.full][prefix.root]
+    lower = max(lower, min(least, built[k]) - dues[k])
     if value == lower:
         return value, used, True
-    walks[: k + 1] = [_read_back(network, rows, g, h, coef, _one_label, full, q, g[full][q])]
+    walks[: k + 1] = [_read_back(prefix, g, h, coef, _one_label, least)]
     steiner, lengths = _grown_forest(instance, walks)
     steiner_value = max(_built(lengths, served) - due for served, due in zip(steps, dues))
     if steiner_value < value:
@@ -878,36 +859,31 @@ def _lateness_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     it charged at the full length, like whichever pair was last, and charges
     every other pair at most as late.  So prefix k is the k-th pair by due
     date.  ``_lateness_bound`` proves most optima with a Steiner-forest lower
-    bound.  Only when it falls short do the Pareto tables run, with
-    ``first[S]`` the first such position of a pair S separates.  Rooted at
-    the last endpoint q, a forest is a tree joining q to the set S of all the
-    other endpoints, so only the sets without q are tabled.  The tables look
-    only for a forest that beats the better one the bound tried: a label
-    worth as much or more is dropped, and when none is left at q that
-    forest is optimal.  Otherwise the forest of the least (value, label)
-    at q is read back (``_read_back``).
+    bound.  Only when it falls short do the Pareto tables run, over the frame
+    of every pair in due order, with ``first[S]`` the first such position of
+    a pair S separates.  The tables look only for a forest that beats the
+    better one the bound tried: a label worth as much or more is dropped, and
+    when none is left at ``g[full][root]`` that forest is optimal.  Otherwise
+    the forest of the least (value, label) there is read back
+    (``_read_back``).
     """
-    network = instance.network
     pairs = instance.pairs
     r = len(pairs)
     by_due = tuple(sorted(range(r), key=lambda i: pairs[i].due))
-    bound, best, proven = _lateness_bound(instance, dist, by_due)
+    ends = _endpoints(instance, dist, by_due)
+    bound, best, proven = _lateness_bound(instance, ends, by_due)
     if proven:
         return bound, by_due, best
     dues = [pairs[i].due for i in by_due]
-    first = _first_steps(_crossing(instance.terminals, (p.key for p in pairs)), by_due)
-    # rooted at the last endpoint q, the forest is g[S][q] for S the others
-    q = instance.terminals[-1]
-    full = (len(first) >> 1) - 1
-    where = {x: i for i, x in enumerate(instance.terminals)}
-    spans = [(where[pairs[i].u], where[pairs[i].v], _span(instance, dist, i)) for i in by_due]
+    first = _first_steps(_crossing(ends), range(r))  # the frame's pairs are in due order
     cap = [bound - 1 + due for due in dues]
-    g, h, packing = _lateness_tables(network, dist, first[: full + 1], cap, spans)
-    if not g[full][q]:  # no forest beats the better one the bound tried
+    g, h, packing = _lateness_tables(ends, first, cap)
+    labels = g[ends.full][ends.root]
+    if not labels:  # no forest beats the better one the bound tried
         return bound, by_due, best
-    value, label = min((max(map(sub, packing.unpack(p), dues)), p) for p in g[full][q])
+    value, label = min((max(map(sub, packing.unpack(p), dues)), p) for p in labels)
     unit = [packing.units[step] for step in first]
-    chosen = _read_back(network, dist, g, h, unit, lambda labels: labels, full, q, label)
+    chosen = _read_back(ends, g, h, unit, lambda labels: labels, label)
     return value, by_due, chosen
 
 

@@ -351,6 +351,33 @@ def test_one_past_each_fixed_r_bound_exits_3_with_the_library_message(capsys, tm
             assert run(capsys, "solve", "--backend", backend, str(path)) == (3, "", f"error: {message}\n")
 
 
+def test_a_wide_wct_tree_under_auto_also_names_the_tree_backend(capsys, tmp_path):
+    # auto sends a wct tree past the leaf bound to fixed-r, whose guard refuses
+    # this 8-leaf star; the tree backend solves it with --force
+    path = tmp_path / "star.ncn"
+    instance = generate("star", 9, seed=1, pair_count=8)
+    assert instance.network.leaf_count == 8 > LEAF_BOUND
+    path.write_text(write_instance(instance))
+    library = (
+        "t = 8 pair endpoints and r = 8 pairs exceed the bounds t <= 8 and r <= 6; "
+        "the wct solver runs up to r! subset DPs of 3^(t-1) * n work, "
+        "pass force=True (--force on the command line) to run anyway"
+    )
+    with pytest.raises(GuardExceededError, match=f"^{re.escape(library)}$"):
+        solve_fixed_r(instance)
+    hint = "; the tree has 8 leaves (tree bound 6): --backend tree --force runs the subtree DP"
+    assert run(capsys, "solve", str(path)) == (3, "", f"error: {library}{hint}\n")
+    # fixed-r by name gets the library's message alone, and so does a maxlat
+    # tree, which the tree backend does not solve
+    assert run(capsys, "solve", "--backend", "fixed-r", str(path)) == (3, "", f"error: {library}\n")
+    maxlat = tmp_path / "star_maxlat.ncn"
+    maxlat.write_text(write_instance(generate("star", 9, seed=1, pair_count=8, objective="maxlat")))
+    status, out, err = run(capsys, "solve", str(maxlat))
+    assert (status, out) == (3, "") and err.endswith("to run anyway\n")
+    status, out, _ = run(capsys, "solve", "--backend", "tree", "--force", str(path))
+    assert status == 0 and out.startswith("pair ")
+
+
 class _Admitted(Exception):
     pass
 
@@ -629,9 +656,9 @@ def test_a_read_back_from_tables_that_hold_no_forest_exits_4(capsys, tmp_path, m
     # label, and exits 4 rather than crashing
     original = netcon.metric_solver._subset_tables
 
-    def lowered(network, dist, *args):
-        g, h = original(network, dist, *args)
-        if len(args) >= 2:
+    def lowered(ends, coef, *args):
+        g, h = original(ends, coef, *args)
+        if args:
             g[-1] = [cost - 1 for cost in g[-1]]
             h[-1] = [cost - 1 for cost in h[-1]]
         return g, h

@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
+import json
 import math
 import operator
+import pathlib
 import random
 from collections import Counter
 
@@ -411,6 +414,19 @@ def test_pair_guard():
     assert solve_fixed_r(inst, force=True)[1].objective == subset_dp(inst)[0]
 
 
+def test_the_committed_sweep_picks_the_enforced_bounds():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = root / "scripts" / "fixed_r_guard_sweep.py"
+    spec = importlib.util.spec_from_file_location("fixed_r_guard_sweep", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    recorded = json.loads((root / "SWEEP_fixed_r_guard.json").read_text())
+    chosen = (recorded["chosen"]["ENDPOINT_BOUND"], recorded["chosen"]["PAIR_BOUND"])
+    assert sweep._bounds(recorded["cells"]) == chosen == (ENDPOINT_BOUND, PAIR_BOUND)
+    assert sorted(recorded["worst_admitted_s"]) == ["maxlat", "wct"]
+    assert all(worst <= recorded["budget_s"] for worst in recorded["worst_admitted_s"].values())
+
+
 def test_dijkstra_runs_only_from_pair_endpoints(monkeypatch):
     # the only single-source Dijkstra runs start at the pair endpoints, once
     # each: a row settled only as far as one vertex resumes its own search
@@ -530,8 +546,10 @@ def test_a_label_the_tables_do_not_attain_is_a_read_back_fault(fault):
     inst = generate("random_graph", 9, seed=3, edge_count=14, pair_count=3)
     dist = build_metric_closure(inst.network, inst.terminals)
     unit = [1] * (1 << len(inst.terminals))
-    g, h = ms._subset_tables(inst.network, dist, unit)
     full = len(unit) - 1
+    # tables over every endpoint set, read back from vertex 0
+    ends = ms._endpoints(inst, dist, range(inst.pair_count))._replace(full=full, root=0)
+    g, h = ms._subset_tables(ends, unit)
     label = g[full][0] - 1  # below every tree that joins vertex 0 to all endpoints
     if fault == "root":  # a set that separates no pair: no vertex's h holds the label
         unit = [0] * len(unit)
@@ -539,7 +557,7 @@ def test_a_label_the_tables_do_not_attain_is_a_read_back_fault(fault):
     elif fault == "split":  # vertex 0's h claims the label, but no split sums to it
         h[full][0] = label
     with pytest.raises(NetconError, match=f"^internal inconsistency: read-back finds no {fault} "):
-        ms._read_back(inst.network, dist, g, h, unit, ms._one_label, full, 0, label)
+        ms._read_back(ends, g, h, unit, ms._one_label, label)
 
 
 def test_solution_is_deterministic():
@@ -934,11 +952,11 @@ def _count_bound_calls(monkeypatch):
     for name in ("_subset_tables", "_read_back", "_lateness_tables"):
         original = getattr(netcon.metric_solver, name)
 
-        def counted(*args, _original=original, _name=name):
+        def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
             if _name == "_lateness_tables":
-                caps.append(list(args[3]))
-            return _original(*args)
+                caps.append(list(args[2]))
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(netcon.metric_solver, name, counted)
     return calls, caps
@@ -967,7 +985,8 @@ def test_the_pareto_dp_runs_only_on_a_miss_capped_by_the_better_forest(monkeypat
     # _DP_BEATS_THE_BOUND (16 at pair (0, 2), due 4), not its least forest
     assert caps == [[6 + 0, 6 + 1], [15 + 4, 15 + 9]]
     dist = build_metric_closure(_BOUND_MISS.network, _BOUND_MISS.terminals)
-    value, kept, proven = netcon.metric_solver._lateness_bound(_BOUND_MISS, dist, (0, 1))
+    ends = netcon.metric_solver._endpoints(_BOUND_MISS, dist, (0, 1))
+    value, kept, proven = netcon.metric_solver._lateness_bound(_BOUND_MISS, ends, (0, 1))
     assert (value, proven) == (7, False)
     forest = _forest_paths(_BOUND_MISS.network, kept, _keys(_BOUND_MISS))
     assert evaluate_rforest(forest, _BOUND_MISS, (0, 1)).value == 7
@@ -1002,16 +1021,17 @@ def test_the_pareto_dp_alone_matches_the_oracle(monkeypatch):
 def test_room_is_the_cap_less_what_the_rest_of_a_forest_must_add():
     # path 0-1-2-3 of unit edges, terminals 0-3 (their own indices); step 0
     # serves pair (0, 3), step 1 pair (1, 2)
-    dist = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
-    spans = [(0, 3, 3), (1, 2, 1)]
+    inst = _inst([(0, 1, 1), (1, 2, 1), (2, 3, 1)], [(0, 3, 1, 0), (1, 2, 1, 0)], "maxlat")
+    ends = netcon.metric_solver._endpoints(inst, _closure(inst), (0, 1))
+    assert ends.spans == [(0, 3, 3), (1, 2, 1)]
     packing = netcon.metric_solver._Packing.fitting(2, 20)
-    room = netcon.metric_solver._room(4, dist, spans, 0b0001, [10, 20], packing)
+    room = netcon.metric_solver._room(ends, 0b0001, [10, 20], packing)
     # a tree joining v to endpoint 0: the rest still joins v to 3 by step 0,
     # and also 1 to 2 by step 1
     unpacked = [packing.unpack(x ^ packing.guards) for x in room]
     assert unpacked == [[7, 17], [8, 18], [9, 19], [10, 19]]
     # no room where the rest alone is already later than the cap
-    tight = netcon.metric_solver._room(4, dist, spans, 0b0001, [2, 20], packing)
+    tight = netcon.metric_solver._room(ends, 0b0001, [2, 20], packing)
     assert tight[0] is None
     assert packing.unpack(tight[1] ^ packing.guards) == [0, 18]
 
@@ -1100,7 +1120,8 @@ def test_the_bound_brackets_the_optimum_on_random_maxlat_graphs(monkeypatch):
         optimum = subset_dp(inst, force=True)[0]
         dist = build_metric_closure(inst.network, inst.terminals)
         calls.clear()
-        upper, kept, proven = netcon.metric_solver._lateness_bound(inst, dist, by_due)
+        ends = netcon.metric_solver._endpoints(inst, dist, by_due)
+        upper, kept, proven = netcon.metric_solver._lateness_bound(inst, ends, by_due)
         assert lower <= optimum <= upper
         forest = _forest_paths(inst.network, kept, _keys(inst))
         assert evaluate_rforest(forest, inst, by_due).value == upper
@@ -1141,38 +1162,95 @@ def _closure(inst):
     return build_metric_closure(inst.network, inst.terminals)
 
 
+def _frame(inst, dist):
+    """The frame of every pair, in ``inst.pairs`` order, as the wct solver
+    takes it."""
+    return netcon.metric_solver._endpoints(inst, dist, range(inst.pair_count))
+
+
+def _all_distances(inst):
+    """By Floyd-Warshall: the distance between every two vertices."""
+    n = inst.network.vertex_count
+    d = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+    for u, v, c in inst.network.edges:
+        d[u][v] = d[v][u] = min(d[u][v], c)
+    for k, u, v in itertools.product(range(n), repeat=3):
+        d[u][v] = min(d[u][v], d[u][k] + d[k][v])
+    return d
+
+
+def test_a_prefix_frame_holds_its_own_rows_root_spans_and_crossings():
+    ms = netcon.metric_solver
+    rng = random.Random(197)
+    whole = Counter()
+    for trial in range(30):
+        n = rng.randint(4, 9)
+        r = rng.randint(1, min(5, n * (n - 1) // 2))
+        inst = generate(
+            "random_graph",
+            n,
+            seed=rng.randrange(1 << 30),
+            edge_count=rng.randint(n - 1, min(16, n * (n - 1) // 2)),
+            pair_count=r,
+        )
+        dist = _closure(inst)
+        between = _all_distances(inst)
+        order = rng.sample(range(r), r)
+        for k in range(1, r + 1):
+            keys = [inst.pairs[i].key for i in order[:k]]
+            want = sorted({x for key in keys for x in key})
+            ends = ms._endpoints(inst, dist, order[:k])
+            assert list(ends.ends) == want and ends.root == want[-1]
+            whole[ends.rows is dist] += 1
+            assert (ends.rows is dist) == (want == list(inst.terminals))
+            assert [(want[a], want[b], span) for a, b, span in ends.spans] == [
+                (u, v, between[u][v]) for u, v in keys
+            ]
+            fresh = build_metric_closure(inst.network, want)
+            assert [ends.rows[i] for i in range(len(want))] == [fresh[i] for i in range(len(want))]
+            # per set of endpoints without the root: the pairs with exactly one end in it
+            rooted = itertools.product((False, True), repeat=len(want) - 1)
+            crossed = [
+                sum(1 << i for i, (u, v) in enumerate(keys) if (u in side) != (v in side))
+                for side in ({x for x, on in zip(want, flags[::-1]) if on} for flags in rooted)
+            ]
+            assert ms._crossing(ends) == crossed
+    assert whole[True] >= 30 and whole[False] >= 30
+
+
 def _order_dp(inst, dist, perm, limit=math.inf):
     """One pair order's subset DP over every endpoint set: its coefficients
     and tables."""
     ms = netcon.metric_solver
-    coef = ms._order_coefficients(inst, ms._crossing(inst.terminals, _keys(inst)), perm)
-    return coef, *ms._subset_tables(inst.network, dist, coef, limit)
+    ends = _frame(inst, dist)._replace(full=(1 << len(inst.terminals)) - 1)
+    coef = ms._order_coefficients(inst, ms._crossing(ends), perm)
+    return coef, *ms._subset_tables(ends, coef, limit)
 
 
 def _rooted_order_dp(inst, dist, perm, limit=math.inf):
     """One pair order's subset DP rooted at the last endpoint q, as the
     solver runs it: its coefficients, its tables over the sets without q, and
-    the set of all the others."""
+    its frame."""
     ms = netcon.metric_solver
-    coef = ms._order_coefficients(inst, ms._crossing(inst.terminals, _keys(inst)), perm)
-    top = (1 << (len(inst.terminals) - 1)) - 1
-    g, h = ms._subset_tables(inst.network, dist, coef[: top + 1], limit)
-    return coef, g, h, top
+    ends = _frame(inst, dist)
+    coef = ms._order_coefficients(inst, ms._crossing(ends), perm)
+    g, h = ms._subset_tables(ends, coef, limit)
+    return coef, g, h, ends
 
 
 def _every_order_forest(inst, dist):
     """The exhaustive reference: an uncapped rooted DP for every pair order,
     and the edge ids of the forest read back from the first order with the
     least value."""
-    q = inst.terminals[-1]
     best = None
     for perm in itertools.permutations(range(inst.pair_count)):
-        coef, g, h, top = _rooted_order_dp(inst, dist, perm)
-        if best is None or g[top][q] < best[0]:
-            best = (g[top][q], perm, coef, g, h)
-    value, perm, coef, g, h = best
+        coef, g, h, ends = _rooted_order_dp(inst, dist, perm)
+        value = g[ends.full][ends.root]
+        if best is None or value < best[0]:
+            best = (value, perm, coef, g, h, ends)
+    value, perm, coef, g, h, ends = best
     ms = netcon.metric_solver
-    return value, perm, ms._read_back(inst.network, dist, g, h, coef, ms._one_label, top, q, value)
+    return value, perm, ms._read_back(ends, g, h, coef, ms._one_label, value)
 
 
 def test_a_dp_rooted_at_the_last_endpoint_prices_the_least_forest():
@@ -1189,10 +1267,10 @@ def test_a_dp_rooted_at_the_last_endpoint_prices_the_least_forest():
         inst = _tie_prone_instance(rng, n, r, depot, weights=(1, 9))
         seen["shared"] += len(inst.terminals) < 2 * r
         dist = _closure(inst)
-        q = inst.terminals[-1]
         for perm in itertools.permutations(range(r)):
             _, _, h = _order_dp(inst, dist, perm)
-            _, g, _, top = _rooted_order_dp(inst, dist, perm)
+            _, g, _, ends = _rooted_order_dp(inst, dist, perm)
+            top, q = ends.full, ends.root
             value = min(h[-1])
             assert g[top][q] == value
             for limit in (rng.randint(1, value), value, value + 1):
@@ -1316,7 +1394,7 @@ def test_steiner_forests_match_the_least_edge_sets():
         depot = trial % 3 == 0
         r = rng.randint(1, min(4, n - 1 if depot else n // 2))
         inst = _tie_prone_instance(rng, n, r, depot, max_edges=10)
-        forests = netcon.metric_solver._steiner_forests(inst, _closure(inst))
+        forests = netcon.metric_solver._steiner_forests(_frame(inst, _closure(inst)))
         assert forests == _least_forests(inst)
         # sometimes a forest of two or more trees is cheaper than any one tree
         split += any(forests[pairs] < _least_tree(inst, pairs) for pairs in range(1, 1 << r))
@@ -1333,7 +1411,7 @@ def test_order_bounds_bracket_each_order_and_the_optimum():
         n = rng.randint(r + 1 if depot else 2 * r, 9)
         inst = _tie_prone_instance(rng, n, r, depot, weights=(1, 9))
         dist = _closure(inst)
-        upper, bounds = netcon.metric_solver._order_bounds(inst, dist)
+        upper, bounds = netcon.metric_solver._order_bounds(inst, _frame(inst, dist))
         perms = list(itertools.permutations(range(r)))
         assert [perm for perm, _ in bounds] == perms
         values = [min(_order_dp(inst, dist, perm)[2][-1]) for perm in perms]
