@@ -20,21 +20,16 @@ from .errors import (
     SequenceError,
     UnsupportedInstanceError,
 )
-from .evaluator import (
-    BuildSequence,
-    ConnectionReport,
-    Verdict,
-    evaluate_sequence,
-    format_report,
-    validate_sequence,
-)
+from .evaluator import BuildSequence, Verdict, evaluate_sequence, validate_sequence
 from .metric_solver import solve_fixed_r
 from .model import (
+    ConnectionReport,
     Instance,
     Network,
     Objective,
     OlaInput,
     RelevantPair,
+    format_report,
     generate,
     parse_instance,
     parse_ola_input,

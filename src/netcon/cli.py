@@ -12,10 +12,10 @@ all pairs, whichever backend runs, and is a usage error without one; it
 changes no bound.  ``solve -o`` writes the file before stdout, so a path it
 cannot write leaves stdout empty.
 
-``solve`` output is line oriented and stable: the connection report (one
-``pair <u> <v> t=<time>`` line per pair plus ``objective <value>``) followed
-by a ``sequence`` header and one edge id per line.  ``validate`` re-checks a
-solution file against its instance and exits 1 on any discrepancy.
+``solve`` prints a solution in the stable text format that ``model``
+defines beside the instance format (``model.format_solution``).
+``validate`` reads one back (``model.parse_solution``), re-checks it against
+its instance and exits 1 on any discrepancy.
 """
 
 from __future__ import annotations
@@ -35,71 +35,22 @@ from .errors import (
     SequenceError,
     UnsupportedInstanceError,
 )
-from .evaluator import ConnectionReport, format_report, validate_sequence
+from .evaluator import validate_sequence
 from .metric_solver import solve_fixed_r
 from .model import (
     GENERATOR_KINDS,
-    Instance,
     Objective,
-    _content_lines,
-    _parse_int,
     exact_digits,
+    format_solution,
     generate,
     parse_instance,
     parse_ola_input,
+    parse_solution,
     reduce_ola,
     write_instance,
 )
 from .oracle import permutation_oracle, subset_dp
 from .tree_solver import LEAF_BOUND, solve_tree
-
-
-def format_solution(instance: Instance, report: ConnectionReport, seq: Sequence[int]) -> str:
-    lines = [format_report(instance, report).rstrip("\n"), "sequence"]
-    lines.extend(str(eid) for eid in seq)
-    return "\n".join(lines) + "\n"
-
-
-@exact_digits
-def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tuple[int, ...]]:
-    """Read a solve-format solution file back into a claim and a sequence."""
-    times: dict[tuple[int, int], int] = {}
-    objective: int | None = None
-    seq: list[int] = []
-    in_sequence = False
-    for lineno, tokens in _content_lines(text):
-        if in_sequence:
-            if len(tokens) != 1:
-                raise InstanceFormatError("expected one edge id per line", lineno)
-            seq.append(_parse_int(tokens[0], "edge id", lineno))
-        elif tokens[0] == "pair" and len(tokens) == 4 and tokens[3].startswith("t="):
-            u = _parse_int(tokens[1], "pair endpoint", lineno)
-            v = _parse_int(tokens[2], "pair endpoint", lineno)
-            key = (min(u, v), max(u, v))
-            if key in times:
-                raise InstanceFormatError(f"duplicate pair line for {key}", lineno)
-            times[key] = _parse_int(tokens[3][2:], "connection time", lineno)
-        elif tokens[0] == "objective" and len(tokens) == 2:
-            if objective is not None:
-                raise InstanceFormatError("duplicate objective line", lineno)
-            objective = _parse_int(tokens[1], "objective", lineno)
-        elif tokens == ["sequence"]:
-            in_sequence = True
-        else:
-            raise InstanceFormatError(f"unexpected line {' '.join(tokens)!r}", lineno)
-    if objective is None:
-        raise InstanceFormatError("solution has no objective line")
-    if not in_sequence:
-        raise InstanceFormatError("solution has no sequence section")
-    ordered = []
-    for pair in instance.pairs:
-        if pair.key not in times:
-            raise InstanceFormatError(f"solution misses pair ({pair.u}, {pair.v})")
-        ordered.append(times.pop(pair.key))
-    if times:
-        extra = next(iter(times))
-        raise InstanceFormatError(f"solution reports unknown pair {extra}")
-    return ConnectionReport(tuple(ordered), objective), tuple(seq)
 
 
 def _read(path: str) -> str:
@@ -118,30 +69,20 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _pick_backend(instance: Instance, backend: str) -> str:
-    if backend != "auto":
-        return backend
-    fits_tree = (
-        instance.network.is_tree
-        and instance.network.leaf_count <= LEAF_BOUND
-        and instance.objective is Objective.WEIGHTED_SUM
-    )
-    return "tree" if fits_tree else "fixed-r"
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     if args.depot and instance.common_pair_vertex() is None:
         raise UnsupportedInstanceError("--depot needs a vertex common to all pairs")
-    if _pick_backend(instance, args.backend) == "tree":
+    wct_tree = instance.network.is_tree and instance.objective is Objective.WEIGHTED_SUM
+    auto = args.backend == "auto"
+    if args.backend == "tree" or (auto and wct_tree and instance.network.leaf_count <= LEAF_BOUND):
         seq, report = solve_tree(instance, force=args.force)
     else:
         try:
             seq, report = solve_fixed_r(instance, force=args.force)
         except GuardExceededError as exc:
             # auto sends a wct tree to fixed-r only past the leaf bound: name the tree backend's way
-            wct_tree = instance.network.is_tree and instance.objective is Objective.WEIGHTED_SUM
-            if args.backend == "auto" and wct_tree:
+            if auto and wct_tree:
                 raise GuardExceededError(
                     f"{exc}; the tree has {instance.network.leaf_count} leaves (tree bound "
                     f"{LEAF_BOUND}): --backend tree --force runs the subtree DP"
@@ -149,8 +90,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise
     text = format_solution(instance, report, seq)
     if args.output:  # first, so that an unwritable path leaves stdout empty
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _emit(text, args.output)
     sys.stdout.write(text)
     return 0
 
@@ -289,10 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InstanceFormatError, InvalidInstanceError, UnsupportedInstanceError, SequenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidInstanceError, UnsupportedInstanceError, SequenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NetconError as exc:

@@ -3,9 +3,8 @@
 Edges are built one at a time at unit speed, so the k-th edge of a sequence
 completes at the sum of the first k lengths.  A pair's connection time is the
 cumulative built length at the completion of the first prefix whose edge set
-joins the pair; prefixes may be disconnected forests.  Report text format:
-one line ``pair <u> <v> t=<time>`` per pair in canonical order, then a final
-``objective <value>`` line.
+joins the pair; prefixes may be disconnected forests.  The report's text
+format is in ``model``.
 """
 
 from __future__ import annotations
@@ -13,17 +12,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import SequenceError
-from .model import Instance, Objective, exact_digits
+from .model import ConnectionReport, Instance, Objective
 from .unionfind import UnionFind
 
 BuildSequence = tuple[int, ...]
-
-
-class ConnectionReport(NamedTuple):
-    """Connection time per pair (aligned with instance.pairs) and objective."""
-
-    times: tuple[int, ...]
-    objective: int
 
 
 class Verdict(NamedTuple):
@@ -107,13 +99,3 @@ def validate_sequence(
             f"objective: claimed {claimed.objective}, recomputed {actual.objective}"
         )
     return Verdict(not problems, tuple(problems))
-
-
-@exact_digits
-def format_report(instance: Instance, report: ConnectionReport) -> str:
-    lines = [
-        f"pair {pair.u} {pair.v} t={t}"
-        for pair, t in zip(instance.pairs, report.times)
-    ]
-    lines.append(f"objective {report.objective}")
-    return "\n".join(lines) + "\n"

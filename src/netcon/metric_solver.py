@@ -98,8 +98,8 @@ from operator import add, lshift, lt, mul, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
-from .evaluator import BuildSequence, ConnectionReport, _objective_value, evaluate_sequence
-from .model import Instance, Network, Objective
+from .evaluator import BuildSequence, _objective_value, evaluate_sequence
+from .model import ConnectionReport, Instance, Network, Objective
 from .unionfind import UnionFind
 
 ENDPOINT_BOUND = 8

@@ -16,6 +16,12 @@ A companion format describes inputs for the star reduction (``.ola`` files):
     threshold <K>
     edge <u> <v>
 
+Two formats carry results.  A connection report (``format_report``) is one
+``pair <u> <v> t=<time>`` line per pair in canonical order, then a final
+``objective <value>`` line.  A solution (``format_solution``, what ``netcon
+solve`` prints) is the report followed by a ``sequence`` line and one edge id
+per line; ``parse_solution`` reads it back against its instance.
+
 The constructors normalize: edges and pairs are oriented (u, v) with u < v
 and sorted, as the canonical writer emits them, so
 ``parse_instance(write_instance(x)) == x``.  They also run every instance
@@ -39,7 +45,7 @@ from bisect import bisect_right
 from functools import partial, wraps
 from math import isqrt
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InstanceFormatError, InvalidInstanceError
 from .frozen import Frozen
@@ -260,6 +266,8 @@ class Instance(Frozen):
         pairs: Iterable[RelevantPair],
         objective: "Objective | str" = Objective.WEIGHTED_SUM,
     ) -> None:
+        if not isinstance(network, Network):
+            raise InvalidInstanceError(f"network must be a Network, got {network!r}")
         objective = _as_objective(objective)
         pairs = tuple(pairs)
         if not pairs:
@@ -505,6 +513,71 @@ def write_ola_input(ola: OlaInput) -> str:
     lines = ["ola 1", f"vertices {ola.vertex_count}", f"threshold {ola.threshold}"]
     lines.extend(f"edge {u} {v}" for u, v in ola.edges)
     return "\n".join(lines) + "\n"
+
+
+class ConnectionReport(NamedTuple):
+    """Connection time per pair (aligned with instance.pairs) and objective."""
+
+    times: tuple[int, ...]
+    objective: int
+
+
+@exact_digits
+def format_report(instance: Instance, report: ConnectionReport) -> str:
+    lines = [
+        f"pair {pair.u} {pair.v} t={t}"
+        for pair, t in zip(instance.pairs, report.times)
+    ]
+    lines.append(f"objective {report.objective}")
+    return "\n".join(lines) + "\n"
+
+
+def format_solution(instance: Instance, report: ConnectionReport, seq: Sequence[int]) -> str:
+    lines = [format_report(instance, report).rstrip("\n"), "sequence"]
+    lines.extend(str(eid) for eid in seq)
+    return "\n".join(lines) + "\n"
+
+
+@exact_digits
+def parse_solution(instance: Instance, text: str) -> tuple[ConnectionReport, tuple[int, ...]]:
+    """Read a solve-format solution file back into a claim and a sequence."""
+    times: dict[tuple[int, int], int] = {}
+    objective: int | None = None
+    seq: list[int] = []
+    in_sequence = False
+    for lineno, tokens in _content_lines(text):
+        if in_sequence:
+            if len(tokens) != 1:
+                raise InstanceFormatError("expected one edge id per line", lineno)
+            seq.append(_parse_int(tokens[0], "edge id", lineno))
+        elif tokens[0] == "pair" and len(tokens) == 4 and tokens[3].startswith("t="):
+            u = _parse_int(tokens[1], "pair endpoint", lineno)
+            v = _parse_int(tokens[2], "pair endpoint", lineno)
+            key = (min(u, v), max(u, v))
+            if key in times:
+                raise InstanceFormatError(f"duplicate pair line for {key}", lineno)
+            times[key] = _parse_int(tokens[3][2:], "connection time", lineno)
+        elif tokens[0] == "objective" and len(tokens) == 2:
+            if objective is not None:
+                raise InstanceFormatError("duplicate objective line", lineno)
+            objective = _parse_int(tokens[1], "objective", lineno)
+        elif tokens == ["sequence"]:
+            in_sequence = True
+        else:
+            raise InstanceFormatError(f"unexpected line {' '.join(tokens)!r}", lineno)
+    if objective is None:
+        raise InstanceFormatError("solution has no objective line")
+    if not in_sequence:
+        raise InstanceFormatError("solution has no sequence section")
+    ordered = []
+    for pair in instance.pairs:
+        if pair.key not in times:
+            raise InstanceFormatError(f"solution misses pair ({pair.u}, {pair.v})")
+        ordered.append(times.pop(pair.key))
+    if times:
+        extra = next(iter(times))
+        raise InstanceFormatError(f"solution reports unknown pair {extra}")
+    return ConnectionReport(tuple(ordered), objective), tuple(seq)
 
 
 # --- generators ------------------------------------------------------------

@@ -41,8 +41,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import chains
 from .errors import GuardExceededError, NetconError, SequenceError, UnsupportedInstanceError
-from .evaluator import BuildSequence, ConnectionReport, evaluate_sequence
-from .model import Instance, Network, Objective, RelevantPair
+from .evaluator import BuildSequence, evaluate_sequence
+from .model import ConnectionReport, Instance, Network, Objective, RelevantPair
 
 LEAF_BOUND = 6
 

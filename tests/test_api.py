@@ -4,6 +4,7 @@ Solver internals (catalogs, records, closures, forests) stay importable from
 their submodules but are not re-exported.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -91,3 +92,24 @@ def test_internals_live_in_their_submodules():
     assert not hasattr(tree_solver, "merge_for_edge")
     assert not hasattr(tree_solver, "crossing_weight")
     assert not hasattr(netcon.chains, "DensityBlock")
+
+
+def test_each_text_format_has_one_definition():
+    from netcon import cli, evaluator, model
+
+    assert cli.parse_solution is model.parse_solution
+    assert cli.format_solution is model.format_solution
+    assert evaluator.ConnectionReport is model.ConnectionReport
+    assert netcon.format_report is model.format_report
+
+
+def test_only_model_uses_the_text_format_helpers():
+    helpers = {"_content_lines", "_parse_int"}
+    for path in sorted(Path(netcon.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert not helpers & {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in helpers, path.name

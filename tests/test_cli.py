@@ -65,11 +65,16 @@ def _golden_runs():
 
 
 @pytest.mark.parametrize("name, backend", _golden_runs())
-def test_solve_output_matches_the_golden_file(capsys, name, backend):
-    # tests/fixtures/<name>.<backend>.out holds the exact stdout of the solve
-    status, out, err = run(capsys, "solve", "--backend", backend, str(FIXTURES / f"{name}.ncn"))
-    assert status == 0, err
-    assert out == (FIXTURES / f"{name}.{backend}.out").read_text()
+def test_solve_output_matches_the_golden_file(capsys, tmp_path, name, backend):
+    # tests/fixtures/<name>.<backend>.out holds the exact stdout of the solve, and what -o writes
+    golden = (FIXTURES / f"{name}.{backend}.out").read_text()
+    written = tmp_path / "solution.out"
+    instance = str(FIXTURES / f"{name}.ncn")
+    for output in ((), ("-o", str(written))):
+        status, out, err = run(capsys, "solve", "--backend", backend, instance, *output)
+        assert status == 0, err
+        assert out == golden
+    assert written.read_text() == golden
 
 
 def test_every_golden_file_is_checked():

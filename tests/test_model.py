@@ -447,6 +447,11 @@ def test_instance_rejects_a_pair_that_is_not_a_relevant_pair():
     assert caught.value.where == ("pair", 1)
 
 
+def test_instance_rejects_a_network_that_is_not_a_network():
+    with pytest.raises(InvalidInstanceError, match=r"Network, got 'x'"):
+        Instance("x", (RelevantPair(0, 1, 1),))
+
+
 def test_ola_input_invariants():
     with pytest.raises(InvalidInstanceError):
         OlaInput(2, ((0, 0),), 1)
