@@ -32,11 +32,13 @@ from itertools import islice
 from typing import Any, Iterator, Sequence
 
 from .frozen import Frozen
+from .model import exact_digits
 
 
 class Job(Frozen):
     __slots__ = _fields = ("processing", "weight", "tag")
 
+    @exact_digits
     def __init__(self, processing: int, weight: int, tag: Any = None) -> None:
         if type(processing) is not int or processing < 1:
             raise ValueError(f"job processing time must be a positive integer: {processing!r}")

@@ -54,7 +54,7 @@ from .tree_solver import LEAF_BOUND, solve_tree
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

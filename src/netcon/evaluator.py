@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import SequenceError
-from .model import ConnectionReport, Instance, Objective
+from .model import ConnectionReport, Instance, Objective, exact_digits
 from .unionfind import UnionFind
 
 BuildSequence = tuple[int, ...]
@@ -23,6 +23,7 @@ class Verdict(NamedTuple):
     discrepancies: tuple[str, ...] = ()
 
 
+@exact_digits
 def evaluate_sequence(instance: Instance, seq: Sequence[int]) -> ConnectionReport:
     """Compute the report for a build sequence.
 
@@ -75,6 +76,7 @@ def _objective_value(instance: Instance, times: Sequence[int]) -> int:
     return max(t - p.due for p, t in zip(instance.pairs, times))
 
 
+@exact_digits
 def validate_sequence(
     instance: Instance, seq: Sequence[int], claimed: ConnectionReport
 ) -> Verdict:

@@ -25,9 +25,11 @@ per line; ``parse_solution`` reads it back against its instance.
 The constructors normalize: edges and pairs are oriented (u, v) with u < v
 and sorted, as the canonical writer emits them, so
 ``parse_instance(write_instance(x)) == x``.  They also run every instance
-rule, each written once here.  The parsers check only the file syntax and
-prefix whatever a constructor raises with the line it came from, so the
-library and the files give the same messages.
+rule, each written once here.  A broken rule raises once, through
+``_invalid``, naming its directive in the text formats and the edge's or
+pair's position.  The parsers check only the file syntax, and ``_build``
+prefixes what a constructor raises with the line that directive and position
+came from, so the library and the files give the same messages.
 
 The types are ``frozen.Frozen`` classes: each ``__init__`` runs the rules on
 its arguments and stores the normalized values, and no attribute can be
@@ -56,15 +58,41 @@ class Objective(enum.Enum):
     MAX_LATENESS = "maxlat"
 
 
+# CPython caps int-string conversions at 4300 digits by default (3.10.7 on)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def exact_digits(fn):
+    """``fn`` with the int-string digit limit lifted while it runs, so that
+    numbers of any length are read, printed and named in messages exactly;
+    the process's own limit is put back afterwards, however ``fn`` ends.
+    The value types' constructors, every reader and writer of the text
+    formats, the evaluator and ``cli.main`` run this way."""
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        limit = _digit_limit()
+        if not limit:  # already lifted, or no limit in this Python
+            return fn(*args, **kwargs)
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return call
+
+
 # --- instance rules --------------------------------------------------------
 
 # The one integer rule: every integer of an instance is exactly an ``int``.
 # ``type(x) is int`` rejects ``bool``, which ``isinstance(True, int)`` admits.
 
 
-def _invalid(message: str, name: str, index: int | None = None) -> InvalidInstanceError:
+def _invalid(message: str, name: str | None, index: int | None = None) -> InvalidInstanceError:
     """An error naming what broke a rule, by its directive in the text formats
-    (and the edge's or pair's position), so a parser can report its line."""
+    (and the edge's or pair's position), so a parser can report its line;
+    ``None`` when no one line breaks the rule."""
     exc = InvalidInstanceError(message)
     exc.where = (name, index)
     return exc
@@ -84,47 +112,31 @@ def _check_vertex_count(n) -> None:
         raise _invalid(f"vertex count must be a positive integer, got {n!r}", "vertices")
 
 
-def _ends(what: str, u, v) -> tuple[int, int]:
+def _ends(what: str, u, v, index: int | None = None) -> tuple[int, int]:
     """An edge's or a pair's endpoints: distinct integers, oriented u < v."""
     if not (type(u) is type(v) is int):
-        raise InvalidInstanceError(f"{what} endpoints must be integers, got ({u!r}, {v!r})")
+        raise _invalid(f"{what} endpoints must be integers, got ({u!r}, {v!r})", what, index)
     if u == v:
-        raise InvalidInstanceError(f"{what} ({u}, {v}) is a self-loop")
+        raise _invalid(f"{what} ({u}, {v}) is a self-loop", what, index)
     return (u, v) if u < v else (v, u)
 
 
-def _add_key(what: str, key: tuple[int, int], n: int, seen: set) -> None:
+def _add_key(what: str, key: tuple[int, int], n: int, seen: set, index: int) -> None:
     """Admit an oriented edge or pair: both ends in 0..n-1, not seen before."""
     u, v = key
     if u < 0 or v >= n:
-        raise InvalidInstanceError(f"{what} ({u}, {v}) has an endpoint out of range 0..{n - 1}")
+        raise _invalid(f"{what} ({u}, {v}) has an endpoint out of range 0..{n - 1}", what, index)
     if key in seen:
-        raise InvalidInstanceError(f"duplicate {what} ({u}, {v})")
+        raise _invalid(f"duplicate {what} ({u}, {v})", what, index)
     seen.add(key)
-
-
-def _checked_edge(edge, index: int, n: int, arity: int, seen: set) -> tuple:
-    """One edge through every rule in turn, so the first one it breaks is the
-    one reported; ``_edge_list`` sends here each edge it does not admit inline."""
-    try:
-        if len(edge) != arity:
-            raise InvalidInstanceError(f"edge must have {arity} fields, got {edge!r}")
-        key = _ends("edge", edge[0], edge[1])
-        if arity == 3 and not (type(edge[2]) is int and edge[2] >= 1):
-            raise InvalidInstanceError(
-                f"non-integer or non-positive edge length {edge[2]!r} on edge {key}"
-            )
-        _add_key("edge", key, n, seen)
-    except InvalidInstanceError as exc:
-        raise _invalid(str(exc), "edge", index) from None
-    return key if arity == 2 else (*key, edge[2])
 
 
 def _edge_list(edges, n: int, arity: int) -> tuple:
     """Checked edges, oriented u < v and sorted: (u, v, length) for a
     network (arity 3), (u, v) for an arrangement input (arity 2).  A tuple
     that keeps every rule, as the parsers and generators build them, is
-    admitted inline; any other edge goes through ``_checked_edge``."""
+    admitted inline; any other edge goes through every rule in turn, so the
+    first one it breaks is the one reported."""
     seen: set[tuple[int, int]] = set()
     out = []
     for index, edge in enumerate(edges):
@@ -138,7 +150,15 @@ def _edge_list(edges, n: int, arity: int) -> tuple:
                     seen.add(key)
                     out.append((u, v, length) if arity == 3 else key)
                     continue
-        out.append(_checked_edge(edge, index, n, arity, seen))
+        if len(edge) != arity:
+            raise _invalid(f"edge must have {arity} fields, got {edge!r}", "edge", index)
+        key = _ends("edge", edge[0], edge[1], index)
+        if arity == 3 and not (type(edge[2]) is int and edge[2] >= 1):
+            raise _invalid(
+                f"non-integer or non-positive edge length {edge[2]!r} on edge {key}", "edge", index
+            )
+        _add_key("edge", key, n, seen, index)
+        out.append(key if arity == 2 else (*key, edge[2]))
     out.sort()
     return tuple(out)
 
@@ -176,11 +196,12 @@ class Network(Frozen):
     __slots__ = ("vertex_count", "edges", "adjacency", "_rooting")
     _fields = ("vertex_count", "edges")
 
+    @exact_digits
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> None:
         _check_vertex_count(vertex_count)
         edges = _edge_list(edges, vertex_count, 3)
         if vertex_count > len(edges) + 1:  # fewer than n - 1 edges: no traversal needed
-            raise InvalidInstanceError("network is not connected")
+            raise _invalid("network is not connected", "vertices")
         around: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
         for i, (u, v, _) in enumerate(edges):
             around[u].append((v, i))
@@ -188,7 +209,7 @@ class Network(Frozen):
         adjacency = tuple(map(tuple, around))
         rooting = _root(adjacency)
         if rooting[1].count(-1) > 1:  # a second root starts a second component
-            raise InvalidInstanceError("network is not connected")
+            raise _invalid("network is not connected", "vertices")
         init = object.__setattr__
         init(self, "vertex_count", vertex_count)
         init(self, "edges", edges)
@@ -230,14 +251,15 @@ class RelevantPair(Frozen):
 
     __slots__ = _fields = ("u", "v", "weight", "due")
 
+    @exact_digits
     def __init__(self, u: int, v: int, weight: int, due: int | None = None) -> None:
         u, v = _ends("pair", u, v)
         if type(weight) is not int or weight < 1:
-            raise InvalidInstanceError(
-                f"non-integer or non-positive pair weight {weight!r} on pair ({u}, {v})"
+            raise _invalid(
+                f"non-integer or non-positive pair weight {weight!r} on pair ({u}, {v})", "pair"
             )
         if due is not None and type(due) is not int:
-            raise InvalidInstanceError(f"pair ({u}, {v}) due date must be an integer, got {due!r}")
+            raise _invalid(f"pair ({u}, {v}) due date must be an integer, got {due!r}", "pair")
         init = object.__setattr__
         init(self, "u", u)
         init(self, "v", v)
@@ -260,6 +282,7 @@ class Instance(Frozen):
     __slots__ = ("network", "pairs", "objective", "terminals")
     _fields = ("network", "pairs", "objective")
 
+    @exact_digits
     def __init__(
         self,
         network: Network,
@@ -267,26 +290,22 @@ class Instance(Frozen):
         objective: "Objective | str" = Objective.WEIGHTED_SUM,
     ) -> None:
         if not isinstance(network, Network):
-            raise InvalidInstanceError(f"network must be a Network, got {network!r}")
+            raise _invalid(f"network must be a Network, got {network!r}", None)
         objective = _as_objective(objective)
         pairs = tuple(pairs)
         if not pairs:
-            raise InvalidInstanceError("instance has no relevant pairs")
-        n = network.vertex_count
+            raise _invalid("instance has no relevant pairs", None)
         maxlat = objective is Objective.MAX_LATENESS
         seen: set[tuple[int, int]] = set()
         for index, pair in enumerate(pairs):
-            try:
-                if not isinstance(pair, RelevantPair):
-                    raise InvalidInstanceError(f"pair must be a RelevantPair, got {pair!r}")
-                _add_key("pair", pair.key, n, seen)
-                if (pair.due is None) == maxlat:
-                    raise InvalidInstanceError(
-                        f"{'missing' if maxlat else 'stray'} due date for pair"
-                        f" ({pair.u}, {pair.v}) under the {objective.value} objective"
-                    )
-            except InvalidInstanceError as exc:
-                raise _invalid(str(exc), "pair", index) from None
+            if not isinstance(pair, RelevantPair):
+                raise _invalid(f"pair must be a RelevantPair, got {pair!r}", "pair", index)
+            _add_key("pair", pair.key, network.vertex_count, seen, index)
+            if (pair.due is None) == maxlat:
+                raise _invalid(
+                    f"{'missing' if maxlat else 'stray'} due date for pair"
+                    f" ({pair.u}, {pair.v}) under the {objective.value} objective", "pair", index
+                )
         init = object.__setattr__
         init(self, "network", network)
         init(self, "pairs", tuple(sorted(pairs, key=_BY_ENDS)))
@@ -310,6 +329,7 @@ class OlaInput(Frozen):
 
     __slots__ = _fields = ("vertex_count", "edges", "threshold")
 
+    @exact_digits
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]], threshold: int) -> None:
         _check_vertex_count(vertex_count)
         if type(threshold) is not int or threshold < 0:
@@ -323,30 +343,6 @@ class OlaInput(Frozen):
 
 
 # --- text format -----------------------------------------------------------
-
-# CPython caps int-string conversions at 4300 digits by default (3.10.7 on)
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def exact_digits(fn):
-    """``fn`` with the int-string digit limit lifted while it runs, so that
-    numbers of any length are read and printed exactly; the process's own
-    limit is put back afterwards, however ``fn`` ends.  Every reader and
-    writer of the text formats, and ``cli.main``, run this way."""
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        limit = _digit_limit()
-        if not limit:  # already lifted, or no limit in this Python
-            return fn(*args, **kwargs)
-        sys.set_int_max_str_digits(0)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return call
-
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
     """The one integer-token rule of every text format: ASCII ``-?[0-9]+``.
@@ -367,16 +363,16 @@ def _content_lines(text: str) -> Iterable[tuple[int, list[str]]]:
             yield lineno, tokens
 
 
-def _build(cls, lines: dict, line: int | None, *args):
+def _build(cls, lines: dict, *args):
     """``cls(*args)``, with the line of whatever it rejects.  ``lines`` maps a
     directive to its line, or a repeated directive to its items' lines; an
-    error naming no directive gets ``line``."""
+    error naming no directive gets no line."""
     try:
         return cls(*args)
     except InvalidInstanceError as exc:
-        name, index = getattr(exc, "where", (None, None))
-        where = lines.get(name, line)
-        raise InstanceFormatError(str(exc), where if index is None else where[index]) from None
+        name, index = exc.where
+        line = lines.get(name)
+        raise InstanceFormatError(str(exc), line if index is None else line[index]) from None
 
 
 _SINGLETONS = {
@@ -447,7 +443,7 @@ def parse_instance(text: str) -> Instance:
                 fields = list(map(int, tokens[1:]))
             else:
                 fields = [_parse_int(t, what, lineno) for t, what in zip(tokens[1:], _PAIR_FIELDS)]
-            pairs.append(_build(RelevantPair, {}, lineno, *fields))
+            pairs.append(_build(RelevantPair, {"pair": lineno}, *fields))
             lines["pair"].append(lineno)
         else:
             raise InstanceFormatError(f"unknown directive {keyword!r}", lineno)
@@ -456,8 +452,8 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("missing 'netcon 1' header")
     _require(lines, "objective", "vertices")
     vertices = _parse_int(values["vertices"], "vertex count", lines["vertices"])
-    network = _build(Network, lines, lines["vertices"], vertices, tuple(edges))
-    return _build(Instance, lines, None, network, tuple(pairs), values["objective"])
+    network = _build(Network, lines, vertices, tuple(edges))
+    return _build(Instance, lines, network, tuple(pairs), values["objective"])
 
 
 @exact_digits
@@ -505,7 +501,7 @@ def parse_ola_input(text: str) -> OlaInput:
     _require(lines, "vertices", "threshold")
     vertices = _parse_int(values["vertices"], "vertex count", lines["vertices"])
     threshold = _parse_int(values["threshold"], "threshold", lines["threshold"])
-    return _build(OlaInput, lines, None, vertices, tuple(edges), threshold)
+    return _build(OlaInput, lines, vertices, tuple(edges), threshold)
 
 
 @exact_digits

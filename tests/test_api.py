@@ -113,3 +113,22 @@ def test_only_model_uses_the_text_format_helpers():
                 assert not helpers & {alias.name for alias in node.names}, path.name
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in helpers, path.name
+
+
+def test_each_instance_rule_error_is_raised_once_through_invalid():
+    # every rule error is built by _invalid with its directive and position,
+    # and only _build catches one, to add its line; generate's parameter
+    # errors are not instance rules and name no directive
+    catchers, builders = set(), set()
+    tree = ast.parse((Path(netcon.__file__).parent / "model.py").read_text())
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+                if "InvalidInstanceError" in caught:
+                    catchers.add(top.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "InvalidInstanceError":
+                    builders.add(top.name)
+    assert catchers == {"_build"}
+    assert builders == {"_invalid", "generate"}

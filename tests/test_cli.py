@@ -181,6 +181,40 @@ def test_oracle_permutation_method(capsys):
     assert out.strip() == "objective 9"
 
 
+# the small cases that tier1.yml checks through the installed entry point:
+# name -> (solve flags, gen arguments); see the workflow for what each covers
+ORACLE_CASES = {
+    "p16": ("--backend tree", "--kind path --n 16 --pairs 5 --seed 3"),
+    "t16": ("--backend tree --force", "--kind random_tree --n 16 --pairs 6 --seed 5"),
+    "t14": (
+        "--backend tree --force",
+        "--kind random_tree --n 14 --pairs 7 --length-range 1 1 --weight-range 1 1 --seed 1",
+    ),
+    "r4": ("", "--kind random_graph --n 9 --edges 14 --pairs 4 --seed 3"),
+    "r3t": ("", "--kind random_graph --n 9 --edges 14 --pairs 3 --seed 1 --length-range 1 2"),
+    "r4m": ("", "--kind random_graph --n 9 --edges 14 --pairs 4 --seed 23 --objective maxlat"),
+    "r2m": ("", "--kind random_graph --n 9 --edges 14 --pairs 2 --seed 3 --objective maxlat"),
+    "r2w": ("", "--kind random_graph --n 9 --edges 14 --pairs 2 --seed 2"),
+    "r6": ("", "--kind random_graph --n 8 --edges 14 --pairs 6 --seed 5"),
+}
+
+
+def _objective_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.startswith("objective")]
+
+
+@pytest.mark.parametrize("flags, gen_args", ORACLE_CASES.values(), ids=list(ORACLE_CASES))
+def test_small_cases_validate_and_match_the_oracle(capsys, tmp_path, flags, gen_args):
+    ncn, out = str(tmp_path / "case.ncn"), str(tmp_path / "case.out")
+    assert run(capsys, "gen", *gen_args.split(), "-o", ncn) == (0, "", "")
+    status, solution, err = run(capsys, "solve", ncn, *flags.split(), "-o", out)
+    assert (status, err) == (0, "")
+    assert run(capsys, "validate", ncn, out) == (0, "ok\n", "")
+    status, oracle, err = run(capsys, "oracle", ncn)
+    assert (status, err) == (0, "")
+    assert _objective_lines(oracle) == _objective_lines(solution)
+
+
 def _gen_path(capsys, tmp_path, edges: int) -> str:
     path = tmp_path / f"path{edges}.ncn"
     run(capsys, "gen", "--kind", "path", "--n", str(edges + 1), "--pairs", "2", "-o", str(path))
@@ -252,6 +286,27 @@ def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, command):
     assert status == 2
     assert out == ""
     assert err.startswith(f"error: {bad} is not UTF-8 text") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("solve", ["path3.ncn"]),
+        ("validate", ["path3.ncn", "path3.auto.out"]),
+        ("reduce-ola", ["triangle.ola"]),
+    ],
+    ids=["instance", "solution", "ola"],
+)
+def test_a_file_that_starts_with_a_byte_order_mark_reads_as_without_one(
+    capsys, tmp_path, command, names
+):
+    # the last file is given again as a copy that starts with a UTF-8 byte-order mark
+    paths = [str(FIXTURES / name) for name in names]
+    plain = run(capsys, command, *paths)
+    marked = tmp_path / names[-1]
+    marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / names[-1]).read_bytes())
+    assert plain[0] == 0
+    assert run(capsys, command, *paths[:-1], str(marked)) == plain
 
 
 def _int_digit_limit():

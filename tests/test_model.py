@@ -19,13 +19,16 @@ from netcon import (
     Objective,
     OlaInput,
     RelevantPair,
+    SequenceError,
     Verdict,
+    evaluate_sequence,
     generate,
     parse_instance,
     parse_ola_input,
     reduce_ola,
     solve_fixed_r,
     subset_dp,
+    validate_sequence,
     write_instance,
     write_ola_input,
 )
@@ -427,6 +430,45 @@ def test_numbers_past_the_int_string_digit_limit_stay_exact_in_the_library():
     # the limit is put back also when the call raises
     with pytest.raises(InstanceFormatError, match="must be an integer"):
         parse_instance(text.replace(" 1 ", " 1x ", 1))
+    assert _digit_limit() == limit
+
+
+HUGE = 10**5000  # 5,001 digits, past the 4300 that Python prints by default
+HUGE_TEXT = "1" + "0" * 5000  # written out, since str(HUGE) itself would raise
+PATH3 = Instance(Network(3, ((0, 1, 1), (1, 2, 2))), (RelevantPair(0, 2, 1),))
+# a path with a 5000-digit length: a claim of time HUGE for its pair is wrong
+LONG_PATH = Instance(Network(3, ((0, 1, 10**4999 + 7), (1, 2, 1))), (RelevantPair(0, 2, 1),))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Network(2, ((HUGE, HUGE, 1),)), InvalidInstanceError),
+        (lambda: Network(2, ((0, 1, -HUGE),)), InvalidInstanceError),
+        (lambda: Network(-HUGE, ()), InvalidInstanceError),
+        (lambda: RelevantPair(0, 1, -HUGE), InvalidInstanceError),
+        (lambda: Instance(PATH3.network, (RelevantPair(0, HUGE, 1),)), InvalidInstanceError),
+        (lambda: OlaInput(3, (), -HUGE), InvalidInstanceError),
+        (lambda: Job(-HUGE, 1), ValueError),
+        (lambda: evaluate_sequence(PATH3, (HUGE,)), SequenceError),
+        (lambda: validate_sequence(LONG_PATH, (0, 1), ConnectionReport((HUGE,), HUGE)), None),
+    ],
+    ids=[
+        "self-loop", "negative-length", "negative-vertex-count", "negative-weight",
+        "pair-out-of-range", "negative-threshold", "negative-processing", "edge-id", "claimed-time",
+    ],
+)
+def test_a_message_names_an_integer_past_the_digit_limit_in_full(call, error):
+    limit = _digit_limit()
+    if error is None:  # a wrong claim is a verdict, not an error
+        verdict = call()
+        assert isinstance(verdict, Verdict) and not verdict.ok
+        message = "\n".join(verdict.discrepancies)
+    else:
+        with pytest.raises(error) as caught:
+            call()
+        message = str(caught.value)
+    assert HUGE_TEXT in message
     assert _digit_limit() == limit
 
 

@@ -4,8 +4,9 @@ Shifting every due date by s moves the maximum lateness by exactly -s, and
 scaling every length by k scales every connection time, and so the weighted
 sum, by k; scaling the due dates by k as well scales the maximum lateness by
 k.  Scaling every pair weight by k scales the weighted sum by k and keeps the
-tree solver's build order.  None of these may depend on how large the numbers
-get.  Renaming the vertices changes no objective, and the shortest-path
+build order of both solvers, and the weights play no part in the maximum
+lateness, so under maxlat any other weights give the same fixed-r solve.
+None of these may depend on how large the numbers get.  Renaming the vertices changes no objective, and the shortest-path
 distances the fixed-r DPs start from are the graph's (checked against scipy).
 """
 
@@ -101,6 +102,26 @@ def test_weight_scaling_scales_the_tree_optimum_and_keeps_its_order(seed, k):
     scaled_seq, scaled_report = solve_tree(Instance(inst.network, pairs), force=True)
     assert scaled_report.objective == k * report.objective
     assert scaled_seq == seq
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, n=st.integers(4, 9), r=st.integers(1, 4), k=st.integers(1, 1 << 62))
+def test_weight_scaling_scales_the_fixed_r_optimum_and_keeps_its_sequence(seed, n, r, k):
+    inst = generate("random_graph", n, seed=seed, pair_count=r)
+    pairs = tuple(RelevantPair(p.u, p.v, p.weight * k) for p in inst.pairs)
+    seq, report = solve_fixed_r(inst)
+    scaled_seq, scaled_report = solve_fixed_r(Instance(inst.network, pairs))
+    assert scaled_report.objective == k * report.objective
+    assert scaled_seq == seq
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, n=st.integers(4, 9), r=st.integers(1, 4), data=st.data())
+def test_pair_weights_change_no_maxlat_solve(seed, n, r, data):
+    inst = generate("random_graph", n, seed=seed, pair_count=r, objective="maxlat")
+    weights = data.draw(st.lists(st.integers(1, 1 << 62), min_size=r, max_size=r))
+    pairs = tuple(RelevantPair(p.u, p.v, w, p.due) for p, w in zip(inst.pairs, weights))
+    assert solve_fixed_r(Instance(inst.network, pairs, inst.objective)) == solve_fixed_r(inst)
 
 
 def test_fixed_r_handles_a_2_pow_60_edge():
