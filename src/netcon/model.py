@@ -150,7 +150,7 @@ def _edge_list(edges, n: int, arity: int) -> tuple:
                     seen.add(key)
                     out.append((u, v, length) if arity == 3 else key)
                     continue
-        if len(edge) != arity:
+        if not isinstance(edge, Sequence) or len(edge) != arity:
             raise _invalid(f"edge must have {arity} fields, got {edge!r}", "edge", index)
         key = _ends("edge", edge[0], edge[1], index)
         if arity == 3 and not (type(edge[2]) is int and edge[2] >= 1):

@@ -26,8 +26,11 @@ INTERLEAVING_JOB_LIMIT = 14
 def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[int, ...]]:
     """Exact optimum over all build orders via DP on edge subsets.
 
-    Returns the optimal objective and one optimal full build sequence
-    (essential prefix first, leftover edges appended in ascending id order).
+    Returns the optimal objective and one optimal order of every edge.  Once
+    a subset joins every pair, an edge added after it connects no new pair
+    and so costs nothing; the full edge set's value is therefore the
+    optimum, and its order, read back through each subset's last edge, is
+    an optimal full build sequence.
     """
     network = instance.network
     m = network.edge_count
@@ -39,14 +42,20 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
 
     edges = network.edges
     pairs = instance.pairs
-    r = len(pairs)
-    all_pairs_mask = (1 << r) - 1
     maximize_sum = instance.objective is Objective.WEIGHTED_SUM
 
-    # connected-pair bitmask per edge subset, and under wct its weight
+    # per edge subset, in ascending mask order so that every subset without
+    # one of its edges comes first: its length, its connected-pair bitmask
+    # and under wct that bitmask's weight, its value and its last edge
+    length = [0] * (1 << m)
     conn = [0] * (1 << m)
     conn_weight = [0] * (1 << m) if maximize_sum else []
+    # under maxlat a subset that connects no pair has no value yet (None)
+    value: list[int | None] = [0 if maximize_sum else None] * (1 << m)
+    choice = [-1] * (1 << m)
     for mask in range(1, 1 << m):
+        low = mask & -mask
+        t = length[mask] = length[mask ^ low] + edges[low.bit_length() - 1][2]
         uf = UnionFind(network.vertex_count)
         rest = mask
         while rest:
@@ -54,37 +63,23 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
             u, v, _ = edges[low.bit_length() - 1]
             uf.union(u, v)
             rest ^= low
-        pm = weight = 0
+        connected = weight = 0
         for i, pair in enumerate(pairs):
             if uf.connected(pair.u, pair.v):
-                pm |= 1 << i
+                connected |= 1 << i
                 weight += pair.weight
-        conn[mask] = pm
+        conn[mask] = connected
         if maximize_sum:
             conn_weight[mask] = weight
 
-    length = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        length[mask] = length[mask ^ low] + edges[low.bit_length() - 1][2]
-
-    # under maxlat a subset that connects no pair has no value yet (None)
-    value: list[int | None] = [0 if maximize_sum else None] * (1 << m)
-    choice = [-1] * (1 << m)
-    best_mask = -1
-    best_value = None
-    for mask in range(1, 1 << m):
-        t = length[mask]
-        connected = conn[mask]
         best = None
-        best_edge = -1
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             sub = mask ^ low
             if maximize_sum:  # conn[sub] is a subset of conn[mask]
-                cand = value[sub] + t * (conn_weight[mask] - conn_weight[sub])
+                cand = value[sub] + t * (weight - conn_weight[sub])
             else:
                 cand = value[sub]
                 npm = connected & ~conn[sub]
@@ -96,24 +91,17 @@ def subset_dp(instance: Instance, *, force: bool = False) -> tuple[int, tuple[in
                         cand = late
             if best is None or cand < best:
                 best = cand
-                best_edge = low.bit_length() - 1
+                choice[mask] = low.bit_length() - 1
         value[mask] = best
-        choice[mask] = best_edge
-        if connected == all_pairs_mask and (best_value is None or best < best_value):
-            best_value = best
-            best_mask = mask
 
-    assert best_value is not None  # network is connected, so the full set qualifies
     order = []
-    mask = best_mask
+    mask = full = (1 << m) - 1
     while mask:
         e = choice[mask]
         order.append(e)
         mask ^= 1 << e
     order.reverse()
-    used = set(order)
-    order.extend(e for e in range(m) if e not in used)
-    return best_value, tuple(order)
+    return value[full], tuple(order)
 
 
 def permutation_oracle(instance: Instance, *, force: bool = False) -> int:

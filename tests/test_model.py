@@ -513,6 +513,23 @@ def test_ola_input_rejects_a_malformed_edge(edge):
 
 
 @pytest.mark.parametrize(
+    "build, edge, index",
+    [
+        (lambda edges: Network(2, edges), 5, 0),
+        (lambda edges: Network(2, edges), None, 0),
+        (lambda edges: OlaInput(2, edges, 0), {0, 1}, 0),
+        (lambda edges: Network(3, [(0, 1, 1)] + edges), 5, 1),
+    ],
+    ids=["int", "none", "ola-set", "after-a-good-edge"],
+)
+def test_an_edge_that_is_not_a_sequence_is_refused_with_its_place(build, edge, index):
+    with pytest.raises(InvalidInstanceError) as caught:
+        build([edge])
+    assert repr(edge) in str(caught.value)
+    assert caught.value.where == ("edge", index)
+
+
+@pytest.mark.parametrize(
     "vertices, threshold, edges, line",
     [
         (3, 1, [(0, 1), (2, 2)], 5),

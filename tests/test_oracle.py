@@ -43,7 +43,7 @@ def test_single_pair_is_a_shortest_path():
     value, seq = subset_dp(inst)
     assert value == 2
     assert evaluate_sequence(inst, seq).objective == 2
-    assert len(seq) == 3  # full schedule: leftover edges are appended
+    assert len(seq) == 3  # an order of every edge: (0, 2) after the pair has joined
 
 
 def test_sequence_always_replays_to_the_dp_value():
@@ -63,7 +63,9 @@ def test_sequence_always_replays_to_the_dp_value():
 
 
 def test_oracles_agree_on_random_instances():
+    # both objectives on the same draws of graphs; maxlat pairs get due dates 0-50
     rng = random.Random(43)
+    objectives = set()
     for _ in range(100):
         n = rng.randint(2, 5)
         m_max = n * (n - 1) // 2
@@ -73,8 +75,11 @@ def test_oracles_agree_on_random_instances():
             seed=rng.randrange(1 << 30),
             edge_count=rng.randint(n - 1, min(7, m_max)),
             pair_count=rng.randint(1, min(3, m_max)),
+            objective=rng.choice(("wct", "maxlat")),
         )
+        objectives.add(inst.objective.value)
         assert subset_dp(inst)[0] == permutation_oracle(inst)
+    assert objectives == {"wct", "maxlat"}
 
 
 def test_objective_invariant_under_relabeling():
