@@ -94,7 +94,7 @@ import itertools
 import math
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
-from operator import add, lshift, lt, mul, or_, sub
+from operator import add, lshift, lt, or_, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceededError, NetconError, SequenceError
@@ -550,45 +550,28 @@ def _steiner_forests(ends: _Endpoints) -> list[int]:
     return forests
 
 
-def _order_bounds(
-    instance: Instance, ends: _Endpoints
-) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """An upper bound UB on the wct optimum, and per pair order (in
-    ``itertools.permutations`` order) a lower bound LB on its DP value;
-    ``ends`` the frame of every pair, in ``instance.pairs`` order.
+def _order_tables(instance: Instance, ends: _Endpoints) -> tuple[list[int], list[int]]:
+    """Two tables over the sets of pairs (bit masks over ``instance.pairs``)
+    from which ``_subset_forest`` prices the pair orders; ``ends`` the frame
+    of every pair, in ``instance.pairs`` order.
 
-    UB: the pairs' shortest paths joined into one forest (``_grown_forest``),
-    built in its best pair order.  Served in order pi, step k has built
-    that forest's length on the paths of P_k = {pi_0..pi_k}, so pi prices it
-    at sum_k w_{pi_k} * reach(P_k), and the least price is a forest's value.
-
-    LB(pi) = sum_k w_{pi_k} * SF(P_k): whatever the forest, step k has built
-    one joining every pair of P_k.  For three or more pairs SF comes from
-    ``_steiner_forests``.  Two pairs have only two orders, and both share SF
-    of the two; there the longest distance between the ends of a pair of P
-    bounds SF(P) from below at no cost.
+    ``reach[P]``: the length on the paths of P of the pairs' shortest paths
+    joined into one forest (``_grown_forest``).  ``forests[P]``: SF(P), the
+    least length of a forest joining each pair of P, from
+    ``_steiner_forests`` for three or more pairs.  Two pairs have only two
+    orders, and both share SF of the two; there the longest distance
+    between the ends of a pair of P bounds SF(P) from below at no cost.
     """
-    pairs = instance.pairs
-    r = len(pairs)
+    r = instance.pair_count
     _, lengths = _grown_forest(instance, _shortest_paths(ends))
     reach = [_built(lengths, served) for served in range(1 << r)]
     if r >= 3:
-        forests = _steiner_forests(ends)
-    else:
-        spans = [span for _, _, span in ends.spans]
-        forests = [
-            max((spans[i] for i in range(r) if served >> i & 1), default=0)
-            for served in range(1 << r)
-        ]
-    upper = None
-    bounds = []
-    for perm in itertools.permutations(range(r)):
-        steps = _prefixes(perm)
-        weights = [pairs[i].weight for i in perm]
-        price = sum(map(mul, weights, (reach[served] for served in steps)))
-        upper = price if upper is None else min(upper, price)
-        bounds.append((perm, sum(map(mul, weights, (forests[served] for served in steps)))))
-    return upper, bounds
+        return reach, _steiner_forests(ends)
+    spans = [span for _, _, span in ends.spans]
+    forests = [
+        max((spans[i] for i in range(r) if served >> i & 1), default=0) for served in range(1 << r)
+    ]
+    return reach, forests
 
 
 def _subset_forest(instance: Instance, dist: DistanceRows) -> Optimum:
@@ -601,12 +584,18 @@ def _subset_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     components.  The first order (in ``itertools.permutations`` order) with
     the least value wins, and its forest is read back (``_read_back``).
 
-    The orders are searched under a bound (Held and Karp 1962).  With UB and
-    each order's LB from ``_order_bounds``, an order runs its DP only when LB
-    is below the limit: UB + 1 before any order has a value, then the best
-    value so far, since a later order loses a tie.  Its tables are capped at
-    that limit, and its value counts only when below it.  That is at most r!
-    DPs; from three pairs on, the bound skips most of them.
+    The orders are searched under a bound (Held and Karp 1962), each order
+    pi priced from a table of ``_order_tables`` at sum_k w_{pi_k} *
+    table[P_k], with P_k = {pi_0..pi_k}.  Upper bound UB: served in order
+    pi, step k has built the shortest paths' forest's length on the paths of
+    P_k, so its price over ``reach`` is a forest's value, and UB is the
+    least of those.  Lower bound LB(pi): its price over ``forests``, since
+    whatever the forest, step k has built one joining every pair of P_k.
+    Each order's LB is priced in the search loop, and it runs its DP only
+    when LB is below the limit: UB + 1 before any order has a value, then
+    the best value so far, since a later order loses a tie.  Its tables are
+    capped at that limit, and its value counts only when below it.  That is
+    at most r! DPs; from three pairs on, the bound skips most of them.
 
     The answer is the one a DP for every order gives.  No skipped order can
     beat the winner or tie it ahead of it.  Capped tables are exact below the
@@ -614,13 +603,19 @@ def _subset_forest(instance: Instance, dist: DistanceRows) -> Optimum:
     labels at most the winner's value, which is below it; so each first
     candidate that attains a label is the one the uncapped tables give.
     """
-    ends = _endpoints(instance, dist, range(instance.pair_count))
+    r = instance.pair_count
+    ends = _endpoints(instance, dist, range(r))
     crossing = _crossing(ends)
-    upper, bounds = _order_bounds(instance, ends)
-    limit = upper + 1
+    reach, forests = _order_tables(instance, ends)
+    weights = [pair.weight for pair in instance.pairs]
+
+    def price(table: Sequence[int], perm: Sequence[int]) -> int:
+        return sum(weights[i] * table[served] for i, served in zip(perm, _prefixes(perm)))
+
+    limit = min(price(reach, perm) for perm in itertools.permutations(range(r))) + 1
     best = None
-    for perm, lower in bounds:
-        if lower >= limit:
+    for perm in itertools.permutations(range(r)):
+        if price(forests, perm) >= limit:
             continue
         coef = _order_coefficients(instance, crossing, perm)
         g, h = _subset_tables(ends, coef, limit)

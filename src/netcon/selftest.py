@@ -2,7 +2,8 @@
 
 Each criterion function returns a CheckResult; ``run_all`` executes the whole
 suite.  ``scale`` shrinks trial counts (and the budget-run sizes) for smoke
-runs; the full suite uses scale=1.0.
+runs; the full suite uses scale=1.0.  Criteria 5 (an exhaustive sweep) and
+8 (fixed fixtures) take no scale.
 
 Criteria 1-6 are sweeps over seeded instances: each collects one message per
 failure, and ``_result`` reports how many there were and quotes the first.
@@ -244,9 +245,8 @@ def _ola_brute_force(n: int, edges) -> int:
     return best
 
 
-def criterion_reduction_identity(scale: float = 1.0) -> CheckResult:
+def criterion_reduction_identity() -> CheckResult:
     """5: arrangement optimum + |V|^2(|V|+1)/2 equals the reduced-star optimum."""
-    del scale  # the sweep is exhaustive by definition
     start = time.perf_counter()
     failures = []
     checked = 0
@@ -322,9 +322,8 @@ def _determinism_fixtures(directory: str) -> list[tuple[str, list[str]]]:
     return entries
 
 
-def criterion_determinism(scale: float = 1.0) -> CheckResult:
+def criterion_determinism() -> CheckResult:
     """8: repeated runs are byte-identical."""
-    del scale
     from . import cli
 
     start = time.perf_counter()
@@ -353,8 +352,8 @@ def run_all(scale: float = 1.0) -> list[CheckResult]:
         exactness,
         criterion_merge_optimality(scale),
         criterion_density_decomposition(scale),
-        criterion_reduction_identity(scale),
+        criterion_reduction_identity(),
         replay,
         criterion_budget_runs(scale),
-        criterion_determinism(scale),
+        criterion_determinism(),
     ]

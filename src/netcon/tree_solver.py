@@ -262,8 +262,11 @@ def solve_tree(
 ) -> tuple[BuildSequence, ConnectionReport]:
     """Exact optimum for a tree instance under the weighted-sum objective.
 
-    Work grows like n^(leaves + 2), so trees with more than ``LEAF_BOUND``
-    leaves are refused unless ``force`` is set.
+    Work grows like n^(leaves + 2).  Trees with more than ``LEAF_BOUND``
+    leaves are refused unless ``force`` is set, but n is not bounded, so the
+    leaf bound does not bound the work: a 6-leg spider with 20-edge legs
+    (85.8M subtrees) is admitted and would run for 1-2 hours.  ROADMAP
+    item 2 proposes a bound on the DP's own work instead.
     """
     network = instance.network
     if not network.is_tree:

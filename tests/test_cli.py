@@ -40,6 +40,7 @@ FIXTURE_OBJECTIVES = {
     "graph7.ncn": 18,
     "maxlat_step3.ncn": 9,
     "maxlat_pareto.ncn": 12,
+    "maxlat_tree.ncn": 17,
 }
 
 
@@ -196,6 +197,7 @@ ORACLE_CASES = {
     "r2m": ("", "--kind random_graph --n 9 --edges 14 --pairs 2 --seed 3 --objective maxlat"),
     "r2w": ("", "--kind random_graph --n 9 --edges 14 --pairs 2 --seed 2"),
     "r6": ("", "--kind random_graph --n 8 --edges 14 --pairs 6 --seed 5"),
+    "m9t": ("", "--kind random_tree --n 9 --pairs 4 --objective maxlat --seed 4"),
 }
 
 
@@ -880,19 +882,104 @@ def test_selftest_counts_an_inconsistent_solve_as_a_mismatch(capsys, monkeypatch
     assert "1 mismatches; first: trial 0: internal inconsistency: replay 8" in failed[1]
 
 
+def _block_per_job(chain):
+    # covers the chain and sums its jobs, but the densities need not decrease
+    return [(job.weight, job.processing, 1) for job in chain]
+
+
+def _one_block(chain):
+    # covers the chain and sums its jobs, but a prefix may be denser
+    if not chain:
+        return []
+    return [(sum(job.weight for job in chain), sum(job.processing for job in chain), len(chain))]
+
+
 @pytest.mark.parametrize(
     "criterion, name, broken, first",
     [
-        ("criterion_merge_optimality", "merge_two_chains", lambda *chains: ((), -1), "merge -1 != oracle"),
-        ("criterion_density_decomposition", "density_decomposition", lambda _: [], "blocks do not cover"),
+        (
+            lambda: selftest.criterion_tree_exactness(0.02),
+            "subset_dp",
+            lambda instance: (-1, ()),
+            "trial 0: solver [0-9]+ != oracle -1",
+        ),
+        (
+            lambda: selftest.criterion_fixed_r_exactness(0.02)[0],
+            "subset_dp",
+            lambda instance: (-1, ()),
+            "trial 0: solver -?[0-9]+ != oracle -1",
+        ),
+        (
+            lambda: selftest.criterion_merge_optimality(0.02),
+            "merge_two_chains",
+            lambda *chains: ((), -1),
+            "trial [0-9]+: merge -1 != oracle [0-9]+",
+        ),
+        (
+            lambda: selftest.criterion_density_decomposition(0.02),
+            "density_decomposition",
+            lambda _: [],
+            "trial [0-9]+: blocks do not cover the chain in order",
+        ),
+        (
+            lambda: selftest.criterion_density_decomposition(0.02),
+            "density_decomposition",
+            _block_per_job,
+            "trial [0-9]+: densities not strictly decreasing",
+        ),
+        (
+            lambda: selftest.criterion_density_decomposition(0.02),
+            "density_decomposition",
+            _one_block,
+            r"trial [0-9]+: block \[0:[0-9]+\] density [0-9]+/[0-9]+ beaten by prefix [0-9]+/[0-9]+",
+        ),
+        (
+            selftest.criterion_reduction_identity,
+            "subset_dp",
+            lambda instance: (0, ()),
+            r"n=1 edges=\(\): star optimum 0 != 1",
+        ),
     ],
-    ids=["3", "4"],
+    ids=["1", "2", "3", "4", "4-densities", "4-prefix", "5"],
 )
 def test_a_failed_sweep_quotes_its_first_failure(monkeypatch, criterion, name, broken, first):
     monkeypatch.setattr(selftest, name, broken)
-    result = getattr(selftest, criterion)(0.02)
-    assert not result.passed
-    assert re.search(f"; first: trial [0-9]+: {first}", result.detail), result.detail
+    result = criterion()
+    assert "[FAIL]" in result.line()
+    assert re.search(f"[0-9]+ [a-z ]+; first: {first}$", result.detail), result.detail
+
+
+def test_a_run_past_its_budget_fails_criterion_7(monkeypatch):
+    # a clock that reads 40 s more at each reading: every run takes 40 s, past
+    # the path's 30 s budget and within the 60 s of the other two
+    readings = itertools.count(0.0, 40.0)
+    monkeypatch.setattr(selftest, "time", argparse.Namespace(perf_counter=lambda: next(readings)))
+    result = selftest.criterion_budget_runs(0.02)
+    assert "[FAIL]" in result.line()
+    runs = result.detail.split("; ")
+    assert [run.split(" (")[0] for run in runs] == [
+        "path n=60: 40.00s",
+        "3-leaf tree n=24: 40.00s",
+        "fixed-r n=40 r=2: 40.00s",
+    ]
+    assert runs[0].startswith("path n=60: 40.00s (budget 30s, objective ")
+
+
+@pytest.mark.parametrize("fault", ["exit", "differ"])
+def test_criterion_8_quotes_a_failed_or_differing_solve(monkeypatch, fault):
+    runs = itertools.count()
+
+    def main(argv):
+        if fault == "exit":
+            return 1
+        print(next(runs))  # a different line on every run
+        return 0
+
+    monkeypatch.setattr(cli, "main", main)
+    result = selftest.criterion_determinism()
+    assert "[FAIL]" in result.line()
+    first = "path3.ncn: exit 1" if fault == "exit" else "path3.ncn: outputs differ across runs"
+    assert result.detail.startswith(f"5 fixtures x 3 runs; {first}; "), result.detail
 
 
 def test_criterion_4_checks_that_each_block_sums_its_jobs(monkeypatch):

@@ -1401,8 +1401,10 @@ def test_steiner_forests_match_the_least_edge_sets():
     assert split >= 5
 
 
-def test_order_bounds_bracket_each_order_and_the_optimum():
-    # LB(pi) <= the DP value of pi, and the optimum <= UB
+def test_order_tables_bracket_each_order_and_the_optimum():
+    # priced as the search prices an order, sum_k w_{pi_k} * table[P_k]:
+    # LB(pi) over forests <= the DP value of pi, and the optimum <= UB, the
+    # least price over reach
     rng = random.Random(179)
     skipped = 0
     for trial in range(48):
@@ -1411,14 +1413,20 @@ def test_order_bounds_bracket_each_order_and_the_optimum():
         n = rng.randint(r + 1 if depot else 2 * r, 9)
         inst = _tie_prone_instance(rng, n, r, depot, weights=(1, 9))
         dist = _closure(inst)
-        upper, bounds = netcon.metric_solver._order_bounds(inst, _frame(inst, dist))
+        reach, forests = netcon.metric_solver._order_tables(inst, _frame(inst, dist))
+
+        def price(table, perm):
+            steps = itertools.accumulate((1 << i for i in perm), operator.or_)
+            return sum(inst.pairs[i].weight * table[served] for i, served in zip(perm, steps))
+
         perms = list(itertools.permutations(range(r)))
-        assert [perm for perm, _ in bounds] == perms
+        upper = min(price(reach, perm) for perm in perms)
+        lowers = [price(forests, perm) for perm in perms]
         values = [min(_order_dp(inst, dist, perm)[2][-1]) for perm in perms]
-        assert all(lower <= value for (_, lower), value in zip(bounds, values))
+        assert all(lower <= value for lower, value in zip(lowers, values))
         optimum = min(values)
         assert optimum <= upper
-        skipped += sum(lower > upper for _, lower in bounds)
+        skipped += sum(lower > upper for lower in lowers)
     assert skipped >= 50
 
 
