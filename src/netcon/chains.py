@@ -44,10 +44,7 @@ class Job(Frozen):
             raise ValueError(f"job processing time must be a positive integer: {processing!r}")
         if type(weight) is not int or weight < 0:
             raise ValueError(f"job weight must be a non-negative integer: {weight!r}")
-        init = object.__setattr__
-        init(self, "processing", processing)
-        init(self, "weight", weight)
-        init(self, "tag", tag)
+        self._store(processing, weight, tag)
 
 
 Chain = Sequence[Job]

@@ -2,8 +2,9 @@
 
 A subclass lists its fields in ``_fields`` and its storage in ``__slots__``
 (the fields, then any cache its constructor fills).  Its ``__init__`` checks
-the arguments and stores each slot once through ``object.__setattr__``;
-afterwards assigning or deleting any attribute raises ``AttributeError``.
+the arguments and then stores every slot through one ``_store`` call, the
+only write a value ever takes; afterwards assigning or deleting any
+attribute raises ``AttributeError``.
 Equality, hashing, ``repr`` and pickling read the fields alone, so two values
 built from equal fields are equal, hash alike and print as
 ``Type(field=value, ...)``.
@@ -15,6 +16,12 @@ from __future__ import annotations
 class Frozen:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:
+        """Write one value per slot, in ``__slots__`` order; a count that
+        does not match the slots raises ``ValueError``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -189,8 +189,9 @@ class Network(Frozen):
     Vertices are 0..vertex_count-1.  Edges are stored canonically: each
     endpoint pair oriented with u < v and the list sorted by (u, v).  Edge
     ids used throughout the package are positions in ``edges``.  The
-    constructor also builds ``adjacency`` and the full rooting, which
-    decides connectivity and is what ``root_forest()`` returns.
+    constructor also builds ``adjacency`` (per vertex, a tuple of
+    (neighbor, edge id)) and the full rooting, which decides connectivity
+    and is what ``root_forest()`` returns.
     """
 
     __slots__ = ("vertex_count", "edges", "adjacency", "_rooting")
@@ -210,11 +211,7 @@ class Network(Frozen):
         rooting = _root(adjacency)
         if rooting[1].count(-1) > 1:  # a second root starts a second component
             raise _invalid("network is not connected", "vertices")
-        init = object.__setattr__
-        init(self, "vertex_count", vertex_count)
-        init(self, "edges", edges)
-        init(self, "adjacency", adjacency)  # per vertex: tuple of (neighbor, edge id)
-        init(self, "_rooting", tuple(map(tuple, rooting)))
+        self._store(vertex_count, edges, adjacency, tuple(map(tuple, rooting)))
 
     def root_forest(self, kept: Iterable[int] | None = None) -> tuple[Sequence[int], ...]:
         """Root each component of the edge ids ``kept`` (every edge when None)
@@ -260,11 +257,7 @@ class RelevantPair(Frozen):
             )
         if due is not None and type(due) is not int:
             raise _invalid(f"pair ({u}, {v}) due date must be an integer, got {due!r}", "pair")
-        init = object.__setattr__
-        init(self, "u", u)
-        init(self, "v", v)
-        init(self, "weight", weight)
-        init(self, "due", due)
+        self._store(u, v, weight, due)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -306,11 +299,8 @@ class Instance(Frozen):
                     f"{'missing' if maxlat else 'stray'} due date for pair"
                     f" ({pair.u}, {pair.v}) under the {objective.value} objective", "pair", index
                 )
-        init = object.__setattr__
-        init(self, "network", network)
-        init(self, "pairs", tuple(sorted(pairs, key=_BY_ENDS)))
-        init(self, "objective", objective)
-        init(self, "terminals", tuple(sorted({x for key in seen for x in key})))
+        terminals = tuple(sorted({x for key in seen for x in key}))
+        self._store(network, tuple(sorted(pairs, key=_BY_ENDS)), objective, terminals)
 
     @property
     def pair_count(self) -> int:
@@ -336,10 +326,7 @@ class OlaInput(Frozen):
             raise _invalid(
                 f"threshold must be a non-negative integer, got {threshold!r}", "threshold"
             )
-        init = object.__setattr__
-        init(self, "vertex_count", vertex_count)
-        init(self, "edges", _edge_list(edges, vertex_count, 2))
-        init(self, "threshold", threshold)
+        self._store(vertex_count, _edge_list(edges, vertex_count, 2), threshold)
 
 
 # --- text format -----------------------------------------------------------

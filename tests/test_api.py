@@ -5,6 +5,7 @@ their submodules but are not re-exported.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -132,3 +133,60 @@ def test_each_instance_rule_error_is_raised_once_through_invalid():
                     builders.add(top.name)
     assert catchers == {"_build"}
     assert builders == {"_invalid", "generate"}
+
+
+def _package_modules():
+    for path in sorted(Path(netcon.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def test_every_top_level_function_has_a_caller_in_the_package():
+    # no production function or class is kept alive by tests alone;
+    # chains.merge_plan stays while the benchmark harness wraps it
+    read = set()
+    defined = []
+    for module, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, top.name))
+    uncalled = [
+        (module, name)
+        for module, name in defined
+        if name not in read and name not in netcon.__all__
+    ]
+    assert uncalled == [("chains", "merge_plan")]
+
+
+def test_only_frozen_writes_a_slot():
+    # a value type's constructor ends with one _store call that passes every
+    # slot in __slots__ order, so no slot name is written a second time
+    stores = 0
+    for module, tree in _package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                if isinstance(node.value, ast.Name) and node.value.id == "object":
+                    assert module == "frozen", module
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            if "Frozen" not in {base.id for base in top.bases if isinstance(base, ast.Name)}:
+                continue
+            slots = getattr(importlib.import_module(f"netcon.{module}"), top.name).__slots__
+            init = next(node for node in top.body if getattr(node, "name", None) == "__init__")
+            calls = [
+                node
+                for node in ast.walk(init)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_store"
+            ]
+            assert len(calls) == 1, top.name
+            assert len(calls[0].args) == len(slots), top.name
+            assert not any(isinstance(arg, ast.Starred) for arg in calls[0].args), top.name
+            stores += 1
+    assert stores == 5

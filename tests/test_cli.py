@@ -963,6 +963,7 @@ def test_a_run_past_its_budget_fails_criterion_7(monkeypatch):
         "fixed-r n=40 r=2: 40.00s",
     ]
     assert runs[0].startswith("path n=60: 40.00s (budget 30s, objective ")
+    assert [run.endswith(", over budget)") for run in runs] == [True, False, False]
 
 
 @pytest.mark.parametrize("fault", ["exit", "differ"])
@@ -980,6 +981,9 @@ def test_criterion_8_quotes_a_failed_or_differing_solve(monkeypatch, fault):
     assert "[FAIL]" in result.line()
     first = "path3.ncn: exit 1" if fault == "exit" else "path3.ncn: outputs differ across runs"
     assert result.detail.startswith(f"5 fixtures x 3 runs; {first}; "), result.detail
+    entries = result.detail.split("; ")[1:]
+    fixtures = ["path3.ncn", "tree9.ncn", "graph7.ncn", "maxlat6.ncn", "star4.ncn"]
+    assert [entry.split(": ")[0] for entry in entries] == fixtures
 
 
 def test_criterion_4_checks_that_each_block_sums_its_jobs(monkeypatch):
