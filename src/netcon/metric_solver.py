@@ -58,7 +58,9 @@ max_k(P_k - d_k).  Each table holds a Pareto set of such vectors
 exact: a later edge adds the same amount to the prefixes of both labels, so
 one that is nowhere larger never does worse.  A label is dropped once the
 paths the rest of any forest must still hold make it too late
-(``_room``), and a set with no label left is skipped.  Each label is one
+(``_room``).  Every endpoint set is built by one rule (a single endpoint
+starts from itself at 0), and a set with no label left is an empty entry
+that adds nothing to the sets above it.  Each label is one
 int (``_Packing``), so a sum or a comparison of two is one integer
 operation.  Work grows with the Pareto labels kept over the 2^(t-1)
 endpoint sets without the root.
@@ -730,16 +732,33 @@ def _lateness_tables(
 ) -> tuple[list, list, _Packing]:
     """Pareto tables of prefix-length labels for the endpoint sets S the
     frame ``ends`` tables, as bit masks: ``g[S][v]`` for trees that join v to
-    S, and ``h[S][v]`` (for two or more endpoints) for those whose root v
-    splits S, with their ``_Packing``.  An edge with S below it adds its
-    length to the prefixes from ``first[S]`` on.
+    S, and ``h[S][v]`` for those whose root v splits S, with their
+    ``_Packing``.  An edge with S below it adds its length to the prefixes
+    from ``first[S]`` on.
 
-    ``first[S]`` is r for a set that separates no pair.  Such a set costs
-    nothing to carry, so one Pareto set of its ``h`` over every vertex serves
-    as its ``g`` at every vertex.  Every other set runs one
-    ``_label_setting`` from its ``h``.  A label that no forest within ``cap``
-    can grow from is dropped (``_room``, the frame's pairs one per step), and
-    a set with no label left is skipped.
+    Every set is built by one rule.  ``h[S]`` is, per vertex, the Pareto set
+    of the sums over S's splits; a single endpoint x has no split, and its
+    ``h`` is the label 0 at x.  ``g[S]`` is one ``_label_setting`` from
+    ``h[S]``, except for a set that separates no pair (``first[S]`` is r):
+    such a set costs nothing to carry, so one Pareto set of its ``h`` over
+    every vertex serves as its ``g`` at every vertex.  A label that no forest
+    within ``cap`` can grow from is dropped (``_room``, the frame's pairs one
+    per step); a split with an empty side adds nothing, and an empty ``h``
+    gives an empty ``g``.
+
+    A single endpoint x's ``g`` holds exactly d(x, v) times its unit at
+    every vertex v where ``_room`` leaves room for that label, and nothing
+    elsewhere.  Prefixes before ``first[S]``: the label adds nothing there;
+    every pair served before then has no end in S, so ``_needs`` counts its
+    whole span at every vertex, and the room on those prefixes is the same
+    at every vertex.  Prefixes from ``first[S]`` on: a vertex y on a
+    shortest path from x to v holds d(x, y) times the unit, and each far-end
+    term of its need has d(y, b) <= d(y, v) + d(v, b), so y has room
+    whenever v has room for d(x, v) times the unit.  So label setting
+    reaches v with exactly that label wherever it has room, and one label
+    per vertex is the whole Pareto set.  Every label pushed is within its
+    room (each prefix at most ``cap``, so at most ``top``) and grows by one
+    edge (at most ``top``) at a time, so no prefix reaches a guard bit.
     """
     network = ends.rows.network
     r = len(cap)
@@ -749,27 +768,14 @@ def _lateness_tables(
     g: list = [None] * (ends.full + 1)
     h: list = [None] * (ends.full + 1)
     for mask in range(1, ends.full + 1):
-        low = mask & -mask
         step = first[mask]
-        if mask == low:
-            # a path of length d adds d to each prefix from step on
-            unit = packing.units[step]
-            room = _room(ends, mask, cap, packing)
-            g[mask] = [
-                [d * unit]
-                if limit is not None and d <= top and (limit - d * unit) & guards == guards
-                else []
-                for d, limit in zip(ends.rows[low.bit_length() - 1], room)
-            ]
-            continue
-        # the splits, less those with a side that no label is left in
-        splits = [(one, other) for one, other in _splits(mask) if any(g[one]) and any(g[other])]
-        if not splits:
-            h[mask] = g[mask] = [[]] * network.vertex_count
-            continue
         room = _room(ends, mask, cap, packing)
         sums: list[list[int]] = [[] for _ in range(network.vertex_count)]
-        for one, other in splits:
+        if mask & mask - 1 == 0:
+            x = ends.ends[mask.bit_length() - 1]
+            if room[x] is not None:
+                sums[x].append(0)  # the endpoint itself, with no edge yet
+        for one, other in _splits(mask):
             for found, left, right, limit in zip(sums, g[one], g[other], room):
                 if limit is None:
                     continue
@@ -778,9 +784,7 @@ def _lateness_tables(
                         if (limit - a - b) & guards == guards:
                             found.append(a + b)
         h[mask] = [_pareto(found, guards) if len(found) > 1 else found for found in sums]
-        if not any(h[mask]):
-            g[mask] = h[mask]
-        elif step == r:
+        if step == r:
             kept = _pareto(itertools.chain.from_iterable(h[mask]), guards)
             g[mask] = [kept] * network.vertex_count
         else:

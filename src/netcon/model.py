@@ -67,7 +67,13 @@ def exact_digits(fn):
     numbers of any length are read, printed and named in messages exactly;
     the process's own limit is put back afterwards, however ``fn`` ends.
     The value types' constructors, every reader and writer of the text
-    formats, the evaluator and ``cli.main`` run this way."""
+    formats, the evaluator and ``cli.main`` run this way.
+
+    The limit is process-wide, not per thread.  A call made while another
+    thread's call has lifted the limit finds it lifted and leaves it alone,
+    so when that other call ends and puts the limit back, a conversion past
+    it in the first call raises ``ValueError``.  Calls in one thread at a
+    time are exact."""
 
     @wraps(fn)
     def call(*args, **kwargs):

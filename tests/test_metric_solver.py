@@ -1018,6 +1018,50 @@ def test_the_pareto_dp_alone_matches_the_oracle(monkeypatch):
     assert outcomes[False] >= 100
 
 
+def test_pareto_tables_hold_an_endpoint_row_and_nothing_for_a_set_split_by_empty_sides(monkeypatch):
+    # a single endpoint's g is its distance row, each entry kept where _room
+    # leaves room for it; a set whose every split has an empty side has no label
+    ms = netcon.metric_solver
+    original_bound, original_tables = ms._lateness_bound, ms._lateness_tables
+    tables = []
+
+    def unproven(*args):
+        value, kept, _ = original_bound(*args)
+        return value, kept, False
+
+    def captured(ends, first, cap):
+        g, h, packing = original_tables(ends, first, cap)
+        tables.append((ends, first, cap, g, packing))
+        return g, h, packing
+
+    monkeypatch.setattr(ms, "_lateness_bound", unproven)
+    monkeypatch.setattr(ms, "_lateness_tables", captured)
+    rng = random.Random(193)
+    seen = Counter()
+    for trial in range(300):
+        n = rng.randint(3, 8)
+        with_shared = rng.random() < 0.5
+        r = rng.randint(1, min(6, n * (n - 1) // 2, n - 1 if with_shared else n // 2))
+        lengths = rng.choice([(1, 1), (1, 3), (1, 20)])
+        inst = _oracle_instance(rng, n, r, with_shared, lengths, 12, _due_dates(rng))
+        solve_fixed_r(inst, force=True)
+        ends, first, cap, g, packing = tables.pop()
+        seen["6 pairs"] += r == 6
+        for i in range(len(ends.ends) - 1):
+            unit = packing.units[first[1 << i]]
+            room = ms._room(ends, 1 << i, cap, packing)
+            for v, (d, limit) in enumerate(zip(ends.rows[i], room)):
+                fits = limit is not None and (limit - d * unit) & packing.guards == packing.guards
+                assert g[1 << i][v] == ([d * unit] if fits else [])
+                seen["dropped"] += not fits
+        for mask in range(1, ends.full + 1):
+            splits = list(ms._splits(mask))
+            if splits and all(not any(g[one]) or not any(g[other]) for one, other in splits):
+                assert not any(g[mask])
+                seen["empty sides"] += 1
+    assert seen["6 pairs"] >= 10 and seen["dropped"] >= 1000 and seen["empty sides"] >= 500
+
+
 def test_room_is_the_cap_less_what_the_rest_of_a_forest_must_add():
     # path 0-1-2-3 of unit edges, terminals 0-3 (their own indices); step 0
     # serves pair (0, 3), step 1 pair (1, 2)

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -33,6 +34,7 @@ from netcon import (
     write_ola_input,
 )
 from netcon.cli import format_solution, parse_solution
+from netcon.model import exact_digits
 from netcon.unionfind import UnionFind
 
 MINIMAL = """\
@@ -471,6 +473,55 @@ def test_a_message_names_an_integer_past_the_digit_limit_in_full(call, error):
     assert HUGE_TEXT in message
     assert _digit_limit() == limit
 
+
+
+@pytest.mark.skipif(not _digit_limit(), reason="this Python has no int-string digit limit")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the digit limit is process-wide: a thread leaving a wrapped call puts it back "
+    "while another thread is still inside one",
+)
+def test_a_wrapped_call_keeps_the_digit_limit_lifted_while_another_thread_leaves_one():
+    # B lifts the limit and waits inside its call; A enters its own call, finds
+    # the limit lifted and leaves it; B leaves, putting the limit back, while A,
+    # still inside, prints a 5001-digit number
+    b_inside, a_inside, b_left, a_printed = (threading.Event() for _ in range(4))
+    printed = []
+
+    @exact_digits
+    def b_call():
+        b_inside.set()
+        a_inside.wait(5)
+
+    @exact_digits
+    def a_call():
+        a_inside.set()
+        b_left.wait(5)
+        return str(HUGE)
+
+    def run_b():
+        b_call()
+        b_left.set()
+
+    def run_a():
+        b_inside.wait(5)
+        try:
+            printed.append(a_call())
+        except ValueError as exc:
+            printed.append(exc)
+        a_printed.set()
+
+    limit = _digit_limit()
+    threads = [threading.Thread(target=run_b), threading.Thread(target=run_a)]
+    for thread in threads:
+        thread.start()
+    assert a_printed.wait(10)
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert _digit_limit() == limit
+    assert printed == [HUGE_TEXT]
 
 def test_instance_rejects_out_of_range_pair_endpoints():
     # the library guard matches the parser's: both ends must lie in 0..n-1
